@@ -1,9 +1,20 @@
-"""Magnetic fields, the radial-integration gauge, and segment phase factors.
+"""Magnetic fields, the transversal gauge, and segment phase factors.
 
 The phase attached to an ordered pair (x, y) is exp(-i I(x,y)) with
-I(x,y) = int_0^1 <y - x, A(x + s(y-x))> ds, evaluated by fixed-order
-Gauss-Legendre quadrature, or in closed form (midpoint rule) when the
-potential is linear.
+I(x,y) = int_[x,y] A, the integral of the vector potential along the
+straight segment. In the transversal gauge, x . A(x) = 0, Stokes' theorem
+turns that segment integral into the flux of B through the triangle
+(0, x, y):
+
+    I(x,y) = sum_{j<k} (x_j y_k - x_k y_j)
+             int_0^1 int_0^1 s B_jk(s (x + t (y - x))) ds dt,
+
+evaluated with the tensor Gauss-Legendre rule of order
+`phase_quadrature_order`, or in closed form (midpoint rule) when the
+potential is linear. A gauge shifted by grad(chi) keeps this evaluator and
+records chi; its segment integral is I(x,y) + chi(y) - chi(x) exactly, so no
+quadrature over the shifted potential is ever run. `GaugeData.potential`
+(A + grad chi) serves the dA = B check and covariant derivatives only.
 """
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -104,13 +115,18 @@ def field_from_id(fid, dimension):
 
 @dataclass
 class GaugeData:
-    """A vector potential for a field, plus the segment-phase evaluator."""
+    """A vector potential for a field, plus the segment-phase evaluator.
+
+    Segment phases come from `field` (or `linear`) and `chi`, never from
+    `potential`: the potential is the transversal one plus grad(chi).
+    """
 
     field: MagneticField
     potential: Callable  # X (...,d) -> (...,d)
     phase_quadrature_order: int = 16
-    linear: Optional[Tuple[np.ndarray, np.ndarray]] = None  # A(x) = W x + c
+    linear: Optional[Tuple[np.ndarray, np.ndarray]] = None  # A(x) = W x + c before the chi shift
     gauge_id: str = "transversal"
+    chi: Optional[Callable] = None  # X (...,d) -> (...); accumulated gauge shift
 
     @property
     def dimension(self):
@@ -149,33 +165,63 @@ def transversal_gauge(B, quadrature_order=16):
     return GaugeData(B, A, quadrature_order)
 
 
+def _is_trivial(g):
+    """Zero field, zero potential, no shift: every phase is exactly 1."""
+    return (g.field.is_zero and g.chi is None and g.linear is not None
+            and not g.linear[0].any() and not g.linear[1].any())
+
+
+def _triangle_flux(B, x, y, order):
+    """sum_{j<k} (x_j y_k - x_k y_j) int_0^1 int_0^1 s B_jk(s(x + t(y-x))) ds dt."""
+    nodes, weights = gauss_legendre_01(order)
+    shape = np.broadcast(x[..., 0], y[..., 0]).shape
+    # coordinate axis first, so the broadcast sums run over long rows
+    xT = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    yT = np.ascontiguousarray(np.moveaxis(y, -1, 0))
+    means = {jk: np.zeros(shape) for jk in B.components}
+    for s, ws in zip(nodes, weights):
+        for t, wt in zip(nodes, weights):
+            # s (x + t (y - x)) = s (1 - t) x + s t y
+            pts = np.moveaxis((s * (1.0 - t)) * xT + (s * t) * yT, 0, -1)
+            for jk, fun in B.components.items():
+                means[jk] += (ws * wt * s) * fun(pts)
+    acc = np.zeros(shape)
+    for (j, k), mean in means.items():
+        acc += (x[..., j] * y[..., k] - x[..., k] * y[..., j]) * mean
+    return acc
+
+
 def line_integral_A(g, x, y):
-    """int_0^1 <y-x, A(x + s(y-x))> ds along the straight segment."""
+    """int_[x,y] A along the straight segment: the transversal flux through
+    the triangle (0, x, y) plus chi(y) - chi(x)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    diff = y - x
     if g.linear is not None:
         W, c = g.linear
         mid = 0.5 * (x + y)
-        return (diff * (mid @ W.T + c)).sum(axis=-1)
-    s_nodes, s_weights = gauss_legendre_01(g.phase_quadrature_order)
-    acc = np.zeros(np.broadcast(x[..., 0], y[..., 0]).shape)
-    for s, w in zip(s_nodes, s_weights):
-        acc = acc + w * (diff * g.potential(x + s * diff)).sum(axis=-1)
+        acc = ((y - x) * (mid @ W.T + c)).sum(axis=-1)
+    else:
+        acc = _triangle_flux(g.field, x, y, g.phase_quadrature_order)
+    if g.chi is not None:
+        acc = acc + (g.chi(y) - g.chi(x))
     return acc
 
 
 def magnetic_phase(g, x, y):
     """Unit-modulus pair phase exp(-i int_[x,y] A)."""
-    if g.field.is_zero and g.linear is not None and not g.linear[0].any() \
-            and not g.linear[1].any():
+    if _is_trivial(g):
         return np.ones(np.broadcast(np.asarray(x)[..., 0], np.asarray(y)[..., 0]).shape,
                        dtype=complex)
     return np.exp(-1j * line_integral_A(g, x, y))
 
 
 def gauge_transform(g, chi, grad_chi=None, h=1e-6):
-    """Shift the potential by a gradient: A -> A + grad(chi), same field."""
+    """Shift the potential by a gradient: A -> A + grad(chi), same field.
+
+    The shifted gauge keeps the base phase evaluator and accumulates chi, so
+    its phases are the base phases times exp(-i (chi(y) - chi(x))) exactly;
+    `grad_chi` (finite differences when omitted) only enters `potential`.
+    """
     d = g.dimension
     if grad_chi is None:
         def grad_chi(X):
@@ -188,37 +234,50 @@ def gauge_transform(g, chi, grad_chi=None, h=1e-6):
             return out
 
     base_A = g.potential
+    base_chi = g.chi
 
     def A(X):
         return base_A(X) + grad_chi(X)
 
-    return GaugeData(g.field, A, g.phase_quadrature_order, linear=None,
-                     gauge_id=g.gauge_id + "+grad")
+    if base_chi is None:
+        total_chi = chi
+    else:
+        def total_chi(X):
+            return base_chi(X) + chi(X)
+
+    return GaugeData(g.field, A, g.phase_quadrature_order, linear=g.linear,
+                     gauge_id=g.gauge_id + "+grad", chi=total_chi)
 
 
 def phase_table(g, nodes, chunk=65536):
-    """Pair phase matrix omega[j,k] over flat node lists (hot path)."""
+    """Pair phase matrix omega[j,k] over flat node lists (hot path).
+
+    The exponent is evaluated on the upper triangle only, about `chunk`
+    pairs at a time, and the lower triangle is filled as its negative
+    transpose, so omega is exactly Hermitian.
+    """
     nodes = np.asarray(nodes, dtype=float)
     N = nodes.shape[0]
-    if g.field.is_zero and g.linear is not None and not g.linear[0].any() \
-            and not g.linear[1].any():
+    if _is_trivial(g):
         return np.ones((N, N), dtype=complex)
     if g.linear is not None:
         W, c = g.linear
-        return np.exp(-1j * _kernels.linear_pair_exponent(nodes, W, c))
-    s_nodes, s_weights = gauss_legendre_01(g.phase_quadrature_order)
-    out = np.empty((N, N), dtype=complex)
-    rows_per_chunk = max(1, chunk // N)
-    for start in range(0, N, rows_per_chunk):
-        stop = min(N, start + rows_per_chunk)
-        x = nodes[start:stop, None, :]
-        y = nodes[None, :, :]
-        diff = y - x
-        acc = np.zeros((stop - start, N))
-        for s, w in zip(s_nodes, s_weights):
-            acc += w * (diff * g.potential(x + s * diff)).sum(axis=-1)
-        out[start:stop] = np.exp(-1j * acc)
-    return out
+        E = _kernels.linear_pair_exponent(nodes, W, c)
+    else:
+        E = np.zeros((N, N))
+        start = 0
+        while start < N:
+            stop = min(N, start + max(1, chunk // (N - start)))
+            E[start:stop, start:] = _triangle_flux(
+                g.field, nodes[start:stop, None, :], nodes[None, start:, :],
+                g.phase_quadrature_order)
+            start = stop
+    E = np.triu(E, 1)
+    E -= E.T
+    if g.chi is not None:
+        c = g.chi(nodes)
+        E += c[None, :] - c[:, None]
+    return np.exp(-1j * E)
 
 
 def potential_residual(g, radius=4.0, density=32, h=1e-4):

@@ -186,6 +186,11 @@ class Check:
     margin: float
     details: str = ""
 
+    def __post_init__(self):
+        # numpy comparisons yield np.bool_/np.float64, which json cannot encode
+        self.passed = bool(self.passed)
+        self.margin = float(self.margin)
+
     def row(self, suite):
         return (suite, self.name, self.invariant, self.passed, f"{self.margin:.6g}",
                 self.details)

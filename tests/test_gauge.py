@@ -1,21 +1,54 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magpsido.errors import ConfigError
 from magpsido.gauge import (constant_field_2d, cos_field_2d, field_from_id,
                             gauge_transform, line_integral_A, magnetic_phase,
                             phase_table, potential_residual, transversal_gauge,
                             zero_field)
+from magpsido.quadrature import gauss_legendre_01
+
+
+def line_quadrature_table(g, nodes, order=16):
+    """Reference phase table: Gauss rule along each segment over g.potential."""
+    s_nodes, s_weights = gauss_legendre_01(order)
+    x = nodes[:, None, :]
+    diff = nodes[None, :, :] - x
+    acc = np.zeros(diff.shape[:-1])
+    for s, w in zip(s_nodes, s_weights):
+        acc += w * (diff * g.potential(x + s * diff)).sum(axis=-1)
+    return np.exp(-1j * acc)
+
+
+def sin_chi(a, b, c):
+    """chi(x) = a sin(b x0) x1 + c x0^2 and its gradient."""
+    def chi(X):
+        X = np.asarray(X, dtype=float)
+        return a * np.sin(b * X[..., 0]) * X[..., 1] + c * X[..., 0] ** 2
+
+    def grad(X):
+        X = np.asarray(X, dtype=float)
+        return np.stack([a * b * np.cos(b * X[..., 0]) * X[..., 1] + 2 * c * X[..., 0],
+                         a * np.sin(b * X[..., 0])], axis=-1)
+
+    return chi, grad
+
+
+G_COS = transversal_gauge(cos_field_2d(1.0))
+G_CONST = transversal_gauge(constant_field_2d(1.0))
+NODES = np.random.default_rng(11).uniform(-6, 6, size=(40, 2))
 
 
 @pytest.fixture(scope="module")
 def g_const():
-    return transversal_gauge(constant_field_2d(1.0))
+    return G_CONST
 
 
 @pytest.fixture(scope="module")
 def g_cos():
-    return transversal_gauge(cos_field_2d(1.0))
+    return G_COS
 
 
 class TestTransversalGauge:
@@ -106,6 +139,36 @@ class TestMagneticPhase:
             table = phase_table(g, nodes)
             direct = magnetic_phase(g, nodes[:, None, :], nodes[None, :, :])
             assert np.abs(table - direct).max() < 1e-12
+
+
+class TestTriangleFluxTable:
+    @pytest.mark.parametrize("chunk", [65536, 97])
+    def test_matches_line_quadrature_oracle(self, g_cos, chunk):
+        table = phase_table(g_cos, NODES, chunk=chunk)
+        assert np.abs(table - line_quadrature_table(g_cos, NODES)).max() <= 1e-12
+
+    def test_shifted_gauge_matches_line_quadrature_oracle(self, g_cos):
+        chi, grad = sin_chi(0.8, 1.3, -0.2)
+        g2 = gauge_transform(g_cos, chi, grad)
+        assert np.abs(phase_table(g2, NODES)
+                      - line_quadrature_table(g2, NODES)).max() <= 1e-12
+
+    def test_bit_exact_hermitian(self, g_cos, g_const):
+        chi, grad = sin_chi(0.5, 2.0, 0.3)
+        for g in (g_cos, g_const, gauge_transform(g_cos, chi, grad),
+                  gauge_transform(transversal_gauge(zero_field(2)), chi, grad)):
+            omega = phase_table(g, NODES, chunk=97)
+            assert np.array_equal(omega, omega.conj().T)
+
+    @settings(max_examples=30, deadline=None)
+    @given(a=st.floats(-2, 2), b=st.floats(-3, 3), c=st.floats(-1, 1),
+           g=st.sampled_from([G_COS, G_CONST]))
+    def test_gauge_shift_is_exact_phase_factor(self, a, b, c, g):
+        chi, grad = sin_chi(a, b, c)
+        shifted = phase_table(gauge_transform(g, chi, grad), NODES)
+        vals = chi(NODES)
+        want = phase_table(g, NODES) * np.exp(-1j * (vals[None, :] - vals[:, None]))
+        assert np.abs(shifted - want).max() <= 1e-12
 
 
 class TestGaugeTransform:
