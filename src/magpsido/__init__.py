@@ -6,7 +6,6 @@ decay: weight conjugation and its remainder bounds, analytic frequency-shift
 amplitude identities, contour spectral projectors, and the square-root
 kinetic semigroup with its kernel and potential-smearing estimates.
 """
-from ._kernels import backend, set_backend
 from .decay import (DecayFit, ShiftField, WeightFamily, amplitude_c_eps,
                     amplitude_d_eps, b_shift, conjugate_operator, decay_fit,
                     epsilon0_estimate, remainder_operator, uniform_bound_sweep,
@@ -33,3 +32,8 @@ from .symbols import (HormanderSymbol, SampleBox, cauchy_derivative_bound_check,
                       symbol_from_id)
 
 __version__ = "0.1.0"
+
+
+def backend():
+    """Name of the array backend; numpy is the only one."""
+    return "numpy"

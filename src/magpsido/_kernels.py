@@ -1,100 +1,24 @@
-"""Hot assembly kernels with a numba fast path and a pure-numpy fallback.
-
-Backend selection: MAGPSIDO_NUMBA=0 (or numba missing) selects the numpy
-path; anything else uses @njit kernels, compiled on first use.
-"""
-import os
-
+"""Hot assembly kernels: kernel-table gather, amplitude-row contraction and
+pair phase exponents for linear potentials, all in numpy."""
 import numpy as np
-
-try:
-    import numba as _nb
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _nb = None
-    _HAVE_NUMBA = False
-
-_env = os.environ.get("MAGPSIDO_NUMBA", "1").strip().lower()
-_USE_NUMBA = _HAVE_NUMBA and _env not in ("0", "false", "off", "no")
-
-
-def backend():
-    return "numba" if _USE_NUMBA else "numpy"
-
-
-def set_backend(name):
-    """Force 'numba' or 'numpy'; returns the previous backend name."""
-    global _USE_NUMBA
-    prev = backend()
-    if name == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError("numba not importable")
-        _USE_NUMBA = True
-    elif name == "numpy":
-        _USE_NUMBA = False
-    else:
-        raise ValueError(f"unknown backend {name!r}")
-    return prev
 
 
 # ---------------------------------------------------------------------------
 # kernel-table gather: H[j,k] = omega[j,k] * T[midpoint(j,k), wrap(j-k)]
 # ---------------------------------------------------------------------------
 
-def _weyl_gather_1d_np(T, omega, n):
-    j = np.arange(n)
-    J, K = np.meshgrid(j, j, indexing="ij")
-    return omega * T[J + K, (J - K) % n]
-
-
-def _weyl_gather_2d_np(T, omega, n):
-    idx = np.arange(n)
-    J1, J2, K1, K2 = np.ix_(idx, idx, idx, idx)
-    G = T[J1 + K1, J2 + K2, (J1 - K1) % n, (J2 - K2) % n]
-    # node flat order is C order on (j1, j2): pair axes (j1,j2) x (k1,k2)
-    G = G.transpose(0, 1, 2, 3).reshape(n * n, n * n)
-    return omega * G
-
-
-if _HAVE_NUMBA:
-
-    @_nb.njit(cache=True)
-    def _weyl_gather_1d_nb(T, omega, n):  # pragma: no cover - numba path
-        H = np.empty((n, n), dtype=np.complex128)
-        for j in range(n):
-            for k in range(n):
-                H[j, k] = omega[j, k] * T[j + k, (j - k) % n]
-        return H
-
-    @_nb.njit(cache=True)
-    def _weyl_gather_2d_nb(T, omega, n):  # pragma: no cover - numba path
-        N = n * n
-        H = np.empty((N, N), dtype=np.complex128)
-        for j1 in range(n):
-            for j2 in range(n):
-                r = j1 * n + j2
-                for k1 in range(n):
-                    for k2 in range(n):
-                        c = k1 * n + k2
-                        H[r, c] = omega[r, c] * T[
-                            j1 + k1, j2 + k2, (j1 - k1) % n, (j2 - k2) % n
-                        ]
-        return H
-
-
 def weyl_gather(T, omega, n, d):
     """Assemble the dense operator from the midpoint kernel table."""
-    T = np.ascontiguousarray(T)
-    omega = np.ascontiguousarray(omega)
     if d == 1:
-        if _USE_NUMBA:
-            return _weyl_gather_1d_nb(T, omega, n)
-        return _weyl_gather_1d_np(T, omega, n)
+        j = np.arange(n)
+        J, K = np.meshgrid(j, j, indexing="ij")
+        return omega * T[J + K, (J - K) % n]
     if d == 2:
-        if _USE_NUMBA:
-            return _weyl_gather_2d_nb(T, omega, n)
-        return _weyl_gather_2d_np(T, omega, n)
+        idx = np.arange(n)
+        J1, J2, K1, K2 = np.ix_(idx, idx, idx, idx)
+        G = T[J1 + K1, J2 + K2, (J1 - K1) % n, (J2 - K2) % n]
+        # node flat order is C order on (j1, j2): pair axes (j1,j2) x (k1,k2)
+        return omega * G.reshape(n * n, n * n)
     raise ValueError("dimension must be 1 or 2")
 
 
@@ -102,73 +26,18 @@ def weyl_gather(T, omega, n, d):
 # amplitude row contraction: out[k] = n^{-d} sum_q M[k,q] e^{i 2pi (j-k).q/n}
 # ---------------------------------------------------------------------------
 
-def _amplitude_row_np(M, j_multi, n, d):
-    N = M.shape[0]
-    if d == 1:
-        T = np.fft.ifft(M, axis=1)
-        k = np.arange(N)
-        return T[k, (j_multi[0] - k) % n]
-    T = np.fft.ifft2(M.reshape(N, n, n), axes=(1, 2))
-    k = np.arange(N)
-    k1, k2 = k // n, k % n
-    return T[k, (j_multi[0] - k1) % n, (j_multi[1] - k2) % n]
-
-
-if _HAVE_NUMBA:
-
-    @_nb.njit(cache=True)
-    def _amplitude_row_1d_nb(M, j, P, n):  # pragma: no cover - numba path
-        out = np.empty(n, dtype=np.complex128)
-        for k in range(n):
-            acc = 0.0 + 0.0j
-            r = (j - k) % n
-            for q in range(n):
-                acc += M[k, q] * P[r, q]
-            out[k] = acc / n
-        return out
-
-    @_nb.njit(cache=True)
-    def _amplitude_row_2d_nb(M, j1, j2, P, n):  # pragma: no cover
-        N = n * n
-        out = np.empty(N, dtype=np.complex128)
-        for k1 in range(n):
-            r1 = (j1 - k1) % n
-            for k2 in range(n):
-                r2 = (j2 - k2) % n
-                k = k1 * n + k2
-                acc = 0.0 + 0.0j
-                for q1 in range(n):
-                    p1 = P[r1, q1]
-                    base = q1 * n
-                    for q2 in range(n):
-                        acc += M[k, base + q2] * p1 * P[r2, q2]
-                out[k] = acc / N
-        return out
-
-
-_phase_cache = {}
-
-
-def _dft_phases(n):
-    P = _phase_cache.get(n)
-    if P is None:
-        r = np.arange(n)
-        P = np.exp(2j * np.pi * np.outer(r, r) / n)
-        _phase_cache[n] = P
-    return P
-
-
 def amplitude_row(M, j_multi, n, d):
     """Contract one row of amplitude samples against the lattice phases."""
-    M = np.ascontiguousarray(M, dtype=np.complex128)
-    if _USE_NUMBA:
-        P = _dft_phases(n)
-        if d == 1:
-            return _amplitude_row_1d_nb(M, j_multi[0], P, n)
-        if d == 2:
-            return _amplitude_row_2d_nb(M, j_multi[0], j_multi[1], P, n)
-        raise ValueError("dimension must be 1 or 2")
-    return _amplitude_row_np(M, j_multi, n, d)
+    N = M.shape[0]
+    k = np.arange(N)
+    if d == 1:
+        T = np.fft.ifft(M, axis=1)
+        return T[k, (j_multi[0] - k) % n]
+    if d == 2:
+        T = np.fft.ifft2(M.reshape(N, n, n), axes=(1, 2))
+        k1, k2 = k // n, k % n
+        return T[k, (j_multi[0] - k1) % n, (j_multi[1] - k2) % n]
+    raise ValueError("dimension must be 1 or 2")
 
 
 # ---------------------------------------------------------------------------
@@ -176,36 +45,10 @@ def amplitude_row(M, j_multi, n, d):
 # exponent[j,k] = <y-x, A((x+y)/2)>  (midpoint rule, exact for linear A)
 # ---------------------------------------------------------------------------
 
-def _linear_exponent_np(nodes, W, c):
-    mids = 0.5 * (nodes[:, None, :] + nodes[None, :, :])
-    Amid = mids @ W.T + c
-    diff = nodes[None, :, :] - nodes[:, None, :]
-    return np.einsum("jkd,jkd->jk", diff, Amid)
-
-
-if _HAVE_NUMBA:
-
-    @_nb.njit(cache=True)
-    def _linear_exponent_nb(nodes, W, c):  # pragma: no cover - numba path
-        N, d = nodes.shape
-        out = np.empty((N, N))
-        for j in range(N):
-            for k in range(N):
-                acc = 0.0
-                for a in range(d):
-                    Am = c[a]
-                    for b in range(d):
-                        Am += W[a, b] * 0.5 * (nodes[j, b] + nodes[k, b])
-                    acc += (nodes[k, a] - nodes[j, a]) * Am
-                out[j, k] = acc
-        return out
-
-
 def linear_pair_exponent(nodes, W, c):
     """Segment integrals of a linear potential over every node pair."""
-    nodes = np.ascontiguousarray(nodes, dtype=np.float64)
-    W = np.ascontiguousarray(W, dtype=np.float64)
-    c = np.ascontiguousarray(c, dtype=np.float64)
-    if _USE_NUMBA:
-        return _linear_exponent_nb(nodes, W, c)
-    return _linear_exponent_np(nodes, W, c)
+    nodes = np.asarray(nodes, dtype=np.float64)
+    mids = 0.5 * (nodes[:, None, :] + nodes[None, :, :])
+    Amid = mids @ np.asarray(W, dtype=np.float64).T + np.asarray(c, dtype=np.float64)
+    diff = nodes[None, :, :] - nodes[:, None, :]
+    return np.einsum("jkd,jkd->jk", diff, Amid)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import decay as dk
 from . import relativistic as rel
-from .errors import MagpsidoError
+from .errors import ConfigError, MagpsidoError
 from .harness import (SUITE_NAMES, ScenarioConfig, ScenarioReport, merge_reports,
                       run_scenario, scenario_context, verify_suite, write_atomic,
                       write_kato_csv, write_spectrum_csv, write_sweep_csv)
@@ -94,7 +94,11 @@ def cmd_decay(args):
 def cmd_conjugate(args):
     cfg = ScenarioConfig.from_json(args.config)
     if args.eps_list:
-        eps_list = sorted(float(e) for e in args.eps_list.split(","))
+        try:
+            eps_list = sorted(float(e) for e in args.eps_list.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"--eps-list needs comma-separated numbers, got "
+                              f"{args.eps_list!r}") from exc
     else:
         eps_list = cfg.eps_list
     grid, sym, gauge = scenario_context(cfg)

@@ -11,7 +11,7 @@ from .errors import (ConfigError, InsufficientWindowError, NotApplicableError,
                      OverflowGuardError, StripViolationError)
 from .quadrature import gauss_legendre_01
 from .quantize import OperatorMatrix
-from .spectral import relative_bound
+from .spectral import eig_hermitian, relative_bound
 from .symbols import bracket
 
 
@@ -115,9 +115,11 @@ def uniform_bound_sweep(op, w, eps_list, z=1j, threshold=0.5):
     if sorted(eps_list) != eps_list:
         raise ConfigError("eps_list must be sorted ascending")
 
+    dec = eig_hermitian(op)
+
     def one(eps):
         R = remainder_operator(op, w, eps)
-        rb = relative_bound(R, op, z=z)
+        rb = relative_bound(R, dec, z=z)
         return eps, rb, eps * rb
 
     with ThreadPoolExecutor(max_workers=worker_count(len(eps_list))) as ex:

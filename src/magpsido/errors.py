@@ -37,14 +37,6 @@ class ContourError(MagpsidoError):
     """Spectral contour passes too close to an eigenvalue."""
 
 
-class ConvergenceError(MagpsidoError):
-    """Iterative scheme failed to converge."""
-
-    def __init__(self, msg, last_gap=None):
-        super().__init__(msg)
-        self.last_gap = last_gap
-
-
 class InsufficientWindowError(MagpsidoError):
     """Too few usable samples in a fit window."""
 

@@ -24,8 +24,9 @@ from . import decay as dk
 from . import relativistic as rel
 from .errors import ConfigError, MagpsidoError
 from .gauge import field_from_id, gauge_transform, transversal_gauge, zero_field, potential_residual
+from .potentials import potential_from_id
 from .quantize import (Grid, GridFunction, fourier_mode, hermitize, mag_derivative,
-                       op_amplitude, op_ps, op_weyl, sobolev_norm)
+                       op_amplitude, op_ps, op_weyl, op_weyl_unsym, sobolev_norm)
 from .spectral import (SpectralWindow, discrete_spectrum_select, eig_hermitian,
                        matrix_exp_neg, projector_rank, riesz_projector)
 from .symbols import SampleBox, bracket, cauchy_derivative_bound_check, symbol_from_id
@@ -72,29 +73,14 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
-_DEFAULTS = {
-    "field": "zero",
-    "potential": None,
-    "weight": {"kind": "exponential", "p": 1},
-    "eps_list": [0.0125, 0.025, 0.05, 0.1],
-    "window": None,
-    "suites": [],
-    "gauge_chi": None,
-    "essential_threshold": 1.0,
-    "margin": 0.05,
-    "seed": 1234,
-    "output_dir": None,
-}
-
-
 @dataclass
 class ScenarioConfig:
     symbol: str
     grid: dict
     field: str = "zero"
     potential: Optional[str] = None
-    weight: dict = dc_field(default_factory=lambda: dict(_DEFAULTS["weight"]))
-    eps_list: list = dc_field(default_factory=lambda: list(_DEFAULTS["eps_list"]))
+    weight: dict = dc_field(default_factory=lambda: {"kind": "exponential", "p": 1})
+    eps_list: list = dc_field(default_factory=lambda: [0.0125, 0.025, 0.05, 0.1])
     window: Optional[list] = None
     suites: list = dc_field(default_factory=list)
     gauge_chi: Optional[str] = None
@@ -105,10 +91,16 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        merged = dict(_DEFAULTS)
-        merged.update(raw)
-        validate_config(merged)
-        return cls(**merged)
+        """Build from a parsed config; field defaults fill absent keys and
+        the completed config is validated."""
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
+        try:
+            cfg = cls(**raw)
+        except TypeError as exc:  # unknown or missing keys
+            raise ConfigError(f"config keys: {exc}") from exc
+        validate_config(cfg.to_dict())
+        return cfg
 
     @classmethod
     def from_json(cls, path):
@@ -147,18 +139,17 @@ def validate_config(raw):
 def _momentum_scale(raw):
     """Decay-relevant momentum scale: sqrt(well depth), at least 1."""
     scale = 1.0
-    for text in (raw.get("symbol", ""), raw.get("potential") or ""):
-        if "gauss_well" in text and "depth=" in text:
-            try:
-                depth = float(text.split("depth=")[1].split(",")[0])
-                scale = max(scale, math.sqrt(abs(depth)))
-            except ValueError:
-                pass
+    for pid in (raw["symbol"].partition("+")[2], raw.get("potential")):
+        if pid:
+            depth = potential_from_id(pid)[1].get("depth", 0.0)
+            scale = max(scale, math.sqrt(abs(depth)))
     return scale
 
 
 def lint_config(raw):
     g = raw["grid"]
+    if not math.isfinite(g["L"]) or g["n"] > 2**20:
+        raise ConfigError("grid L must be finite and n at most 2^20")
     nyquist = math.pi * g["n"] / (2.0 * g["L"])
     scale = _momentum_scale(raw)
     decay_suites = {"thm1-rapid-decay", "thm2-exp-decay"} & set(raw.get("suites", []))
@@ -312,8 +303,7 @@ def suite_quantize_core(cfg):
         return sym.eval(0.5 * (np.asarray(x, dtype=float) + np.asarray(y, dtype=float)), e)
 
     Ha = op_amplitude(mid_amp, gauge, ga).entries
-    Hw = op_weyl(sym, gauge, ga)
-    Hw_raw = Hw.entries if not Hw.symmetrized else op_weyl_unsym(sym, gauge, ga)
+    Hw_raw = op_weyl_unsym(sym, gauge, ga)
     amp_dev = float(np.abs(Ha - Hw_raw).max() / max(np.abs(Hw_raw).max(), 1e-300))
     checks.append(Check("amplitude-midpoint-coincidence", "quantize/amplitude",
                         amp_dev < 1e-12, 1e-12 - amp_dev,
@@ -327,17 +317,6 @@ def suite_quantize_core(cfg):
     checks.append(Check("potential-consistency", "gauge/dA-equals-B", res < 1e-6,
                         1e-6 - res, f"dA-B residual {res:.3e}"))
     return checks
-
-
-def op_weyl_unsym(sym, gauge, grid):
-    """Assembly without the real-symbol symmetrization (oracle use)."""
-    from . import _kernels
-    from .gauge import phase_table
-    from .quantize import _midpoint_transform
-
-    T = _midpoint_transform(sym, grid)
-    omega = phase_table(gauge, grid.nodes)
-    return _kernels.weyl_gather(T, omega, grid.n, grid.dimension)
 
 
 def _fft_multiplier_reference(mult_flat, grid):

@@ -69,4 +69,8 @@ def potential_from_id(pid):
     name = name.strip()
     if name not in _BUILDERS:
         raise ConfigError(f"unknown potential {name!r}")
-    return _BUILDERS[name](**parse_params(rest))
+    params = parse_params(rest)
+    try:
+        return _BUILDERS[name](**params)
+    except TypeError as exc:
+        raise ConfigError(f"bad parameters {sorted(params)} for potential {name!r}") from exc

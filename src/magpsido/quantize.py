@@ -181,17 +181,19 @@ def hermitize(op):
                           notes=op.notes)
 
 
-def op_weyl(sym, g, grid):
-    """Quantize a symbol against a gauge; symmetrizes real-flagged symbols."""
+def op_weyl_unsym(sym, g, grid):
+    """Raw Weyl assembly: the dense entries before any symmetrization."""
     if sym.dimension != grid.dimension or g.dimension != grid.dimension:
         raise ConfigError("dimension mismatch between symbol, gauge, and grid")
     T = _midpoint_transform(sym, grid)
     omega = phase_table(g, grid.nodes)
-    H = _kernels.weyl_gather(T, omega, grid.n, grid.dimension)
-    op = OperatorMatrix(H, grid, symbol_id=sym.symbol_id)
-    if sym.real:
-        op = hermitize(op)
-    return op
+    return _kernels.weyl_gather(T, omega, grid.n, grid.dimension)
+
+
+def op_weyl(sym, g, grid):
+    """Quantize a symbol against a gauge; symmetrizes real-flagged symbols."""
+    op = OperatorMatrix(op_weyl_unsym(sym, g, grid), grid, symbol_id=sym.symbol_id)
+    return hermitize(op) if sym.real else op
 
 
 def op_amplitude(amp, g, grid, allow_large=False, symbol_id="amplitude"):

@@ -16,7 +16,7 @@ from .errors import ConfigError, NotApplicableError
 from .gauge import transversal_gauge, zero_field
 from .potentials import potential_from_id
 from .quadrature import gauss_legendre_0t
-from .quantize import OperatorMatrix, op_weyl
+from .quantize import OperatorMatrix, hermitize, op_weyl
 from .spectral import matrix_exp_neg
 from .symbols import bracket, relativistic_symbol
 
@@ -26,13 +26,6 @@ EULER_GAMMA = 0.5772156649015328606
 # ---------------------------------------------------------------------------
 # modified Bessel K for integer and half-integer orders
 # ---------------------------------------------------------------------------
-
-def _check_order(nu):
-    two_nu = 2.0 * nu
-    if nu < 0 or abs(two_nu - round(two_nu)) > 1e-12:
-        raise ConfigError("order must satisfy 2 nu in N")
-    return round(two_nu)
-
 
 def _k01_series(z, terms=40):
     """Ascending series for K_0 and K_1; accurate for z <= 2."""
@@ -61,83 +54,19 @@ def _k01_series(z, terms=40):
     return k0, k1
 
 
-_COSH_GRID = None
-
-
-def _cosh_grid():
-    global _COSH_GRID
-    if _COSH_GRID is None:
-        T = math.acosh(745.0 / 2.0)
-        t = np.linspace(0.0, T, 640)
-        _COSH_GRID = (t, np.cosh(t), t[1] - t[0])
-    return _COSH_GRID
-
-
-def _k_integral(nu, z, chunk=8192):
-    """K_nu(z) = int_0^inf e^{-z cosh t} cosh(nu t) dt by trapezoid; z > 2."""
-    z = np.asarray(z, dtype=float)
-    t, cosh_t, dt = _cosh_grid()
-    cosh_nut = np.cosh(nu * t)
-    out = np.empty_like(z)
-    flat = z.reshape(-1)
-    res = out.reshape(-1)
-    for start in range(0, flat.size, chunk):
-        stop = min(flat.size, start + chunk)
-        integrand = np.exp(-flat[start:stop, None] * cosh_t[None, :]) * cosh_nut[None, :]
-        res[start:stop] = np.trapezoid(integrand, dx=dt, axis=1)
-    return out
-
-
-def _k01(z):
-    z = np.asarray(z, dtype=float)
-    small = z <= 2.0
-    k0 = np.empty_like(z)
-    k1 = np.empty_like(z)
-    if small.any():
-        k0s, k1s = _k01_series(z[small])
-        k0[small] = k0s
-        k1[small] = k1s
-    if (~small).any():
-        k0[~small] = _k_integral(0.0, z[~small])
-        k1[~small] = _k_integral(1.0, z[~small])
-    return k0, k1
-
-
 def bessel_k(nu, z):
-    """K_nu(z) for z > 0 and integer or half-integer nu >= 0.
-
-    Half-integer orders start from the closed form
-    K_{1/2}(z) = sqrt(pi/(2z)) e^{-z}; integer orders from the ascending
-    series (z <= 2) or the cosh-integral representation (z > 2). Higher
-    orders follow the stable upward recurrence
-    K_{nu+1} = K_{nu-1} + (2 nu / z) K_nu.
-    """
-    two_nu = _check_order(nu)
+    """K_nu(z) for z > 0 and integer or half-integer nu >= 0 (scipy.special.kv)."""
+    if nu < 0 or abs(2.0 * nu - round(2.0 * nu)) > 1e-12:
+        raise ConfigError("order must satisfy 2 nu in N")
     z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
     if (z <= 0).any():
         raise ConfigError("argument must be positive")
-    if two_nu % 2 == 1:
-        k_half = np.sqrt(np.pi / (2.0 * z)) * np.exp(-z)
-        prev, cur = k_half, k_half  # K_{-1/2} = K_{1/2}
-        order = 0.5
-        while order < nu - 1e-12:
-            prev, cur = cur, prev + (2.0 * order / z) * cur
-            order += 1.0
-        out = cur
-    else:
-        k0, k1 = _k01(z)
-        if nu == 0:
-            out = k0
-        else:
-            prev, cur = k0, k1
-            order = 1.0
-            while order < nu - 1e-12:
-                prev, cur = cur, prev + (2.0 * order / z) * cur
-                order += 1.0
-            out = cur
-    return float(out[0]) if scalar else out
+    # deferred: importing scipy.special adds about 75 ms to every start-up,
+    # and only the kernel paths need it
+    from scipy.special import kv
+
+    out = kv(nu, z)
+    return float(out) if z.ndim == 0 else out
 
 
 def bessel_k_series(nu, z):
@@ -324,15 +253,7 @@ def build_form_sum(g, V, grid, bound_warn=0.9):
             notes = (f"V_minus form bound estimate {beta:.3f} exceeds {bound_warn}",)
     op = OperatorMatrix(H, grid, symbol_id=f"form_sum({V.potential_id})",
                         notes=notes)
-    return hermitize_keep_notes(op)
-
-
-def hermitize_keep_notes(op):
-    from .quantize import hermitize
-
-    out = hermitize(op)
-    return OperatorMatrix(out.entries, out.grid, out.symbol_id,
-                          out.hermiticity_defect, out.symmetrized, op.notes)
+    return hermitize(op)
 
 
 def _form_bound_estimate(vm, grid):

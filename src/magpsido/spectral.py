@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ContourError, ConvergenceError, NotApplicableError, SingularShiftError
+from .errors import ContourError, NotApplicableError, SingularShiftError
 from .quantize import GridFunction, OperatorMatrix
 
 
@@ -108,40 +108,18 @@ def matrix_exp_neg(H, t):
     return (V * np.exp(-t * lam)[None, :]) @ V.conj().T
 
 
-def relative_bound(R, H, z=1j, tol=1e-8, max_iter=500, seed=0, block=8):
-    """Spectral norm of R (H - z)^{-1} by block power iteration.
+def relative_bound(R, H, z=1j):
+    """Spectral norm of R (H - z)^{-1}, computed exactly from H = V diag(lam) V^*:
+    R (H - z)^{-1} = R V diag(1/(lam - z)) V^*, and the unitary V^* drops out.
 
-    Subspace iteration on the normal map keeps the power-iteration budget
-    (tol, max_iter) workable when the top singular values cluster; a scalar
-    iteration would need thousands of steps on near-degenerate tops.
+    H may also be given as its EigenDecomposition, so that a sweep over many
+    R decomposes it once.
     """
     Rm = R.entries if isinstance(R, OperatorMatrix) else np.asarray(R)
-    Hm = H.entries if isinstance(H, OperatorMatrix) else np.asarray(H)
     if not Rm.any():
         return 0.0
-    n = Hm.shape[0]
-    A = Hm - z * np.eye(n)
-    lu = sla.lu_factor(A)
-    luH = sla.lu_factor(A.conj().T)
-    b = min(block, n)
-    rng = np.random.default_rng(seed)
-    V = rng.standard_normal((n, b)) + 1j * rng.standard_normal((n, b))
-    V, _ = np.linalg.qr(V)
-    sigma = 0.0
-    for _ in range(max_iter):
-        W = Rm @ sla.lu_solve(lu, V)
-        new_sigma = float(np.linalg.svd(W, compute_uv=False)[0])
-        U = sla.lu_solve(luH, Rm.conj().T @ W)
-        norms = np.linalg.norm(U, axis=0)
-        if norms.max() == 0.0:
-            return 0.0
-        V, _ = np.linalg.qr(U)
-        if abs(new_sigma - sigma) < tol * max(1.0, new_sigma):
-            return new_sigma
-        sigma = new_sigma
-    raise ConvergenceError(
-        f"block power iteration did not converge in {max_iter} steps",
-        last_gap=abs(new_sigma - sigma))
+    lam, V = H if isinstance(H, EigenDecomposition) else eig_hermitian(H)
+    return float(np.linalg.norm((Rm @ V) / (lam - z)[None, :], 2))
 
 
 def riesz_projector(H, center, radius, num_nodes=32):

@@ -15,8 +15,7 @@ from magpsido.decay import (WeightFamily, amplitude_c_eps, amplitude_d_eps,
                             weight_taylor_identity_check)
 from magpsido.gauge import (constant_field_2d, gauge_transform,
                             transversal_gauge, zero_field)
-from magpsido.harness import op_weyl_unsym
-from magpsido.quantize import Grid, GridFunction, op_amplitude, op_weyl
+from magpsido.quantize import Grid, GridFunction, op_amplitude, op_weyl, op_weyl_unsym
 from magpsido.relativistic import (PotentialSpec, bessel_k, diamagnetic_check,
                                    displacement_lattice, kato_estimate,
                                    kato_scan, kernel_pt, pointwise_bound_check,

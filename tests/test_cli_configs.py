@@ -1,4 +1,4 @@
-"""Every shipped config runs clean through the CLI and writes parseable JSON."""
+"""Every shipped config runs through every CLI command that accepts a config."""
 import glob
 import json
 import os
@@ -12,6 +12,12 @@ from magpsido.harness import Check
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "configs")
 CONFIGS = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json")))
+# configs whose operator has no eigenvalue below essential_threshold - margin
+NO_BOUND_STATE = {"lemmas_weights", "quantize_core_2d"}
+
+
+def _name(path):
+    return os.path.basename(path)[:-5]
 
 
 def _load_report(path):
@@ -23,7 +29,7 @@ def test_shipped_configs_exist():
     assert CONFIGS, f"no configs under {CONFIG_DIR}"
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: os.path.basename(p)[:-5])
+@pytest.mark.parametrize("config", CONFIGS, ids=_name)
 def test_run_every_shipped_config(config, tmp_path):
     out = str(tmp_path / "report.json")
     assert cli_main(["run", "--config", config, "--out", out]) == 0
@@ -42,3 +48,41 @@ def test_check_fields_are_builtin_types():
     c = Check("name", "inv", np.float64(1e-6) < 1e-5, np.float64(9e-6))
     assert type(c.passed) is bool and type(c.margin) is float
     assert json.loads(json.dumps(c.__dict__))["passed"] is True
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=_name)
+def test_build_every_shipped_config(config, tmp_path):
+    op, report = str(tmp_path / "op.mpdo"), str(tmp_path / "build.json")
+    assert cli_main(["build", "--config", config, "--out", op, "--report", report]) == 0
+    assert os.path.getsize(op) > 0
+    assert _load_report(report)["operator_file"] == op
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=_name)
+def test_decay_every_shipped_config(config, tmp_path, capsys):
+    out = str(tmp_path / "decay.json")
+    code = cli_main(["decay", "--config", config, "--out", out])
+    if _name(config) in NO_BOUND_STATE:
+        assert code == 1
+        assert "no discrete spectrum" in capsys.readouterr().out
+        assert not os.path.exists(out)
+    else:
+        assert code == 0
+        assert set(_load_report(out)["fits"]) == {"exponential", "polynomial"}
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=_name)
+def test_conjugate_every_shipped_config(config, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert cli_main(["conjugate", "--config", config, "--out", str(out)]) == 0
+    with open(config) as fh:
+        eps_list = json.load(fh)["eps_list"]
+    assert len(out.read_text().splitlines()) == 1 + len(eps_list)
+
+
+def test_conjugate_rejects_non_numeric_eps_list(tmp_path, capsys):
+    config = os.path.join(CONFIG_DIR, "thm2_exp_decay.json")
+    code = cli_main(["conjugate", "--config", config, "--eps-list", "0.1,abc",
+                     "--out", str(tmp_path / "sweep.csv")])
+    assert code == 2
+    assert "--eps-list" in capsys.readouterr().err

@@ -10,8 +10,8 @@ from magpsido.errors import (ConfigError, InsufficientWindowError,
                              NotApplicableError, OverflowGuardError,
                              StripViolationError)
 from magpsido.gauge import transversal_gauge, zero_field
-from magpsido.harness import op_weyl_unsym
-from magpsido.quantize import Grid, GridFunction, OperatorMatrix, op_amplitude, op_weyl
+from magpsido.quantize import (Grid, GridFunction, OperatorMatrix, op_amplitude, op_weyl,
+                               op_weyl_unsym)
 from magpsido.symbols import bracket, relativistic_symbol, symbol_from_id
 
 

@@ -1,9 +1,12 @@
 import copy
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from magpsido.cli import main as cli_main
 from magpsido.errors import ConfigError
@@ -20,6 +23,39 @@ BASE_CFG = {
     "suites": [],
     "seed": 7,
 }
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=8)
+CONFIG_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig)]
+ID_STRINGS = st.sampled_from([
+    "relativistic", "kinetic", "p_s:s=1", "neg_order", "relativistic+gauss_well",
+    "kinetic+gauss_well:depth=2,width=1", "relativistic+gauss_well:depth=x",
+    "relativistic+gauss_well:depth=1e999", "kinetic+gauss_well:wat=1",
+    "kinetic+coulomb_like:alpha=1", "kinetic+bounded_bump:height=-3",
+    "gauss_well:depth=3", "gauss_well:depth=", "bounded_bump", "nope:depth=2", "+", ""])
+
+
+@st.composite
+def fuzzed_config(draw):
+    """A valid config with some keys replaced, added or dropped."""
+    raw = copy.deepcopy(BASE_CFG)
+    for key in draw(st.lists(st.sampled_from(CONFIG_KEYS + ["frobnicate", 3]), max_size=4)):
+        if key in ("symbol", "potential") and draw(st.booleans()):
+            raw[key] = draw(ID_STRINGS)
+        else:
+            raw[key] = draw(JSON_VALUES)
+    for sub, names in (("grid", ["d", "L", "n", "h"]), ("weight", ["kind", "p", "q"])):
+        if isinstance(raw.get(sub), dict) and draw(st.booleans()):
+            raw[sub][draw(st.sampled_from(names))] = draw(JSON_VALUES)
+    for key in draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=2)):
+        raw.pop(key, None)
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    return raw
 
 
 def cfg_with(**overrides):
@@ -67,6 +103,57 @@ class TestConfigValidation:
         raw["eps_list"] = [0.1, 0.05]
         with pytest.raises(ConfigError):
             validate_config(raw)
+
+    def test_unknown_key_rejected_by_from_dict(self):
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_dict({**BASE_CFG, "frobnicate": True})
+
+    def test_missing_required_key_rejected(self):
+        raw = copy.deepcopy(BASE_CFG)
+        del raw["grid"]
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_dict(raw)
+
+    def test_defaults_come_from_the_dataclass(self):
+        cfg = ScenarioConfig.from_dict({"symbol": "relativistic", "grid": BASE_CFG["grid"]})
+        assert cfg == ScenarioConfig("relativistic", BASE_CFG["grid"])
+
+    def test_defaulted_eps_list_is_linted(self):
+        # default eps 0.1 on L = 7000 overflows the default exponential weight
+        with pytest.raises(ConfigError, match="overflows"):
+            ScenarioConfig.from_dict({"symbol": "relativistic",
+                                      "grid": {"d": 1, "L": 7000.0, "n": 10000}})
+
+    @pytest.mark.parametrize("field, value", [
+        ("symbol", "relativistic+gauss_well:depth=x"),
+        ("symbol", "kinetic+gauss_well:depth"),
+        ("symbol", "kinetic+gauss_well:wat=1"),
+        ("symbol", "kinetic+no_such_well:depth=2"),
+        ("potential", "gauss_well:depth=x"),
+    ])
+    def test_malformed_potential_id_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_dict({**BASE_CFG, field: value})
+
+    def test_well_depth_sets_the_headroom_lint(self):
+        # Nyquist pi n / 2L = 3.35 passes 2 x 1 but not 2 x sqrt(4)
+        raw = {**BASE_CFG, "grid": {"d": 1, "L": 30.0, "n": 64}}
+        ScenarioConfig.from_dict({**raw, "symbol": "relativistic"})
+        with pytest.raises(ConfigError, match="headroom"):
+            ScenarioConfig.from_dict({**raw, "potential": "gauss_well:depth=4,width=1",
+                                      "symbol": "relativistic"})
+
+    @given(fuzzed_config())
+    @example({"symbol": "kinetic", "grid": {"d": 1, "L": 1.0, "n": 10**400}})
+    @example({"symbol": "kinetic", "grid": {"d": 1, "L": float("nan"), "n": 64}})
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_fuzzed_configs_raise_only_config_error(self, raw):
+        try:
+            cfg = ScenarioConfig.from_dict(raw)
+        except ConfigError:
+            return
+        assert isinstance(cfg, ScenarioConfig)
 
 
 class TestSuites:

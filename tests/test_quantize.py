@@ -5,7 +5,7 @@ from magpsido.errors import BudgetError, ConfigError, NotApplicableError
 from magpsido.gauge import constant_field_2d, gauge_transform, transversal_gauge, zero_field
 from magpsido.quantize import (Grid, GridFunction, fourier_mode, hermitize,
                                kernel_table, mag_derivative, op_amplitude, op_ps,
-                               op_weyl, reduce_amplitude, sobolev_norm)
+                               op_weyl, op_weyl_unsym, reduce_amplitude, sobolev_norm)
 from magpsido.spectral import eig_hermitian
 from magpsido.symbols import HormanderSymbol, bracket, kinetic_symbol, p_s_symbol, symbol_from_id
 
@@ -153,7 +153,6 @@ class TestOpAmplitude:
                                    + np.asarray(y, dtype=float)), e)
 
         Ha = op_amplitude(amp, g1, grid)
-        from magpsido.harness import op_weyl_unsym
         Hw = op_weyl_unsym(sym, g1, grid)
         assert np.abs(Ha.entries - Hw).max() < 1e-12 * np.abs(Hw).max()
 
@@ -181,7 +180,6 @@ class TestOpAmplitude:
                                    + np.asarray(y, dtype=float)), e)
 
         Ha = op_amplitude(amp, g, grid)
-        from magpsido.harness import op_weyl_unsym
         Hw = op_weyl_unsym(sym, g, grid)
         assert np.abs(Ha.entries - Hw).max() < 1e-12 * np.abs(Hw).max()
 

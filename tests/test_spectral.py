@@ -162,6 +162,16 @@ class TestRelativeBound:
         want = np.linalg.svd(M, compute_uv=False)[0]
         assert got == pytest.approx(want, rel=1e-6)
 
+    def test_precomputed_decomposition(self):
+        H = as_op(random_hermitian(32, 9))
+        R = np.random.default_rng(10).standard_normal((32, 32))
+        assert relative_bound(R, eig_hermitian(H), z=0.5j) == relative_bound(R, H, z=0.5j)
+
+    def test_unsymmetrized_operator_rejected(self):
+        A = np.triu(random_hermitian(32, 11))
+        with pytest.raises(NotApplicableError):
+            relative_bound(np.eye(32), OperatorMatrix(A, Grid(1, 1.0, 32)))
+
 
 class TestRieszProjector:
     def test_isolated_diagonal_eigenvalue(self):
