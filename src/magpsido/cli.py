@@ -12,11 +12,11 @@ import numpy as np
 from . import decay as dk
 from . import relativistic as rel
 from .errors import ConfigError, MagpsidoError
-from .harness import (SUITE_NAMES, ScenarioConfig, ScenarioReport, merge_reports,
-                      run_scenario, scenario_context, verify_suite, write_atomic,
+from .harness import (SUITE_NAMES, Scenario, ScenarioConfig, ScenarioReport,
+                      merge_reports, run_scenario, verify_suite, write_atomic,
                       write_kato_csv, write_spectrum_csv, write_sweep_csv)
 from .mpdo import file_hash, load_operator, save_operator
-from .quantize import Grid, GridFunction, hermitize, op_weyl
+from .quantize import Grid, GridFunction, hermitize
 from .spectral import SpectralWindow, discrete_spectrum_select, eig_hermitian
 
 
@@ -32,8 +32,8 @@ def _grid_from_args(args):
 
 def cmd_build(args):
     cfg = ScenarioConfig.from_json(args.config)
-    grid, sym, gauge = scenario_context(cfg)
-    H = op_weyl(sym, gauge, grid)
+    sc = Scenario(cfg)
+    grid, H = sc.grid, sc.H
     out = args.out or "operator.mpdo"
     save_operator(H, out)
     digest = file_hash(out)
@@ -65,11 +65,8 @@ def cmd_spectrum(args):
 
 def cmd_decay(args):
     cfg = ScenarioConfig.from_json(args.config)
-    grid, sym, gauge = scenario_context(cfg)
-    H = op_weyl(sym, gauge, grid)
-    dec = eig_hermitian(H)
-    win = SpectralWindow(cfg.essential_threshold, cfg.margin)
-    found = discrete_spectrum_select(dec, win)
+    sc = Scenario(cfg)
+    grid, found = sc.grid, sc.bound_states
     if not found:
         print("no discrete spectrum below the threshold; nothing to fit")
         return 1
@@ -101,10 +98,8 @@ def cmd_conjugate(args):
                               f"{args.eps_list!r}") from exc
     else:
         eps_list = cfg.eps_list
-    grid, sym, gauge = scenario_context(cfg)
-    H = op_weyl(sym, gauge, grid)
     w = cfg.make_weight()
-    rows, eps0 = dk.uniform_bound_sweep(H, w, eps_list)
+    rows, eps0 = dk.uniform_bound_sweep(Scenario(cfg).H, w, eps_list)
     out = args.out or "sweep.csv"
     write_sweep_csv(rows, out)
     for eps, rb, erb, flag in rows:

@@ -6,7 +6,6 @@ from typing import Tuple
 
 import numpy as np
 
-from ._threads import worker_count
 from .errors import (ConfigError, InsufficientWindowError, NotApplicableError,
                      OverflowGuardError, StripViolationError)
 from .quadrature import gauss_legendre_01
@@ -103,11 +102,12 @@ def remainder_operator(op, w, eps):
     return (conj.entries - op.entries) / eps
 
 
-def uniform_bound_sweep(op, w, eps_list, z=1j, threshold=0.5):
+def uniform_bound_sweep(op, w, eps_list, z=1j, threshold=0.5, dec=None):
     """Relative bounds ||R_eps (H - z)^{-1}|| across an eps sweep.
 
     Returns (rows, empirical_eps0): rows of (eps, rel_bound, eps_rel_bound,
     flag) and the largest swept eps with eps * rel_bound below `threshold`.
+    `dec` may carry the EigenDecomposition of `op` when the caller has it.
     """
     eps_list = list(eps_list)
     if any(not 0.0 < e <= 1.0 for e in eps_list):
@@ -115,14 +115,17 @@ def uniform_bound_sweep(op, w, eps_list, z=1j, threshold=0.5):
     if sorted(eps_list) != eps_list:
         raise ConfigError("eps_list must be sorted ascending")
 
-    dec = eig_hermitian(op)
+    if dec is None:
+        dec = eig_hermitian(op)
 
     def one(eps):
         R = remainder_operator(op, w, eps)
         rb = relative_bound(R, dec, z=z)
         return eps, rb, eps * rb
 
-    with ThreadPoolExecutor(max_workers=worker_count(len(eps_list))) as ex:
+    # One worker: each bound is a product and an SVD that BLAS already
+    # spreads over the cores, so more threads only contend for them.
+    with ThreadPoolExecutor(max_workers=1) as ex:
         computed = list(ex.map(one, eps_list))
     rows = []
     eps0 = None
@@ -261,13 +264,13 @@ def default_window(grid):
     return (0.35 * grid.L, 0.8 * grid.L)
 
 
-def epsilon0_estimate(sym, op, w, eps_list):
-    """Analytic strip-based cap min(1, delta/4) next to the sweep-based
-    empirical threshold; reported side by side, never merged.
+def epsilon0_estimate(sym, w, empirical_eps0):
+    """Analytic strip-based cap min(1, delta/4) next to the empirical
+    threshold that `uniform_bound_sweep` returned; reported side by side,
+    never merged.
 
     The analytic cap belongs to the exponential-weight route (it protects the
     imaginary frequency shift); polynomial weights report None there.
     """
     analytic = analytic_eps_cap(sym) if w.kind == "exponential" else None
-    _, empirical = uniform_bound_sweep(op, w, sorted(eps_list))
-    return {"analytic_eps0": analytic, "empirical_eps0": empirical}
+    return {"analytic_eps0": analytic, "empirical_eps0": empirical_eps0}

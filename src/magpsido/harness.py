@@ -11,6 +11,7 @@ import os
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -25,8 +26,8 @@ from . import relativistic as rel
 from .errors import ConfigError, MagpsidoError
 from .gauge import field_from_id, gauge_transform, transversal_gauge, zero_field, potential_residual
 from .potentials import potential_from_id
-from .quantize import (Grid, GridFunction, fourier_mode, hermitize, mag_derivative,
-                       op_amplitude, op_ps, op_weyl, op_weyl_unsym, sobolev_norm)
+from .quantize import (Grid, GridFunction, fourier_mode, mag_derivative, op_amplitude,
+                       op_ps, op_weyl, op_weyl_unsym, sobolev_norm)
 from .spectral import (SpectralWindow, discrete_spectrum_select, eig_hermitian,
                        matrix_exp_neg, projector_rank, riesz_projector)
 from .symbols import SampleBox, bracket, cauchy_derivative_bound_check, symbol_from_id
@@ -150,6 +151,14 @@ def lint_config(raw):
     g = raw["grid"]
     if not math.isfinite(g["L"]) or g["n"] > 2**20:
         raise ConfigError("grid L must be finite and n at most 2^20")
+    # json reads NaN and Infinity, and the schema's number type admits them
+    for key in ("essential_threshold", "margin"):
+        if key in raw and not math.isfinite(raw[key]):
+            raise ConfigError(f"{key} must be finite")
+    if raw.get("window") and not all(math.isfinite(r) for r in raw["window"]):
+        raise ConfigError("window bounds must be finite")
+    symbol_from_id(raw["symbol"], g["d"])
+    field_from_id(raw.get("field", "zero"), g["d"])
     nyquist = math.pi * g["n"] / (2.0 * g["L"])
     scale = _momentum_scale(raw)
     decay_suites = {"thm1-rapid-decay", "thm2-exp-decay"} & set(raw.get("suites", []))
@@ -187,21 +196,56 @@ class Check:
                 self.details)
 
 
-def _ctx(cfg):
-    grid = cfg.make_grid()
-    sym = symbol_from_id(cfg.symbol, grid.dimension)
-    gauge = transversal_gauge(field_from_id(cfg.field, grid.dimension))
-    if cfg.gauge_chi:
-        chi, grad = _named_chi(cfg.gauge_chi, grid.dimension)
-        gauge = gauge_transform(gauge, chi, grad)
-    rng = np.random.default_rng(cfg.seed)
-    return grid, sym, gauge, rng
+class Scenario:
+    """The objects one config defines, each built on first use and then kept:
+    grid, symbol, (possibly gauge-shifted) gauge, the operator H and its
+    Hermitian eigendecomposition. A run shares one Scenario across its suites
+    and its spectra summary, so H is assembled and decomposed once.
+    """
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+
+    @cached_property
+    def grid(self):
+        return self.cfg.make_grid()
+
+    @cached_property
+    def symbol(self):
+        return symbol_from_id(self.cfg.symbol, self.grid.dimension)
+
+    @cached_property
+    def gauge(self):
+        d = self.grid.dimension
+        gauge = transversal_gauge(field_from_id(self.cfg.field, d))
+        if self.cfg.gauge_chi:
+            gauge = gauge_transform(gauge, *_named_chi(self.cfg.gauge_chi, d))
+        return gauge
+
+    @cached_property
+    def H(self):
+        return op_weyl(self.symbol, self.gauge, self.grid)
+
+    @cached_property
+    def dec(self):
+        return eig_hermitian(self.H)
+
+    @cached_property
+    def bound_states(self):
+        """Eigenpairs below essential_threshold - margin, each with its gap."""
+        return discrete_spectrum_select(
+            self.dec, SpectralWindow(self.cfg.essential_threshold, self.cfg.margin))
+
+    def rng(self):
+        """A fresh generator seeded from the config: a suite draws the same
+        numbers whether it runs alone or after other suites."""
+        return np.random.default_rng(self.cfg.seed)
 
 
 def scenario_context(cfg):
     """Grid, symbol, and (possibly gauge-shifted) gauge for a config."""
-    grid, sym, gauge, _ = _ctx(cfg)
-    return grid, sym, gauge
+    sc = Scenario(cfg)
+    return sc.grid, sc.symbol, sc.gauge
 
 
 def _named_chi(name, d):
@@ -233,8 +277,8 @@ def _small_grid(grid, cap_1d=64, cap_2d=12):
 # suites
 # ---------------------------------------------------------------------------
 
-def suite_quantize_core(cfg):
-    grid, sym, gauge, rng = _ctx(cfg)
+def suite_quantize_core(sc):
+    cfg, grid, sym, gauge = sc.cfg, sc.grid, sc.symbol, sc.gauge
     d = grid.dimension
     checks = []
 
@@ -274,7 +318,7 @@ def suite_quantize_core(cfg):
     checks.append(Check("ps-inverse", "quantize/ps-pair", inv_err < 1e-10,
                         1e-10 - inv_err, f"|P1 P-1 - I| {inv_err:.3e}"))
 
-    H = op_weyl(sym, gauge, grid)
+    H = sc.H
     defect = H.hermiticity_defect
     checks.append(Check("hermiticity-defect", "quantize/defect", defect < 1e-8,
                         1e-8 - defect, f"defect {defect:.3e}"))
@@ -282,7 +326,7 @@ def suite_quantize_core(cfg):
     chi, grad_chi = _chi_for_dimension(d)
     gauge2 = gauge_transform(gauge, chi, grad_chi)
     H2 = op_weyl(sym, gauge2, grid)
-    dec = eig_hermitian(H)
+    dec = sc.dec
     dec2 = eig_hermitian(H2)
     scale = max(float(np.abs(dec.eigenvalues).max()), 1e-12)
     spec_diff = float(np.abs(dec.eigenvalues - dec2.eigenvalues).max() / scale)
@@ -378,8 +422,8 @@ def _sobolev_char_check(cfg, grid, gauge, tol=0.2):
                  tol - drift, f"spread {spreads[1]:.4f}, drift {drift:.3f}")
 
 
-def suite_lemmas_weights(cfg):
-    grid, sym, gauge, rng = _ctx(cfg)
+def suite_lemmas_weights(sc):
+    cfg, grid, sym, gauge, rng = sc.cfg, sc.grid, sc.symbol, sc.gauge, sc.rng()
     d = grid.dimension
     checks = []
 
@@ -429,18 +473,9 @@ def suite_lemmas_weights(cfg):
     return checks
 
 
-def _bound_state(cfg, grid, sym, gauge):
-    H = op_weyl(sym, gauge, grid)
-    dec = eig_hermitian(H)
-    win = SpectralWindow(cfg.essential_threshold, cfg.margin)
-    found = discrete_spectrum_select(dec, win)
-    return H, dec, found
-
-
-def suite_thm1_rapid_decay(cfg):
-    grid, sym, gauge, rng = _ctx(cfg)
+def suite_thm1_rapid_decay(sc):
+    cfg, grid, H, dec, found = sc.cfg, sc.grid, sc.H, sc.dec, sc.bound_states
     checks = []
-    H, dec, found = _bound_state(cfg, grid, sym, gauge)
     checks.append(Check("discrete-spectrum-nonempty", "spectral/window",
                         len(found) > 0, float(len(found)),
                         f"{len(found)} eigenvalues below threshold"))
@@ -472,10 +507,9 @@ def suite_thm1_rapid_decay(cfg):
     return checks
 
 
-def suite_thm2_exp_decay(cfg):
-    grid, sym, gauge, rng = _ctx(cfg)
+def suite_thm2_exp_decay(sc):
+    cfg, grid, H, dec, found = sc.cfg, sc.grid, sc.H, sc.dec, sc.bound_states
     checks = []
-    H, dec, found = _bound_state(cfg, grid, sym, gauge)
     checks.append(Check("discrete-spectrum-nonempty", "spectral/window",
                         len(found) > 0, float(len(found)),
                         f"{len(found)} eigenvalues below threshold"))
@@ -491,14 +525,15 @@ def suite_thm2_exp_decay(cfg):
                         f"beta-hat {fit.rate:.4f}, R2 {fit.r_squared:.5f}"))
 
     w = cfg.make_weight()
-    rows, eps0 = dk.uniform_bound_sweep(H, w, sorted(cfg.eps_list))
+    # through the module attribute, which callers may wrap
+    rows, eps0 = dk.uniform_bound_sweep(H, w, sorted(cfg.eps_list), dec=dec)
     bounds = [r[1] for r in rows]
     variation = max(bounds) / max(min(bounds), 1e-300)
     checks.append(Check("uniform-relative-bound", "decay/uniform-sweep",
                         variation < 3.0, 3.0 - variation,
                         f"variation {variation:.2f}x over {cfg.eps_list}"))
 
-    est = dk.epsilon0_estimate(sym, H, w, cfg.eps_list)
+    est = dk.epsilon0_estimate(sc.symbol, w, eps0)
     ok = est["empirical_eps0"] is not None
     checks.append(Check("epsilon0-estimates", "decay/eps0",
                         ok, float(est["empirical_eps0"] or 0.0),
@@ -532,8 +567,8 @@ def suite_thm2_exp_decay(cfg):
     return checks
 
 
-def suite_thm3_relativistic(cfg):
-    grid, sym, gauge, rng = _ctx(cfg)
+def suite_thm3_relativistic(sc):
+    cfg, grid = sc.cfg, sc.grid
     d = grid.dimension
     checks = []
 
@@ -645,10 +680,11 @@ _SUITES = {
 
 
 def verify_suite(name, cfg):
-    """Run one named suite; returns its check list."""
+    """Run one named suite on a ScenarioConfig, or on a Scenario shared with
+    other suites; returns its check list."""
     if name not in _SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return _SUITES[name](cfg)
+    return _SUITES[name](cfg if isinstance(cfg, Scenario) else Scenario(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -679,41 +715,35 @@ class ScenarioReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _spectra_summary(cfg):
-    grid, sym, gauge, _ = _ctx(cfg)
-    H = op_weyl(sym, gauge, grid)
-    if not H.symmetrized:
-        H = hermitize(H)
-    dec = eig_hermitian(H)
-    win = SpectralWindow(cfg.essential_threshold, cfg.margin)
-    found = discrete_spectrum_select(dec, win)
-    lam = dec.eigenvalues
+def _spectra_summary(sc):
+    lam = sc.dec.eigenvalues
     gaps = np.diff(lam)
     return {
         "lowest": [float(v) for v in lam[:8]],
-        "residual": dec.residual,
-        "discrete_count": len(found),
+        "residual": sc.dec.residual,
+        "discrete_count": len(sc.bound_states),
         "min_gap": float(gaps.min()) if gaps.size else 0.0,
-        "hermiticity_defect": H.hermiticity_defect,
+        "hermiticity_defect": sc.H.hermiticity_defect,
     }
 
 
 def run_scenario(cfg, out_path=None):
     """Execute the configured suites; deterministic given config + seed."""
+    sc = Scenario(cfg)
     suites = {}
     timings = {}
     incomplete = False
     for name in cfg.suites:
         t0 = time.perf_counter()
         try:
-            checks = verify_suite(name, cfg)
+            checks = verify_suite(name, sc)
         except MagpsidoError as exc:
             checks = [Check("suite-error", f"{name}/error", False, -1.0, str(exc))]
             incomplete = True
         timings[name] = time.perf_counter() - t0
         suites[name] = [asdict(c) for c in checks]
     t0 = time.perf_counter()
-    spectra = _spectra_summary(cfg)
+    spectra = _spectra_summary(sc)
     timings["spectra"] = time.perf_counter() - t0
     report = ScenarioReport(cfg.to_dict(), cfg.config_hash(), suites,
                             spectra_summary=spectra, timings=timings,

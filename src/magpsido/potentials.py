@@ -1,4 +1,6 @@
 """Scalar potential catalog, addressable by string id in scenario configs."""
+import math
+
 import numpy as np
 
 from .errors import ConfigError
@@ -60,6 +62,8 @@ def parse_params(text):
             params[key.strip()] = float(val)
         except ValueError as exc:
             raise ConfigError(f"non-numeric parameter {item!r}") from exc
+        if not math.isfinite(params[key.strip()]):
+            raise ConfigError(f"non-finite parameter {item!r}")
     return params
 
 
@@ -72,5 +76,5 @@ def potential_from_id(pid):
     params = parse_params(rest)
     try:
         return _BUILDERS[name](**params)
-    except TypeError as exc:
+    except (TypeError, ArithmeticError) as exc:  # unknown name, or e.g. reg=0
         raise ConfigError(f"bad parameters {sorted(params)} for potential {name!r}") from exc

@@ -125,22 +125,33 @@ def relative_bound(R, H, z=1j):
 def riesz_projector(H, center, radius, num_nodes=32):
     """Trapezoidal contour quadrature of (2 pi i)^{-1} oint (mu - H)^{-1} dmu.
 
-    The displayed orientation (mu - H)^{-1} is fixed by requiring P^2 = P.
+    Hermitian H is reduced once to its Hessenberg form T = Q^* H Q, which is
+    tridiagonal; each node then costs one banded solve (mu - T)^{-1}, and the
+    quadrature sum S gives P = Q S Q^*. The displayed orientation
+    (mu - H)^{-1} is fixed by requiring P^2 = P.
     """
     mat = H.entries if isinstance(H, OperatorMatrix) else np.asarray(H)
+    if not _hermitian(mat):
+        raise NotApplicableError("contour projector needs a Hermitian matrix")
     n = mat.shape[0]
-    lam = np.linalg.eigvalsh(mat) if _hermitian(mat) else np.linalg.eigvals(mat)
+    T, Q = sla.hessenberg(mat, calc_q=True)
+    diag, sub = T.diagonal(), T.diagonal(-1)
+    lam = sla.eigvalsh_tridiagonal(diag.real, np.abs(sub))
     dist = np.abs(np.abs(lam - center) - radius)
     if dist.min() < 0.1 * radius:
         raise ContourError(
             f"eigenvalue {lam[np.argmin(dist)]:.6g} within 10% of the contour")
     theta = 2.0 * np.pi * (np.arange(num_nodes) + 0.5) / num_nodes
-    P = np.zeros((n, n), dtype=complex)
-    eye = np.eye(n)
+    bands = np.zeros((3, n), dtype=complex)   # mu - T in solve_banded layout
+    bands[0, 1:] = -T.diagonal(1)
+    bands[2, :-1] = -sub
+    S = np.zeros((n, n), dtype=complex)
+    eye = np.eye(n, dtype=complex)
     for th in theta:
-        mu = center + radius * np.exp(1j * th)
-        P += radius * np.exp(1j * th) * np.linalg.solve(mu * eye - mat, eye)
-    return P / num_nodes
+        step = radius * np.exp(1j * th)
+        bands[1] = center + step - diag
+        S += step * sla.solve_banded((1, 1), bands, eye, check_finite=False)
+    return (Q @ S @ Q.conj().T) / num_nodes
 
 
 def projector_rank(P, threshold=0.5):

@@ -373,7 +373,7 @@ def kinetic_symbol(dimension):
 
 def _with_potential(base, v, vmeta, dimension):
     """base symbol plus an x-only term v(x)."""
-    vsup = float(vmeta.get("sup", 1.0))
+    vsup = abs(float(vmeta.get("sup", 1.0)))  # a bound on |v|, also for negative heights
     base_ev, base_ext, base_grad = base.eval, base.analytic_ext, base.eta_grad
 
     def ev(x, eta):
@@ -385,7 +385,7 @@ def _with_potential(base, v, vmeta, dimension):
     if base.order > 0:
         # |a| >= <eta>^m (C_base - vsup/<R>^m) for |eta| >= R
         R = max(base.ellipticity[1], (4.0 * vsup) ** (1.0 / base.order) + 1.0)
-        C = base.ellipticity[0] - vsup / (1.0 + R**2) ** (base.order / 2.0)
+        C = base.ellipticity[0] - vsup / math.hypot(1.0, R) ** base.order
         ell = (max(C, 1e-6), R)
     else:
         ell = None

@@ -36,11 +36,17 @@ def test_run_every_shipped_config(config, tmp_path):
     assert _load_report(out)["all_passed"] is True
 
 
-def test_verify_out_thm3_relativistic(tmp_path):
+def _config_suites():
+    for config in CONFIGS:
+        with open(config) as fh:
+            for suite in json.load(fh)["suites"]:
+                yield pytest.param(config, suite, id=f"{_name(config)}-{suite}")
+
+
+@pytest.mark.parametrize("config, suite", _config_suites())
+def test_verify_every_config_suite(config, suite, tmp_path):
     out = str(tmp_path / "verify.json")
-    config = os.path.join(CONFIG_DIR, "thm3_relativistic.json")
-    assert cli_main(["verify", "thm3-relativistic", "--config", config,
-                     "--out", out]) == 0
+    assert cli_main(["verify", suite, "--config", config, "--out", out]) == 0
     assert _load_report(out)["all_passed"] is True
 
 

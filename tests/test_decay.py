@@ -12,6 +12,7 @@ from magpsido.errors import (ConfigError, InsufficientWindowError,
 from magpsido.gauge import transversal_gauge, zero_field
 from magpsido.quantize import (Grid, GridFunction, OperatorMatrix, op_amplitude, op_weyl,
                                op_weyl_unsym)
+from magpsido.spectral import eig_hermitian
 from magpsido.symbols import bracket, relativistic_symbol, symbol_from_id
 
 
@@ -144,6 +145,13 @@ class TestUniformSweep:
         H, _, _ = well_op
         with pytest.raises(ConfigError):
             uniform_bound_sweep(H, WeightFamily("exponential"), [0.1, 0.05])
+
+    def test_precomputed_decomposition(self, well_op):
+        H, _, _ = well_op
+        w = WeightFamily("exponential")
+        eps_list = [0.025, 0.05, 0.1]
+        assert (uniform_bound_sweep(H, w, eps_list, dec=eig_hermitian(H))
+                == uniform_bound_sweep(H, w, eps_list))
 
 
 class TestWeightIdentities:
@@ -319,24 +327,28 @@ class TestDecayFit:
         assert fit.r_squared > 0.98
 
 
+def swept_eps0(H, w, eps_list):
+    return uniform_bound_sweep(H, w, eps_list)[1]
+
+
 class TestEpsilonZero:
     def test_analytic_value_for_relativistic(self, well_op):
         H, sym, grid = well_op
-        est = epsilon0_estimate(sym, H, WeightFamily("exponential"),
-                                [0.0125, 0.025, 0.05])
+        w = WeightFamily("exponential")
+        est = epsilon0_estimate(sym, w, swept_eps0(H, w, [0.0125, 0.025, 0.05]))
         assert est["analytic_eps0"] == pytest.approx(0.125)
         assert est["empirical_eps0"] is not None
 
     def test_polynomial_weight_has_no_analytic_cap(self, well_op):
         H, sym, grid = well_op
-        est = epsilon0_estimate(sym, H, WeightFamily("polynomial", p=2),
-                                [0.025, 0.05])
+        w = WeightFamily("polynomial", p=2)
+        est = epsilon0_estimate(sym, w, swept_eps0(H, w, [0.025, 0.05]))
         assert est["analytic_eps0"] is None
 
     def test_diagonal_operator_keeps_whole_sweep(self):
         grid = Grid(1, 1.0, 8)
         H = OperatorMatrix(np.diag(np.linspace(1, 2, 8)) + 0j, grid,
                            symmetrized=True)
-        est = epsilon0_estimate(relativistic_symbol(1), H,
-                                WeightFamily("exponential"), [0.05, 0.1])
+        w = WeightFamily("exponential")
+        est = epsilon0_estimate(relativistic_symbol(1), w, swept_eps0(H, w, [0.05, 0.1]))
         assert est["empirical_eps0"] == 0.1

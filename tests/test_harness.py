@@ -143,9 +143,34 @@ class TestConfigValidation:
             ScenarioConfig.from_dict({**raw, "potential": "gauss_well:depth=4,width=1",
                                       "symbol": "relativistic"})
 
+    @pytest.mark.parametrize("field, value", [("symbol", "nope"), ("field", "bogus"),
+                                              ("field", "cos2d:amp=1")])
+    def test_unknown_or_misdimensioned_id_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_dict({**BASE_CFG, field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("essential_threshold", float("nan")), ("essential_threshold", float("inf")),
+        ("margin", float("nan")), ("window", [float("nan"), 5.0]),
+        ("window", [1.0, float("inf")])])
+    def test_non_finite_numbers_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            ScenarioConfig.from_dict({**BASE_CFG, field: value})
+
+    @pytest.mark.parametrize("symbol", ["kinetic+coulomb_like:alpha=1,reg=0",
+                                        "kinetic+bounded_bump:height=inf"])
+    def test_degenerate_potential_parameters_rejected(self, symbol):
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_dict({**BASE_CFG, "symbol": symbol})
+
     @given(fuzzed_config())
     @example({"symbol": "kinetic", "grid": {"d": 1, "L": 1.0, "n": 10**400}})
     @example({"symbol": "kinetic", "grid": {"d": 1, "L": float("nan"), "n": 64}})
+    @example({**BASE_CFG, "essential_threshold": float("nan")})
+    @example({**BASE_CFG, "margin": float("nan")})
+    @example({**BASE_CFG, "window": [float("nan"), 5.0]})
+    @example({**BASE_CFG, "symbol": "relativistic+coulomb_like:alpha=1,reg=1e-300"})
+    @example({**BASE_CFG, "symbol": "kinetic+bounded_bump:height=-3"})
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_fuzzed_configs_raise_only_config_error(self, raw):
@@ -219,6 +244,49 @@ class TestSuites:
         lam2 = np.linalg.eigvalsh(ops[1])
         assert np.abs(ops[0] - ops[1]).max() > 1e-3  # genuinely different gauge
         assert np.abs(lam1 - lam2).max() < 1e-10 * np.abs(lam1).max()
+
+
+class TestSharedScenario:
+    """A run assembles, decomposes and sweeps once, with unchanged checks."""
+
+    THM2 = {**BASE_CFG, "grid": {"d": 1, "L": 20.0, "n": 160},
+            "eps_list": [0.025, 0.05], "suites": ["thm2-exp-decay"]}
+
+    def test_run_does_no_work_twice(self, monkeypatch):
+        import magpsido.decay as dk
+        import magpsido.harness as hs
+
+        calls = {"op_weyl": 0, "eig_hermitian": 0, "uniform_bound_sweep": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(hs, "op_weyl", counted("op_weyl", hs.op_weyl))
+        eig = counted("eig_hermitian", hs.eig_hermitian)
+        monkeypatch.setattr(hs, "eig_hermitian", eig)
+        monkeypatch.setattr(dk, "eig_hermitian", eig)
+        monkeypatch.setattr(dk, "uniform_bound_sweep",
+                            counted("uniform_bound_sweep", dk.uniform_bound_sweep))
+        report = run_scenario(ScenarioConfig.from_dict(self.THM2))
+        assert report.all_passed
+        assert calls == {"op_weyl": 1, "eig_hermitian": 1, "uniform_bound_sweep": 1}
+
+    @pytest.mark.parametrize("suites", [["thm2-exp-decay"],
+                                        ["quantize-core", "lemmas-weights",
+                                         "thm1-rapid-decay"]])
+    def test_shared_run_matches_separate_suites(self, suites):
+        cfg = ScenarioConfig.from_dict({**self.THM2, "suites": suites})
+        report = run_scenario(cfg)
+        for name in suites:
+            alone = verify_suite(name, cfg)
+            shared = report.suites[name]
+            assert [(c.name, c.passed) for c in alone] == [
+                (c["name"], c["passed"]) for c in shared]
+            for a, b in zip(alone, shared):
+                assert a.margin == pytest.approx(b["margin"], rel=1e-8, abs=1e-8)
 
 
 class TestReports:

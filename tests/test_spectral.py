@@ -215,3 +215,47 @@ class TestRieszProjector:
         lam = np.linalg.eigvalsh(H)
         lam2 = np.sort(np.linalg.eigvals(Heps).real)
         assert np.abs(lam - lam2).max() < 1e-9 * max(1.0, np.abs(lam).max())
+
+
+def dense_riesz_projector(mat, center, radius, num_nodes=32):
+    """Test oracle: the contour quadrature with one dense inverse per node."""
+    n = mat.shape[0]
+    theta = 2.0 * np.pi * (np.arange(num_nodes) + 0.5) / num_nodes
+    P = np.zeros((n, n), dtype=complex)
+    eye = np.eye(n)
+    for th in theta:
+        mu = center + radius * np.exp(1j * th)
+        P += radius * np.exp(1j * th) * np.linalg.solve(mu * eye - mat, eye)
+    return P / num_nodes
+
+
+class TestRieszProjectorTridiagonal:
+    @pytest.mark.parametrize("n, seed", [(8, 20), (33, 21), (96, 22)])
+    def test_matches_dense_oracle(self, n, seed):
+        H = random_hermitian(n, seed)
+        lam = np.linalg.eigvalsh(H)
+        k = n // 3
+        radius = 0.4 * min(lam[k] - lam[k - 1], lam[k + 1] - lam[k])
+        P = riesz_projector(H, lam[k], radius)
+        want = dense_riesz_projector(H, lam[k], radius)
+        assert np.linalg.norm(P - want) < 1e-12
+        assert projector_rank(P) == 1
+
+    def test_matches_dense_oracle_multiplicity_two(self):
+        rng = np.random.default_rng(23)
+        Q = np.linalg.qr(rng.standard_normal((24, 24))
+                         + 1j * rng.standard_normal((24, 24)))[0]
+        lam = np.concatenate([[-1.0, 0.7, 0.7], np.linspace(2.0, 9.0, 21)])
+        H = (Q * lam[None, :]) @ Q.conj().T
+        H = (H + H.conj().T) / 2
+        P = riesz_projector(as_op(H), 0.7, 0.6)
+        assert np.linalg.norm(P - dense_riesz_projector(H, 0.7, 0.6)) < 1e-12
+        assert projector_rank(P) == 2
+
+    def test_one_by_one(self):
+        assert np.abs(riesz_projector(np.array([[0.3]]), 0.0, 1.0) - 1.0).max() < 1e-14
+
+    def test_non_hermitian_rejected(self):
+        A = np.triu(random_hermitian(16, 25))
+        with pytest.raises(NotApplicableError):
+            riesz_projector(A, 0.0, 0.5)
