@@ -55,7 +55,7 @@ def cmd_spectrum(args):
     win = SpectralWindow(args.threshold, args.margin)
     found = discrete_spectrum_select(dec, win)
     out = args.out or "spectrum.csv"
-    write_spectrum_csv(dec, out)
+    write_spectrum_csv(dec.eigenvalues, dec.residual, out)
     print(f"{len(found)} discrete eigenvalues below {args.threshold} - {args.margin}")
     for lam, _, gap in found:
         print(f"  lambda = {lam:.10f}  gap = {gap:.6f}")

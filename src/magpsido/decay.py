@@ -13,6 +13,12 @@ from .quantize import OperatorMatrix
 from .spectral import eig_hermitian, relative_bound
 from .symbols import bracket
 
+SWEEP_SHIFT = 1j          # resolvent point z of the relative bounds in a sweep
+EPS0_THRESHOLD = 0.5      # a swept eps is admissible when eps * rel_bound is below this
+TAYLOR_QUAD_ORDER = 16    # Gauss-Legendre nodes of the polynomial weight identity
+REMAINDER_QUAD_ORDER = 8  # Gauss-Legendre nodes of the t-integral in d_eps
+FIT_FLOOR = 1e-13         # samples with |u| at or below this stay out of decay fits
+
 
 @dataclass(frozen=True)
 class WeightFamily:
@@ -28,7 +34,6 @@ class WeightFamily:
 
     kind: str                 # "polynomial" | "exponential"
     p: int = 1
-    description: str = ""
 
     def __post_init__(self):
         if self.kind not in ("polynomial", "exponential"):
@@ -102,11 +107,11 @@ def remainder_operator(op, w, eps):
     return (conj.entries - op.entries) / eps
 
 
-def uniform_bound_sweep(op, w, eps_list, z=1j, threshold=0.5, dec=None):
-    """Relative bounds ||R_eps (H - z)^{-1}|| across an eps sweep.
+def uniform_bound_sweep(op, w, eps_list, dec=None):
+    """Relative bounds ||R_eps (H - z)^{-1}|| at z = SWEEP_SHIFT across an eps sweep.
 
     Returns (rows, empirical_eps0): rows of (eps, rel_bound, eps_rel_bound,
-    flag) and the largest swept eps with eps * rel_bound below `threshold`.
+    flag) and the largest swept eps with eps * rel_bound below EPS0_THRESHOLD.
     `dec` may carry the EigenDecomposition of `op` when the caller has it.
     """
     eps_list = list(eps_list)
@@ -120,7 +125,7 @@ def uniform_bound_sweep(op, w, eps_list, z=1j, threshold=0.5, dec=None):
 
     def one(eps):
         R = remainder_operator(op, w, eps)
-        rb = relative_bound(R, dec, z=z)
+        rb = relative_bound(R, dec, z=SWEEP_SHIFT)
         return eps, rb, eps * rb
 
     # One worker: each bound is a product and an SVD that BLAS already
@@ -130,14 +135,14 @@ def uniform_bound_sweep(op, w, eps_list, z=1j, threshold=0.5, dec=None):
     rows = []
     eps0 = None
     for eps, rb, erb in computed:
-        ok = erb < threshold
+        ok = erb < EPS0_THRESHOLD
         rows.append((eps, rb, erb, ok))
         if ok:
             eps0 = eps
     return rows, eps0
 
 
-def weight_taylor_identity_check(w, eps, pairs, quad_order=16):
+def weight_taylor_identity_check(w, eps, pairs):
     """Residual of the weight-increment identity over sample pairs.
 
     polynomial kind: f(x) = f(y) + <x-y, int_0^1 grad f(y + t(x-y)) dt>,
@@ -151,7 +156,7 @@ def weight_taylor_identity_check(w, eps, pairs, quad_order=16):
         lhs = w(eps, xs) / w(eps, ys)
         rhs = np.exp(eps * ((xs - ys) * b_shift(eps, xs, ys)).sum(axis=-1))
         return float(np.abs(lhs - rhs).max())
-    nodes, weights = gauss_legendre_01(quad_order)
+    nodes, weights = gauss_legendre_01(TAYLOR_QUAD_ORDER)
     acc = np.zeros(xs.shape[:-1])
     diff = xs - ys
     for t, wt in zip(nodes, weights):
@@ -187,7 +192,7 @@ def amplitude_c_eps(sym, eps):
     return amp
 
 
-def amplitude_d_eps(sym, eps, quad_order=8):
+def amplitude_d_eps(sym, eps):
     """First-order remainder amplitude
 
         d_eps(x,y,eta) = i int_0^1 <b_eps, grad_eta a~((x+y)/2, eta + i t eps b_eps)> dt
@@ -202,7 +207,7 @@ def amplitude_d_eps(sym, eps, quad_order=8):
         raise StripViolationError(f"eps {eps} above strip-safe cap {cap}")
     if sym.eta_grad is None:
         raise NotApplicableError("closed-form frequency gradient required")
-    nodes, weights = gauss_legendre_01(quad_order)
+    nodes, weights = gauss_legendre_01(REMAINDER_QUAD_ORDER)
 
     def amp(x, y, eta):
         shift = b_shift(eps, x, y)
@@ -228,11 +233,11 @@ class DecayFit:
     intercept: float = 0.0
 
 
-def decay_fit(u, mode, window, floor=1e-13):
+def decay_fit(u, mode, window):
     """Least-squares decay fit of an eigenvector's envelope.
 
     exponential mode regresses -log|u| on <x>; polynomial mode on log <x>.
-    Only samples with |x_j| inside the window and |u| above `floor` enter.
+    Only samples with |x_j| inside the window and |u| above FIT_FLOOR enter.
     """
     if mode not in ("exponential", "polynomial"):
         raise ConfigError(f"unknown fit mode {mode!r}")
@@ -242,7 +247,7 @@ def decay_fit(u, mode, window, floor=1e-13):
         raise ConfigError("window must satisfy 0 < r1 < r2 <= 0.8 L")
     radii = np.sqrt((grid.nodes**2).sum(axis=-1))
     vals = np.abs(u.values)
-    mask = (radii >= r1) & (radii <= r2) & (vals > floor)
+    mask = (radii >= r1) & (radii <= r2) & (vals > FIT_FLOOR)
     if mask.sum() < 8:
         raise InsufficientWindowError(
             f"only {int(mask.sum())} usable samples in window {window}")

@@ -55,27 +55,6 @@ class MagneticField:
     def is_zero(self):
         return not self.components
 
-    def closedness_residual(self, radius=4.0, density=8, h=1e-4):
-        """Finite-difference residual of dB = 0; identically 0 for d <= 2."""
-        d = self.dimension
-        if d <= 2:
-            return 0.0
-        axes = [np.linspace(-radius, radius, density)] * d
-        X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        worst = 0.0
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    def dpart(a, b, axis):
-                        e = np.zeros(d)
-                        e[axis] = h
-                        return (self.component(a, b, X + e)
-                                - self.component(a, b, X - e)) / (2 * h)
-
-                    res = dpart(j, k, i) - dpart(i, k, j) + dpart(i, j, k)
-                    worst = max(worst, float(np.abs(res).max()))
-        return worst
-
 
 def zero_field(dimension):
     return MagneticField(dimension, {}, smoothness="constant",
@@ -125,7 +104,6 @@ class GaugeData:
     potential: Callable  # X (...,d) -> (...,d)
     phase_quadrature_order: int = 16
     linear: Optional[Tuple[np.ndarray, np.ndarray]] = None  # A(x) = W x + c before the chi shift
-    gauge_id: str = "transversal"
     chi: Optional[Callable] = None  # X (...,d) -> (...); accumulated gauge shift
 
     @property
@@ -246,7 +224,7 @@ def gauge_transform(g, chi, grad_chi=None, h=1e-6):
             return base_chi(X) + chi(X)
 
     return GaugeData(g.field, A, g.phase_quadrature_order, linear=g.linear,
-                     gauge_id=g.gauge_id + "+grad", chi=total_chi)
+                     chi=total_chi)
 
 
 def phase_table(g, nodes, chunk=65536):

@@ -14,17 +14,14 @@ from dataclasses import asdict, dataclass, field as dc_field
 from functools import cached_property
 from typing import Optional
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from . import decay as dk
 from . import relativistic as rel
 from .errors import ConfigError, MagpsidoError
 from .gauge import field_from_id, gauge_transform, transversal_gauge, zero_field, potential_residual
+from .mpdo import LOAD_BUDGET_BYTES
 from .potentials import potential_from_id
 from .quantize import (Grid, GridFunction, fourier_mode, mag_derivative, op_amplitude,
                        op_ps, op_weyl, op_weyl_unsym, sobolev_norm)
@@ -68,7 +65,6 @@ CONFIG_SCHEMA = {
         "essential_threshold": {"type": "number"},
         "margin": {"type": "number", "exclusiveMinimum": 0},
         "seed": {"type": "integer"},
-        "output_dir": {"type": ["string", "null"]},
     },
     "required": ["symbol", "grid"],
     "additionalProperties": False,
@@ -88,7 +84,6 @@ class ScenarioConfig:
     essential_threshold: float = 1.0
     margin: float = 0.05
     seed: int = 1234
-    output_dir: Optional[str] = None
 
     @classmethod
     def from_dict(cls, raw):
@@ -126,11 +121,10 @@ class ScenarioConfig:
 
 def validate_config(raw):
     """Schema validation plus the numeric lints the schema cannot express."""
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(raw, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise ConfigError(f"config schema violation: {exc.message}") from exc
+    try:
+        jsonschema.validate(raw, CONFIG_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        raise ConfigError(f"config schema violation: {exc.message}") from exc
     g = raw["grid"]
     if g["n"] % 2:
         raise ConfigError("grid n must be even")
@@ -149,8 +143,8 @@ def _momentum_scale(raw):
 
 def lint_config(raw):
     g = raw["grid"]
-    if not math.isfinite(g["L"]) or g["n"] > 2**20:
-        raise ConfigError("grid L must be finite and n at most 2^20")
+    if not math.isfinite(g["L"]):
+        raise ConfigError("grid L must be finite")
     # json reads NaN and Infinity, and the schema's number type admits them
     for key in ("essential_threshold", "margin"):
         if key in raw and not math.isfinite(raw[key]):
@@ -159,14 +153,6 @@ def lint_config(raw):
         raise ConfigError("window bounds must be finite")
     symbol_from_id(raw["symbol"], g["d"])
     field_from_id(raw.get("field", "zero"), g["d"])
-    nyquist = math.pi * g["n"] / (2.0 * g["L"])
-    scale = _momentum_scale(raw)
-    decay_suites = {"thm1-rapid-decay", "thm2-exp-decay"} & set(raw.get("suites", []))
-    factor = 8.0 if decay_suites else 2.0
-    if nyquist < factor * scale:
-        raise ConfigError(
-            f"frequency headroom lint: Nyquist {nyquist:.2f} < "
-            f"{factor} x momentum scale {scale:.2f}; enlarge n or shrink L")
     eps_list = sorted(raw.get("eps_list", []))
     if raw.get("eps_list") and list(raw["eps_list"]) != eps_list:
         raise ConfigError("eps_list must be sorted ascending")
@@ -176,6 +162,21 @@ def lint_config(raw):
         if raw.get("weight", {}).get("kind", "exponential") == "exponential":
             if math.hypot(1.0, eps * g["L"]) - 1.0 > 690.0:
                 raise ConfigError(f"eps={eps} overflows the exponential weight")
+    # assembly holds a (2n-1)^d x n^d complex128 midpoint table; Python
+    # integers keep its size exact however large n is
+    d = g["d"]
+    if 16 * (2 * g["n"] - 1) ** d * g["n"] ** d > LOAD_BUDGET_BYTES:
+        raise ConfigError(
+            f"grid n too large: the (2n-1)^{d} x n^{d} midpoint table exceeds the "
+            f"{LOAD_BUDGET_BYTES / 1e9:.2f} GB budget; shrink n")
+    nyquist = math.pi * g["n"] / (2.0 * g["L"])
+    scale = _momentum_scale(raw)
+    decay_suites = {"thm1-rapid-decay", "thm2-exp-decay"} & set(raw.get("suites", []))
+    factor = 8.0 if decay_suites else 2.0
+    if nyquist < factor * scale:
+        raise ConfigError(
+            f"frequency headroom lint: Nyquist {nyquist:.2f} < "
+            f"{factor} x momentum scale {scale:.2f}; enlarge n or shrink L")
 
 
 @dataclass
@@ -190,10 +191,6 @@ class Check:
         # numpy comparisons yield np.bool_/np.float64, which json cannot encode
         self.passed = bool(self.passed)
         self.margin = float(self.margin)
-
-    def row(self, suite):
-        return (suite, self.name, self.invariant, self.passed, f"{self.margin:.6g}",
-                self.details)
 
 
 class Scenario:
@@ -263,10 +260,6 @@ def _named_chi(name, d):
     raise ConfigError(f"unknown gauge_chi {name!r}")
 
 
-def _chi_for_dimension(d):
-    return _named_chi("bilinear", d)
-
-
 def _small_grid(grid, cap_1d=64, cap_2d=12):
     cap = cap_1d if grid.dimension == 1 else cap_2d
     n = min(grid.n, cap)
@@ -323,7 +316,7 @@ def suite_quantize_core(sc):
     checks.append(Check("hermiticity-defect", "quantize/defect", defect < 1e-8,
                         1e-8 - defect, f"defect {defect:.3e}"))
 
-    chi, grad_chi = _chi_for_dimension(d)
+    chi, grad_chi = _named_chi("bilinear", d)
     gauge2 = gauge_transform(gauge, chi, grad_chi)
     H2 = op_weyl(sym, gauge2, grid)
     dec = sc.dec
@@ -354,7 +347,7 @@ def suite_quantize_core(sc):
                         f"max deviation {amp_dev:.3e}"))
 
     if d == 1:
-        checks.append(_graph_norm_check(cfg, grid, sym, gauge))
+        checks.append(_graph_norm_check(cfg, grid, gauge))
         checks.append(_sobolev_char_check(cfg, grid, gauge))
 
     res = potential_residual(gauge, radius=min(4.0, grid.L / 2), density=16)
@@ -371,7 +364,11 @@ def _fft_multiplier_reference(mult_flat, grid):
     return (F.conj().T * mult_flat[None, :]) @ F / grid.size
 
 
-def _graph_norm_check(cfg, grid, sym, gauge, tol=0.2):
+# largest relative drift of a norm-equivalence spread between grid n/2 and n
+_DRIFT_TOL = 0.2
+
+
+def _graph_norm_check(cfg, grid, gauge):
     ratios = []
     for g in (Grid(grid.dimension, grid.L, grid.n // 2), grid):
         H = op_weyl(symbol_from_id("relativistic", 1), gauge, g)
@@ -392,12 +389,12 @@ def _graph_norm_check(cfg, grid, sym, gauge, tol=0.2):
         ratios.append((min(vals), max(vals)))
     spread = [hi / lo for lo, hi in ratios]
     drift = abs(spread[1] - spread[0]) / spread[0]
-    return Check("graph-norm-equivalence", "quantize/graph-norm", drift < tol,
-                 tol - drift,
+    return Check("graph-norm-equivalence", "quantize/graph-norm", drift < _DRIFT_TOL,
+                 _DRIFT_TOL - drift,
                  f"interval {ratios[1][0]:.4f}..{ratios[1][1]:.4f}, drift {drift:.3f}")
 
 
-def _sobolev_char_check(cfg, grid, gauge, tol=0.2):
+def _sobolev_char_check(cfg, grid, gauge):
     spreads = []
     for g in (Grid(grid.dimension, grid.L, grid.n // 2), grid):
         P1 = op_ps(1.0, gauge, g)
@@ -418,8 +415,8 @@ def _sobolev_char_check(cfg, grid, gauge, tol=0.2):
             vals.append(lhs / rhs)
         spreads.append(max(vals) / min(vals))
     drift = abs(spreads[1] - spreads[0]) / spreads[0]
-    return Check("sobolev-characterization", "quantize/sobolev-eq", drift < tol,
-                 tol - drift, f"spread {spreads[1]:.4f}, drift {drift:.3f}")
+    return Check("sobolev-characterization", "quantize/sobolev-eq", drift < _DRIFT_TOL,
+                 _DRIFT_TOL - drift, f"spread {spreads[1]:.4f}, drift {drift:.3f}")
 
 
 def suite_lemmas_weights(sc):
@@ -650,7 +647,7 @@ def suite_thm3_relativistic(sc):
                             below >= 1, float(below),
                             f"{below} eigenvalues below threshold"))
         rep = rel.pointwise_bound_check(
-            g0, well, float(decfs.eigenvalues[0]), decfs.eigenvectors[:, 0],
+            well, float(decfs.eigenvalues[0]), decfs.eigenvectors[:, 0],
             eps=0.1, p=2.0, grid=grid)
         ok = rep["kernel_margin"] > 0 and rep["chain_margin"] > 0
         checks.append(Check("pointwise-bound-chain", "relativistic/decay-chain",
@@ -697,8 +694,6 @@ class ScenarioReport:
     config_hash: str
     suites: dict                 # name -> list of check dicts
     spectra_summary: Optional[dict] = None
-    decay_fits: Optional[list] = None
-    sweep_table: Optional[list] = None
     timings: dict = dc_field(default_factory=dict)
     incomplete: bool = False
 
@@ -786,20 +781,9 @@ def emit_report(report, fmt, out_path):
                                  f"{c['margin']:.6g}", c["details"]))
     written.append(checks_path)
     if report.spectra_summary:
-        spath = os.path.join(out_path, "spectrum.csv")
-        with open(spath, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("index", "eigenvalue", "gap", "residual"))
-            lows = report.spectra_summary["lowest"]
-            res = report.spectra_summary["residual"]
-            for i, lam in enumerate(lows):
-                gap = (lows[i + 1] - lam) if i + 1 < len(lows) else ""
-                writer.writerow((i, f"{lam:.12g}", gap, f"{res:.3e}"))
-        written.append(spath)
-    if report.sweep_table:
-        wpath = os.path.join(out_path, "sweep.csv")
-        write_sweep_csv(report.sweep_table, wpath)
-        written.append(wpath)
+        summary = report.spectra_summary
+        written.append(write_spectrum_csv(summary["lowest"], summary["residual"],
+                                          os.path.join(out_path, "spectrum.csv")))
     meta = {"config": report.config, "config_hash": report.config_hash,
             "all_passed": report.all_passed, "incomplete": report.incomplete}
     mpath = os.path.join(out_path, "meta.json")
@@ -817,15 +801,16 @@ def write_sweep_csv(rows, path):
     return path
 
 
-def write_spectrum_csv(dec, path):
-    lam = dec.eigenvalues
+def write_spectrum_csv(eigenvalues, residual, path):
+    """One row per eigenvalue; `gap` is the distance to the nearest other one."""
+    lam = np.asarray(eigenvalues, dtype=float)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("index", "eigenvalue", "gap", "residual"))
         for i, v in enumerate(lam):
             others = np.abs(np.delete(lam, i) - v)
             gap = float(others.min()) if others.size else 0.0
-            writer.writerow((i, f"{v:.12g}", f"{gap:.12g}", f"{dec.residual:.3e}"))
+            writer.writerow((i, f"{v:.12g}", f"{gap:.12g}", f"{residual:.3e}"))
     return path
 
 

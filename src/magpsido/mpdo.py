@@ -40,7 +40,7 @@ def save_operator(op, path):
     return path
 
 
-def load_operator(path, budget_bytes=LOAD_BUDGET_BYTES):
+def load_operator(path):
     """Read an MPDO1 file back into an OperatorMatrix; bit-exact round trip."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -50,14 +50,14 @@ def load_operator(path, budget_bytes=LOAD_BUDGET_BYTES):
         if len(header) != _HEADER.size:
             raise FormatError("truncated header")
         d, n, L, flags = _HEADER.unpack(header)
-        if d not in (1, 2) or n < 4 or n % 2 or L <= 0:
+        if d not in (1, 2) or n < 4 or n % 2 or not 0 < L < float("inf"):
             raise FormatError(f"invalid dimensions d={d} n={n} L={L}")
         size = n**d
         nbytes = 16 * size * size
-        if nbytes > budget_bytes:
+        if nbytes > LOAD_BUDGET_BYTES:
             raise BudgetError(
                 f"operator needs {nbytes / 1e9:.2f} GB, over the "
-                f"{budget_bytes / 1e9:.2f} GB load budget")
+                f"{LOAD_BUDGET_BYTES / 1e9:.2f} GB load budget")
         raw = np.fromfile(fh, dtype="<f8", count=2 * size * size)
         if raw.size != 2 * size * size:
             raise FormatError(f"truncated payload in {path}")

@@ -10,8 +10,8 @@ assembled from one inverse DFT per midpoint. Displacements wrap with period
 2L (the frequency sum is an exact DFT); the pair phase omega is evaluated on
 the true, unwrapped segment.
 """
+import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .gauge import phase_table
 from .symbols import p_s_symbol
 
 AMPLITUDE_BUDGET = 10**10
+MIDPOINT_CHUNK = 2 * 10**7  # symbol values evaluated per block of midpoint rows
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,8 @@ class Grid:
             raise ConfigError("dimension must be 1 or 2")
         if self.points_per_axis % 2 != 0 or self.points_per_axis < 4:
             raise ConfigError("points_per_axis must be even and >= 4")
-        if self.half_length <= 0:
-            raise ConfigError("half_length must be positive")
+        if not (math.isfinite(self.half_length) and self.half_length > 0):
+            raise ConfigError("half_length must be finite and positive")
 
     @property
     def n(self):
@@ -121,25 +122,19 @@ class OperatorMatrix:
     symbol_id: str = ""
     hermiticity_defect: float = 0.0
     symmetrized: bool = False
-    notes: Tuple[str, ...] = ()
-
-    @property
-    def matrix(self):
-        return self.entries
 
     def apply(self, u):
         return GridFunction(self.entries @ u.values, self.grid)
 
 
-def _eval_midpoint_table(sym, grid, chunk_rows=None):
+def _eval_midpoint_table(sym, grid):
     """Symbol values a(m, eta) on midpoint x dual lattices, shaped for ifft."""
     n, d = grid.n, grid.dimension
     mids = grid.midpoints
     etas = grid.eta_nodes
     n_mid = mids.shape[0]
     vals = np.empty((n_mid, grid.size), dtype=complex)
-    if chunk_rows is None:
-        chunk_rows = max(1, int(2e7) // grid.size)
+    chunk_rows = max(1, MIDPOINT_CHUNK // grid.size)
     for start in range(0, n_mid, chunk_rows):
         stop = min(n_mid, start + chunk_rows)
         vals[start:stop] = sym.eval(mids[start:stop, None, :], etas[None, :, :])
@@ -177,8 +172,7 @@ def hermitize(op):
     if op.symmetrized:
         return op
     return OperatorMatrix(0.5 * (H + H.conj().T), op.grid, op.symbol_id,
-                          hermiticity_defect=defect, symmetrized=True,
-                          notes=op.notes)
+                          hermiticity_defect=defect, symmetrized=True)
 
 
 def op_weyl_unsym(sym, g, grid):

@@ -21,6 +21,8 @@ from .spectral import matrix_exp_neg
 from .symbols import bracket, relativistic_symbol
 
 EULER_GAMMA = 0.5772156649015328606
+KATO_QUAD_ORDER = 16      # Gauss-Legendre nodes for the s-integral of kato_estimate
+CHAIN_BAND_FRAC = 0.5     # kernel envelope fitted on |x - y| <= CHAIN_BAND_FRAC * L
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +106,7 @@ def kernel_pt(t, x, d):
 
     Positions carry a trailing axis of length d. Integral over R^d is e^{-t}.
     """
-    if t <= 0:
+    if not t > 0:  # also rejects NaN
         raise NotApplicableError("t must be positive")
     x = np.asarray(x, dtype=float)
     r2 = (x * x).sum(axis=-1) + t * t
@@ -133,7 +135,7 @@ def semigroup_checks(t, s, grid):
            on the low-frequency quarter;
     mass:  |h^d sum p_t - e^{-t}|.
     """
-    if t <= 0 or s <= 0:
+    if not (t > 0 and s > 0):  # also rejects NaN
         raise NotApplicableError("t and s must be positive")
     d = grid.dimension
     Z = displacement_lattice(grid)
@@ -168,14 +170,14 @@ def _as_node_values(W, grid):
     return vals
 
 
-def kato_estimate(W, t, grid, quad_order=16):
+def kato_estimate(W, t, grid):
     """sup_x int_0^t (exp(-s H0) W)(x) ds on the periodic grid.
 
     The semigroup acts spectrally (multiplier e^{-s <eta>} on the dual
     lattice), which keeps the flat-potential identity
     int_0^t e^{-s} ds = 1 - e^{-t} exact uniformly in s.
     """
-    if t <= 0:
+    if not t > 0:  # also rejects NaN
         raise NotApplicableError("t must be positive")
     vals = _as_node_values(W, grid)
     if (vals < 0).any():
@@ -183,20 +185,20 @@ def kato_estimate(W, t, grid, quad_order=16):
     shape = (grid.n,) * grid.dimension
     what = np.fft.fftn(vals.reshape(shape))
     br = bracket(grid.eta_nodes).reshape(shape)
-    nodes, weights = gauss_legendre_0t(quad_order, t)
+    nodes, weights = gauss_legendre_0t(KATO_QUAD_ORDER, t)
     acc = np.zeros(shape)
     for s, w in zip(nodes, weights):
         acc += w * np.fft.ifftn(np.exp(-s * br) * what).real
     return float(acc.max())
 
 
-def kato_scan(W, t0, grid, halvings=6, quad_order=16):
+def kato_scan(W, t0, grid, halvings=6):
     """Rows (t, sup_value) for t = t0 / 2^k; the limit t -> 0 diagnoses the
     smeared-potential class."""
     rows = []
     t = float(t0)
     for _ in range(halvings + 1):
-        rows.append((t, kato_estimate(W, t, grid, quad_order)))
+        rows.append((t, kato_estimate(W, t, grid)))
         t /= 2.0
     return rows
 
@@ -211,7 +213,6 @@ class PotentialSpec:
 
     V_plus: Optional[Callable] = None
     V_minus: Optional[Callable] = None
-    kato_flag: bool = False
     potential_id: str = ""
 
     def plus_values(self, grid):
@@ -223,7 +224,7 @@ class PotentialSpec:
                 else np.maximum(_as_node_values(self.V_minus, grid), 0.0))
 
 
-def potential_spec_from_id(pid, kato_flag=True):
+def potential_spec_from_id(pid):
     """Split a catalog potential into nonnegative attractive/repulsive parts."""
     v, meta = potential_from_id(pid)
 
@@ -233,36 +234,25 @@ def potential_spec_from_id(pid, kato_flag=True):
     def vminus(x):
         return np.maximum(-v(x), 0.0)
 
-    return PotentialSpec(vplus, vminus, kato_flag=kato_flag, potential_id=meta["id"])
+    return PotentialSpec(vplus, vminus, potential_id=meta["id"])
 
 
-def build_form_sum(g, V, grid, bound_warn=0.9):
-    """H = op_weyl(<eta>, gauge) + diag(V_plus - V_minus), symmetrized.
-
-    When the attractive part is sizable its form bound against the zero-field
-    operator is estimated; a warning note is attached above `bound_warn`.
-    """
+def build_form_sum(g, V, grid):
+    """H = op_weyl(<eta>, gauge) + diag(V_plus - V_minus), symmetrized."""
     base = op_weyl(relativistic_symbol(grid.dimension), g, grid)
-    vp = V.plus_values(grid)
-    vm = V.minus_values(grid)
-    H = base.entries + np.diag(vp - vm)
-    notes = ()
-    if vm.any():
-        beta = _form_bound_estimate(vm, grid)
-        if beta > bound_warn:
-            notes = (f"V_minus form bound estimate {beta:.3f} exceeds {bound_warn}",)
-    op = OperatorMatrix(H, grid, symbol_id=f"form_sum({V.potential_id})",
-                        notes=notes)
-    return hermitize(op)
+    H = base.entries + np.diag(V.plus_values(grid) - V.minus_values(grid))
+    return hermitize(OperatorMatrix(H, grid, symbol_id=f"form_sum({V.potential_id})"))
 
 
-def _form_bound_estimate(vm, grid):
-    """Largest eigenvalue of H0^{-1/2} V_minus H0^{-1/2} at zero field."""
+def form_bound_estimate(V, grid):
+    """Form bound of the attractive part against the free operator: the largest
+    eigenvalue of H0^{-1/2} V_minus H0^{-1/2} at zero field. Below 1 the form
+    sum H0 - V_minus is bounded below (KLMN)."""
     g0 = transversal_gauge(zero_field(grid.dimension))
     H0 = op_weyl(relativistic_symbol(grid.dimension), g0, grid)
     lam, Vecs = np.linalg.eigh(H0.entries)
     lam = np.maximum(lam, 1e-12)
-    A = (np.sqrt(vm)[:, None] * Vecs) * (lam**-0.5)[None, :]
+    A = (np.sqrt(V.minus_values(grid))[:, None] * Vecs) * (lam**-0.5)[None, :]
     return float(np.linalg.svd(A, compute_uv=False)[0] ** 2)
 
 
@@ -272,10 +262,10 @@ def diamagnetic_check(g, V, t, trials, grid, seed=0):
     Returns the worst signed excess over random complex trials plus one
     nonnegative trial; `violation` clips at zero.
     """
-    if t <= 0:
+    if not t > 0:  # also rejects NaN
         raise NotApplicableError("t must be positive")
     H = build_form_sum(g, V, grid)
-    cmp_spec = PotentialSpec(None, V.V_minus, V.kato_flag, V.potential_id)
+    cmp_spec = PotentialSpec(V_minus=V.V_minus, potential_id=V.potential_id)
     g0 = transversal_gauge(zero_field(grid.dimension))
     Hcmp = build_form_sum(g0, cmp_spec, grid)
     E = matrix_exp_neg(H, t)
@@ -292,12 +282,12 @@ def diamagnetic_check(g, V, t, trials, grid, seed=0):
     return {"signed_max": signed, "violation": max(0.0, signed)}
 
 
-def pointwise_bound_check(g, V, lam, u, eps, p, grid, window_frac=0.5):
+def pointwise_bound_check(V, lam, u, eps, p, grid):
     """Grid verification of the pointwise decay chain for an eigenpair.
 
-    (i) the comparison kernel exp(-H(0,-V_minus))/h^d is entrywise above
-        -1e-10 and below C_p e^{-<x-y>/p} with C_p fitted on the band
-        |x - y| <= window_frac * L;
+    (i) the comparison kernel exp(-H(0,-V_minus))/h^d, always at zero field,
+        is entrywise above -1e-10 and below C_p e^{-<x-y>/p} with C_p fitted
+        on the band |x - y| <= CHAIN_BAND_FRAC * L;
     (ii) sup_x f_eps(x) |u(x)| <= C_p e^lam (int e^{-2|z|(1/p - eps)} dz)^{1/2}
         ||f_eps u||, all integrals by grid sums.
 
@@ -309,7 +299,7 @@ def pointwise_bound_check(g, V, lam, u, eps, p, grid, window_frac=0.5):
     hd = grid.h**d
     uvec = np.asarray(u.values if hasattr(u, "values") else u, dtype=complex)
     uvec = uvec / (np.linalg.norm(uvec) * grid.h ** (d / 2.0))  # discrete L2 = 1
-    cmp_spec = PotentialSpec(None, V.V_minus, V.kato_flag, V.potential_id)
+    cmp_spec = PotentialSpec(V_minus=V.V_minus, potential_id=V.potential_id)
     g0 = transversal_gauge(zero_field(d))
     Hcmp = build_form_sum(g0, cmp_spec, grid)
     kern = matrix_exp_neg(Hcmp, 1.0).real / hd
@@ -317,7 +307,7 @@ def pointwise_bound_check(g, V, lam, u, eps, p, grid, window_frac=0.5):
     nodes = grid.nodes
     diff = nodes[:, None, :] - nodes[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=-1))
-    band = dist <= window_frac * grid.L
+    band = dist <= CHAIN_BAND_FRAC * grid.L
     envelope = np.exp(-np.sqrt(1.0 + dist**2) / p)
     C_hat = float((kern[band] / envelope[band]).max())
     fw = np.exp(bracket(eps * nodes) - 1.0)

@@ -1,12 +1,17 @@
 """Dense Hermitian eigensolving, resolvents, semigroups, relative bounds,
 and contour spectral projectors."""
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ContourError, NotApplicableError, SingularShiftError
+from .errors import ConfigError, ContourError, NotApplicableError, SingularShiftError
 from .quantize import GridFunction, OperatorMatrix
+
+MIN_SHIFT_DISTANCE = 1e-10  # resolvent shifts closer than this to the spectrum are refused
+CONTOUR_NODES = 32          # trapezoidal nodes of the Riesz projector contour
+RANK_THRESHOLD = 0.5        # projector singular values above this count toward its rank
 
 
 @dataclass
@@ -45,6 +50,8 @@ class SpectralWindow:
     margin: float = 0.05
 
     def __post_init__(self):
+        if not (math.isfinite(self.essential_threshold) and math.isfinite(self.margin)):
+            raise ConfigError("threshold and margin must be finite")
         if self.margin <= 0:
             raise NotApplicableError("margin must be positive")
 
@@ -63,11 +70,11 @@ def discrete_spectrum_select(dec, win):
     return out
 
 
-def resolvent_apply(H, z, w, min_distance=1e-10):
+def resolvent_apply(H, z, w):
     """Solve (H - z) u = w by LU with partial pivoting.
 
     The factorization's condition estimate guards against shifts closer than
-    `min_distance` to the spectrum; the solve is also residual-checked.
+    MIN_SHIFT_DISTANCE to the spectrum; the solve is also residual-checked.
     """
     mat = H.entries if isinstance(H, OperatorMatrix) else np.asarray(H)
     grid = H.grid if isinstance(H, OperatorMatrix) else None
@@ -76,7 +83,7 @@ def resolvent_apply(H, z, w, min_distance=1e-10):
     lu, piv = sla.lu_factor(A)
     anorm = float(np.linalg.norm(A, 1))
     rcond = float(sla.lapack.zgecon(lu, anorm)[0])
-    if rcond * anorm < min_distance:  # sigma_min estimate for normal A
+    if rcond * anorm < MIN_SHIFT_DISTANCE:  # sigma_min estimate for normal A
         lam = np.linalg.eigvalsh(mat) if _hermitian(mat) else np.linalg.eigvals(mat)
         nearest = lam[np.argmin(np.abs(lam - z))]
         raise SingularShiftError(
@@ -122,7 +129,7 @@ def relative_bound(R, H, z=1j):
     return float(np.linalg.norm((Rm @ V) / (lam - z)[None, :], 2))
 
 
-def riesz_projector(H, center, radius, num_nodes=32):
+def riesz_projector(H, center, radius):
     """Trapezoidal contour quadrature of (2 pi i)^{-1} oint (mu - H)^{-1} dmu.
 
     Hermitian H is reduced once to its Hessenberg form T = Q^* H Q, which is
@@ -141,7 +148,7 @@ def riesz_projector(H, center, radius, num_nodes=32):
     if dist.min() < 0.1 * radius:
         raise ContourError(
             f"eigenvalue {lam[np.argmin(dist)]:.6g} within 10% of the contour")
-    theta = 2.0 * np.pi * (np.arange(num_nodes) + 0.5) / num_nodes
+    theta = 2.0 * np.pi * (np.arange(CONTOUR_NODES) + 0.5) / CONTOUR_NODES
     bands = np.zeros((3, n), dtype=complex)   # mu - T in solve_banded layout
     bands[0, 1:] = -T.diagonal(1)
     bands[2, :-1] = -sub
@@ -151,9 +158,9 @@ def riesz_projector(H, center, radius, num_nodes=32):
         step = radius * np.exp(1j * th)
         bands[1] = center + step - diag
         S += step * sla.solve_banded((1, 1), bands, eye, check_finite=False)
-    return (Q @ S @ Q.conj().T) / num_nodes
+    return (Q @ S @ Q.conj().T) / CONTOUR_NODES
 
 
-def projector_rank(P, threshold=0.5):
-    """Rank by counting singular values above threshold."""
-    return int((np.linalg.svd(P, compute_uv=False) > threshold).sum())
+def projector_rank(P):
+    """Rank by counting singular values above RANK_THRESHOLD."""
+    return int((np.linalg.svd(P, compute_uv=False) > RANK_THRESHOLD).sum())

@@ -8,7 +8,7 @@ arguments broadcast against each other; the result drops the trailing axis.
 """
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -17,6 +17,8 @@ from .errors import ConfigError, NotApplicableError, StripViolationError, Unsupp
 from .potentials import parse_params, potential_from_id
 
 DERIVATIVE_BUDGET = 6
+FD_REL_STEP = 1e-4    # frequency difference step, relative to max(1, |eta|)
+CAUCHY_SLACK = 1.5    # factor on the order-0 seminorm in the Cauchy bound constant
 
 
 def bracket(eta):
@@ -60,18 +62,9 @@ class HormanderSymbol:
     eta_grad: Optional[Callable] = None
     real: bool = False
     symbol_id: str = ""
-    h_fd: float = 1e-4
-    eta_deriv: Callable = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.eta_deriv = lambda alpha, x, eta: eta_derivative(self, alpha, x, eta)
 
     def __call__(self, x, eta):
         return self.eval(x, eta)
-
-
-def _fd_step(sym, eta_axis_vals):
-    return sym.h_fd * np.maximum(1.0, np.abs(eta_axis_vals))
 
 
 def _fd_eta_derivative(sym, alpha, x, eta, h_fd=None):
@@ -82,7 +75,7 @@ def _fd_eta_derivative(sym, alpha, x, eta, h_fd=None):
         for axis in range(sym.dimension):
             if alpha_left[axis] > 0:
                 step = (h_fd if h_fd is not None
-                        else sym.h_fd * max(1.0, float(np.abs(pts[..., axis]).max())))
+                        else FD_REL_STEP * max(1.0, float(np.abs(pts[..., axis]).max())))
                 e = np.zeros(sym.dimension)
                 e[axis] = step
                 lowered = tuple(a - (1 if i == axis else 0)
@@ -283,17 +276,17 @@ class CauchyBoundResult:
     constant: float
 
 
-def cauchy_derivative_bound_check(sym, max_order, box, grid_density=24, slack=1.5):
+def cauchy_derivative_bound_check(sym, max_order, box, grid_density=24):
     """Check |d^alpha_eta a| <= C (2/delta)^|alpha| alpha! <eta>^m on samples.
 
-    C is the order-0 seminorm over the box times `slack`.
+    C is the order-0 seminorm over the box times CAUCHY_SLACK.
     """
     if sym.analytic_ext is None or sym.strip_delta is None:
         raise NotApplicableError("symbol carries no analytic extension")
     if max_order > DERIVATIVE_BUDGET:
         raise UnsupportedOrderError("max_order exceeds budget")
     zero = (0,) * sym.dimension
-    C = slack * seminorm_estimate(sym, zero, zero, box, grid_density)
+    C = CAUCHY_SLACK * seminorm_estimate(sym, zero, zero, box, grid_density)
     X, E = _sample_points(sym, box, grid_density)
     weight = bracket(E) ** sym.order
     worst = 0.0

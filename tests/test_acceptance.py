@@ -301,7 +301,7 @@ def test_criterion_14_pointwise_bound_chain(g1, bound_state_512, bound_state_768
     reports = []
     for grid, H, dec, _ in (bound_state_512, bound_state_768):
         reports.append(pointwise_bound_check(
-            g1, spec, float(dec.eigenvalues[0]), dec.eigenvectors[:, 0],
+            spec, float(dec.eigenvalues[0]), dec.eigenvectors[:, 0],
             eps=0.1, p=2.0, grid=grid))
     m1, m2 = reports[0]["chain_margin"], reports[1]["chain_margin"]
     ok = (reports[0]["kernel_margin"] > 0 and reports[1]["kernel_margin"] > 0

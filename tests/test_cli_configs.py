@@ -8,6 +8,8 @@ import pytest
 
 from magpsido.cli import main as cli_main
 from magpsido.harness import Check
+from magpsido.mpdo import save_operator
+from magpsido.quantize import Grid, OperatorMatrix
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "configs")
@@ -92,3 +94,24 @@ def test_conjugate_rejects_non_numeric_eps_list(tmp_path, capsys):
                      "--out", str(tmp_path / "sweep.csv")])
     assert code == 2
     assert "--eps-list" in capsys.readouterr().err
+
+
+NON_FINITE_ARGS = {
+    "spectrum-threshold": ["spectrum", "--threshold", "nan"],
+    "spectrum-margin": ["spectrum", "--threshold", "1.0", "--margin", "inf"],
+    "semigroup-t": ["semigroup", "--t", "nan", "--n", "16"],
+    "semigroup-L": ["semigroup", "--t", "1.0", "--L", "nan", "--n", "16"],
+    "kato-t0": ["kato", "--potential", "bounded_bump", "--t0", "nan", "--n", "16"],
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_ARGS)
+def test_non_finite_numbers_exit_2(case, tmp_path, capsys):
+    argv = NON_FINITE_ARGS[case] + ["--out", str(tmp_path / "out")]
+    if argv[0] == "spectrum":
+        op = str(tmp_path / "op.mpdo")
+        save_operator(OperatorMatrix(np.diag([0.5, 2.0, 3.0, 4.0]) + 0j,
+                                     Grid(1, 1.0, 4), symmetrized=True), op)
+        argv += ["--op", op]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -103,7 +103,7 @@ class TestLineIntegral:
         x = np.array([2.0, -1.0])
         y = np.array([-1.5, 2.5])
         v16 = line_integral_A(g_cos, x, y)
-        g32 = type(g_cos)(g_cos.field, g_cos.potential, 32, None, "transversal")
+        g32 = type(g_cos)(g_cos.field, g_cos.potential, 32)
         v32 = line_integral_A(g32, x, y)
         assert v16 == pytest.approx(v32, abs=1e-13)
 
@@ -237,6 +237,3 @@ class TestFieldCatalog:
     def test_unknown_field(self):
         with pytest.raises(ConfigError):
             field_from_id("spiral", 2)
-
-    def test_closedness_trivial_low_dimension(self):
-        assert zero_field(2).closedness_residual() == 0.0

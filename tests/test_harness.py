@@ -1,4 +1,5 @@
 import copy
+import csv
 import dataclasses
 import json
 import os
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from magpsido.cli import main as cli_main
 from magpsido.errors import ConfigError
-from magpsido.harness import (ScenarioConfig, emit_report, merge_reports,
-                              run_scenario, validate_config, verify_suite,
-                              write_atomic)
+from magpsido.harness import (CONFIG_SCHEMA, ScenarioConfig, ScenarioReport,
+                              emit_report, merge_reports, run_scenario,
+                              validate_config, verify_suite, write_atomic)
 
 BASE_CFG = {
     "symbol": "relativistic+gauss_well:depth=2,width=1",
@@ -118,6 +119,19 @@ class TestConfigValidation:
         cfg = ScenarioConfig.from_dict({"symbol": "relativistic", "grid": BASE_CFG["grid"]})
         assert cfg == ScenarioConfig("relativistic", BASE_CFG["grid"])
 
+    def test_schema_lists_the_dataclass_fields(self):
+        fields = dataclasses.fields(ScenarioConfig)
+        assert set(CONFIG_SCHEMA["properties"]) == {f.name for f in fields}
+        assert set(CONFIG_SCHEMA["required"]) == {
+            f.name for f in fields
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING}
+
+    def test_midpoint_table_over_budget_rejected(self):
+        # 511^2 x 256^2 complex128 values: about 274 GB
+        with pytest.raises(ConfigError, match="midpoint table"):
+            ScenarioConfig.from_dict({"symbol": "relativistic",
+                                      "grid": {"d": 2, "L": 6, "n": 256}})
+
     def test_defaulted_eps_list_is_linted(self):
         # default eps 0.1 on L = 7000 overflows the default exponential weight
         with pytest.raises(ConfigError, match="overflows"):
@@ -165,6 +179,7 @@ class TestConfigValidation:
 
     @given(fuzzed_config())
     @example({"symbol": "kinetic", "grid": {"d": 1, "L": 1.0, "n": 10**400}})
+    @example({"symbol": "relativistic", "grid": {"d": 2, "L": 6, "n": 256}})
     @example({"symbol": "kinetic", "grid": {"d": 1, "L": float("nan"), "n": 64}})
     @example({**BASE_CFG, "essential_threshold": float("nan")})
     @example({**BASE_CFG, "margin": float("nan")})
@@ -317,6 +332,15 @@ class TestReports:
         assert checks[0] == "suite,check,invariant,passed,margin,details"
         spectrum = (outdir / "spectrum.csv").read_text().splitlines()
         assert spectrum[0] == "index,eigenvalue,gap,residual"
+
+    def test_bundle_spectrum_gap_is_nearest_neighbour_distance(self, tmp_path):
+        report = ScenarioReport({}, "hash", {},
+                                spectra_summary={"lowest": [0.0, 1.0, 1.1, 3.0],
+                                                 "residual": 1e-15})
+        emit_report(report, "csv-bundle", str(tmp_path))
+        with open(tmp_path / "spectrum.csv") as fh:
+            gaps = [float(row["gap"]) for row in csv.DictReader(fh)]
+        assert gaps == pytest.approx([1.0, 0.1, 0.1, 1.9], abs=1e-12)
 
     def test_empty_suite_list_is_valid(self, tmp_path):
         cfg = cfg_with(suites=[])

@@ -77,6 +77,14 @@ def test_invalid_header_dimensions(tmp_path):
         load_operator(str(path))
 
 
+@pytest.mark.parametrize("L", [float("nan"), float("inf")])
+def test_non_finite_header_length(tmp_path, L):
+    path = tmp_path / "length.mpdo"
+    path.write_bytes(MAGIC + struct.pack("<IIdI", 1, 8, L, 0) + bytes(16 * 8 * 8))
+    with pytest.raises(FormatError):
+        load_operator(str(path))
+
+
 def test_file_hash_stable(tmp_path, sample_op):
     path = tmp_path / "h.mpdo"
     save_operator(sample_op, str(path))

@@ -8,9 +8,9 @@ from magpsido.quantize import Grid, op_weyl
 from magpsido.relativistic import (PotentialSpec, bessel_k, bessel_k_asymptotic,
                                    bessel_k_series, build_form_sum,
                                    diamagnetic_check, displacement_lattice,
-                                   kato_estimate, kato_scan, kernel_pt,
-                                   pointwise_bound_check, potential_spec_from_id,
-                                   semigroup_checks)
+                                   form_bound_estimate, kato_estimate, kato_scan,
+                                   kernel_pt, pointwise_bound_check,
+                                   potential_spec_from_id, semigroup_checks)
 from magpsido.spectral import eig_hermitian, matrix_exp_neg
 from magpsido.symbols import bracket, relativistic_symbol
 
@@ -185,11 +185,10 @@ class TestFormSum:
         lam = np.linalg.eigvalsh(H.entries)
         assert lam[0] < 0.95
 
-    def test_strong_attraction_warns(self, g0):
+    def test_strong_attraction_warns(self):
         grid = Grid(1, 10.0, 64)
         spec = potential_spec_from_id("gauss_well:depth=6,width=2")
-        H = build_form_sum(g0, spec, grid)
-        assert H.notes  # relative-bound diagnostic attached
+        assert form_bound_estimate(spec, grid) > 0.9
 
     def test_potential_split_from_id(self):
         spec = potential_spec_from_id("gauss_well:depth=2,width=1")
@@ -216,7 +215,7 @@ class TestDiamagnetic:
         # they sit below the 1e-10 floor once the frequency box is resolved
         grid = Grid(1, 30.0, 384)
         spec = potential_spec_from_id("gauss_well:depth=2,width=1")
-        cmp_spec = PotentialSpec(None, spec.V_minus, True, spec.potential_id)
+        cmp_spec = PotentialSpec(V_minus=spec.V_minus, potential_id=spec.potential_id)
         H = build_form_sum(g0, cmp_spec, grid)
         E = matrix_exp_neg(H, 1.0)
         assert E.real.min() > -1e-10
@@ -249,18 +248,18 @@ class TestExpVsKernel:
 
 
 class TestPointwiseChain:
-    def test_parameter_guard(self, g0):
+    def test_parameter_guard(self):
         grid = Grid(1, 10.0, 64)
         spec = potential_spec_from_id("gauss_well:depth=2,width=1")
         with pytest.raises(ConfigError):
-            pointwise_bound_check(g0, spec, -0.4, np.ones(64), eps=0.6, p=2.0,
+            pointwise_bound_check(spec, -0.4, np.ones(64), eps=0.6, p=2.0,
                                   grid=grid)
 
     def test_free_kernel_envelope_constant_finite(self, g0):
         grid = Grid(1, 30.0, 384)
         rep_spec = PotentialSpec()
         dec = eig_hermitian(build_form_sum(g0, rep_spec, grid))
-        rep = pointwise_bound_check(g0, rep_spec, float(dec.eigenvalues[0]),
+        rep = pointwise_bound_check(rep_spec, float(dec.eigenvalues[0]),
                                     dec.eigenvectors[:, 0], eps=0.1, p=2.0,
                                     grid=grid)
         assert np.isfinite(rep["C_hat"])
@@ -270,7 +269,7 @@ class TestPointwiseChain:
         grid = Grid(1, 30.0, 384)
         spec = potential_spec_from_id("gauss_well:depth=2,width=1")
         dec = eig_hermitian(build_form_sum(g0, spec, grid))
-        rep = pointwise_bound_check(g0, spec, float(dec.eigenvalues[0]),
+        rep = pointwise_bound_check(spec, float(dec.eigenvalues[0]),
                                     dec.eigenvectors[:, 0], eps=0.0, p=2.0,
                                     grid=grid)
         assert rep["chain_margin"] > 0
@@ -279,7 +278,7 @@ class TestPointwiseChain:
         grid = Grid(1, 30.0, 384)
         spec = potential_spec_from_id("gauss_well:depth=2,width=1")
         dec = eig_hermitian(build_form_sum(g0, spec, grid))
-        rep = pointwise_bound_check(g0, spec, float(dec.eigenvalues[0]),
+        rep = pointwise_bound_check(spec, float(dec.eigenvalues[0]),
                                     dec.eigenvectors[:, 0], eps=0.1, p=2.0,
                                     grid=grid)
         assert rep["kernel_margin"] > 0
