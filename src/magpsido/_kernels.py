@@ -42,13 +42,14 @@ def amplitude_row(M, j_multi, n, d):
 
 # ---------------------------------------------------------------------------
 # pair phase exponents for linear vector potentials A(x) = W x + c:
-# exponent[j,k] = <y-x, A((x+y)/2)>  (midpoint rule, exact for linear A)
+# exponent[j,k] = <x_k - x_j, A((x_j + x_k)/2)>  (midpoint rule, exact for linear A)
+#               = x_k^T W_a x_j + p_k - p_j,  p = x^T W x / 2 + <x, c>,
+# with W_a = (W - W^T)/2; the transversal gauge has W = W_a and x^T W x = 0
 # ---------------------------------------------------------------------------
 
 def linear_pair_exponent(nodes, W, c):
     """Segment integrals of a linear potential over every node pair."""
-    nodes = np.asarray(nodes, dtype=np.float64)
-    mids = 0.5 * (nodes[:, None, :] + nodes[None, :, :])
-    Amid = mids @ np.asarray(W, dtype=np.float64).T + np.asarray(c, dtype=np.float64)
-    diff = nodes[None, :, :] - nodes[:, None, :]
-    return np.einsum("jkd,jkd->jk", diff, Amid)
+    X = np.asarray(nodes, dtype=np.float64)
+    W = np.asarray(W, dtype=np.float64)
+    p = 0.5 * ((X @ W) * X).sum(axis=-1) + X @ np.asarray(c, dtype=np.float64)
+    return (X @ (0.5 * (W - W.T)).T) @ X.T + (p[None, :] - p[:, None])

@@ -11,9 +11,15 @@ turns that segment integral into the flux of B through the triangle
 
 evaluated with the tensor Gauss-Legendre rule of order
 `phase_quadrature_order`, or in closed form (midpoint rule) when the
-potential is linear. A gauge shifted by grad(chi) keeps this evaluator and
-records chi; its segment integral is I(x,y) + chi(y) - chi(x) exactly, so no
-quadrature over the shifted potential is ever run. `GaugeData.potential`
+potential is linear. The double integral (the flux mean) is symmetric in
+x and y, and for a field whose components depend on one coordinate only
+(`MagneticField.axis`) it is a function of (x_axis, y_axis): the phase table
+then runs the rule once per pair of distinct coordinate values and
+multiplies by the cross factor x_j y_k - x_k y_j per node pair.
+
+A gauge shifted by grad(chi) keeps this evaluator and records chi; its
+segment integral is I(x,y) + chi(y) - chi(x) exactly, so no quadrature over
+the shifted potential is ever run. `GaugeData.potential`
 (A + grad chi) serves the dA = B check and covariant derivatives only.
 """
 from dataclasses import dataclass
@@ -26,16 +32,21 @@ from .errors import ConfigError
 from .potentials import parse_params
 from .quadrature import gauss_legendre_01
 
+PHASE_QUAD_ORDER = 16     # Gauss-Legendre nodes per axis of the flux and radial rules
+FD_GRAD_STEP = 1e-6       # central-difference step of a gauge shift without a gradient
+
 
 @dataclass
 class MagneticField:
-    """Antisymmetric two-form with components B_jk, stored for j < k only."""
+    """Antisymmetric two-form with components B_jk, stored for j < k only.
+
+    `axis`, when set, is the one coordinate every component depends on.
+    """
 
     dimension: int
     components: dict  # (j, k) with j < k -> callable x(...,d) -> (...)
-    smoothness: str = "general"  # constant | polynomial | general
     constant_matrix: Optional[np.ndarray] = None
-    field_id: str = ""
+    axis: Optional[int] = None
 
     def component(self, j, k, x):
         """B_jk(x) with antisymmetry B_jk = -B_kj built in."""
@@ -57,22 +68,19 @@ class MagneticField:
 
 
 def zero_field(dimension):
-    return MagneticField(dimension, {}, smoothness="constant",
-                         constant_matrix=np.zeros((dimension, dimension)),
-                         field_id="zero")
+    return MagneticField(dimension, {}, constant_matrix=np.zeros((dimension, dimension)))
 
 
 def constant_field_2d(b):
     mat = np.array([[0.0, b], [-b, 0.0]])
     comps = {} if b == 0.0 else {(0, 1): lambda x: np.full(np.asarray(x).shape[:-1], b)}
-    return MagneticField(2, comps, smoothness="constant",
-                         constant_matrix=mat, field_id=f"constant2d:b={b}")
+    return MagneticField(2, comps, constant_matrix=mat)
 
 
 def cos_field_2d(amp=1.0):
     """B_12(x) = amp * cos(x_1); smooth, bounded with all derivatives."""
     comps = {(0, 1): lambda x: amp * np.cos(np.asarray(x)[..., 0])}
-    return MagneticField(2, comps, smoothness="general", field_id=f"cos2d:amp={amp}")
+    return MagneticField(2, comps, axis=0)
 
 
 def field_from_id(fid, dimension):
@@ -102,7 +110,7 @@ class GaugeData:
 
     field: MagneticField
     potential: Callable  # X (...,d) -> (...,d)
-    phase_quadrature_order: int = 16
+    phase_quadrature_order: int = PHASE_QUAD_ORDER
     linear: Optional[Tuple[np.ndarray, np.ndarray]] = None  # A(x) = W x + c before the chi shift
     chi: Optional[Callable] = None  # X (...,d) -> (...); accumulated gauge shift
 
@@ -111,19 +119,19 @@ class GaugeData:
         return self.field.dimension
 
 
-def transversal_gauge(B, quadrature_order=16):
+def transversal_gauge(B):
     """Radial-integration potential A_j(x) = -sum_k x_k int_0^1 s B_jk(s x) ds."""
     d = B.dimension
-    if B.smoothness == "constant" and B.constant_matrix is not None:
+    if B.constant_matrix is not None:
         W = -0.5 * B.constant_matrix
 
         def A(X):
             X = np.asarray(X, dtype=float)
             return X @ W.T
 
-        return GaugeData(B, A, quadrature_order, linear=(W, np.zeros(d)))
+        return GaugeData(B, A, linear=(W, np.zeros(d)))
 
-    s_nodes, s_weights = gauss_legendre_01(quadrature_order)
+    s_nodes, s_weights = gauss_legendre_01(PHASE_QUAD_ORDER)
 
     def A(X):
         X = np.asarray(X, dtype=float)
@@ -140,7 +148,7 @@ def transversal_gauge(B, quadrature_order=16):
             out[..., j] = -acc
         return out
 
-    return GaugeData(B, A, quadrature_order)
+    return GaugeData(B, A)
 
 
 def _is_trivial(g):
@@ -149,8 +157,8 @@ def _is_trivial(g):
             and not g.linear[0].any() and not g.linear[1].any())
 
 
-def _triangle_flux(B, x, y, order):
-    """sum_{j<k} (x_j y_k - x_k y_j) int_0^1 int_0^1 s B_jk(s(x + t(y-x))) ds dt."""
+def _flux_means(B, x, y, order):
+    """Per component, int_0^1 int_0^1 s B_jk(s(x + t(y-x))) ds dt."""
     nodes, weights = gauss_legendre_01(order)
     shape = np.broadcast(x[..., 0], y[..., 0]).shape
     # coordinate axis first, so the broadcast sums run over long rows
@@ -163,7 +171,12 @@ def _triangle_flux(B, x, y, order):
             pts = np.moveaxis((s * (1.0 - t)) * xT + (s * t) * yT, 0, -1)
             for jk, fun in B.components.items():
                 means[jk] += (ws * wt * s) * fun(pts)
-    acc = np.zeros(shape)
+    return means
+
+
+def _cross_sum(means, x, y):
+    """sum_{j<k} (x_j y_k - x_k y_j) mean_jk: the triangle flux through (0, x, y)."""
+    acc = np.zeros(np.broadcast(x[..., 0], y[..., 0]).shape)
     for (j, k), mean in means.items():
         acc += (x[..., j] * y[..., k] - x[..., k] * y[..., j]) * mean
     return acc
@@ -179,7 +192,7 @@ def line_integral_A(g, x, y):
         mid = 0.5 * (x + y)
         acc = ((y - x) * (mid @ W.T + c)).sum(axis=-1)
     else:
-        acc = _triangle_flux(g.field, x, y, g.phase_quadrature_order)
+        acc = _cross_sum(_flux_means(g.field, x, y, g.phase_quadrature_order), x, y)
     if g.chi is not None:
         acc = acc + (g.chi(y) - g.chi(x))
     return acc
@@ -193,7 +206,7 @@ def magnetic_phase(g, x, y):
     return np.exp(-1j * line_integral_A(g, x, y))
 
 
-def gauge_transform(g, chi, grad_chi=None, h=1e-6):
+def gauge_transform(g, chi, grad_chi=None):
     """Shift the potential by a gradient: A -> A + grad(chi), same field.
 
     The shifted gauge keeps the base phase evaluator and accumulates chi, so
@@ -207,8 +220,8 @@ def gauge_transform(g, chi, grad_chi=None, h=1e-6):
             out = np.zeros(X.shape)
             for axis in range(d):
                 e = np.zeros(d)
-                e[axis] = h
-                out[..., axis] = (chi(X + e) - chi(X - e)) / (2 * h)
+                e[axis] = FD_GRAD_STEP
+                out[..., axis] = (chi(X + e) - chi(X - e)) / (2 * FD_GRAD_STEP)
             return out
 
     base_A = g.potential
@@ -230,8 +243,11 @@ def gauge_transform(g, chi, grad_chi=None, h=1e-6):
 def phase_table(g, nodes, chunk=65536):
     """Pair phase matrix omega[j,k] over flat node lists (hot path).
 
-    The exponent is evaluated on the upper triangle only, about `chunk`
-    pairs at a time, and the lower triangle is filled as its negative
+    The flux means are evaluated over keys, about `chunk` key pairs at a
+    time: the distinct values of nodes[:, axis] for a field with an `axis`,
+    the nodes themselves otherwise. Only the upper key triangle is computed;
+    the means are symmetric in (x, y). The exponent is taken from the upper
+    node triangle and the lower triangle is filled as its negative
     transpose, so omega is exactly Hermitian.
     """
     nodes = np.asarray(nodes, dtype=float)
@@ -242,14 +258,29 @@ def phase_table(g, nodes, chunk=65536):
         W, c = g.linear
         E = _kernels.linear_pair_exponent(nodes, W, c)
     else:
-        E = np.zeros((N, N))
+        axis = g.field.axis
+        if axis is None:
+            keys, inverse = nodes, np.arange(N)
+        else:
+            _, first, inverse = np.unique(nodes[:, axis], return_index=True,
+                                          return_inverse=True)
+            keys = nodes[first]
+        m = keys.shape[0]
+        means = {jk: np.zeros((m, m)) for jk in g.field.components}
         start = 0
-        while start < N:
-            stop = min(N, start + max(1, chunk // (N - start)))
-            E[start:stop, start:] = _triangle_flux(
-                g.field, nodes[start:stop, None, :], nodes[None, start:, :],
-                g.phase_quadrature_order)
+        while start < m:
+            stop = min(m, start + max(1, chunk // (m - start)))
+            block = _flux_means(g.field, keys[start:stop, None, :], keys[None, start:, :],
+                                g.phase_quadrature_order)
+            for jk, mean in block.items():
+                means[jk][start:stop, start:] = mean
             start = stop
+        lower = np.tril_indices(m, -1)
+        for mean in means.values():
+            mean[lower] = mean.T[lower]
+        E = _cross_sum({jk: mean[inverse[:, None], inverse[None, :]]
+                        for jk, mean in means.items()},
+                       nodes[:, None, :], nodes[None, :, :])
     E = np.triu(E, 1)
     E -= E.T
     if g.chi is not None:

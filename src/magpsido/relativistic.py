@@ -20,7 +20,6 @@ from .quantize import OperatorMatrix, hermitize, op_weyl
 from .spectral import matrix_exp_neg
 from .symbols import bracket, relativistic_symbol
 
-EULER_GAMMA = 0.5772156649015328606
 KATO_QUAD_ORDER = 16      # Gauss-Legendre nodes for the s-integral of kato_estimate
 CHAIN_BAND_FRAC = 0.5     # kernel envelope fitted on |x - y| <= CHAIN_BAND_FRAC * L
 
@@ -28,33 +27,6 @@ CHAIN_BAND_FRAC = 0.5     # kernel envelope fitted on |x - y| <= CHAIN_BAND_FRAC
 # ---------------------------------------------------------------------------
 # modified Bessel K for integer and half-integer orders
 # ---------------------------------------------------------------------------
-
-def _k01_series(z, terms=40):
-    """Ascending series for K_0 and K_1; accurate for z <= 2."""
-    z = np.asarray(z, dtype=float)
-    q = z * z / 4.0
-    log_half_z = np.log(z / 2.0)
-    i0 = np.ones_like(z)
-    k0_sum = np.zeros_like(z)
-    i1 = np.ones_like(z)
-    # k = 0 term of the digamma sum: psi(1) + psi(2) = 1 - 2 gamma
-    k1_sum = np.full_like(z, 1.0 - 2.0 * EULER_GAMMA)
-    term_i0 = np.ones_like(z)
-    term_i1 = np.ones_like(z)
-    harmonic = 0.0
-    for k in range(1, terms):
-        term_i0 = term_i0 * q / k**2
-        harmonic += 1.0 / k
-        i0 = i0 + term_i0
-        k0_sum = k0_sum + term_i0 * harmonic
-        term_i1 = term_i1 * q / (k * (k + 1))
-        i1 = i1 + term_i1
-        k1_sum = k1_sum + term_i1 * (2.0 * harmonic + 1.0 / (k + 1) - 2.0 * EULER_GAMMA)
-    i1 = 0.5 * z * i1
-    k0 = -(log_half_z + EULER_GAMMA) * i0 + k0_sum
-    k1 = 1.0 / z + log_half_z * i1 - 0.25 * z * k1_sum
-    return k0, k1
-
 
 def bessel_k(nu, z):
     """K_nu(z) for z > 0 and integer or half-integer nu >= 0 (scipy.special.kv)."""
@@ -69,29 +41,6 @@ def bessel_k(nu, z):
 
     out = kv(nu, z)
     return float(out) if z.ndim == 0 else out
-
-
-def bessel_k_series(nu, z):
-    """Ascending-series oracle; integer nu in {0,1}, trustworthy for z <= 2."""
-    if nu not in (0, 1):
-        raise ConfigError("series oracle implemented for nu in {0, 1}")
-    k0, k1 = _k01_series(np.asarray(z, dtype=float))
-    return k0 if nu == 0 else k1
-
-
-def bessel_k_asymptotic(nu, z, terms=12):
-    """Large-argument expansion sqrt(pi/2z) e^{-z} (1 + sum a_k / z^k).
-
-    Divergent series; useful as an oracle only for z well above ~10.
-    """
-    z = np.asarray(z, dtype=float)
-    acc = np.ones_like(z)
-    term = np.ones_like(z)
-    mu = 4.0 * nu**2
-    for k in range(1, terms + 1):
-        term = term * (mu - (2 * k - 1) ** 2) / (8.0 * k * z)
-        acc = acc + term
-    return np.sqrt(np.pi / (2.0 * z)) * np.exp(-z) * acc
 
 
 # ---------------------------------------------------------------------------

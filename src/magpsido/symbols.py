@@ -19,6 +19,9 @@ from .potentials import parse_params, potential_from_id
 DERIVATIVE_BUDGET = 6
 FD_REL_STEP = 1e-4    # frequency difference step, relative to max(1, |eta|)
 CAUCHY_SLACK = 1.5    # factor on the order-0 seminorm in the Cauchy bound constant
+CONTOUR_NODES = 32    # trapezoid nodes per ring of the Cauchy-integral eta derivative
+X_FD_STEP = 1e-5      # central-difference step of position derivatives
+ELLIPTIC_FLOOR = 1e-8  # smallest annulus constant counted as elliptic
 
 
 def bracket(eta):
@@ -86,11 +89,11 @@ def _fd_eta_derivative(sym, alpha, x, eta, h_fd=None):
     return rec(tuple(alpha), eta)
 
 
-def _contour_eta_derivative(sym, alpha, x, eta, nodes=32):
+def _contour_eta_derivative(sym, alpha, x, eta):
     """Cauchy-integral derivative on a polydisc of radius strip_delta/2."""
     rho = 0.5 * sym.strip_delta
     d = sym.dimension
-    theta = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes
+    theta = 2.0 * np.pi * (np.arange(CONTOUR_NODES) + 0.5) / CONTOUR_NODES
     ring = rho * np.exp(1j * theta)
     x = np.asarray(x, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -98,17 +101,18 @@ def _contour_eta_derivative(sym, alpha, x, eta, nodes=32):
         zeta = eta[..., None, :] + ring[:, None]
         vals = sym.analytic_ext(x[..., None, :], zeta)
         k = alpha[0]
-        coeff = math.factorial(k) / (rho**k * nodes)
+        coeff = math.factorial(k) / (rho**k * CONTOUR_NODES)
         return coeff * (vals * np.exp(-1j * k * theta)).sum(axis=-1)
     if d == 2:
         k1, k2 = alpha
-        shift = np.zeros((nodes, nodes, 2), dtype=complex)
+        shift = np.zeros((CONTOUR_NODES, CONTOUR_NODES, 2), dtype=complex)
         shift[..., 0] = ring[:, None]
         shift[..., 1] = ring[None, :]
         zeta = eta[..., None, None, :] + shift
         vals = sym.analytic_ext(x[..., None, None, :], zeta)
         phase = np.exp(-1j * k1 * theta)[:, None] * np.exp(-1j * k2 * theta)[None, :]
-        coeff = (math.factorial(k1) * math.factorial(k2)) / (rho ** (k1 + k2) * nodes**2)
+        coeff = ((math.factorial(k1) * math.factorial(k2))
+                 / (rho ** (k1 + k2) * CONTOUR_NODES**2))
         return coeff * (vals * phase).sum(axis=(-2, -1))
     raise UnsupportedOrderError("contour derivatives implemented for d <= 2")
 
@@ -139,17 +143,17 @@ def eta_derivative(sym, alpha, x, eta, h_fd=None, force_fd=False):
     return _fd_eta_derivative(sym, alpha, x, eta, h_fd=h_fd)
 
 
-def _x_derivative(sym, alpha, x, eta, h=1e-5):
+def _x_derivative(sym, alpha, x, eta):
     """Central finite differences in position, nested per axis."""
 
     def rec(alpha_left, pts):
         for axis in range(sym.dimension):
             if alpha_left[axis] > 0:
                 e = np.zeros(sym.dimension)
-                e[axis] = h
+                e[axis] = X_FD_STEP
                 lowered = tuple(a - (1 if i == axis else 0)
                                 for i, a in enumerate(alpha_left))
-                return (rec(lowered, pts + e) - rec(lowered, pts - e)) / (2 * h)
+                return (rec(lowered, pts + e) - rec(lowered, pts - e)) / (2 * X_FD_STEP)
         return np.asarray(sym.eval(pts, eta), dtype=complex)
 
     return rec(tuple(alpha), np.asarray(x, dtype=float))
@@ -239,7 +243,7 @@ def _annulus_constants(sym, box_radius, density, radii):
     return out
 
 
-def ellipticity_check(sym, box_radius, grid_density=64, floor=1e-8):
+def ellipticity_check(sym, box_radius, grid_density=64):
     """Scan for |a(x,eta)| >= C <eta>^m on dyadic annuli |eta| in [R, box_radius].
 
     R_hat is the smallest dyadic radius >= 1 whose annulus constant reaches
@@ -265,8 +269,8 @@ def ellipticity_check(sym, box_radius, grid_density=64, floor=1e-8):
         if c >= 0.5 * c_outer:
             r_hat, c_hat, c_hat_coarse = r, c, cc
             break
-    stable = c_hat >= 0.6 * max(c_hat_coarse, floor)
-    return EllipticityResult(bool(c_hat > floor and stable), c_hat, r_hat)
+    stable = c_hat >= 0.6 * max(c_hat_coarse, ELLIPTIC_FLOOR)
+    return EllipticityResult(bool(c_hat > ELLIPTIC_FLOOR and stable), c_hat, r_hat)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from magpsido.gauge import (constant_field_2d, cos_field_2d, field_from_id,
                             phase_table, potential_residual, transversal_gauge,
                             zero_field)
 from magpsido.quadrature import gauss_legendre_01
+from magpsido.quantize import Grid
 
 
 def line_quadrature_table(g, nodes, order=16):
@@ -68,8 +71,7 @@ class TestTransversalGauge:
     def test_quadrature_matches_closed_form_for_constant_field(self):
         B = constant_field_2d(0.7)
         B_general = constant_field_2d(0.7)
-        B_general.smoothness = "general"  # force the quadrature path
-        B_general.constant_matrix = None
+        B_general.constant_matrix = None  # force the quadrature path
         ga = transversal_gauge(B)
         gb = transversal_gauge(B_general)
         X = np.random.default_rng(1).uniform(-4, 4, size=(30, 2))
@@ -169,6 +171,45 @@ class TestTriangleFluxTable:
         vals = chi(NODES)
         want = phase_table(g, NODES) * np.exp(-1j * (vals[None, :] - vals[:, None]))
         assert np.abs(shifted - want).max() <= 1e-12
+
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("chunk", [65536, 97])
+    def test_keyed_table_matches_node_pairs(self, g_cos, n, chunk):
+        # the same field without `axis` runs the rule on every node pair
+        unkeyed = transversal_gauge(dataclasses.replace(g_cos.field, axis=None))
+        chi, grad = sin_chi(0.8, 1.3, -0.2)
+        nodes = Grid(2, 6.0, n).nodes
+        for g, ref in ((g_cos, unkeyed),
+                       (gauge_transform(g_cos, chi, grad), gauge_transform(unkeyed, chi, grad))):
+            assert np.abs(phase_table(g, nodes, chunk=chunk)
+                          - phase_table(ref, nodes, chunk=chunk)).max() <= 1e-14
+
+    def test_keyed_table_runs_rule_per_coordinate_pair(self):
+        # n^2 nodes, n distinct x_1 values: at most n^2 key pairs of 16 x 16 points
+        n = 8
+        B = cos_field_2d(1.0)
+        fun = B.components[(0, 1)]
+        points = []
+
+        def counted(x):
+            points.append(np.asarray(x)[..., 0].size)
+            return fun(x)
+
+        B.components[(0, 1)] = counted
+        phase_table(transversal_gauge(B), Grid(2, 6.0, n).nodes)
+        assert sum(points) <= 256 * n**2
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), count=st.integers(2, 24))
+    def test_repeated_coordinates_match_line_quadrature(self, g_cos, data, count):
+        firsts = data.draw(st.lists(st.floats(-5, 5), min_size=1, max_size=4))
+        x1 = data.draw(st.lists(st.sampled_from(firsts), min_size=count, max_size=count))
+        x2 = data.draw(st.lists(st.floats(-5, 5), min_size=count, max_size=count))
+        nodes = np.stack([np.array(x1), np.array(x2)], axis=-1)
+        omega = phase_table(g_cos, nodes, chunk=7)
+        assert np.abs(omega - line_quadrature_table(g_cos, nodes)).max() <= 1e-12
+        assert np.array_equal(omega, omega.conj().T)
 
 
 class TestGaugeTransform:
