@@ -8,7 +8,8 @@ kinetic semigroup with its kernel and potential-smearing estimates.
 """
 from .decay import (DecayFit, ShiftField, WeightFamily, amplitude_c_eps,
                     amplitude_d_eps, b_shift, conjugate_operator, decay_fit,
-                    epsilon0_estimate, remainder_operator, uniform_bound_sweep,
+                    epsilon0_estimate, remainder_operator,
+                    similarity_spectrum_defect, uniform_bound_sweep,
                     weight_taylor_identity_check)
 from .gauge import (GaugeData, MagneticField, constant_field_2d, cos_field_2d,
                     field_from_id, gauge_transform, line_integral_A,
@@ -23,7 +24,7 @@ from .quantize import (Grid, GridFunction, OperatorMatrix, fourier_mode,
 from .relativistic import (PotentialSpec, bessel_k, build_form_sum,
                            diamagnetic_check, kato_estimate, kato_scan,
                            kernel_pt, pointwise_bound_check, semigroup_checks)
-from .spectral import (EigenDecomposition, SpectralWindow,
+from .spectral import (ContourProjector, EigenDecomposition, SpectralWindow,
                        discrete_spectrum_select, eig_hermitian, matrix_exp_neg,
                        relative_bound, resolvent_apply, riesz_projector)
 from .symbols import (HormanderSymbol, SampleBox, cauchy_derivative_bound_check,

@@ -101,6 +101,18 @@ def conjugate_operator(op, w, eps):
                           symmetrized=False)
 
 
+def similarity_spectrum_defect(conj, eigenvalues):
+    """Relative distance between the spectrum of a conjugated operator and
+    the ascending `eigenvalues` of the operator it conjugates.
+
+    A diagonal similarity is isospectral, so only the roundoff of the dense
+    non-Hermitian `eigvals` shows: max |lambda_c - lambda| / max(|lambda|, 1).
+    """
+    lam_c = np.sort(np.linalg.eigvals(conj.entries).real)
+    scale = max(float(np.abs(eigenvalues).max()), 1.0)
+    return float(np.abs(lam_c - eigenvalues).max() / scale)
+
+
 def remainder_operator(op, w, eps):
     """R_eps = (F H F^{-1} - H) / eps."""
     conj = conjugate_operator(op, w, eps)

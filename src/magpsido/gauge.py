@@ -9,13 +9,13 @@ turns that segment integral into the flux of B through the triangle
     I(x,y) = sum_{j<k} (x_j y_k - x_k y_j)
              int_0^1 int_0^1 s B_jk(s (x + t (y - x))) ds dt,
 
-evaluated with the tensor Gauss-Legendre rule of order
-`phase_quadrature_order`, or in closed form (midpoint rule) when the
-potential is linear. The double integral (the flux mean) is symmetric in
-x and y, and for a field whose components depend on one coordinate only
-(`MagneticField.axis`) it is a function of (x_axis, y_axis): the phase table
-then runs the rule once per pair of distinct coordinate values and
-multiplies by the cross factor x_j y_k - x_k y_j per node pair.
+evaluated with the tensor Gauss-Legendre rule of order PHASE_QUAD_ORDER,
+or in closed form (midpoint rule) when the potential is linear. The double
+integral (the flux mean) is symmetric in x and y, and for a field whose
+components depend on one coordinate only (`MagneticField.axis`) it is a
+function of (x_axis, y_axis): the phase table then runs the rule once per
+pair of distinct coordinate values and multiplies by the cross factor
+x_j y_k - x_k y_j per node pair.
 
 A gauge shifted by grad(chi) keeps this evaluator and records chi; its
 segment integral is I(x,y) + chi(y) - chi(x) exactly, so no quadrature over
@@ -110,7 +110,6 @@ class GaugeData:
 
     field: MagneticField
     potential: Callable  # X (...,d) -> (...,d)
-    phase_quadrature_order: int = PHASE_QUAD_ORDER
     linear: Optional[Tuple[np.ndarray, np.ndarray]] = None  # A(x) = W x + c before the chi shift
     chi: Optional[Callable] = None  # X (...,d) -> (...); accumulated gauge shift
 
@@ -192,7 +191,7 @@ def line_integral_A(g, x, y):
         mid = 0.5 * (x + y)
         acc = ((y - x) * (mid @ W.T + c)).sum(axis=-1)
     else:
-        acc = _cross_sum(_flux_means(g.field, x, y, g.phase_quadrature_order), x, y)
+        acc = _cross_sum(_flux_means(g.field, x, y, PHASE_QUAD_ORDER), x, y)
     if g.chi is not None:
         acc = acc + (g.chi(y) - g.chi(x))
     return acc
@@ -236,8 +235,7 @@ def gauge_transform(g, chi, grad_chi=None):
         def total_chi(X):
             return base_chi(X) + chi(X)
 
-    return GaugeData(g.field, A, g.phase_quadrature_order, linear=g.linear,
-                     chi=total_chi)
+    return GaugeData(g.field, A, linear=g.linear, chi=total_chi)
 
 
 def phase_table(g, nodes, chunk=65536):
@@ -271,7 +269,7 @@ def phase_table(g, nodes, chunk=65536):
         while start < m:
             stop = min(m, start + max(1, chunk // (m - start)))
             block = _flux_means(g.field, keys[start:stop, None, :], keys[None, start:, :],
-                                g.phase_quadrature_order)
+                                PHASE_QUAD_ORDER)
             for jk, mean in block.items():
                 means[jk][start:stop, start:] = mean
             start = stop

@@ -26,7 +26,7 @@ from .potentials import potential_from_id
 from .quantize import (Grid, GridFunction, fourier_mode, mag_derivative, op_amplitude,
                        op_ps, op_weyl, op_weyl_unsym, sobolev_norm)
 from .spectral import (SpectralWindow, discrete_spectrum_select, eig_hermitian,
-                       matrix_exp_neg, projector_rank, riesz_projector)
+                       matrix_exp_neg, riesz_projector)
 from .symbols import SampleBox, bracket, cauchy_derivative_bound_check, symbol_from_id
 
 SUITE_NAMES = ("quantize-core", "lemmas-weights", "thm1-rapid-decay",
@@ -497,11 +497,15 @@ def suite_thm1_rapid_decay(sc):
                         res / scale < 1e-8, 1e-8 - res / scale,
                         f"residual {res:.3e}"))
 
-    lam_c = np.sort(np.linalg.eigvals(Heps.entries).real)
-    diff = float(np.abs(lam_c - dec.eigenvalues).max() / scale)
-    checks.append(Check("similarity-spectrum", "decay/conjugation-isospectral",
-                        diff < 1e-9, 1e-9 - diff, f"relative diff {diff:.3e}"))
+    checks.append(_similarity_check(Heps, dec))
     return checks
+
+
+def _similarity_check(Heps, dec):
+    """Conjugation by a positive diagonal keeps the spectrum."""
+    diff = dk.similarity_spectrum_defect(Heps, dec.eigenvalues)
+    return Check("similarity-spectrum", "decay/conjugation-isospectral",
+                 diff < 1e-9, 1e-9 - diff, f"relative diff {diff:.3e}")
 
 
 def suite_thm2_exp_decay(sc):
@@ -537,9 +541,8 @@ def suite_thm2_exp_decay(sc):
                         f"analytic {est['analytic_eps0']}, empirical {est['empirical_eps0']}"))
 
     radius = 0.5 * min(gap, abs(cfg.essential_threshold - lam0))
-    P = riesz_projector(H.entries, lam0, radius)
-    idem = float(np.linalg.norm(P @ P - P))
-    rank = projector_rank(P)
+    proj = riesz_projector(H.entries, lam0, radius)
+    idem, rank = proj.idempotency_defect, proj.rank
     mult = int(np.sum(np.abs(dec.eigenvalues - lam0) < 1e-10))
     checks.append(Check("riesz-projector", "spectral/contour-projector",
                         idem < 1e-8 and rank == mult, 1e-8 - idem,
@@ -555,12 +558,7 @@ def suite_thm2_exp_decay(sc):
                         argmax_r < 0.5 * grid.L, 0.5 * grid.L - argmax_r,
                         f"weighted profile peaks at |x| = {argmax_r:.2f}"))
 
-    lam_c = np.sort(np.linalg.eigvals(
-        dk.conjugate_operator(H, w, cfg.eps_list[-1]).entries).real)
-    scale = max(float(np.abs(dec.eigenvalues).max()), 1.0)
-    diff = float(np.abs(lam_c - dec.eigenvalues).max() / scale)
-    checks.append(Check("similarity-spectrum", "decay/conjugation-isospectral",
-                        diff < 1e-9, 1e-9 - diff, f"relative diff {diff:.3e}"))
+    checks.append(_similarity_check(dk.conjugate_operator(H, w, cfg.eps_list[-1]), dec))
     return checks
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import BudgetError, FormatError
 from .quantize import Grid, OperatorMatrix
+from .spectral import HERMITIAN_TOL, hermiticity_defect
 
 MAGIC = b"MPDO1\x00"
 _HEADER = struct.Struct("<IId I")  # d, n, L, flags
@@ -41,7 +42,11 @@ def save_operator(op, path):
 
 
 def load_operator(path):
-    """Read an MPDO1 file back into an OperatorMatrix; bit-exact round trip."""
+    """Read an MPDO1 file back into an OperatorMatrix; bit-exact round trip.
+
+    Non-finite entries, and a file flagged hermitized whose payload is not
+    Hermitian, raise FormatError.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -58,15 +63,27 @@ def load_operator(path):
             raise BudgetError(
                 f"operator needs {nbytes / 1e9:.2f} GB, over the "
                 f"{LOAD_BUDGET_BYTES / 1e9:.2f} GB load budget")
+        # sized from the file before reading, so a forged header allocates nothing
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload < nbytes:
+            raise FormatError(f"truncated payload in {path}")
+        if payload > nbytes:
+            raise FormatError(f"trailing bytes in {path}")
         raw = np.fromfile(fh, dtype="<f8", count=2 * size * size)
         if raw.size != 2 * size * size:
             raise FormatError(f"truncated payload in {path}")
-        if fh.read(1):
-            raise FormatError(f"trailing bytes in {path}")
+    if not np.isfinite(raw).all():
+        raise FormatError(f"non-finite entries in {path}")
     entries = raw.astype(np.float64).view(np.complex128).reshape(size, size)
+    symmetrized = bool(flags & 1)
+    if symmetrized:
+        defect = hermiticity_defect(entries)
+        if defect > HERMITIAN_TOL:
+            raise FormatError(
+                f"{path} is flagged hermitized but its Hermiticity defect is {defect:.3e}")
     grid = Grid(d, L, n)
     return OperatorMatrix(entries, grid, symbol_id=os.path.basename(path),
-                          symmetrized=bool(flags & 1))
+                          symmetrized=symmetrized)
 
 
 def file_hash(path):

@@ -11,7 +11,8 @@ from .quantize import GridFunction, OperatorMatrix
 
 MIN_SHIFT_DISTANCE = 1e-10  # resolvent shifts closer than this to the spectrum are refused
 CONTOUR_NODES = 32          # trapezoidal nodes of the Riesz projector contour
-RANK_THRESHOLD = 0.5        # projector singular values above this count toward its rank
+HERMITIAN_TOL = 1e-12       # relative Hermiticity defect below which a matrix counts as Hermitian
+RANK_THRESHOLD = 0.5        # projector eigenvalues above this in modulus count toward its rank
 
 
 @dataclass
@@ -24,13 +25,27 @@ class EigenDecomposition:
         return iter((self.eigenvalues, self.eigenvectors))
 
 
+def hermiticity_defect(mat):
+    """Relative Frobenius defect |A - A^*| / |A| of a square matrix.
+
+    A is scaled to largest modulus 1 first, so no norm overflows; a matrix
+    with a non-finite entry has defect inf.
+    """
+    top = float(np.abs(mat).max())
+    if top == 0.0:
+        return 0.0
+    if not math.isfinite(top):
+        return math.inf
+    A = mat / top
+    return float(np.linalg.norm(A - A.conj().T) / np.linalg.norm(A))
+
+
 def eig_hermitian(op):
     """Full LAPACK decomposition of a symmetrized operator."""
     if isinstance(op, OperatorMatrix):
         if not op.symmetrized:
-            defect = float(np.linalg.norm(op.entries - op.entries.conj().T)
-                           / max(np.linalg.norm(op.entries), 1e-300))
-            if defect > 1e-12:
+            defect = hermiticity_defect(op.entries)
+            if defect > HERMITIAN_TOL:
                 raise NotApplicableError(
                     f"matrix not symmetrized (defect {defect:.3e}); hermitize first")
         H = op.entries
@@ -129,38 +144,66 @@ def relative_bound(R, H, z=1j):
     return float(np.linalg.norm((Rm @ V) / (lam - z)[None, :], 2))
 
 
+@dataclass(frozen=True)
+class ContourProjector:
+    """Riesz projector P = Q S Q^* held in the tridiagonal basis.
+
+    `S` is the real symmetric quadrature sum on T = Q^* H Q. Q is unitary,
+    so |P^2 - P|_F = |S^2 - S|_F and P has the eigenvalues of S: both checks
+    are computed on S. `reflectors` and `tau` are the `hetrd` output that
+    encodes Q.
+    """
+
+    S: np.ndarray
+    reflectors: np.ndarray
+    tau: np.ndarray
+    idempotency_defect: float
+    rank: int
+
+    def matrix(self):
+        """P = Q S Q^*, with Q built from the stored reflectors."""
+        if self.S.shape[0] == 1:  # Q = 1; the unghr wrapper rejects an empty tau
+            return self.S.astype(complex)
+        # lower hetrd stores its reflectors in the gehrd layout that unghr reads
+        unghr = sla.get_lapack_funcs("unghr", (self.reflectors,))
+        Q = unghr(self.reflectors, self.tau)[0]
+        return (Q @ self.S) @ Q.conj().T
+
+
 def riesz_projector(H, center, radius):
     """Trapezoidal contour quadrature of (2 pi i)^{-1} oint (mu - H)^{-1} dmu.
 
-    Hermitian H is reduced once to its Hessenberg form T = Q^* H Q, which is
-    tridiagonal; each node then costs one banded solve (mu - T)^{-1}, and the
-    quadrature sum S gives P = Q S Q^*. The displayed orientation
-    (mu - H)^{-1} is fixed by requiring P^2 = P.
+    Hermitian H is reduced once by LAPACK `hetrd` to T = Q^* H Q, real
+    symmetric tridiagonal. The nodes come in conjugate pairs mu, conj(mu),
+    and (conj(mu) - T)^{-1} = conj((mu - T)^{-1}) for real T, so half the
+    nodes give the real sum S = (2 / nodes) sum Re(step (mu - T)^{-1}), one
+    banded solve each. The displayed orientation (mu - H)^{-1} is fixed by
+    requiring P^2 = P.
     """
     mat = H.entries if isinstance(H, OperatorMatrix) else np.asarray(H)
     if not _hermitian(mat):
         raise NotApplicableError("contour projector needs a Hermitian matrix")
+    mat = np.asarray(mat, dtype=complex)
     n = mat.shape[0]
-    T, Q = sla.hessenberg(mat, calc_q=True)
-    diag, sub = T.diagonal(), T.diagonal(-1)
-    lam = sla.eigvalsh_tridiagonal(diag.real, np.abs(sub))
+    hetrd, hetrd_lwork = sla.get_lapack_funcs(("hetrd", "hetrd_lwork"), (mat,))
+    lwork = int(hetrd_lwork(n, lower=1)[0].real)
+    reflectors, diag, off, tau, _ = hetrd(mat, lower=1, lwork=lwork)
+    lam = sla.eigvalsh_tridiagonal(diag, off)
     dist = np.abs(np.abs(lam - center) - radius)
     if dist.min() < 0.1 * radius:
         raise ContourError(
             f"eigenvalue {lam[np.argmin(dist)]:.6g} within 10% of the contour")
-    theta = 2.0 * np.pi * (np.arange(CONTOUR_NODES) + 0.5) / CONTOUR_NODES
+    theta = 2.0 * np.pi * (np.arange(CONTOUR_NODES // 2) + 0.5) / CONTOUR_NODES
     bands = np.zeros((3, n), dtype=complex)   # mu - T in solve_banded layout
-    bands[0, 1:] = -T.diagonal(1)
-    bands[2, :-1] = -sub
-    S = np.zeros((n, n), dtype=complex)
+    bands[0, 1:] = -off
+    bands[2, :-1] = -off
+    S = np.zeros((n, n))
     eye = np.eye(n, dtype=complex)
     for th in theta:
         step = radius * np.exp(1j * th)
         bands[1] = center + step - diag
-        S += step * sla.solve_banded((1, 1), bands, eye, check_finite=False)
-    return (Q @ S @ Q.conj().T) / CONTOUR_NODES
-
-
-def projector_rank(P):
-    """Rank by counting singular values above RANK_THRESHOLD."""
-    return int((np.linalg.svd(P, compute_uv=False) > RANK_THRESHOLD).sum())
+        S += (step * sla.solve_banded((1, 1), bands, eye, check_finite=False)).real
+    S *= 2.0 / CONTOUR_NODES
+    idem = float(np.linalg.norm(S @ S - S))
+    rank = int((np.abs(np.linalg.eigvalsh(S)) > RANK_THRESHOLD).sum())
+    return ContourProjector(S, reflectors, tau, idem, rank)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magpsido.decay import (WeightFamily, amplitude_c_eps, amplitude_d_eps,
                             analytic_eps_cap, b_shift, conjugate_operator,
                             decay_fit, default_window, epsilon0_estimate,
-                            remainder_operator, uniform_bound_sweep,
-                            weight_taylor_identity_check)
+                            remainder_operator, similarity_spectrum_defect,
+                            uniform_bound_sweep, weight_taylor_identity_check)
 from magpsido.errors import (ConfigError, InsufficientWindowError,
                              NotApplicableError, OverflowGuardError,
                              StripViolationError)
@@ -16,6 +18,9 @@ from magpsido.spectral import eig_hermitian
 from magpsido.symbols import bracket, relativistic_symbol, symbol_from_id
 
 
+WELL_1D = symbol_from_id("relativistic+gauss_well:depth=2,width=1", 1)
+
+
 @pytest.fixture(scope="module")
 def g1():
     return transversal_gauge(zero_field(1))
@@ -24,8 +29,13 @@ def g1():
 @pytest.fixture(scope="module")
 def well_op(g1):
     grid = Grid(1, 20.0, 128)
-    sym = symbol_from_id("relativistic+gauss_well:depth=2,width=1", 1)
-    return op_weyl(sym, g1, grid), sym, grid
+    return op_weyl(WELL_1D, g1, grid), WELL_1D, grid
+
+
+@pytest.fixture(scope="module")
+def small_well(g1):
+    H = op_weyl(WELL_1D, g1, Grid(1, 10.0, 64))
+    return H, eig_hermitian(H)
 
 
 class TestWeightFamilies:
@@ -114,6 +124,22 @@ class TestConjugation:
             He = conjugate_operator(H, WeightFamily(kind, p=p), 0.1)
             lam2 = np.sort(np.linalg.eigvals(He.entries).real)
             assert np.abs(lam - lam2).max() < 1e-9 * np.abs(lam).max()
+
+    def test_spectrum_defect_sees_a_shift(self, well_op):
+        H, _, _ = well_op
+        lam = np.linalg.eigvalsh(H.entries)
+        shifted = OperatorMatrix(H.entries + 1e-6 * np.eye(H.grid.size), H.grid)
+        scale = max(np.abs(lam).max(), 1.0)
+        assert similarity_spectrum_defect(shifted, lam) == pytest.approx(1e-6 / scale,
+                                                                         rel=1e-3)
+
+    @given(st.floats(min_value=0.0, max_value=analytic_eps_cap(WELL_1D), exclude_min=True),
+           st.sampled_from([("exponential", 1), ("polynomial", 2)]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_eps_keeps_spectrum(self, small_well, eps, weight):
+        H, dec = small_well
+        He = conjugate_operator(H, WeightFamily(weight[0], p=weight[1]), eps)
+        assert similarity_spectrum_defect(He, dec.eigenvalues) < 1e-9
 
     def test_eps_range(self, well_op):
         H, _, _ = well_op

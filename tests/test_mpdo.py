@@ -1,7 +1,12 @@
+import os
 import struct
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from magpsido.errors import BudgetError, FormatError
 from magpsido.gauge import transversal_gauge, zero_field
@@ -89,3 +94,89 @@ def test_file_hash_stable(tmp_path, sample_op):
     path = tmp_path / "h.mpdo"
     save_operator(sample_op, str(path))
     assert file_hash(str(path)) == file_hash(str(path))
+
+
+def test_non_finite_payload_rejected(tmp_path):
+    entries = np.eye(8, dtype=complex)
+    entries[2, 5] = np.nan
+    path = tmp_path / "nan.mpdo"
+    save_operator(OperatorMatrix(entries, Grid(1, 1.0, 8)), str(path))
+    with pytest.raises(FormatError):
+        load_operator(str(path))
+
+
+def test_flagged_non_hermitian_payload_rejected(tmp_path):
+    rng = np.random.default_rng(3)
+    entries = np.triu(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    path = tmp_path / "flagged.mpdo"
+    save_operator(OperatorMatrix(entries, Grid(1, 1.0, 8), symmetrized=True), str(path))
+    with pytest.raises(FormatError):
+        load_operator(str(path))
+    # the same payload without the flag is a valid non-Hermitian operator
+    save_operator(OperatorMatrix(entries, Grid(1, 1.0, 8)), str(path))
+    assert np.array_equal(load_operator(str(path)).entries, entries)
+
+
+def test_forged_size_refused_before_allocation(tmp_path):
+    # the header asks for 1 GB (inside the budget), the file holds 16 bytes
+    path = tmp_path / "forged.mpdo"
+    path.write_bytes(MAGIC + struct.pack("<IIdI", 1, 8192, 10.0, 1) + bytes(16))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError):
+            load_operator(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _saved_bytes():
+    grid = Grid(1, 5.0, 16)
+    op = op_weyl(symbol_from_id("relativistic", 1), transversal_gauge(zero_field(1)), grid)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "op.mpdo")
+        save_operator(op, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+SAVED = _saved_bytes()
+PAYLOAD = len(MAGIC) + struct.calcsize("<IIdI")  # offset of the first entry
+
+
+def _mutate(data, edits):
+    out = bytearray(data)
+    for pos, value in edits:
+        out[pos] = value
+    return bytes(out)
+
+
+damage = st.one_of(
+    st.builds(lambda cut: SAVED[:cut], st.integers(0, len(SAVED) - 1)),
+    st.builds(lambda edits: _mutate(SAVED, edits),
+              st.lists(st.tuples(st.integers(0, len(SAVED) - 1), st.integers(0, 255)),
+                       min_size=1, max_size=8)),
+)
+
+
+@given(damage)
+@example(SAVED[:len(MAGIC) + 10])
+@example(_mutate(SAVED, [(len(SAVED) - 1, 0x7F), (len(SAVED) - 2, 0xF8)]))  # a NaN
+@example(_mutate(SAVED, [(len(MAGIC) + 4, 0x00), (len(MAGIC) + 5, 0x20)]))  # n = 8192
+@example(_mutate(SAVED, [(PAYLOAD + 23, 0x7F), (PAYLOAD + 22, 0xE0)]))  # entry (0, 1) near 1e308
+@settings(max_examples=200, deadline=None)
+def test_damaged_file_loads_cleanly_or_raises_format_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "damaged.mpdo")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            op = load_operator(path)
+        except (FormatError, BudgetError):
+            return
+    E = op.entries
+    assert np.isfinite(E).all()
+    if op.symmetrized:
+        E = E / max(np.abs(E).max(), 1e-300)  # no overflow in the norms below
+        assert np.linalg.norm(E - E.conj().T) <= 1e-12 * np.linalg.norm(E)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from magpsido.errors import ContourError, NotApplicableError, SingularShiftError
-from magpsido.gauge import transversal_gauge, zero_field
+from magpsido.gauge import constant_field_2d, transversal_gauge, zero_field
 from magpsido.quantize import Grid, GridFunction, OperatorMatrix, op_weyl
 from magpsido.spectral import (SpectralWindow, discrete_spectrum_select,
-                               eig_hermitian, matrix_exp_neg, projector_rank,
-                               relative_bound, resolvent_apply, riesz_projector)
+                               eig_hermitian, matrix_exp_neg, relative_bound,
+                               resolvent_apply, riesz_projector)
 from magpsido.symbols import kinetic_symbol, symbol_from_id
 
 
@@ -52,6 +52,14 @@ class TestEig:
         op = OperatorMatrix(A, Grid(1, 1.0, 6), symmetrized=False)
         with pytest.raises(NotApplicableError):
             eig_hermitian(op)
+
+    @pytest.mark.parametrize("big", [1e308, np.inf, np.nan])
+    def test_refuses_unsymmetrized_when_the_norm_overflows(self, big):
+        # |A|_F overflows (or is not finite): the defect must not read as NaN
+        A = np.eye(8, dtype=complex)
+        A[0, 1] = big
+        with pytest.raises(NotApplicableError):
+            eig_hermitian(OperatorMatrix(A, Grid(1, 1.0, 8), symmetrized=False))
 
     def test_unitary_eigenvectors(self):
         dec = eig_hermitian(as_op(random_hermitian(32, 1)))
@@ -175,11 +183,11 @@ class TestRelativeBound:
 
 class TestRieszProjector:
     def test_isolated_diagonal_eigenvalue(self):
-        P = riesz_projector(np.diag([0.0, 5.0]), 0.0, 1.0)
+        P = riesz_projector(np.diag([0.0, 5.0]), 0.0, 1.0).matrix()
         assert np.abs(P - np.diag([1.0, 0.0])).max() < 1e-10
 
     def test_empty_enclosure(self):
-        P = riesz_projector(np.diag([5.0, 6.0]), 0.0, 1.0)
+        P = riesz_projector(np.diag([5.0, 6.0]), 0.0, 1.0).matrix()
         assert np.abs(P).max() < 1e-10
 
     def test_multiplicity_two_range(self):
@@ -188,9 +196,10 @@ class TestRieszProjector:
                          + 1j * rng.standard_normal((16, 16)))[0]
         lam = np.concatenate([[0.3, 0.3], np.linspace(2.0, 9.0, 14)])
         H = (Q * lam[None, :]) @ Q.conj().T
-        P = riesz_projector(H, 0.3, 0.5)
+        proj = riesz_projector(H, 0.3, 0.5)
+        P = proj.matrix()
         assert np.linalg.norm(P @ P - P) < 1e-8
-        assert projector_rank(P) == 2
+        assert proj.rank == 2
         # range spans the two eigenvectors
         V = Q[:, :2]
         assert np.linalg.norm(P @ V - V) < 1e-7
@@ -204,8 +213,9 @@ class TestRieszProjector:
         P1 = riesz_projector(H, 0.0, 0.4)
         P2 = riesz_projector(H, 1.0, 0.4)
         P12 = riesz_projector(H, 0.5, 1.2)
-        assert np.linalg.norm(P1 - P1.conj().T) < 1e-10
-        assert projector_rank(P1) + projector_rank(P2) == projector_rank(P12)
+        P1m = P1.matrix()
+        assert np.linalg.norm(P1m - P1m.conj().T) < 1e-10
+        assert P1.rank + P2.rank == P12.rank
 
     def test_diagonal_similarity_preserves_spectrum(self):
         # conjugation by a positive diagonal: identical eigenvalues
@@ -229,6 +239,14 @@ def dense_riesz_projector(mat, center, radius, num_nodes=32):
     return P / num_nodes
 
 
+def assert_matches_oracle(proj, mat, center, radius):
+    """P, |P^2 - P|_F and the SVD rank against the dense quadrature."""
+    want = dense_riesz_projector(mat, center, radius)
+    assert np.linalg.norm(proj.matrix() - want) < 1e-12
+    assert abs(proj.idempotency_defect - np.linalg.norm(want @ want - want)) < 1e-12
+    assert proj.rank == int((np.linalg.svd(want, compute_uv=False) > 0.5).sum())
+
+
 class TestRieszProjectorTridiagonal:
     @pytest.mark.parametrize("n, seed", [(8, 20), (33, 21), (96, 22)])
     def test_matches_dense_oracle(self, n, seed):
@@ -236,10 +254,9 @@ class TestRieszProjectorTridiagonal:
         lam = np.linalg.eigvalsh(H)
         k = n // 3
         radius = 0.4 * min(lam[k] - lam[k - 1], lam[k + 1] - lam[k])
-        P = riesz_projector(H, lam[k], radius)
-        want = dense_riesz_projector(H, lam[k], radius)
-        assert np.linalg.norm(P - want) < 1e-12
-        assert projector_rank(P) == 1
+        proj = riesz_projector(H, lam[k], radius)
+        assert_matches_oracle(proj, H, lam[k], radius)
+        assert proj.rank == 1
 
     def test_matches_dense_oracle_multiplicity_two(self):
         rng = np.random.default_rng(23)
@@ -248,12 +265,27 @@ class TestRieszProjectorTridiagonal:
         lam = np.concatenate([[-1.0, 0.7, 0.7], np.linspace(2.0, 9.0, 21)])
         H = (Q * lam[None, :]) @ Q.conj().T
         H = (H + H.conj().T) / 2
-        P = riesz_projector(as_op(H), 0.7, 0.6)
-        assert np.linalg.norm(P - dense_riesz_projector(H, 0.7, 0.6)) < 1e-12
-        assert projector_rank(P) == 2
+        proj = riesz_projector(as_op(H), 0.7, 0.6)
+        assert_matches_oracle(proj, H, 0.7, 0.6)
+        assert proj.rank == 2
+
+    def test_matches_dense_oracle_magnetic_operator(self):
+        # constant field b = 1 on a 2-D grid: complex entries off the diagonal
+        grid = Grid(2, 3.0, 8)
+        H = op_weyl(symbol_from_id("relativistic", 2),
+                    transversal_gauge(constant_field_2d(1.0)), grid)
+        assert np.abs(H.entries.imag).max() > 0.1
+        lam = np.linalg.eigvalsh(H.entries)
+        radius = 0.4 * (lam[1] - lam[0])
+        proj = riesz_projector(H, lam[0], radius)
+        assert_matches_oracle(proj, H.entries, lam[0], radius)
+        assert proj.rank == 1
 
     def test_one_by_one(self):
-        assert np.abs(riesz_projector(np.array([[0.3]]), 0.0, 1.0) - 1.0).max() < 1e-14
+        proj = riesz_projector(np.array([[0.3]]), 0.0, 1.0)
+        assert np.abs(proj.matrix() - 1.0).max() < 1e-14
+        assert_matches_oracle(proj, np.array([[0.3]]), 0.0, 1.0)
+        assert proj.rank == 1
 
     def test_non_hermitian_rejected(self):
         A = np.triu(random_hermitian(16, 25))
