@@ -43,7 +43,9 @@ def cmd_build(args):
         write_atomic(args.report, json.dumps(
             {"config": cfg.to_dict(), "config_hash": cfg.config_hash(),
              "operator_file": out, "operator_sha256": digest,
-             "hermiticity_defect": H.hermiticity_defect}, sort_keys=True, indent=2))
+             "hermiticity_defect": H.hermiticity_defect,
+             "real_arithmetic": bool(H.entries.dtype == np.float64)},
+            sort_keys=True, indent=2))
     return 0
 
 

@@ -717,6 +717,7 @@ def _spectra_summary(sc):
         "discrete_count": len(sc.bound_states),
         "min_gap": float(gaps.min()) if gaps.size else 0.0,
         "hermiticity_defect": sc.H.hermiticity_defect,
+        "real_arithmetic": bool(sc.H.entries.dtype == np.float64),
     }
 
 

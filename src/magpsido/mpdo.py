@@ -2,7 +2,8 @@
 
 Layout (little endian): magic "MPDO1\\0", u32 d, u32 n, f64 L, u32 flags
 (bit 0: hermitized), then n^(2d) complex entries as interleaved f64 pairs in
-row-major order.
+row-major order. A file whose stored imaginary parts are all exactly 0.0
+loads as float64 entries, any other as complex128.
 """
 import hashlib
 import os
@@ -44,8 +45,10 @@ def save_operator(op, path):
 def load_operator(path):
     """Read an MPDO1 file back into an OperatorMatrix; bit-exact round trip.
 
-    Non-finite entries, and a file flagged hermitized whose payload is not
-    Hermitian, raise FormatError.
+    The entries are float64 when every stored imaginary part is 0.0, so a
+    real operator stays real, and complex128 otherwise. Non-finite entries,
+    and a file flagged hermitized whose payload is not Hermitian, raise
+    FormatError.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -74,7 +77,11 @@ def load_operator(path):
             raise FormatError(f"truncated payload in {path}")
     if not np.isfinite(raw).all():
         raise FormatError(f"non-finite entries in {path}")
-    entries = raw.astype(np.float64).view(np.complex128).reshape(size, size)
+    pairs = raw.astype(np.float64).reshape(size, size, 2)
+    if pairs[..., 1].any():
+        entries = pairs.view(np.complex128)[..., 0]
+    else:
+        entries = np.ascontiguousarray(pairs[..., 0])
     symmetrized = bool(flags & 1)
     if symmetrized:
         defect = hermiticity_defect(entries)

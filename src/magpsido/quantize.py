@@ -22,6 +22,7 @@ from .symbols import p_s_symbol
 
 AMPLITUDE_BUDGET = 10**10
 MIDPOINT_CHUNK = 2 * 10**7  # symbol values evaluated per block of midpoint rows
+REAL_TOL = 1e-14            # max|Im H| / max|H| at or below which a symmetrized H is stored real
 
 
 @dataclass(frozen=True)
@@ -165,13 +166,21 @@ def kernel_table(sym, grid):
 
 
 def hermitize(op):
-    """(H + H*)/2 with the pre-symmetrization defect recorded; idempotent."""
+    """(H + H*)/2 with the pre-symmetrization defect recorded; idempotent.
+
+    A result whose imaginary part is roundoff, max|Im| <= REAL_TOL max|H|, is
+    stored as float64: a zero-field operator with a real symbol even in eta is
+    real symmetric, and numpy and LAPACK then take their real paths on it.
+    """
+    if op.symmetrized:
+        return op
     H = op.entries
     scale = np.linalg.norm(H)
     defect = float(np.linalg.norm(H - H.conj().T) / scale) if scale > 0 else 0.0
-    if op.symmetrized:
-        return op
-    return OperatorMatrix(0.5 * (H + H.conj().T), op.grid, op.symbol_id,
+    Hs = 0.5 * (H + H.conj().T)
+    if np.iscomplexobj(Hs) and np.abs(Hs.imag).max() <= REAL_TOL * np.abs(Hs).max():
+        Hs = np.ascontiguousarray(Hs.real)
+    return OperatorMatrix(Hs, op.grid, op.symbol_id,
                           hermiticity_defect=defect, symmetrized=True)
 
 

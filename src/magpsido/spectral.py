@@ -134,6 +134,11 @@ def relative_bound(R, H, z=1j):
     """Spectral norm of R (H - z)^{-1}, computed exactly from H = V diag(lam) V^*:
     R (H - z)^{-1} = R V diag(1/(lam - z)) V^*, and the unitary V^* drops out.
 
+    The diagonal is replaced by diag(1/|lam - z|): the two differ by the
+    unitary right factor diag(|lam - z| / (lam - z)), which leaves singular
+    values unchanged, so the norm is the same and R V stays real for real R
+    and V.
+
     H may also be given as its EigenDecomposition, so that a sweep over many
     R decomposes it once.
     """
@@ -141,7 +146,7 @@ def relative_bound(R, H, z=1j):
     if not Rm.any():
         return 0.0
     lam, V = H if isinstance(H, EigenDecomposition) else eig_hermitian(H)
-    return float(np.linalg.norm((Rm @ V) / (lam - z)[None, :], 2))
+    return float(np.linalg.norm((Rm @ V) / np.abs(lam - z)[None, :], 2))
 
 
 @dataclass(frozen=True)
@@ -150,8 +155,8 @@ class ContourProjector:
 
     `S` is the real symmetric quadrature sum on T = Q^* H Q. Q is unitary,
     so |P^2 - P|_F = |S^2 - S|_F and P has the eigenvalues of S: both checks
-    are computed on S. `reflectors` and `tau` are the `hetrd` output that
-    encodes Q.
+    are computed on S. `reflectors` and `tau` are the `sytrd` (real H) or
+    `hetrd` (complex H) output that encodes Q, in the dtype of H.
     """
 
     S: np.ndarray
@@ -162,32 +167,33 @@ class ContourProjector:
 
     def matrix(self):
         """P = Q S Q^*, with Q built from the stored reflectors."""
-        if self.S.shape[0] == 1:  # Q = 1; the unghr wrapper rejects an empty tau
-            return self.S.astype(complex)
-        # lower hetrd stores its reflectors in the gehrd layout that unghr reads
-        unghr = sla.get_lapack_funcs("unghr", (self.reflectors,))
-        Q = unghr(self.reflectors, self.tau)[0]
+        if self.S.shape[0] == 1:  # Q = 1; the orghr wrapper rejects an empty tau
+            return self.S.astype(self.reflectors.dtype)
+        # lower sytrd/hetrd store their reflectors in the gehrd layout that
+        # orghr reads; scipy resolves "orghr" to unghr for complex reflectors
+        orghr = sla.get_lapack_funcs("orghr", (self.reflectors,))
+        Q = orghr(self.reflectors, self.tau)[0]
         return (Q @ self.S) @ Q.conj().T
 
 
 def riesz_projector(H, center, radius):
     """Trapezoidal contour quadrature of (2 pi i)^{-1} oint (mu - H)^{-1} dmu.
 
-    Hermitian H is reduced once by LAPACK `hetrd` to T = Q^* H Q, real
-    symmetric tridiagonal. The nodes come in conjugate pairs mu, conj(mu),
-    and (conj(mu) - T)^{-1} = conj((mu - T)^{-1}) for real T, so half the
-    nodes give the real sum S = (2 / nodes) sum Re(step (mu - T)^{-1}), one
-    banded solve each. The displayed orientation (mu - H)^{-1} is fixed by
-    requiring P^2 = P.
+    Hermitian H is reduced once by LAPACK `sytrd` (real H) or `hetrd`
+    (complex H) to T = Q^* H Q, real symmetric tridiagonal. The nodes come in
+    conjugate pairs mu, conj(mu), and (conj(mu) - T)^{-1} = conj((mu - T)^{-1})
+    for real T, so half the nodes give the real sum
+    S = (2 / nodes) sum Re(step (mu - T)^{-1}), one banded solve each. The
+    displayed orientation (mu - H)^{-1} is fixed by requiring P^2 = P.
     """
     mat = H.entries if isinstance(H, OperatorMatrix) else np.asarray(H)
     if not _hermitian(mat):
         raise NotApplicableError("contour projector needs a Hermitian matrix")
-    mat = np.asarray(mat, dtype=complex)
     n = mat.shape[0]
-    hetrd, hetrd_lwork = sla.get_lapack_funcs(("hetrd", "hetrd_lwork"), (mat,))
-    lwork = int(hetrd_lwork(n, lower=1)[0].real)
-    reflectors, diag, off, tau, _ = hetrd(mat, lower=1, lwork=lwork)
+    names = ("hetrd", "hetrd_lwork") if np.iscomplexobj(mat) else ("sytrd", "sytrd_lwork")
+    trd, trd_lwork = sla.get_lapack_funcs(names, (mat,))
+    lwork = int(trd_lwork(n, lower=1)[0].real)
+    reflectors, diag, off, tau, _ = trd(mat, lower=1, lwork=lwork)
     lam = sla.eigvalsh_tridiagonal(diag, off)
     dist = np.abs(np.abs(lam - center) - radius)
     if dist.min() < 0.1 * radius:

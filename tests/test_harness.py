@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from magpsido.cli import main as cli_main
 from magpsido.errors import ConfigError
-from magpsido.harness import (CONFIG_SCHEMA, ScenarioConfig, ScenarioReport,
+from magpsido.harness import (CONFIG_SCHEMA, Scenario, ScenarioConfig, ScenarioReport,
                               emit_report, merge_reports, run_scenario,
                               validate_config, verify_suite, write_atomic)
 
@@ -304,6 +304,26 @@ class TestSharedScenario:
                 assert a.margin == pytest.approx(b["margin"], rel=1e-8, abs=1e-8)
 
 
+class TestRealArithmetic:
+    """Zero-field operators with a real even symbol run in float64."""
+
+    def test_thm2_workload_stays_real(self):
+        import magpsido.decay as dk
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "thm2_exp_decay.json")
+        cfg = ScenarioConfig.from_json(path)
+        H = Scenario(cfg).H
+        assert H.entries.dtype == np.float64
+        conj = dk.conjugate_operator(H, cfg.make_weight(), cfg.eps_list[-1])
+        assert conj.entries.dtype == np.float64
+
+    @pytest.mark.parametrize("field, grid, real", [
+        ("zero", {"d": 1, "L": 12.0, "n": 48}, True),
+        ("constant2d:b=0.5", {"d": 2, "L": 4.0, "n": 8}, False)])
+    def test_spectra_summary_names_the_arithmetic(self, field, grid, real):
+        report = run_scenario(cfg_with(field=field, grid=grid, suites=[]))
+        assert report.spectra_summary["real_arithmetic"] is real
+
+
 class TestReports:
     def test_determinism_modulo_timings(self, tmp_path):
         cfg = cfg_with(suites=["lemmas-weights"],
@@ -385,6 +405,13 @@ class TestCli:
         lines = open(out).read().splitlines()
         assert lines[0] == "index,eigenvalue,gap,residual"
         assert "discrete eigenvalues" in capsys.readouterr().out
+
+    def test_build_report_names_the_arithmetic(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, grid={"d": 1, "L": 12.0, "n": 48})
+        rep = tmp_path / "build.json"
+        assert cli_main(["build", "--config", cfg, "--out", str(tmp_path / "op.mpdo"),
+                         "--report", str(rep)]) == 0
+        assert json.loads(rep.read_text())["real_arithmetic"] is True
 
     def test_decay_command(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, grid={"d": 1, "L": 24.0, "n": 192})

@@ -31,6 +31,30 @@ def test_round_trip_bit_exact(tmp_path, sample_op):
     assert np.array_equal(back.entries, sample_op.entries)
 
 
+def test_real_operator_loads_real(tmp_path, sample_op):
+    assert sample_op.entries.dtype == np.float64
+    path = tmp_path / "real.mpdo"
+    save_operator(sample_op, str(path))
+    assert path.stat().st_size == 26 + 16 * sample_op.grid.size**2
+    back = load_operator(str(path))
+    assert back.entries.dtype == np.float64
+    assert back.entries.flags["C_CONTIGUOUS"]
+    assert np.array_equal(back.entries, sample_op.entries)
+
+
+def test_complex_operator_loads_complex(tmp_path):
+    grid = Grid(1, 1.0, 8)
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    A[0, 0] = 1.0  # exactly zero imaginary parts on some entries do not matter
+    path = tmp_path / "cplx.mpdo"
+    save_operator(OperatorMatrix(A, grid), str(path))
+    back = load_operator(str(path))
+    assert back.entries.dtype == np.complex128
+    assert np.array_equal(back.entries, A)
+    assert back.entries.tobytes() == A.tobytes()
+
+
 def test_identity_round_trip(tmp_path):
     grid = Grid(1, 1.0, 8)
     op = OperatorMatrix(np.eye(8, dtype=complex), grid, symmetrized=True)

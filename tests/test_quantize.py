@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from magpsido.errors import BudgetError, ConfigError, NotApplicableError
-from magpsido.gauge import constant_field_2d, gauge_transform, transversal_gauge, zero_field
-from magpsido.quantize import (Grid, GridFunction, fourier_mode, hermitize,
-                               kernel_table, mag_derivative, op_amplitude, op_ps,
+from magpsido.gauge import (constant_field_2d, field_from_id, gauge_transform,
+                            transversal_gauge, zero_field)
+from magpsido.quantize import (REAL_TOL, Grid, GridFunction, OperatorMatrix, fourier_mode,
+                               hermitize, kernel_table, mag_derivative, op_amplitude, op_ps,
                                op_weyl, op_weyl_unsym, reduce_amplitude, sobolev_norm)
 from magpsido.spectral import eig_hermitian
 from magpsido.symbols import HormanderSymbol, bracket, kinetic_symbol, p_s_symbol, symbol_from_id
@@ -347,3 +348,57 @@ class TestHermitize:
         op1 = hermitize(OperatorMatrix(A, Grid(1, 1.0, 8)))
         op2 = hermitize(op1)
         assert op2 is op1
+
+
+class TestRealStorage:
+    """Symmetrized operators whose imaginary part is roundoff are stored real."""
+
+    WELL = "relativistic+gauss_well:depth=2,width=1"
+
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 12)])
+    def test_zero_field_even_symbol_is_float64(self, d, n):
+        grid = Grid(d, 6.0, n)
+        sym = symbol_from_id(self.WELL, d)
+        g = transversal_gauge(zero_field(d))
+        H = op_weyl(sym, g, grid)
+        assert H.entries.dtype == np.float64
+        assert H.entries.flags["C_CONTIGUOUS"]
+        raw = op_weyl_unsym(sym, g, grid)
+        assert np.array_equal(H.entries, (0.5 * (raw + raw.conj().T)).real)
+
+    @pytest.mark.parametrize("field", ["constant2d:b=0.5", "cos2d"])
+    def test_magnetic_operator_stays_complex(self, field):
+        grid = Grid(2, 4.0, 8)
+        g = transversal_gauge(field_from_id(field, 2))
+        H = op_weyl(symbol_from_id(self.WELL, 2), g, grid)
+        assert H.entries.dtype == np.complex128
+        raw = op_weyl_unsym(symbol_from_id(self.WELL, 2), g, grid)
+        assert np.array_equal(H.entries, 0.5 * (raw + raw.conj().T))
+
+    def test_real_symbol_odd_in_eta_stays_complex(self, g1, grid64):
+        # a = eta_1 quantizes to -i d/dx: Hermitian, purely imaginary entries
+        def eta1(x, e):
+            return np.asarray(e)[..., 0] + 0.0 * np.asarray(x)[..., 0]
+
+        sym = HormanderSymbol(order=1.0, eval=eta1, dimension=1, real=True, symbol_id="eta1")
+        H = op_weyl(sym, g1, grid64)
+        assert H.entries.dtype == np.complex128
+        assert np.abs(H.entries.imag).max() > 0.1 * np.abs(H.entries).max()
+
+    @pytest.mark.parametrize("c, real", [(0.5 * REAL_TOL, True), (10 * REAL_TOL, False)])
+    def test_decision_threshold(self, c, real):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((8, 8))
+        A = (A + A.T) / np.abs(A + A.T).max()
+        B = rng.standard_normal((8, 8))
+        B = (B - B.T) / np.abs(B - B.T).max()
+        op = hermitize(OperatorMatrix(A + 1j * c * B, Grid(1, 1.0, 8)))
+        assert (op.entries.dtype == np.float64) is real
+        assert np.array_equal(op.entries.real, A)
+
+    def test_real_input_stays_real(self):
+        A = np.random.default_rng(6).standard_normal((8, 8))
+        op = hermitize(OperatorMatrix(A, Grid(1, 1.0, 8)))
+        assert op.entries.dtype == np.float64
+        assert op.hermiticity_defect > 0.1
+        assert np.array_equal(op.entries, 0.5 * (A + A.T))

@@ -170,6 +170,23 @@ class TestRelativeBound:
         want = np.linalg.svd(M, compute_uv=False)[0]
         assert got == pytest.approx(want, rel=1e-6)
 
+    @pytest.mark.parametrize("z", [1j, 0.3 + 2j])
+    def test_complex_hermitian_against_svd_oracle(self, z):
+        H = as_op(random_hermitian(32, 12))
+        rng = np.random.default_rng(13)
+        R = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+        got = relative_bound(R, H, z=z)
+        M = R @ np.linalg.inv(H.entries - z * np.eye(32))
+        assert got == pytest.approx(np.linalg.svd(M, compute_uv=False)[0], rel=1e-10)
+
+    def test_real_operator_matches_complex_copy(self):
+        A = np.random.default_rng(14).standard_normal((32, 32))
+        H = OperatorMatrix((A + A.T) / 2, Grid(1, 1.0, 32), symmetrized=True)
+        R = np.random.default_rng(15).standard_normal((32, 32))
+        got = relative_bound(R, H, z=0.3 + 2j)
+        want = relative_bound(R.astype(complex), as_op(H.entries), z=0.3 + 2j)
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_precomputed_decomposition(self):
         H = as_op(random_hermitian(32, 9))
         R = np.random.default_rng(10).standard_normal((32, 32))
@@ -286,6 +303,33 @@ class TestRieszProjectorTridiagonal:
         assert np.abs(proj.matrix() - 1.0).max() < 1e-14
         assert_matches_oracle(proj, np.array([[0.3]]), 0.0, 1.0)
         assert proj.rank == 1
+
+    @pytest.mark.parametrize("source", ["random", "zero-field"])
+    def test_real_path_matches_complex_path(self, source):
+        if source == "random":
+            A = np.random.default_rng(26).standard_normal((40, 40))
+            H = (A + A.T) / 2
+        else:
+            H = op_weyl(symbol_from_id("relativistic+gauss_well:depth=2,width=1", 1),
+                        transversal_gauge(zero_field(1)), Grid(1, 10.0, 48)).entries
+        assert H.dtype == np.float64
+        lam = np.linalg.eigvalsh(H)
+        radius = 0.4 * (lam[1] - lam[0])
+        real = riesz_projector(H, lam[0], radius)
+        cplx = riesz_projector(H.astype(complex), lam[0], radius)
+        assert real.reflectors.dtype == np.float64
+        assert cplx.reflectors.dtype == np.complex128
+        assert np.abs(real.S - cplx.S).max() < 1e-12
+        assert abs(real.idempotency_defect - cplx.idempotency_defect) < 1e-12
+        assert real.rank == cplx.rank == 1
+        P = real.matrix()
+        assert P.dtype == np.float64
+        assert np.abs(P - cplx.matrix()).max() < 1e-12
+
+    def test_one_by_one_keeps_dtype(self):
+        assert riesz_projector(np.array([[0.3]]), 0.0, 1.0).matrix().dtype == np.float64
+        proj = riesz_projector(np.array([[0.3 + 0j]]), 0.0, 1.0)
+        assert proj.matrix().dtype == np.complex128
 
     def test_non_hermitian_rejected(self):
         A = np.triu(random_hermitian(16, 25))
