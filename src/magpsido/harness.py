@@ -541,7 +541,7 @@ def suite_thm2_exp_decay(sc):
                         f"analytic {est['analytic_eps0']}, empirical {est['empirical_eps0']}"))
 
     radius = 0.5 * min(gap, abs(cfg.essential_threshold - lam0))
-    proj = riesz_projector(H.entries, lam0, radius)
+    proj = riesz_projector(dec, lam0, radius)
     idem, rank = proj.idempotency_defect, proj.rank
     mult = int(np.sum(np.abs(dec.eigenvalues - lam0) < 1e-10))
     checks.append(Check("riesz-projector", "spectral/contour-projector",

@@ -98,27 +98,22 @@ def resolvent_apply(H, z, w):
     lu, piv = sla.lu_factor(A)
     anorm = float(np.linalg.norm(A, 1))
     rcond = float(sla.lapack.zgecon(lu, anorm)[0])
+
+    def singular(msg):
+        hermitian = hermiticity_defect(mat) <= HERMITIAN_TOL
+        lam = np.linalg.eigvalsh(mat) if hermitian else np.linalg.eigvals(mat)
+        return SingularShiftError(
+            msg, nearest_eigenvalue=complex(lam[np.argmin(np.abs(lam - z))]))
+
     if rcond * anorm < MIN_SHIFT_DISTANCE:  # sigma_min estimate for normal A
-        lam = np.linalg.eigvalsh(mat) if _hermitian(mat) else np.linalg.eigvals(mat)
-        nearest = lam[np.argmin(np.abs(lam - z))]
-        raise SingularShiftError(
-            f"shift {z} within {rcond * anorm:.3e} of the spectrum",
-            nearest_eigenvalue=complex(nearest))
+        raise singular(f"shift {z} within {rcond * anorm:.3e} of the spectrum")
     u = sla.lu_solve((lu, piv), rhs)
     res = float(np.linalg.norm(A @ u - rhs) / max(np.linalg.norm(rhs), 1e-300))
     if res > 1e-9:
-        lam = np.linalg.eigvalsh(mat) if _hermitian(mat) else np.linalg.eigvals(mat)
-        nearest = lam[np.argmin(np.abs(lam - z))]
-        raise SingularShiftError(
-            f"solve residual {res:.3e} for shift {z}",
-            nearest_eigenvalue=complex(nearest))
+        raise singular(f"solve residual {res:.3e} for shift {z}")
     if grid is not None and isinstance(w, GridFunction):
         return GridFunction(u, grid)
     return u
-
-
-def _hermitian(mat, tol=1e-10):
-    return np.linalg.norm(mat - mat.conj().T) <= tol * max(np.linalg.norm(mat), 1e-300)
 
 
 def matrix_exp_neg(H, t):
@@ -151,65 +146,55 @@ def relative_bound(R, H, z=1j):
 
 @dataclass(frozen=True)
 class ContourProjector:
-    """Riesz projector P = Q S Q^* held in the tridiagonal basis.
+    """Riesz projector P = V diag(filter) V^* on the eigenbasis of H.
 
-    `S` is the real symmetric quadrature sum on T = Q^* H Q. Q is unitary,
-    so |P^2 - P|_F = |S^2 - S|_F and P has the eigenvalues of S: both checks
-    are computed on S. `reflectors` and `tau` are the `sytrd` (real H) or
-    `hetrd` (complex H) output that encodes Q, in the dtype of H.
+    `filter` holds the quadrature's value r(lam) at each eigenvalue. V is
+    unitary, so |P^2 - P|_F = |r^2 - r|_2 and P has the eigenvalues r(lam):
+    both checks are computed on `filter`. `eigenvectors` is the
+    decomposition's V, shared and not copied.
     """
 
-    S: np.ndarray
-    reflectors: np.ndarray
-    tau: np.ndarray
+    eigenvectors: np.ndarray
+    filter: np.ndarray
     idempotency_defect: float
     rank: int
 
     def matrix(self):
-        """P = Q S Q^*, with Q built from the stored reflectors."""
-        if self.S.shape[0] == 1:  # Q = 1; the orghr wrapper rejects an empty tau
-            return self.S.astype(self.reflectors.dtype)
-        # lower sytrd/hetrd store their reflectors in the gehrd layout that
-        # orghr reads; scipy resolves "orghr" to unghr for complex reflectors
-        orghr = sla.get_lapack_funcs("orghr", (self.reflectors,))
-        Q = orghr(self.reflectors, self.tau)[0]
-        return (Q @ self.S) @ Q.conj().T
+        """P = V diag(filter) V^*."""
+        V = self.eigenvectors
+        return (V * self.filter[None, :]) @ V.conj().T
 
 
 def riesz_projector(H, center, radius):
     """Trapezoidal contour quadrature of (2 pi i)^{-1} oint (mu - H)^{-1} dmu.
 
-    Hermitian H is reduced once by LAPACK `sytrd` (real H) or `hetrd`
-    (complex H) to T = Q^* H Q, real symmetric tridiagonal. The nodes come in
-    conjugate pairs mu, conj(mu), and (conj(mu) - T)^{-1} = conj((mu - T)^{-1})
-    for real T, so half the nodes give the real sum
-    S = (2 / nodes) sum Re(step (mu - T)^{-1}), one banded solve each. The
-    displayed orientation (mu - H)^{-1} is fixed by requiring P^2 = P.
+    With H = V diag(lam) V^*, (mu - H)^{-1} = V diag(1/(mu - lam)) V^*, so
+    the quadrature is the scalar rational filter
+    r(lam) = 1 / (1 + ((lam - center) / radius)^CONTOUR_NODES) applied to the
+    eigenvalues. The nodes come in conjugate pairs mu, conj(mu), so half of
+    them give r(lam) = (2 / nodes) sum Re(step / (mu - lam)). The displayed
+    orientation (mu - H)^{-1} is fixed by requiring P^2 = P.
+
+    H may also be given as its EigenDecomposition, so that a scenario that
+    has decomposed H does not decompose it again.
     """
-    mat = H.entries if isinstance(H, OperatorMatrix) else np.asarray(H)
-    if not _hermitian(mat):
-        raise NotApplicableError("contour projector needs a Hermitian matrix")
-    n = mat.shape[0]
-    names = ("hetrd", "hetrd_lwork") if np.iscomplexobj(mat) else ("sytrd", "sytrd_lwork")
-    trd, trd_lwork = sla.get_lapack_funcs(names, (mat,))
-    lwork = int(trd_lwork(n, lower=1)[0].real)
-    reflectors, diag, off, tau, _ = trd(mat, lower=1, lwork=lwork)
-    lam = sla.eigvalsh_tridiagonal(diag, off)
+    if not (math.isfinite(center) and math.isfinite(radius) and radius > 0):
+        raise ContourError(f"contour needs a finite center and a finite positive "
+                           f"radius, got center {center}, radius {radius}")
+    if not isinstance(H, EigenDecomposition):
+        mat = H.entries if isinstance(H, OperatorMatrix) else np.asarray(H)
+        if hermiticity_defect(mat) > HERMITIAN_TOL:
+            raise NotApplicableError("contour projector needs a Hermitian matrix")
+        H = eig_hermitian(mat)
+    lam, V = H
     dist = np.abs(np.abs(lam - center) - radius)
     if dist.min() < 0.1 * radius:
         raise ContourError(
             f"eigenvalue {lam[np.argmin(dist)]:.6g} within 10% of the contour")
     theta = 2.0 * np.pi * (np.arange(CONTOUR_NODES // 2) + 0.5) / CONTOUR_NODES
-    bands = np.zeros((3, n), dtype=complex)   # mu - T in solve_banded layout
-    bands[0, 1:] = -off
-    bands[2, :-1] = -off
-    S = np.zeros((n, n))
-    eye = np.eye(n, dtype=complex)
-    for th in theta:
-        step = radius * np.exp(1j * th)
-        bands[1] = center + step - diag
-        S += (step * sla.solve_banded((1, 1), bands, eye, check_finite=False)).real
-    S *= 2.0 / CONTOUR_NODES
-    idem = float(np.linalg.norm(S @ S - S))
-    rank = int((np.abs(np.linalg.eigvalsh(S)) > RANK_THRESHOLD).sum())
-    return ContourProjector(S, reflectors, tau, idem, rank)
+    step = radius * np.exp(1j * theta)
+    r = (2.0 / CONTOUR_NODES) * (
+        step[None, :] / (center + step[None, :] - lam[:, None])).real.sum(axis=1)
+    idem = float(np.linalg.norm(r * r - r))
+    rank = int((np.abs(r) > RANK_THRESHOLD).sum())
+    return ContourProjector(V, r, idem, rank)

@@ -270,6 +270,7 @@ class TestSharedScenario:
     def test_run_does_no_work_twice(self, monkeypatch):
         import magpsido.decay as dk
         import magpsido.harness as hs
+        import magpsido.spectral as sp
 
         calls = {"op_weyl": 0, "eig_hermitian": 0, "uniform_bound_sweep": 0}
 
@@ -283,6 +284,7 @@ class TestSharedScenario:
         eig = counted("eig_hermitian", hs.eig_hermitian)
         monkeypatch.setattr(hs, "eig_hermitian", eig)
         monkeypatch.setattr(dk, "eig_hermitian", eig)
+        monkeypatch.setattr(sp, "eig_hermitian", eig)
         monkeypatch.setattr(dk, "uniform_bound_sweep",
                             counted("uniform_bound_sweep", dk.uniform_bound_sweep))
         report = run_scenario(ScenarioConfig.from_dict(self.THM2))

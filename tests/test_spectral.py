@@ -4,9 +4,10 @@ import pytest
 from magpsido.errors import ContourError, NotApplicableError, SingularShiftError
 from magpsido.gauge import constant_field_2d, transversal_gauge, zero_field
 from magpsido.quantize import Grid, GridFunction, OperatorMatrix, op_weyl
-from magpsido.spectral import (SpectralWindow, discrete_spectrum_select,
-                               eig_hermitian, matrix_exp_neg, relative_bound,
-                               resolvent_apply, riesz_projector)
+from magpsido.spectral import (CONTOUR_NODES, SpectralWindow,
+                               discrete_spectrum_select, eig_hermitian,
+                               matrix_exp_neg, relative_bound, resolvent_apply,
+                               riesz_projector)
 from magpsido.symbols import kinetic_symbol, symbol_from_id
 
 
@@ -265,6 +266,8 @@ def assert_matches_oracle(proj, mat, center, radius):
 
 
 class TestRieszProjectorTridiagonal:
+    """The projector against the dense quadrature, one solve per node."""
+
     @pytest.mark.parametrize("n, seed", [(8, 20), (33, 21), (96, 22)])
     def test_matches_dense_oracle(self, n, seed):
         H = random_hermitian(n, seed)
@@ -317,9 +320,9 @@ class TestRieszProjectorTridiagonal:
         radius = 0.4 * (lam[1] - lam[0])
         real = riesz_projector(H, lam[0], radius)
         cplx = riesz_projector(H.astype(complex), lam[0], radius)
-        assert real.reflectors.dtype == np.float64
-        assert cplx.reflectors.dtype == np.complex128
-        assert np.abs(real.S - cplx.S).max() < 1e-12
+        assert real.eigenvectors.dtype == np.float64
+        assert cplx.eigenvectors.dtype == np.complex128
+        assert np.abs(real.filter - cplx.filter).max() < 1e-12
         assert abs(real.idempotency_defect - cplx.idempotency_defect) < 1e-12
         assert real.rank == cplx.rank == 1
         P = real.matrix()
@@ -335,3 +338,40 @@ class TestRieszProjectorTridiagonal:
         A = np.triu(random_hermitian(16, 25))
         with pytest.raises(NotApplicableError):
             riesz_projector(A, 0.0, 0.5)
+
+    @pytest.mark.parametrize("corner", [1e308, np.inf])
+    def test_overflowing_non_hermitian_rejected(self, corner):
+        # unscaled Frobenius norms overflow to inf here, and inf <= tol * inf
+        with pytest.raises(NotApplicableError):
+            riesz_projector(np.array([[0.0, corner], [0.0, 5.0]]), 0.0, 1.0)
+
+    @pytest.mark.parametrize("center, radius", [(0.0, 0.0), (0.0, -1.0),
+                                                (0.0, np.nan), (0.0, np.inf),
+                                                (np.nan, 1.0), (np.inf, 1.0)])
+    def test_bad_contour_rejected(self, center, radius):
+        with pytest.raises(ContourError):
+            riesz_projector(np.diag([0.0, 0.0, 5.0]), center, radius)
+
+
+class TestRieszProjectorFilter:
+    """The quadrature is a scalar rational filter on the eigenvalues of H."""
+
+    def test_filter_closed_form(self):
+        H = random_hermitian(40, 27)
+        lam = np.linalg.eigvalsh(H)
+        center, radius = lam[13], 0.4 * min(lam[13] - lam[12], lam[14] - lam[13])
+        proj = riesz_projector(H, center, radius)
+        want = 1.0 / (1.0 + ((lam - center) / radius) ** CONTOUR_NODES)
+        assert np.abs(proj.filter - want).max() < 1e-14
+
+    def test_decomposition_input_matches_matrix_input(self):
+        H = as_op(random_hermitian(32, 28))
+        dec = eig_hermitian(H)
+        lam = dec.eigenvalues
+        radius = 0.4 * min(lam[5] - lam[4], lam[6] - lam[5])
+        from_dec = riesz_projector(dec, lam[5], radius)
+        from_mat = riesz_projector(H, lam[5], radius)
+        assert from_dec.eigenvectors is dec.eigenvectors
+        assert np.array_equal(from_dec.filter, from_mat.filter)
+        assert from_dec.idempotency_defect == from_mat.idempotency_defect
+        assert from_dec.rank == from_mat.rank == 1
