@@ -19,7 +19,7 @@ import numpy as np
 
 from . import decay as dk
 from . import relativistic as rel
-from .errors import ConfigError, MagpsidoError
+from .errors import ConfigError, FormatError, MagpsidoError
 from .gauge import field_from_id, gauge_transform, transversal_gauge, zero_field, potential_residual
 from .mpdo import LOAD_BUDGET_BYTES
 from .potentials import potential_from_id
@@ -69,6 +69,8 @@ CONFIG_SCHEMA = {
     "required": ["symbol", "grid"],
     "additionalProperties": False,
 }
+# Built once: `jsonschema.validate` checks the schema itself on every call.
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 @dataclass
 class ScenarioConfig:
@@ -100,8 +102,14 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+        except ValueError as exc:  # malformed JSON or text encoding
+            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        return cls.from_dict(raw)
 
     def to_dict(self):
         return asdict(self)
@@ -121,10 +129,9 @@ class ScenarioConfig:
 
 def validate_config(raw):
     """Schema validation plus the numeric lints the schema cannot express."""
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}") from error
     g = raw["grid"]
     if g["n"] % 2:
         raise ConfigError("grid n must be even")
@@ -825,11 +832,24 @@ def write_kato_csv(rows, path):
 def merge_reports(in_dir, out_path):
     """Combine per-run JSON reports from a directory into one file."""
     merged = {"reports": []}
-    for name in sorted(os.listdir(in_dir)):
+    try:
+        names = sorted(os.listdir(in_dir))
+    except OSError as exc:
+        raise ConfigError(f"cannot list report directory {in_dir}: {exc.strerror}") from exc
+    for name in names:
         if not name.endswith(".json"):
             continue
-        with open(os.path.join(in_dir, name)) as fh:
-            merged["reports"].append(json.load(fh))
+        path = os.path.join(in_dir, name)
+        try:
+            with open(path) as fh:
+                report = json.load(fh)
+        except OSError as exc:
+            raise FormatError(f"cannot read report {path}: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise FormatError(f"report {path} is not valid JSON: {exc}") from exc
+        if not isinstance(report, dict):
+            raise FormatError(f"report {path} is not a JSON object")
+        merged["reports"].append(report)
     merged["all_passed"] = all(r.get("all_passed", False) for r in merged["reports"])
     write_atomic(out_path, json.dumps(merged, sort_keys=True, indent=2))
     return out_path

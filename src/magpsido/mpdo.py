@@ -50,7 +50,11 @@ def load_operator(path):
     and a file flagged hermitized whose payload is not Hermitian, raise
     FormatError.
     """
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise FormatError(f"cannot open operator file {path}: {exc.strerror}") from exc
+    with fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise FormatError(f"bad magic {magic!r} in {path}")

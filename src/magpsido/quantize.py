@@ -11,6 +11,8 @@ assembled from one inverse DFT per midpoint. Displacements wrap with period
 the true, unwrapped segment.
 """
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,9 +201,24 @@ def op_weyl(sym, g, grid):
     return hermitize(op) if sym.real else op
 
 
+def _cpu_count():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def op_amplitude(amp, g, grid, allow_large=False, symbol_id="amplitude"):
     """Quantize a three-argument amplitude amp(x, y, eta) by direct frequency
-    summation per matrix entry (O(n^{3d}); guarded by a size budget)."""
+    summation per matrix entry (O(n^{3d}); guarded by a size budget).
+
+    Rows are independent, so they are split into one contiguous block per
+    CPU: block 0 runs on the calling thread, the others on a thread pool
+    (numpy releases the GIL inside the elementwise and FFT work). Each row
+    runs the same code whatever the block count, so H is bit-identical to a
+    serial row loop.
+    """
     n, d = grid.n, grid.dimension
     if not allow_large and grid.size**3 > AMPLITUDE_BUDGET:
         raise BudgetError(
@@ -210,11 +227,22 @@ def op_amplitude(amp, g, grid, allow_large=False, symbol_id="amplitude"):
     etas = grid.eta_nodes
     omega = phase_table(g, nodes)
     H = np.empty((grid.size, grid.size), dtype=complex)
-    for jflat in range(grid.size):
-        j_multi = (jflat,) if d == 1 else (jflat // n, jflat % n)
-        M = amp(nodes[jflat], nodes[:, None, :], etas[None, :, :])
-        row = _kernels.amplitude_row(M, j_multi, n, d)
-        H[jflat] = omega[jflat] * row
+
+    def fill(rows):
+        for jflat in rows:
+            j_multi = (jflat,) if d == 1 else (jflat // n, jflat % n)
+            M = amp(nodes[jflat], nodes[:, None, :], etas[None, :, :])
+            row = _kernels.amplitude_row(M, j_multi, n, d)
+            H[jflat] = omega[jflat] * row
+
+    blocks = min(_cpu_count(), grid.size)
+    bounds = [grid.size * b // blocks for b in range(blocks + 1)]
+    with ThreadPoolExecutor(max_workers=max(1, blocks - 1)) as ex:
+        futures = [ex.submit(fill, range(bounds[b], bounds[b + 1]))
+                   for b in range(1, blocks)]
+        fill(range(bounds[0], bounds[1]))
+        for fut in futures:
+            fut.result()
     if not np.all(np.isfinite(H)):
         raise AssemblyError("amplitude produced non-finite operator entries")
     return OperatorMatrix(H, grid, symbol_id=symbol_id)

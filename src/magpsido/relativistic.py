@@ -144,6 +144,8 @@ def kato_estimate(W, t, grid):
 def kato_scan(W, t0, grid, halvings=6):
     """Rows (t, sup_value) for t = t0 / 2^k; the limit t -> 0 diagnoses the
     smeared-potential class."""
+    if halvings < 0:
+        raise ConfigError(f"halvings must be >= 0, got {halvings}")
     rows = []
     t = float(t0)
     for _ in range(halvings + 1):

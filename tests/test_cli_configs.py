@@ -115,3 +115,33 @@ def test_non_finite_numbers_exit_2(case, tmp_path, capsys):
         argv += ["--op", op]
     assert cli_main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+
+# argv of each case; {tmp} holds a malformed config and a report directory
+# whose one report is malformed
+UNREADABLE_INPUTS = {
+    "run-missing-config": ["run", "--config", "{tmp}/missing.json"],
+    "run-malformed-config": ["run", "--config", "{tmp}/malformed.json"],
+    "build-malformed-config": ["build", "--config", "{tmp}/malformed.json"],
+    "decay-malformed-config": ["decay", "--config", "{tmp}/malformed.json"],
+    "conjugate-malformed-config": ["conjugate", "--config", "{tmp}/malformed.json"],
+    "verify-malformed-config": ["verify", "lemmas-weights", "--config",
+                                "{tmp}/malformed.json"],
+    "spectrum-missing-op": ["spectrum", "--op", "{tmp}/missing.mpdo", "--threshold", "1"],
+    "report-missing-dir": ["report", "--in", "{tmp}/missing_dir"],
+    "report-malformed-report": ["report", "--in", "{tmp}/reports"],
+    "kato-negative-halvings": ["kato", "--potential", "bounded_bump", "--t-scan",
+                               "--halvings", "-1", "--n", "16"],
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_INPUTS)
+def test_unreadable_inputs_exit_2(case, tmp_path, capsys):
+    (tmp_path / "malformed.json").write_text('{"symbol": "relativistic",')
+    (tmp_path / "reports").mkdir()
+    (tmp_path / "reports" / "a.json").write_text("[1,")
+    argv = [a.format(tmp=tmp_path) for a in UNREADABLE_INPUTS[case]]
+    assert cli_main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not os.path.exists(tmp_path / "out")

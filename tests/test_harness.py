@@ -4,13 +4,14 @@ import dataclasses
 import json
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from magpsido.cli import main as cli_main
-from magpsido.errors import ConfigError
+from magpsido.errors import ConfigError, FormatError
 from magpsido.harness import (CONFIG_SCHEMA, Scenario, ScenarioConfig, ScenarioReport,
                               emit_report, merge_reports, run_scenario,
                               validate_config, verify_suite, write_atomic)
@@ -118,6 +119,22 @@ class TestConfigValidation:
     def test_defaults_come_from_the_dataclass(self):
         cfg = ScenarioConfig.from_dict({"symbol": "relativistic", "grid": BASE_CFG["grid"]})
         assert cfg == ScenarioConfig("relativistic", BASE_CFG["grid"])
+
+    def test_schema_is_valid_against_its_meta_schema(self):
+        jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize("raw", [
+        {"symbol": "relativistic"},
+        {"symbol": 3, "grid": {"d": 1, "L": 5.0, "n": 16}},
+        {"symbol": "relativistic", "grid": {"d": 3, "L": -1.0, "n": 2}},
+        {"symbol": "relativistic", "grid": {"d": 1, "L": 5.0, "n": 16}, "extra": 1},
+    ])
+    def test_schema_message_matches_jsonschema_validate(self, raw):
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(raw, CONFIG_SCHEMA)
+        with pytest.raises(ConfigError) as got:
+            validate_config(raw)
+        assert str(got.value) == f"config schema violation: {want.value.message}"
 
     def test_schema_lists_the_dataclass_fields(self):
         fields = dataclasses.fields(ScenarioConfig)
@@ -386,6 +403,30 @@ class TestReports:
         merged = json.loads(out.read_text())
         assert merged["all_passed"]
         assert len(merged["reports"]) == 2
+
+
+    def test_merge_reports_missing_directory(self, tmp_path):
+        with pytest.raises(ConfigError, match="missing"):
+            merge_reports(str(tmp_path / "missing"), str(tmp_path / "merged.json"))
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", "\xff"])
+    def test_merge_reports_names_the_bad_report(self, tmp_path, text):
+        (tmp_path / "in").mkdir()
+        (tmp_path / "in" / "bad.json").write_text(text, encoding="latin-1")
+        with pytest.raises(FormatError, match="bad.json"):
+            merge_reports(str(tmp_path / "in"), str(tmp_path / "merged.json"))
+        assert not (tmp_path / "merged.json").exists()
+
+    @pytest.mark.parametrize("text", ["", "{", "\xff\xfe"])
+    def test_from_json_malformed_file(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text, encoding="latin-1")
+        with pytest.raises(ConfigError, match="cfg.json"):
+            ScenarioConfig.from_json(str(path))
+
+    def test_from_json_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="No such file"):
+            ScenarioConfig.from_json(str(tmp_path / "missing.json"))
 
 
 class TestCli:

@@ -65,6 +65,12 @@ def test_identity_round_trip(tmp_path):
     assert path.read_bytes() == raw1
 
 
+@pytest.mark.parametrize("name", ["missing.mpdo", "."])
+def test_unopenable_file(tmp_path, name):
+    with pytest.raises(FormatError, match="cannot open"):
+        load_operator(str(tmp_path / name))
+
+
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.mpdo"
     path.write_bytes(b"NOTMPD" + b"\x00" * 64)

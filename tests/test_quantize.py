@@ -1,8 +1,14 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from magpsido.errors import BudgetError, ConfigError, NotApplicableError
-from magpsido.gauge import (constant_field_2d, field_from_id, gauge_transform,
+import magpsido.quantize
+from magpsido import _kernels
+from magpsido.decay import amplitude_c_eps, amplitude_d_eps
+from magpsido.errors import AssemblyError, BudgetError, ConfigError, NotApplicableError
+from magpsido.gauge import (constant_field_2d, field_from_id, gauge_transform, phase_table,
                             transversal_gauge, zero_field)
 from magpsido.quantize import (REAL_TOL, Grid, GridFunction, OperatorMatrix, fourier_mode,
                                hermitize, kernel_table, mag_derivative, op_amplitude, op_ps,
@@ -185,6 +191,122 @@ class TestOpAmplitude:
         assert np.abs(Ha.entries - Hw).max() < 1e-12 * np.abs(Hw).max()
 
 
+def serial_op_amplitude(amp, g, grid):
+    """Oracle: the one-thread row loop that op_amplitude splits into blocks."""
+    n, d = grid.n, grid.dimension
+    nodes = grid.nodes
+    etas = grid.eta_nodes
+    omega = phase_table(g, nodes)
+    H = np.empty((grid.size, grid.size), dtype=complex)
+    for jflat in range(grid.size):
+        j_multi = (jflat,) if d == 1 else (jflat // n, jflat % n)
+        M = amp(nodes[jflat], nodes[:, None, :], etas[None, :, :])
+        H[jflat] = omega[jflat] * _kernels.amplitude_row(M, j_multi, n, d)
+    return H
+
+
+def sin_amplitude(x, y, e):
+    """Amplitude that is not symmetric in (x, y)."""
+    X = np.asarray(x, dtype=float)[..., 0]
+    Y = np.asarray(y, dtype=float)[..., 0]
+    E = np.asarray(e, dtype=float)[..., 0]
+    return np.exp(-(X**2 + Y**2) / 4 - E**2 / 2.88) * (1 + 0.3 * np.sin(X - Y))
+
+
+def midpoint_amplitude(sym):
+    def amp(x, y, e):
+        return sym.eval(0.5 * (np.asarray(x, dtype=float) + np.asarray(y, dtype=float)), e)
+    return amp
+
+
+# amplitude, gauge and grid of each case; built on use, each case in its own test
+AMPLITUDE_CASES = {
+    "c_eps": lambda: (amplitude_c_eps(symbol_from_id("relativistic", 1), 0.05),
+                      transversal_gauge(zero_field(1)), Grid(1, 10.0, 64)),
+    "d_eps": lambda: (amplitude_d_eps(symbol_from_id("relativistic", 1), 0.05),
+                      transversal_gauge(zero_field(1)), Grid(1, 10.0, 64)),
+    "sin": lambda: (sin_amplitude, transversal_gauge(zero_field(1)), Grid(1, 8.0, 32)),
+    "constant_field_2d": lambda: (midpoint_amplitude(symbol_from_id("relativistic", 2)),
+                                  transversal_gauge(constant_field_2d(0.3)),
+                                  Grid(2, 4.0, 8)),
+}
+
+
+def _set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(magpsido.quantize.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+
+
+class TestParallelRows:
+    """op_amplitude splits its rows into one block per CPU; every block count
+    gives the serial loop's matrix bit for bit."""
+
+    @pytest.mark.parametrize("cpus", [None, 1, 3, 7])
+    @pytest.mark.parametrize("case", AMPLITUDE_CASES)
+    def test_bit_identical_to_serial_rows(self, case, cpus, monkeypatch):
+        amp, g, grid = AMPLITUDE_CASES[case]()
+        if cpus is not None:
+            _set_cpus(monkeypatch, cpus)
+        H = op_amplitude(amp, g, grid).entries
+        assert np.array_equal(H, serial_op_amplitude(amp, g, grid))
+
+    def test_cpu_count_fallback_without_affinity(self, monkeypatch):
+        amp, g, grid = AMPLITUDE_CASES["sin"]()
+        monkeypatch.delattr(magpsido.quantize.os, "sched_getaffinity")
+        monkeypatch.setattr(magpsido.quantize.os, "cpu_count", lambda: 3)
+        submitted = []
+
+        class Recording(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(args)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(magpsido.quantize, "ThreadPoolExecutor", Recording)
+        H = op_amplitude(amp, g, grid).entries
+        assert np.array_equal(H, serial_op_amplitude(amp, g, grid))
+        assert submitted == [(range(10, 21),), (range(21, 32),)]
+
+    def test_error_on_the_last_block_surfaces(self, monkeypatch):
+        _set_cpus(monkeypatch, 3)
+        grid = Grid(1, 8.0, 16)  # blocks: rows 0-4, 5-9, 10-15
+        first_of_last = grid.nodes[10, 0]
+
+        def amp(x, y, e):
+            if x[0] >= first_of_last:
+                raise ConfigError("last block")
+            return sin_amplitude(x, y, e)
+
+        with pytest.raises(ConfigError, match="last block"):
+            op_amplitude(amp, transversal_gauge(zero_field(1)), grid)
+
+    def test_nan_on_a_worker_row_raises_assembly_error(self, monkeypatch):
+        _set_cpus(monkeypatch, 3)
+        grid = Grid(1, 8.0, 16)
+        worker_row = grid.nodes[7, 0]
+
+        def amp(x, y, e):
+            M = sin_amplitude(x, y, e)
+            return M * np.nan if x[0] == worker_row else M
+
+        with pytest.raises(AssemblyError):
+            op_amplitude(amp, transversal_gauge(zero_field(1)), grid)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_at_most_one_thread_per_extra_block(self, cpus, monkeypatch):
+        _set_cpus(monkeypatch, cpus)
+        grid = Grid(1, 8.0, 32)
+        before = threading.active_count()
+        alive = []
+
+        def amp(x, y, e):
+            alive.append(threading.active_count())
+            return sin_amplitude(x, y, e)
+
+        op_amplitude(amp, transversal_gauge(zero_field(1)), grid)
+        assert len(alive) == grid.size
+        assert max(alive) <= before + cpus - 1
+
+
 class TestReduceAmplitude:
     def test_slice_form_recovered_exactly(self):
         grid = Grid(1, 8.0, 32)
@@ -218,14 +340,7 @@ class TestReduceAmplitude:
         res = {}
         for n in (32, 48):
             grid = Grid(1, 8.0, n)
-
-            def amp(x, y, e):
-                X = np.asarray(x, dtype=float)[..., 0]
-                Y = np.asarray(y, dtype=float)[..., 0]
-                E = np.asarray(e, dtype=float)[..., 0]
-                return (np.exp(-(X**2 + Y**2) / 4 - E**2 / 2.88)
-                        * (1 + 0.3 * np.sin(X - Y)))
-
+            amp = sin_amplitude
             table = reduce_amplitude(amp, 0.5, grid, xs=grid.midpoints,
                                      etas=grid.eta_nodes)
             T = np.fft.ifft(table, axis=1)

@@ -200,6 +200,12 @@ class TestKato:
         with pytest.raises(ConfigError):
             kato_estimate(bad, 1.0, grid)
 
+    def test_scan_rejects_negative_halvings(self):
+        grid = Grid(1, 10.0, 16)
+        with pytest.raises(ConfigError, match="halvings"):
+            kato_scan(np.ones(grid.size), 1.0, grid, halvings=-1)
+        assert len(kato_scan(np.ones(grid.size), 1.0, grid, halvings=0)) == 1
+
     def test_coulomb_like_scan_finite(self):
         grid = Grid(1, 20.0, 256)
         from magpsido.potentials import potential_from_id
