@@ -72,16 +72,6 @@ def b_shift(eps, x, y):
     return eps * (x + y) / denom[..., None]
 
 
-@dataclass(frozen=True)
-class ShiftField:
-    """The pair field b_eps at a fixed eps."""
-
-    eps: float
-
-    def __call__(self, x, y):
-        return b_shift(self.eps, x, y)
-
-
 def weight_diagonal(w, eps, grid):
     return w(eps, grid.nodes)
 

@@ -25,14 +25,6 @@ class BudgetError(MagpsidoError):
     """Requested computation exceeds the configured size budget."""
 
 
-class SingularShiftError(MagpsidoError):
-    """Resolvent shift too close to the spectrum."""
-
-    def __init__(self, msg, nearest_eigenvalue=None):
-        super().__init__(msg)
-        self.nearest_eigenvalue = nearest_eigenvalue
-
-
 class ContourError(MagpsidoError):
     """Spectral contour passes too close to an eigenvalue."""
 

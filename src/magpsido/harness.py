@@ -5,10 +5,10 @@ status of the CLI `verify` command is wired to the `passed` flags here.
 """
 import csv
 import hashlib
+import io
 import json
 import math
 import os
-import tempfile
 import time
 from dataclasses import asdict, dataclass, field as dc_field
 from functools import cached_property
@@ -21,7 +21,7 @@ from . import decay as dk
 from . import relativistic as rel
 from .errors import ConfigError, FormatError, MagpsidoError
 from .gauge import field_from_id, gauge_transform, transversal_gauge, zero_field, potential_residual
-from .mpdo import LOAD_BUDGET_BYTES
+from .mpdo import LOAD_BUDGET_BYTES, atomic_open
 from .potentials import potential_from_id
 from .quantize import (Grid, GridFunction, fourier_mode, mag_derivative, op_amplitude,
                        op_ps, op_weyl, op_weyl_unsym, sobolev_norm)
@@ -717,12 +717,11 @@ class ScenarioReport:
 
 def _spectra_summary(sc):
     lam = sc.dec.eigenvalues
-    gaps = np.diff(lam)
     return {
         "lowest": [float(v) for v in lam[:8]],
         "residual": sc.dec.residual,
         "discrete_count": len(sc.bound_states),
-        "min_gap": float(gaps.min()) if gaps.size else 0.0,
+        "bound_state_gaps": [gap for _, _, gap in sc.bound_states],
         "hermiticity_defect": sc.H.hermiticity_defect,
         "real_arithmetic": bool(sc.H.entries.dtype == np.float64),
     }
@@ -755,78 +754,40 @@ def run_scenario(cfg, out_path=None):
 
 
 def write_atomic(path, text):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write text through a temporary file and a rename; see mpdo.atomic_open."""
+    with atomic_open(path) as fh:
+        fh.write(text)
     return path
 
 
-def emit_report(report, fmt, out_path):
-    """Serialize a report: one JSON file or a CSV bundle directory."""
-    if fmt == "json":
-        return [write_atomic(out_path, report.to_json())]
-    if fmt != "csv-bundle":
-        raise ConfigError(f"unknown report format {fmt!r}")
-    os.makedirs(out_path, exist_ok=True)
-    written = []
-    checks_path = os.path.join(out_path, "checks.csv")
-    with open(checks_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("suite", "check", "invariant", "passed", "margin", "details"))
-        for suite, checks in sorted(report.suites.items()):
-            for c in checks:
-                writer.writerow((suite, c["name"], c["invariant"], c["passed"],
-                                 f"{c['margin']:.6g}", c["details"]))
-    written.append(checks_path)
-    if report.spectra_summary:
-        summary = report.spectra_summary
-        written.append(write_spectrum_csv(summary["lowest"], summary["residual"],
-                                          os.path.join(out_path, "spectrum.csv")))
-    meta = {"config": report.config, "config_hash": report.config_hash,
-            "all_passed": report.all_passed, "incomplete": report.incomplete}
-    mpath = os.path.join(out_path, "meta.json")
-    write_atomic(mpath, json.dumps(meta, sort_keys=True, indent=2))
-    written.append(mpath)
-    return written
+def _write_csv(path, header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return write_atomic(path, buf.getvalue())
 
 
 def write_sweep_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("epsilon", "rel_bound", "eps_rel_bound", "flag"))
-        for eps, rb, erb, flag in rows:
-            writer.writerow((eps, f"{rb:.12g}", f"{erb:.12g}", flag))
-    return path
+    return _write_csv(path, ("epsilon", "rel_bound", "eps_rel_bound", "flag"),
+                      ((eps, f"{rb:.12g}", f"{erb:.12g}", flag)
+                       for eps, rb, erb, flag in rows))
 
 
 def write_spectrum_csv(eigenvalues, residual, path):
     """One row per eigenvalue; `gap` is the distance to the nearest other one."""
     lam = np.asarray(eigenvalues, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("index", "eigenvalue", "gap", "residual"))
-        for i, v in enumerate(lam):
-            others = np.abs(np.delete(lam, i) - v)
-            gap = float(others.min()) if others.size else 0.0
-            writer.writerow((i, f"{v:.12g}", f"{gap:.12g}", f"{residual:.3e}"))
-    return path
+    rows = []
+    for i, v in enumerate(lam):
+        others = np.abs(np.delete(lam, i) - v)
+        gap = float(others.min()) if others.size else 0.0
+        rows.append((i, f"{v:.12g}", f"{gap:.12g}", f"{residual:.3e}"))
+    return _write_csv(path, ("index", "eigenvalue", "gap", "residual"), rows)
 
 
 def write_kato_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("t", "sup_value"))
-        for t, v in rows:
-            writer.writerow((f"{t:.12g}", f"{v:.12g}"))
-    return path
+    return _write_csv(path, ("t", "sup_value"),
+                      ((f"{t:.12g}", f"{v:.12g}") for t, v in rows))
 
 
 def merge_reports(in_dir, out_path):

@@ -1,10 +1,12 @@
-"""Operator persistence in the MPDO1 binary format.
+"""Operator persistence in the MPDO1 binary format, and the atomic file
+writer that every output of the package goes through.
 
 Layout (little endian): magic "MPDO1\\0", u32 d, u32 n, f64 L, u32 flags
 (bit 0: hermitized), then n^(2d) complex entries as interleaved f64 pairs in
 row-major order. A file whose stored imaginary parts are all exactly 0.0
 loads as float64 entries, any other as complex128.
 """
+import contextlib
 import hashlib
 import os
 import struct
@@ -12,7 +14,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import BudgetError, FormatError
+from .errors import BudgetError, ConfigError, FormatError
 from .quantize import Grid, OperatorMatrix
 from .spectral import HERMITIAN_TOL, hermiticity_defect
 
@@ -21,24 +23,40 @@ _HEADER = struct.Struct("<IId I")  # d, n, L, flags
 LOAD_BUDGET_BYTES = 2 * 1024**3
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode="w"):
+    """Open a temporary file beside `path`, renamed over `path` when the block
+    ends cleanly and removed otherwise; missing directories are created.
+
+    Any OSError, from the directory to the rename, is raised as a ConfigError
+    naming the path.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = None
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        with os.fdopen(fd, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
+
+
 def save_operator(op, path):
     """Write an operator matrix; the write is atomic (tmp file + rename)."""
     grid = op.grid
     flags = 1 if op.symmetrized else 0
     entries = np.ascontiguousarray(op.entries, dtype=np.complex128)
     interleaved = entries.view(np.float64).astype("<f8", copy=False)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".mpdo.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(_HEADER.pack(grid.dimension, grid.n, grid.L, flags))
-            interleaved.tofile(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(_HEADER.pack(grid.dimension, grid.n, grid.L, flags))
+        interleaved.tofile(fh)
     return path
 
 

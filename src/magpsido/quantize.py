@@ -156,17 +156,6 @@ def _midpoint_transform(sym, grid):
     return np.fft.ifftn(vals, axes=axes)
 
 
-def kernel_table(sym, grid):
-    """Midpoint kernel K(m, z) = (2L)^{-d} sum_eta e^{i<z,eta>} a(m, eta).
-
-    Indexed by the midpoint lattice (spacing h/2) and the wrapped displacement
-    lattice z = r h, r in [0, n) per axis.
-    """
-    if sym.dimension != grid.dimension:
-        raise ConfigError("symbol and grid dimensions differ")
-    return _midpoint_transform(sym, grid) / grid.h**grid.dimension
-
-
 def hermitize(op):
     """(H + H*)/2 with the pre-symmetrization defect recorded; idempotent.
 
@@ -209,7 +198,7 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def op_amplitude(amp, g, grid, allow_large=False, symbol_id="amplitude"):
+def op_amplitude(amp, g, grid):
     """Quantize a three-argument amplitude amp(x, y, eta) by direct frequency
     summation per matrix entry (O(n^{3d}); guarded by a size budget).
 
@@ -220,9 +209,10 @@ def op_amplitude(amp, g, grid, allow_large=False, symbol_id="amplitude"):
     serial row loop.
     """
     n, d = grid.n, grid.dimension
-    if not allow_large and grid.size**3 > AMPLITUDE_BUDGET:
+    if grid.size**3 > AMPLITUDE_BUDGET:
         raise BudgetError(
-            f"n^(3d) = {grid.size ** 3:.3g} exceeds budget; pass allow_large=True")
+            f"n^(3d) = {grid.size ** 3:.3g} exceeds the amplitude budget "
+            f"{AMPLITUDE_BUDGET:.3g}; use a coarser grid")
     nodes = grid.nodes
     etas = grid.eta_nodes
     omega = phase_table(g, nodes)
@@ -245,42 +235,7 @@ def op_amplitude(amp, g, grid, allow_large=False, symbol_id="amplitude"):
             fut.result()
     if not np.all(np.isfinite(H)):
         raise AssemblyError("amplitude produced non-finite operator entries")
-    return OperatorMatrix(H, grid, symbol_id=symbol_id)
-
-
-def reduce_amplitude(amp, t, grid, xs=None, etas=None, allow_large=False):
-    """Collapse an amplitude to a two-argument symbol table along the slice
-    x = t x + (1-t) y:
-
-        a_t(x, eta) = n^{-d} sum_{z, zeta} e^{i<z,zeta>}
-                      amp(x + (1-t) z, x - t z, eta + zeta)
-
-    with z on the node lattice and zeta on the dual lattice. Valid for
-    rapidly decaying amplitudes; returns the table on (xs, etas).
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ConfigError("t must lie in [0, 1]")
-    d = grid.dimension
-    Z = grid.nodes
-    ZE = grid.eta_nodes
-    if xs is None:
-        xs = grid.nodes
-    if etas is None:
-        etas = grid.eta_nodes
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    etas = np.atleast_2d(np.asarray(etas, dtype=float))
-    work = xs.shape[0] * etas.shape[0] * grid.size**2
-    if not allow_large and work > AMPLITUDE_BUDGET:
-        raise BudgetError(f"reduction workload {work:.3g} exceeds budget")
-    phase = np.exp(1j * (Z[:, None, :] * ZE[None, :, :]).sum(-1))
-    out = np.empty((xs.shape[0], etas.shape[0]), dtype=complex)
-    for i, x in enumerate(xs):
-        xp = x + (1.0 - t) * Z
-        xm = x - t * Z
-        for q, e in enumerate(etas):
-            vals = amp(xp[:, None, :], xm[:, None, :], e + ZE[None, :, :])
-            out[i, q] = (phase * vals).sum() / grid.size
-    return out
+    return OperatorMatrix(H, grid, symbol_id="amplitude")
 
 
 def op_ps(s, g, grid):

@@ -195,18 +195,6 @@ def build_form_sum(g, V, grid):
     return hermitize(OperatorMatrix(H, grid, symbol_id=f"form_sum({V.potential_id})"))
 
 
-def form_bound_estimate(V, grid):
-    """Form bound of the attractive part against the free operator: the largest
-    eigenvalue of H0^{-1/2} V_minus H0^{-1/2} at zero field. Below 1 the form
-    sum H0 - V_minus is bounded below (KLMN)."""
-    g0 = transversal_gauge(zero_field(grid.dimension))
-    H0 = op_weyl(relativistic_symbol(grid.dimension), g0, grid)
-    lam, Vecs = np.linalg.eigh(H0.entries)
-    lam = np.maximum(lam, 1e-12)
-    A = (np.sqrt(V.minus_values(grid))[:, None] * Vecs) * (lam**-0.5)[None, :]
-    return float(np.linalg.svd(A, compute_uv=False)[0] ** 2)
-
-
 def diamagnetic_check(g, V, t, trials, grid, seed=0):
     """Pointwise comparison |exp(-tH) u| <= exp(-tH(0, -V_minus)) |u|.
 

@@ -1,15 +1,13 @@
-"""Dense Hermitian eigensolving, resolvents, semigroups, relative bounds,
-and contour spectral projectors."""
+"""Dense Hermitian eigensolving, semigroups, relative bounds, and contour
+spectral projectors."""
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .errors import ConfigError, ContourError, NotApplicableError, SingularShiftError
-from .quantize import GridFunction, OperatorMatrix
+from .errors import ConfigError, ContourError, NotApplicableError
+from .quantize import OperatorMatrix
 
-MIN_SHIFT_DISTANCE = 1e-10  # resolvent shifts closer than this to the spectrum are refused
 CONTOUR_NODES = 32          # trapezoidal nodes of the Riesz projector contour
 HERMITIAN_TOL = 1e-12       # relative Hermiticity defect below which a matrix counts as Hermitian
 RANK_THRESHOLD = 0.5        # projector eigenvalues above this in modulus count toward its rank
@@ -83,37 +81,6 @@ def discrete_spectrum_select(dec, win):
         gap = float(gaps.min()) if gaps.size else np.inf
         out.append((float(lv), dec.eigenvectors[:, i], gap))
     return out
-
-
-def resolvent_apply(H, z, w):
-    """Solve (H - z) u = w by LU with partial pivoting.
-
-    The factorization's condition estimate guards against shifts closer than
-    MIN_SHIFT_DISTANCE to the spectrum; the solve is also residual-checked.
-    """
-    mat = H.entries if isinstance(H, OperatorMatrix) else np.asarray(H)
-    grid = H.grid if isinstance(H, OperatorMatrix) else None
-    rhs = w.values if isinstance(w, GridFunction) else np.asarray(w, dtype=complex)
-    A = (mat - z * np.eye(mat.shape[0])).astype(complex)
-    lu, piv = sla.lu_factor(A)
-    anorm = float(np.linalg.norm(A, 1))
-    rcond = float(sla.lapack.zgecon(lu, anorm)[0])
-
-    def singular(msg):
-        hermitian = hermiticity_defect(mat) <= HERMITIAN_TOL
-        lam = np.linalg.eigvalsh(mat) if hermitian else np.linalg.eigvals(mat)
-        return SingularShiftError(
-            msg, nearest_eigenvalue=complex(lam[np.argmin(np.abs(lam - z))]))
-
-    if rcond * anorm < MIN_SHIFT_DISTANCE:  # sigma_min estimate for normal A
-        raise singular(f"shift {z} within {rcond * anorm:.3e} of the spectrum")
-    u = sla.lu_solve((lu, piv), rhs)
-    res = float(np.linalg.norm(A @ u - rhs) / max(np.linalg.norm(rhs), 1e-300))
-    if res > 1e-9:
-        raise singular(f"solve residual {res:.3e} for shift {z}")
-    if grid is not None and isinstance(w, GridFunction):
-        return GridFunction(u, grid)
-    return u
 
 
 def matrix_exp_neg(H, t):

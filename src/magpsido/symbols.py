@@ -1,6 +1,5 @@
 """Frequency-space symbols: evaluation, derivatives, analytic continuation,
-and the quantitative class checks (seminorms, ellipticity, factorial
-derivative growth).
+and the quantitative class checks (seminorms, factorial derivative growth).
 
 Evaluation convention: every symbol callback receives position and frequency
 arguments as numpy arrays whose trailing axis has length `dimension`, and the
@@ -9,11 +8,11 @@ arguments broadcast against each other; the result drops the trailing axis.
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, NotApplicableError, StripViolationError, UnsupportedOrderError
+from .errors import ConfigError, NotApplicableError, UnsupportedOrderError
 from .potentials import parse_params, potential_from_id
 
 DERIVATIVE_BUDGET = 6
@@ -21,7 +20,6 @@ FD_REL_STEP = 1e-4    # frequency difference step, relative to max(1, |eta|)
 CAUCHY_SLACK = 1.5    # factor on the order-0 seminorm in the Cauchy bound constant
 CONTOUR_NODES = 32    # trapezoid nodes per ring of the Cauchy-integral eta derivative
 X_FD_STEP = 1e-5      # central-difference step of position derivatives
-ELLIPTIC_FLOOR = 1e-8  # smallest annulus constant counted as elliptic
 
 
 def bracket(eta):
@@ -61,7 +59,6 @@ class HormanderSymbol:
     dimension: int
     analytic_ext: Optional[Callable] = None
     strip_delta: Optional[float] = None
-    ellipticity: Optional[Tuple[float, float]] = None
     eta_grad: Optional[Callable] = None
     real: bool = False
     symbol_id: str = ""
@@ -221,59 +218,6 @@ def _nested_x_fd(fun, alpha, pts, d, h):
 
 
 @dataclass(frozen=True)
-class EllipticityResult:
-    is_elliptic: bool
-    C_hat: float
-    R_hat: float
-
-
-def _annulus_constants(sym, box_radius, density, radii):
-    d = sym.dimension
-    xs = _lattice(min(box_radius, 8.0), min(density, 33) if d == 2 else density)
-    es = _lattice(box_radius, density)
-    X = np.stack(np.meshgrid(*([xs] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    E = np.stack(np.meshgrid(*([es] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    ratio = np.abs(sym.eval(X[:, None, :], E[None, :, :])) / bracket(E[None, :, :]) ** sym.order
-    ratio = ratio.min(axis=0)  # worst x per eta sample
-    norms = np.sqrt((E * E).sum(axis=-1))
-    out = []
-    for r in radii:
-        mask = norms >= r
-        out.append(float(ratio[mask].min()) if mask.any() else np.inf)
-    return out
-
-
-def ellipticity_check(sym, box_radius, grid_density=64):
-    """Scan for |a(x,eta)| >= C <eta>^m on dyadic annuli |eta| in [R, box_radius].
-
-    R_hat is the smallest dyadic radius >= 1 whose annulus constant reaches
-    half of the outermost one; C_hat is the constant there. The constant must
-    also be stable under sampling refinement: symbols with frequency zeros
-    produce constants that keep shrinking as the lattice resolves the zeros,
-    and are rejected.
-    """
-    if sym.order <= 0:
-        raise NotApplicableError("ellipticity scan needs positive order")
-    radii = []
-    r = 1.0
-    while r <= box_radius / 2:
-        radii.append(r)
-        r *= 2
-    if not radii:
-        radii = [box_radius / 2]
-    coarse = _annulus_constants(sym, box_radius, grid_density, radii)
-    fine = _annulus_constants(sym, box_radius, 2 * grid_density + 1, radii)
-    c_outer = fine[-1]
-    r_hat, c_hat, c_hat_coarse = radii[-1], c_outer, coarse[-1]
-    for r, c, cc in zip(radii, fine, coarse):
-        if c >= 0.5 * c_outer:
-            r_hat, c_hat, c_hat_coarse = r, c, cc
-            break
-    stable = c_hat >= 0.6 * max(c_hat_coarse, ELLIPTIC_FLOOR)
-    return EllipticityResult(bool(c_hat > ELLIPTIC_FLOOR and stable), c_hat, r_hat)
-
-
-@dataclass(frozen=True)
 class CauchyBoundResult:
     passed: bool
     worst_ratio: float
@@ -304,19 +248,6 @@ def cauchy_derivative_bound_check(sym, max_order, box, grid_density=24):
     return CauchyBoundResult(worst <= 1.0, worst, C)
 
 
-def eval_analytic(sym, x, eta, xi):
-    """Evaluate the analytic extension at eta + i xi inside the strip."""
-    if sym.analytic_ext is None or sym.strip_delta is None:
-        raise NotApplicableError("symbol carries no analytic extension")
-    xi = np.asarray(xi, dtype=float)
-    worst = float(np.abs(xi).max())
-    if worst >= sym.strip_delta:
-        raise StripViolationError(
-            f"|Im zeta| = {worst:.6g} outside strip of half-width {sym.strip_delta:.6g}")
-    zeta = np.asarray(eta, dtype=float) + 1j * xi
-    return sym.analytic_ext(np.asarray(x, dtype=float), zeta)
-
-
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
@@ -338,8 +269,7 @@ def p_s_symbol(s, dimension):
 
     return HormanderSymbol(
         order=float(s), eval=ev, dimension=dimension, analytic_ext=ext,
-        strip_delta=delta, ellipticity=(1.0, 1.0) if s > 0 else None,
-        eta_grad=grad, real=True, symbol_id=f"p_s:s={s}")
+        strip_delta=delta, eta_grad=grad, real=True, symbol_id=f"p_s:s={s}")
 
 
 def relativistic_symbol(dimension):
@@ -364,13 +294,11 @@ def kinetic_symbol(dimension):
 
     return HormanderSymbol(
         order=2.0, eval=ev, dimension=dimension, analytic_ext=ext,
-        strip_delta=1.0, ellipticity=(0.5, 1.0), eta_grad=grad, real=True,
-        symbol_id="kinetic")
+        strip_delta=1.0, eta_grad=grad, real=True, symbol_id="kinetic")
 
 
 def _with_potential(base, v, vmeta, dimension):
     """base symbol plus an x-only term v(x)."""
-    vsup = abs(float(vmeta.get("sup", 1.0)))  # a bound on |v|, also for negative heights
     base_ev, base_ext, base_grad = base.eval, base.analytic_ext, base.eta_grad
 
     def ev(x, eta):
@@ -379,18 +307,10 @@ def _with_potential(base, v, vmeta, dimension):
     def ext(x, zeta):
         return base_ext(x, zeta) + v(x)
 
-    if base.order > 0:
-        # |a| >= <eta>^m (C_base - vsup/<R>^m) for |eta| >= R
-        R = max(base.ellipticity[1], (4.0 * vsup) ** (1.0 / base.order) + 1.0)
-        C = base.ellipticity[0] - vsup / math.hypot(1.0, R) ** base.order
-        ell = (max(C, 1e-6), R)
-    else:
-        ell = None
     return HormanderSymbol(
         order=base.order, eval=ev, dimension=dimension,
-        analytic_ext=ext, strip_delta=base.strip_delta, ellipticity=ell,
-        eta_grad=base_grad, real=base.real,
-        symbol_id=f"{base.symbol_id}+{vmeta['id']}")
+        analytic_ext=ext, strip_delta=base.strip_delta, eta_grad=base_grad,
+        real=base.real, symbol_id=f"{base.symbol_id}+{vmeta['id']}")
 
 
 def negative_order_symbol(v, vmeta, dimension):
@@ -410,8 +330,8 @@ def negative_order_symbol(v, vmeta, dimension):
 
     return HormanderSymbol(
         order=-1.0, eval=ev, dimension=dimension, analytic_ext=ext,
-        strip_delta=base.strip_delta, ellipticity=None, eta_grad=grad,
-        real=True, symbol_id=f"neg_order+{vmeta['id']}")
+        strip_delta=base.strip_delta, eta_grad=grad, real=True,
+        symbol_id=f"neg_order+{vmeta['id']}")
 
 
 _BASES = {

@@ -145,3 +145,42 @@ def test_unreadable_inputs_exit_2(case, tmp_path, capsys):
     assert cli_main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not os.path.exists(tmp_path / "out")
+
+
+SMALL_CONFIG = {"symbol": "relativistic+gauss_well:depth=2,width=1",
+                "grid": {"d": 1, "L": 10.0, "n": 32}, "eps_list": [0.025, 0.05]}
+
+# argv of each command whose one output is --out; {tmp} holds a small config
+# and a small stored operator
+FILE_WRITERS = {
+    "build": ["build", "--config", "{tmp}/small.json"],
+    "spectrum": ["spectrum", "--op", "{tmp}/small.mpdo", "--threshold", "1.0"],
+    "conjugate": ["conjugate", "--config", "{tmp}/small.json"],
+    "kato": ["kato", "--potential", "bounded_bump", "--n", "16"],
+    "semigroup": ["semigroup", "--t", "1.0", "--n", "16", "--L", "5"],
+}
+
+
+def _writer_argv(case, tmp_path, out):
+    (tmp_path / "small.json").write_text(json.dumps(SMALL_CONFIG))
+    save_operator(OperatorMatrix(np.diag([0.5, 2.0, 3.0, 4.0]), Grid(1, 1.0, 4),
+                                 symmetrized=True), str(tmp_path / "small.mpdo"))
+    return [a.format(tmp=tmp_path) for a in FILE_WRITERS[case]] + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("case", FILE_WRITERS)
+def test_output_into_missing_directory(case, tmp_path):
+    out = tmp_path / "new" / "deeper" / "out"
+    assert cli_main(_writer_argv(case, tmp_path, out)) == 0
+    assert out.stat().st_size > 0
+    assert os.listdir(out.parent) == ["out"]
+
+
+@pytest.mark.parametrize("case", FILE_WRITERS)
+def test_output_under_a_regular_file_exits_2(case, tmp_path, capsys):
+    (tmp_path / "blocker").write_text("")
+    out = tmp_path / "blocker" / "out"
+    assert cli_main(_writer_argv(case, tmp_path, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from magpsido.cli import main as cli_main
 from magpsido.errors import ConfigError, FormatError
-from magpsido.harness import (CONFIG_SCHEMA, Scenario, ScenarioConfig, ScenarioReport,
-                              emit_report, merge_reports, run_scenario,
-                              validate_config, verify_suite, write_atomic)
+from magpsido.harness import (CONFIG_SCHEMA, Scenario, ScenarioConfig, merge_reports,
+                              run_scenario, validate_config, verify_suite, write_atomic,
+                              write_kato_csv, write_spectrum_csv, write_sweep_csv)
 
 BASE_CFG = {
     "symbol": "relativistic+gauss_well:depth=2,width=1",
@@ -342,6 +342,18 @@ class TestRealArithmetic:
         report = run_scenario(cfg_with(field=field, grid=grid, suites=[]))
         assert report.spectra_summary["real_arithmetic"] is real
 
+    def test_spectra_summary_gaps_are_the_bound_state_gaps(self):
+        # the shipped thm2 box has exactly degenerate continuum pairs, so the
+        # smallest gap of the whole spectrum says nothing about the bound states
+        path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "configs", "thm2_exp_decay.json")
+        cfg = dataclasses.replace(ScenarioConfig.from_json(path), suites=[])
+        sc = Scenario(cfg)
+        assert np.diff(sc.dec.eigenvalues).min() < 1e-9
+        gaps = run_scenario(cfg).spectra_summary["bound_state_gaps"]
+        assert gaps == [gap for _, _, gap in sc.bound_states]
+        assert len(gaps) == 3 and min(gaps) > 0.05
+
 
 class TestReports:
     def test_determinism_modulo_timings(self, tmp_path):
@@ -355,29 +367,26 @@ class TestReports:
     def test_json_report_round_trip(self, tmp_path):
         cfg = cfg_with(suites=["lemmas-weights"],
                        grid={"d": 1, "L": 16.0, "n": 64})
-        report = run_scenario(cfg)
         out = tmp_path / "rep.json"
-        emit_report(report, "json", str(out))
+        report = run_scenario(cfg, str(out))
         loaded = json.loads(out.read_text())
         assert loaded == json.loads(report.to_json())
 
-    def test_csv_bundle_schemas(self, tmp_path):
-        cfg = cfg_with(suites=["lemmas-weights"],
-                       grid={"d": 1, "L": 16.0, "n": 64})
-        report = run_scenario(cfg)
-        outdir = tmp_path / "bundle"
-        files = emit_report(report, "csv-bundle", str(outdir))
-        checks = (outdir / "checks.csv").read_text().splitlines()
-        assert checks[0] == "suite,check,invariant,passed,margin,details"
-        spectrum = (outdir / "spectrum.csv").read_text().splitlines()
-        assert spectrum[0] == "index,eigenvalue,gap,residual"
+    def test_csv_schemas(self, tmp_path):
+        sweep = write_sweep_csv([(0.05, 0.1, 0.005, True)], str(tmp_path / "s.csv"))
+        spectrum = write_spectrum_csv([0.5, 2.0], 1e-15, str(tmp_path / "e.csv"))
+        kato = write_kato_csv([(1.0, 0.25)], str(tmp_path / "k.csv"))
+        for path, header, rows in ((sweep, "epsilon,rel_bound,eps_rel_bound,flag", 1),
+                                   (spectrum, "index,eigenvalue,gap,residual", 2),
+                                   (kato, "t,sup_value", 1)):
+            with open(path, newline="") as fh:
+                lines = fh.read().split("\r\n")  # csv's own line ends, untranslated
+            assert lines[0] == header
+            assert len(lines) == rows + 2 and lines[-1] == ""
 
-    def test_bundle_spectrum_gap_is_nearest_neighbour_distance(self, tmp_path):
-        report = ScenarioReport({}, "hash", {},
-                                spectra_summary={"lowest": [0.0, 1.0, 1.1, 3.0],
-                                                 "residual": 1e-15})
-        emit_report(report, "csv-bundle", str(tmp_path))
-        with open(tmp_path / "spectrum.csv") as fh:
+    def test_spectrum_csv_gap_is_nearest_neighbour_distance(self, tmp_path):
+        path = write_spectrum_csv([0.0, 1.0, 1.1, 3.0], 1e-15, str(tmp_path / "spectrum.csv"))
+        with open(path, newline="") as fh:
             gaps = [float(row["gap"]) for row in csv.DictReader(fh)]
         assert gaps == pytest.approx([1.0, 0.1, 0.1, 1.9], abs=1e-12)
 

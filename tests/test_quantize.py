@@ -11,8 +11,8 @@ from magpsido.errors import AssemblyError, BudgetError, ConfigError, NotApplicab
 from magpsido.gauge import (constant_field_2d, field_from_id, gauge_transform, phase_table,
                             transversal_gauge, zero_field)
 from magpsido.quantize import (REAL_TOL, Grid, GridFunction, OperatorMatrix, fourier_mode,
-                               hermitize, kernel_table, mag_derivative, op_amplitude, op_ps,
-                               op_weyl, op_weyl_unsym, reduce_amplitude, sobolev_norm)
+                               hermitize, mag_derivative, op_amplitude, op_ps, op_weyl,
+                               op_weyl_unsym, sobolev_norm)
 from magpsido.spectral import eig_hermitian
 from magpsido.symbols import HormanderSymbol, bracket, kinetic_symbol, p_s_symbol, symbol_from_id
 
@@ -55,6 +55,13 @@ class TestGrid:
         g = Grid(1, 1.0, 8)
         with pytest.raises(ConfigError):
             GridFunction(np.ones(7), g)
+
+
+def kernel_table(sym, grid):
+    """Midpoint kernel K(m, z) = (2L)^{-d} sum_eta e^{i<z,eta>} a(m, eta): the
+    table that op_weyl gathers its entries from, on the midpoint lattice
+    (spacing h/2) and the wrapped displacements z = r h, r in [0, n)."""
+    return magpsido.quantize._midpoint_transform(sym, grid) / grid.h**grid.dimension
 
 
 class TestKernelTable:
@@ -174,8 +181,9 @@ class TestOpAmplitude:
     def test_budget_guard(self):
         grid = Grid(2, 4.0, 48)  # 48^6 > 1e10
         g = transversal_gauge(zero_field(2))
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match="coarser grid") as exc:
             op_amplitude(lambda x, y, e: np.zeros(np.asarray(e).shape[:-1]), g, grid)
+        assert "allow_large" not in str(exc.value)
 
     def test_2d_midpoint_amplitude_equals_weyl(self):
         grid = Grid(2, 4.0, 8)
@@ -305,59 +313,6 @@ class TestParallelRows:
         op_amplitude(amp, transversal_gauge(zero_field(1)), grid)
         assert len(alive) == grid.size
         assert max(alive) <= before + cpus - 1
-
-
-class TestReduceAmplitude:
-    def test_slice_form_recovered_exactly(self):
-        grid = Grid(1, 8.0, 32)
-        t = 0.3
-
-        def amp(x, y, e):
-            m = t * np.asarray(x, dtype=float) + (1 - t) * np.asarray(y, dtype=float)
-            return (np.exp(-(m[..., 0] ** 2) / 2)
-                    * np.exp(-(np.asarray(e)[..., 0] ** 2) / 2))
-
-        xs = grid.nodes[::4]
-        etas = grid.eta_nodes[::4]
-        table = reduce_amplitude(amp, t, grid, xs=xs, etas=etas)
-        want = (np.exp(-(xs[:, 0] ** 2) / 2)[:, None]
-                * np.exp(-(etas[:, 0] ** 2) / 2)[None, :])
-        assert np.abs(table - want).max() < 1e-13
-
-    def test_pair_free_amplitude_passes_through(self):
-        grid = Grid(1, 8.0, 32)
-        amp = lambda x, y, e: (np.exp(-(np.asarray(e)[..., 0] ** 2) / 2)
-                               + 0.0 * np.asarray(x)[..., 0] + 0.0 * np.asarray(y)[..., 0])
-        etas = grid.eta_nodes[::4]
-        table = reduce_amplitude(amp, 0.5, grid, xs=np.zeros((1, 1)), etas=etas)
-        want = np.exp(-(etas[:, 0] ** 2) / 2)[None, :]
-        assert np.abs(table - want).max() < 1e-12
-
-    def test_operator_level_reduction_on_band(self, g1):
-        # E(amp) and the quantization of the reduced symbol agree on the band
-        # |x - y| <= L/2 (wrapped corners differ by construction), and the
-        # band residual shrinks as the dual lattice grows.
-        res = {}
-        for n in (32, 48):
-            grid = Grid(1, 8.0, n)
-            amp = sin_amplitude
-            table = reduce_amplitude(amp, 0.5, grid, xs=grid.midpoints,
-                                     etas=grid.eta_nodes)
-            T = np.fft.ifft(table, axis=1)
-            J, K = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-            Hred = T[J + K, (J - K) % n]
-            Hamp = op_amplitude(amp, g1, grid).entries
-            band = np.abs(grid.axis[:, None] - grid.axis[None, :]) <= grid.L / 2
-            num = np.linalg.norm((Hred - Hamp)[band])
-            den = np.linalg.norm(Hamp[band])
-            res[n] = num / den
-        assert res[32] < 1e-4
-        assert res[48] < res[32]
-
-    def test_t_range_validated(self):
-        grid = Grid(1, 4.0, 8)
-        with pytest.raises(ConfigError):
-            reduce_amplitude(lambda x, y, e: 0.0, 1.5, grid)
 
 
 class TestPsOperators:

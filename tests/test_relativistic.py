@@ -7,7 +7,7 @@ from magpsido.gauge import constant_field_2d, transversal_gauge, zero_field
 from magpsido.quantize import Grid, op_weyl
 from magpsido.relativistic import (PotentialSpec, bessel_k, build_form_sum,
                                    diamagnetic_check, displacement_lattice,
-                                   form_bound_estimate, kato_estimate, kato_scan,
+                                   kato_estimate, kato_scan,
                                    kernel_pt, pointwise_bound_check,
                                    potential_spec_from_id, semigroup_checks)
 from magpsido.spectral import eig_hermitian, matrix_exp_neg
@@ -235,11 +235,6 @@ class TestFormSum:
         H = build_form_sum(g0, spec, grid)
         lam = np.linalg.eigvalsh(H.entries)
         assert lam[0] < 0.95
-
-    def test_strong_attraction_warns(self):
-        grid = Grid(1, 10.0, 64)
-        spec = potential_spec_from_id("gauss_well:depth=6,width=2")
-        assert form_bound_estimate(spec, grid) > 0.9
 
     def test_potential_split_from_id(self):
         spec = potential_spec_from_id("gauss_well:depth=2,width=1")

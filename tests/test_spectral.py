@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from magpsido.errors import ContourError, NotApplicableError, SingularShiftError
+from magpsido.errors import ContourError, NotApplicableError
 from magpsido.gauge import constant_field_2d, transversal_gauge, zero_field
-from magpsido.quantize import Grid, GridFunction, OperatorMatrix, op_weyl
+from magpsido.quantize import Grid, OperatorMatrix, op_weyl
 from magpsido.spectral import (CONTOUR_NODES, SpectralWindow,
                                discrete_spectrum_select, eig_hermitian,
-                               matrix_exp_neg, relative_bound, resolvent_apply,
-                               riesz_projector)
+                               matrix_exp_neg, relative_bound, riesz_projector)
 from magpsido.symbols import kinetic_symbol, symbol_from_id
 
 
@@ -90,39 +89,6 @@ class TestDiscreteSelect:
     def test_margin_positive_required(self):
         with pytest.raises(NotApplicableError):
             SpectralWindow(1.0, 0.0)
-
-
-class TestResolvent:
-    def test_identity_shift_zero(self):
-        w = np.arange(1.0, 7.0)
-        u = resolvent_apply(as_op(np.eye(6)), 0.0, w)
-        assert np.abs(u - w).max() < 1e-12
-
-    def test_diagonal_closed_form(self):
-        H = as_op(np.diag([1.0, 2.0]))
-        u = resolvent_apply(H, 1j, np.array([1.0, 1.0]))
-        want = np.array([1.0 / (1 - 1j), 1.0 / (2 - 1j)])
-        assert np.abs(u - want).max() < 1e-14
-
-    def test_random_hermitian_residual(self):
-        H = as_op(random_hermitian(16, 2))
-        w = np.random.default_rng(3).standard_normal(16)
-        u = resolvent_apply(H, 3j, w)
-        res = np.linalg.norm((H.entries - 3j * np.eye(16)) @ u - w)
-        assert res / np.linalg.norm(w) < 1e-10
-
-    def test_singular_shift_reports_nearest_eigenvalue(self):
-        H = as_op(np.diag([1.0, 2.0, 5.0]))
-        with pytest.raises(SingularShiftError) as exc:
-            resolvent_apply(H, 2.0 + 1e-14j, np.array([1.0, 1.0, 1.0]))
-        assert exc.value.nearest_eigenvalue == pytest.approx(2.0)
-
-    def test_grid_function_round_trip(self):
-        grid = Grid(1, 1.0, 8)
-        H = as_op(np.eye(8), grid)
-        u = resolvent_apply(H, 0.5, GridFunction(np.ones(8), grid))
-        assert isinstance(u, GridFunction)
-        assert np.abs(u.values - 2.0).max() < 1e-13
 
 
 class TestMatrixExp:

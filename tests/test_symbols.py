@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from magpsido.errors import (ConfigError, NotApplicableError, StripViolationError,
-                             UnsupportedOrderError)
+from magpsido.errors import ConfigError, NotApplicableError, UnsupportedOrderError
 from magpsido.symbols import (HormanderSymbol, SampleBox, bracket,
-                              cauchy_derivative_bound_check, ellipticity_check,
-                              eta_derivative, eval_analytic, kinetic_symbol,
-                              p_s_symbol, relativistic_symbol, seminorm_estimate,
-                              symbol_from_id)
+                              cauchy_derivative_bound_check, eta_derivative,
+                              kinetic_symbol, p_s_symbol, relativistic_symbol,
+                              seminorm_estimate, symbol_from_id)
 
 
 @pytest.fixture(scope="module")
@@ -49,33 +47,6 @@ class TestSeminorm:
         assert large >= small
 
 
-class TestEllipticity:
-    def test_relativistic(self, rel1):
-        res = ellipticity_check(rel1, 16.0, grid_density=64)
-        assert res.is_elliptic
-        assert res.C_hat >= 0.99
-
-    def test_kinetic_constant_half_at_radius_one(self, kin1):
-        # inf over |eta| >= 1 of |eta|^2/<eta>^2 is 1/2, attained at the edge;
-        # the sampled constant sits slightly above it
-        res = ellipticity_check(kin1, 16.0, grid_density=129)
-        assert res.is_elliptic
-        assert res.R_hat == pytest.approx(1.0)
-        assert 0.45 <= res.C_hat <= 0.58
-
-    def test_oscillating_symbol_rejected(self):
-        sym = HormanderSymbol(
-            order=1.0,
-            eval=lambda x, e: np.sin(np.asarray(e)[..., 0]) * bracket(e),
-            dimension=1, real=True, symbol_id="sin-bracket")
-        res = ellipticity_check(sym, 16.0, grid_density=257)
-        assert not res.is_elliptic
-
-    def test_nonpositive_order_rejected(self):
-        with pytest.raises(NotApplicableError):
-            ellipticity_check(p_s_symbol(-1.0, 1), 8.0)
-
-
 class TestCauchyBound:
     def test_order_zero_within_slack(self, rel1):
         res = cauchy_derivative_bound_check(rel1, 0, SampleBox(2.0, 8.0))
@@ -106,21 +77,17 @@ class TestCauchyBound:
 
 class TestAnalyticEvaluation:
     def test_value_at_origin(self, rel1):
-        val = eval_analytic(rel1, np.zeros(1), np.zeros(1), np.zeros(1))
+        val = rel1.analytic_ext(np.zeros(1), np.zeros(1) + 0j)
         assert complex(val) == pytest.approx(1.0)
 
     def test_pure_imaginary_frequency(self, rel1):
         # closed form: (1 + (i xi)^2)^(1/2) = sqrt(1 - xi^2)
-        val = eval_analytic(rel1, np.zeros(1), np.zeros(1), np.array([0.3]))
+        val = rel1.analytic_ext(np.zeros(1), np.array([0.3j]))
         assert complex(val) == pytest.approx(np.sqrt(1 - 0.09), abs=1e-14)
 
     def test_quadratic_symbol(self, kin1):
-        val = eval_analytic(kin1, np.zeros(1), np.array([1.0]), np.array([0.2]))
+        val = kin1.analytic_ext(np.zeros(1), np.array([1.0 + 0.2j]))
         assert complex(val) == pytest.approx((1 + 0.2j) ** 2, abs=1e-14)
-
-    def test_strip_guard(self, rel1):
-        with pytest.raises(StripViolationError):
-            eval_analytic(rel1, np.zeros(1), np.zeros(1), np.array([0.6]))
 
     def test_restriction_consistency(self):
         etas = np.linspace(-12, 12, 101)[:, None]
@@ -178,7 +145,10 @@ class TestCatalogIds:
         sym = symbol_from_id("relativistic+gauss_well:depth=2,width=1", 1)
         assert sym.real
         assert sym.order == 1.0
-        assert sym.ellipticity is not None
+        # elliptic: the well is bounded, so |a| >= <eta> - 2 >= <eta> / 2 for |eta| >= 4
+        xs = np.linspace(-5.0, 5.0, 21)[:, None, None]
+        etas = np.linspace(4.0, 64.0, 61)[None, :, None]
+        assert (np.abs(sym.eval(xs, etas)) >= 0.5 * bracket(etas)).all()
         x = np.array([[0.0]])
         eta = np.array([[0.0]])
         assert float(np.real(sym.eval(x, eta)[0])) == pytest.approx(-1.0)  # 1 - 2
