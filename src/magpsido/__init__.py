@@ -2,8 +2,8 @@
 
 Assembles dense quantizations of frequency symbols twisted by a magnetic
 segment phase, and verifies at desk scale the machinery behind eigenfunction
-decay: weight conjugation and its remainder bounds, analytic frequency-shift
-amplitude identities, contour spectral projectors, and the square-root
+decay: weight conjugation, its transport of bound states and its remainder
+bounds, analytic frequency-shift amplitude identities, and the square-root
 kinetic semigroup with its kernel and potential-smearing estimates.
 
 The supported entry points are the `magpsido` command line (`magpsido.cli`)

@@ -16,6 +16,7 @@ from .harness import (SUITE_NAMES, Scenario, ScenarioConfig, ScenarioReport,
                       merge_reports, run_scenario, verify_suite, write_atomic,
                       write_kato_csv, write_spectrum_csv, write_sweep_csv)
 from .mpdo import file_hash, load_operator, save_operator
+from .potentials import potential_from_id
 from .quantize import Grid, GridFunction, hermitize
 from .spectral import SpectralWindow, discrete_spectrum_select, eig_hermitian
 
@@ -122,8 +123,6 @@ def cmd_semigroup(args):
 
 def cmd_kato(args):
     grid = _grid_from_args(args)
-    from .potentials import potential_from_id
-
     v, meta = potential_from_id(args.potential)
     if not meta.get("nonneg", False):
         print(f"potential {args.potential} is not nonnegative; using |v|")

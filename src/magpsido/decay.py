@@ -72,10 +72,6 @@ def b_shift(eps, x, y):
     return eps * (x + y) / denom[..., None]
 
 
-def weight_diagonal(w, eps, grid):
-    return w(eps, grid.nodes)
-
-
 def conjugate_operator(op, w, eps):
     """F H F^{-1} with F = diag(f_eps(x_j)); exact diagonal similarity.
 
@@ -83,24 +79,10 @@ def conjugate_operator(op, w, eps):
     """
     if not 0.0 < eps <= 1.0:
         raise ConfigError("eps must lie in (0, 1]")
-    f = weight_diagonal(w, eps, op.grid)
-    H = op.entries
-    entries = (f[:, None] / f[None, :]) * H
-    return OperatorMatrix(entries, op.grid,
+    f = w(eps, op.grid.nodes)
+    return OperatorMatrix((f[:, None] / f[None, :]) * op.entries, op.grid,
                           symbol_id=f"{op.symbol_id}|conj:{w.weight_id()},eps={eps}",
                           symmetrized=False)
-
-
-def similarity_spectrum_defect(conj, eigenvalues):
-    """Relative distance between the spectrum of a conjugated operator and
-    the ascending `eigenvalues` of the operator it conjugates.
-
-    A diagonal similarity is isospectral, so only the roundoff of the dense
-    non-Hermitian `eigvals` shows: max |lambda_c - lambda| / max(|lambda|, 1).
-    """
-    lam_c = np.sort(np.linalg.eigvals(conj.entries).real)
-    scale = max(float(np.abs(eigenvalues).max()), 1.0)
-    return float(np.abs(lam_c - eigenvalues).max() / scale)
 
 
 def remainder_operator(op, w, eps):

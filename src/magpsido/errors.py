@@ -25,10 +25,6 @@ class BudgetError(MagpsidoError):
     """Requested computation exceeds the configured size budget."""
 
 
-class ContourError(MagpsidoError):
-    """Spectral contour passes too close to an eigenvalue."""
-
-
 class InsufficientWindowError(MagpsidoError):
     """Too few usable samples in a fit window."""
 

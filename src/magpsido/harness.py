@@ -20,14 +20,16 @@ import numpy as np
 from . import decay as dk
 from . import relativistic as rel
 from .errors import ConfigError, FormatError, MagpsidoError
-from .gauge import field_from_id, gauge_transform, transversal_gauge, zero_field, potential_residual
+from .gauge import (constant_field_2d, field_from_id, gauge_transform, potential_residual,
+                    transversal_gauge, zero_field)
 from .mpdo import LOAD_BUDGET_BYTES, atomic_open
 from .potentials import potential_from_id
 from .quantize import (Grid, GridFunction, fourier_mode, mag_derivative, op_amplitude,
                        op_ps, op_weyl, op_weyl_unsym, sobolev_norm)
 from .spectral import (SpectralWindow, discrete_spectrum_select, eig_hermitian,
-                       matrix_exp_neg, riesz_projector)
-from .symbols import SampleBox, bracket, cauchy_derivative_bound_check, symbol_from_id
+                       matrix_exp_neg, nearest_gaps)
+from .symbols import (HormanderSymbol, SampleBox, bracket, cauchy_derivative_bound_check,
+                      symbol_from_id)
 
 SUITE_NAMES = ("quantize-core", "lemmas-weights", "thm1-rapid-decay",
                "thm2-exp-decay", "thm3-relativistic")
@@ -291,8 +293,6 @@ def suite_quantize_core(sc):
     def vfun(x):
         return -np.exp(-(np.asarray(x) ** 2).sum(-1) / 2.0)
 
-    from .symbols import HormanderSymbol
-
     pure_mult = HormanderSymbol(
         order=0.0, eval=lambda x, eta: vfun(x) + 0.0 * np.asarray(eta).sum(-1),
         dimension=d, real=True, symbol_id="mult:v")
@@ -375,24 +375,21 @@ def _fft_multiplier_reference(mult_flat, grid):
 _DRIFT_TOL = 0.2
 
 
+def _test_functions(g, seed):
+    """Four Fourier modes, then four complex Gaussian vectors drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    return ([fourier_mode(g, (k,)) for k in (0, 1, 3, 7)]
+            + [GridFunction(rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size), g)
+               for _ in range(4)])
+
+
 def _graph_norm_check(cfg, grid, gauge):
     ratios = []
     for g in (Grid(grid.dimension, grid.L, grid.n // 2), grid):
         H = op_weyl(symbol_from_id("relativistic", 1), gauge, g)
         P1 = op_ps(1.0, gauge, g)
-        vals = []
-        for k in (0, 1, 3, 7):
-            u = fourier_mode(g, (k,))
-            Hu = H.apply(u)
-            vals.append(sobolev_norm(u, 1.0, gauge, ps_operator=P1)
-                        / (u.l2_norm() + Hu.l2_norm()))
-        rng = np.random.default_rng(cfg.seed)
-        for _ in range(4):
-            u = GridFunction(rng.standard_normal(g.size)
-                             + 1j * rng.standard_normal(g.size), g)
-            Hu = H.apply(u)
-            vals.append(sobolev_norm(u, 1.0, gauge, ps_operator=P1)
-                        / (u.l2_norm() + Hu.l2_norm()))
+        vals = [sobolev_norm(u, 1.0, gauge, ps_operator=P1)
+                / (u.l2_norm() + H.apply(u).l2_norm()) for u in _test_functions(g, cfg.seed)]
         ratios.append((min(vals), max(vals)))
     spread = [hi / lo for lo, hi in ratios]
     drift = abs(spread[1] - spread[0]) / spread[0]
@@ -405,21 +402,9 @@ def _sobolev_char_check(cfg, grid, gauge):
     spreads = []
     for g in (Grid(grid.dimension, grid.L, grid.n // 2), grid):
         P1 = op_ps(1.0, gauge, g)
-        rng = np.random.default_rng(cfg.seed + 1)
-        vals = []
-        for k in (0, 1, 3, 7):
-            u = fourier_mode(g, (k,))
-            lhs = sobolev_norm(u, 1.0, gauge, ps_operator=P1) ** 2
-            du = mag_derivative((1,), u, gauge)
-            rhs = u.l2_norm() ** 2 + du.l2_norm() ** 2
-            vals.append(lhs / rhs)
-        for _ in range(4):
-            u = GridFunction(rng.standard_normal(g.size)
-                             + 1j * rng.standard_normal(g.size), g)
-            lhs = sobolev_norm(u, 1.0, gauge, ps_operator=P1) ** 2
-            du = mag_derivative((1,), u, gauge)
-            rhs = u.l2_norm() ** 2 + du.l2_norm() ** 2
-            vals.append(lhs / rhs)
+        vals = [sobolev_norm(u, 1.0, gauge, ps_operator=P1) ** 2
+                / (u.l2_norm() ** 2 + mag_derivative((1,), u, gauge).l2_norm() ** 2)
+                for u in _test_functions(g, cfg.seed + 1)]
         spreads.append(max(vals) / min(vals))
     drift = abs(spreads[1] - spreads[0]) / spreads[0]
     return Check("sobolev-characterization", "quantize/sobolev-eq", drift < _DRIFT_TOL,
@@ -477,15 +462,18 @@ def suite_lemmas_weights(sc):
     return checks
 
 
+def _window_check(found):
+    return Check("discrete-spectrum-nonempty", "spectral/window",
+                 len(found) > 0, float(len(found)),
+                 f"{len(found)} eigenvalues below threshold")
+
+
 def suite_thm1_rapid_decay(sc):
-    cfg, grid, H, dec, found = sc.cfg, sc.grid, sc.H, sc.dec, sc.bound_states
-    checks = []
-    checks.append(Check("discrete-spectrum-nonempty", "spectral/window",
-                        len(found) > 0, float(len(found)),
-                        f"{len(found)} eigenvalues below threshold"))
+    cfg, grid, found = sc.cfg, sc.grid, sc.bound_states
+    checks = [_window_check(found)]
     if not found:
         return checks
-    lam0, u0, gap = found[0]
+    u0 = found[0][1]
     u = GridFunction(u0, grid)
     window = tuple(cfg.window) if cfg.window else dk.default_window(grid)
     fit = dk.decay_fit(u, "polynomial", window)
@@ -493,37 +481,34 @@ def suite_thm1_rapid_decay(sc):
                         fit.rate >= 6.0 and fit.r_squared > 0.9, fit.rate - 6.0,
                         f"p-hat {fit.rate:.2f}, R2 {fit.r_squared:.4f}"))
 
-    w = cfg.make_weight()
-    eps = cfg.eps_list[len(cfg.eps_list) // 2]
-    Heps = dk.conjugate_operator(H, w, eps)
-    fvals = w(eps, grid.nodes)
-    v = fvals * u0
-    res = float(np.linalg.norm(Heps.entries @ v - lam0 * v) / np.linalg.norm(v))
-    scale = max(float(np.abs(dec.eigenvalues).max()), 1.0)
-    checks.append(Check("weighted-eigenvector", "decay/eigenvector-transport",
-                        res / scale < 1e-8, 1e-8 - res / scale,
-                        f"residual {res:.3e}"))
-
-    checks.append(_similarity_check(Heps, dec))
+    checks.append(_transport_check(sc, cfg.make_weight(), cfg.eps_list))
     return checks
 
 
-def _similarity_check(Heps, dec):
-    """Conjugation by a positive diagonal keeps the spectrum."""
-    diff = dk.similarity_spectrum_defect(Heps, dec.eigenvalues)
-    return Check("similarity-spectrum", "decay/conjugation-isospectral",
-                 diff < 1e-9, 1e-9 - diff, f"relative diff {diff:.3e}")
+def _transport_check(sc, w, eps_list):
+    """F H F^{-1} keeps every bound pair (lam, u) as (lam, F u): the residual
+    |H_eps F u - lam F u| / |F u| of each bound state at each eps, relative to
+    max(|lam|_max, 1)."""
+    lam = np.array([lv for lv, _, _ in sc.bound_states])
+    U = np.stack([u for _, u, _ in sc.bound_states], axis=1)
+    worst = 0.0
+    for eps in eps_list:
+        V = w(eps, sc.grid.nodes)[:, None] * U
+        R = dk.conjugate_operator(sc.H, w, eps).entries @ V - V * lam[None, :]
+        worst = max(worst, float((np.linalg.norm(R, axis=0) / np.linalg.norm(V, axis=0)).max()))
+    worst /= max(float(np.abs(sc.dec.eigenvalues).max()), 1.0)
+    return Check("weighted-eigenvector", "decay/eigenvector-transport",
+                 worst < 1e-8, 1e-8 - worst,
+                 f"worst relative residual {worst:.3e} over {len(lam)} bound states "
+                 f"x {len(eps_list)} eps")
 
 
 def suite_thm2_exp_decay(sc):
-    cfg, grid, H, dec, found = sc.cfg, sc.grid, sc.H, sc.dec, sc.bound_states
-    checks = []
-    checks.append(Check("discrete-spectrum-nonempty", "spectral/window",
-                        len(found) > 0, float(len(found)),
-                        f"{len(found)} eigenvalues below threshold"))
+    cfg, grid, found = sc.cfg, sc.grid, sc.bound_states
+    checks = [_window_check(found)]
     if not found:
         return checks
-    lam0, u0, gap = found[0]
+    u0 = found[0][1]
     u = GridFunction(u0, grid)
     window = tuple(cfg.window) if cfg.window else dk.default_window(grid)
     fit = dk.decay_fit(u, "exponential", window)
@@ -534,7 +519,7 @@ def suite_thm2_exp_decay(sc):
 
     w = cfg.make_weight()
     # through the module attribute, which callers may wrap
-    rows, eps0 = dk.uniform_bound_sweep(H, w, sorted(cfg.eps_list), dec=dec)
+    rows, eps0 = dk.uniform_bound_sweep(sc.H, w, sorted(cfg.eps_list), dec=sc.dec)
     bounds = [r[1] for r in rows]
     variation = max(bounds) / max(min(bounds), 1e-300)
     checks.append(Check("uniform-relative-bound", "decay/uniform-sweep",
@@ -547,14 +532,6 @@ def suite_thm2_exp_decay(sc):
                         ok, float(est["empirical_eps0"] or 0.0),
                         f"analytic {est['analytic_eps0']}, empirical {est['empirical_eps0']}"))
 
-    radius = 0.5 * min(gap, abs(cfg.essential_threshold - lam0))
-    proj = riesz_projector(dec, lam0, radius)
-    idem, rank = proj.idempotency_defect, proj.rank
-    mult = int(np.sum(np.abs(dec.eigenvalues - lam0) < 1e-10))
-    checks.append(Check("riesz-projector", "spectral/contour-projector",
-                        idem < 1e-8 and rank == mult, 1e-8 - idem,
-                        f"|P^2-P| {idem:.3e}, rank {rank}, multiplicity {mult}"))
-
     certificate_eps = fit.rate / 2.0
     fw = np.exp(certificate_eps * bracket(grid.nodes))
     weighted = fw * np.abs(u0)
@@ -565,7 +542,7 @@ def suite_thm2_exp_decay(sc):
                         argmax_r < 0.5 * grid.L, 0.5 * grid.L - argmax_r,
                         f"weighted profile peaks at |x| = {argmax_r:.2f}"))
 
-    checks.append(_similarity_check(dk.conjugate_operator(H, w, cfg.eps_list[-1]), dec))
+    checks.append(_transport_check(sc, w, cfg.eps_list))
     return checks
 
 
@@ -632,8 +609,6 @@ def suite_thm3_relativistic(sc):
                         f"residuals {cons[0]:.2e} -> {cons[1]:.2e}"))
 
     dia_grid = Grid(2, 5.0, 16)
-    from .gauge import constant_field_2d
-
     gb = transversal_gauge(constant_field_2d(1.0))
     dia = rel.diamagnetic_check(gb, rel.PotentialSpec(), 1.0, 10, dia_grid,
                                 seed=cfg.seed)
@@ -777,11 +752,8 @@ def write_sweep_csv(rows, path):
 def write_spectrum_csv(eigenvalues, residual, path):
     """One row per eigenvalue; `gap` is the distance to the nearest other one."""
     lam = np.asarray(eigenvalues, dtype=float)
-    rows = []
-    for i, v in enumerate(lam):
-        others = np.abs(np.delete(lam, i) - v)
-        gap = float(others.min()) if others.size else 0.0
-        rows.append((i, f"{v:.12g}", f"{gap:.12g}", f"{residual:.3e}"))
+    rows = [(i, f"{v:.12g}", f"{gap:.12g}", f"{residual:.3e}")
+            for i, (v, gap) in enumerate(zip(lam, nearest_gaps(lam)))]
     return _write_csv(path, ("index", "eigenvalue", "gap", "residual"), rows)
 
 

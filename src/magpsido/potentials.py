@@ -8,6 +8,8 @@ from .errors import ConfigError
 
 def gauss_well(depth=2.0, width=1.0):
     """Attractive Gaussian well -depth * exp(-|x|^2 / (2 width^2))."""
+    if not width > 0:
+        raise ConfigError(f"potential 'gauss_well' needs width > 0, got width={width}")
 
     def v(x):
         x = np.asarray(x, dtype=float)
@@ -15,11 +17,13 @@ def gauss_well(depth=2.0, width=1.0):
         return -depth * np.exp(-r2 / (2.0 * width**2))
 
     return v, {"id": f"gauss_well:depth={depth},width={width}",
-               "sup": depth, "nonneg": False, "depth": depth, "width": width}
+               "nonneg": False, "depth": depth, "width": width}
 
 
 def bounded_bump(height=1.0, width=1.0):
     """Nonnegative bump height * exp(-|x|^2 / (2 width^2))."""
+    if not width > 0:
+        raise ConfigError(f"potential 'bounded_bump' needs width > 0, got width={width}")
 
     def v(x):
         x = np.asarray(x, dtype=float)
@@ -27,11 +31,13 @@ def bounded_bump(height=1.0, width=1.0):
         return height * np.exp(-r2 / (2.0 * width**2))
 
     return v, {"id": f"bounded_bump:height={height},width={width}",
-               "sup": height, "nonneg": True}
+               "nonneg": True}
 
 
 def coulomb_like(alpha=1.0, reg=0.1):
     """Regularized attractive Coulomb tail alpha / sqrt(|x|^2 + reg^2) >= 0."""
+    if not reg > 0:
+        raise ConfigError(f"potential 'coulomb_like' needs reg > 0, got reg={reg}")
 
     def v(x):
         x = np.asarray(x, dtype=float)
@@ -39,7 +45,7 @@ def coulomb_like(alpha=1.0, reg=0.1):
         return alpha / np.sqrt(r2 + reg**2)
 
     return v, {"id": f"coulomb_like:alpha={alpha},reg={reg}",
-               "sup": alpha / reg, "nonneg": True}
+               "nonneg": True}
 
 
 _BUILDERS = {
@@ -76,5 +82,5 @@ def potential_from_id(pid):
     params = parse_params(rest)
     try:
         return _BUILDERS[name](**params)
-    except (TypeError, ArithmeticError) as exc:  # unknown name, or e.g. reg=0
+    except TypeError as exc:  # unknown parameter name
         raise ConfigError(f"bad parameters {sorted(params)} for potential {name!r}") from exc

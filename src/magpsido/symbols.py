@@ -353,7 +353,7 @@ def symbol_from_id(sid, dimension):
     if base_id == "neg_order":
         if not pot_id:
             one = (lambda x: 0.0 * np.asarray(x, dtype=float).sum(axis=-1))
-            return negative_order_symbol(one, {"id": "zero", "sup": 0.0}, dimension)
+            return negative_order_symbol(one, {"id": "zero"}, dimension)
         v, meta = potential_from_id(pot_id)
         return negative_order_symbol(v, meta, dimension)
     if base_id not in _BASES:

@@ -1,3 +1,9 @@
+import math
+
+import numpy as np
+
+from magpsido.spectral import HERMITIAN_TOL, hermiticity_defect
+
 ACCEPTANCE_LINES = []
 
 
@@ -11,3 +17,29 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("=", "acceptance criteria")
         for _, line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+def dense_riesz_projector(mat, center, radius, num_nodes=32):
+    """Test oracle: the Riesz projector (2 pi i)^{-1} oint (mu - H)^{-1} dmu of
+    a Hermitian H by the trapezoidal rule on |mu - center| = radius, with one
+    dense solve per node. On H = V diag(lam) V^* it equals the rational
+    filter V diag(1 / (1 + ((lam - center) / radius)^num_nodes)) V^*."""
+    if not (math.isfinite(center) and math.isfinite(radius) and radius > 0):
+        raise ValueError(f"contour needs a finite center and a finite positive "
+                         f"radius, got center {center}, radius {radius}")
+    mat = np.asarray(mat)
+    if hermiticity_defect(mat) > HERMITIAN_TOL:
+        raise ValueError("the oracle's rank count needs a Hermitian matrix")
+    n = mat.shape[0]
+    theta = 2.0 * np.pi * (np.arange(num_nodes) + 0.5) / num_nodes
+    P = np.zeros((n, n), dtype=complex)
+    eye = np.eye(n)
+    for th in theta:
+        mu = center + radius * np.exp(1j * th)
+        P += radius * np.exp(1j * th) * np.linalg.solve(mu * eye - mat, eye)
+    return P / num_nodes
+
+
+def projector_rank(P):
+    """Singular values above 1/2: the rank of a near-orthogonal projector."""
+    return int((np.linalg.svd(P, compute_uv=False) > 0.5).sum())

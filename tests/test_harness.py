@@ -10,11 +10,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import magpsido.decay as dk
 from magpsido.cli import main as cli_main
 from magpsido.errors import ConfigError, FormatError
+from magpsido.quantize import OperatorMatrix
 from magpsido.harness import (CONFIG_SCHEMA, Scenario, ScenarioConfig, merge_reports,
                               run_scenario, validate_config, verify_suite, write_atomic,
                               write_kato_csv, write_spectrum_csv, write_sweep_csv)
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "configs")
 
 BASE_CFG = {
     "symbol": "relativistic+gauss_well:depth=2,width=1",
@@ -189,10 +194,21 @@ class TestConfigValidation:
             ScenarioConfig.from_dict({**BASE_CFG, field: value})
 
     @pytest.mark.parametrize("symbol", ["kinetic+coulomb_like:alpha=1,reg=0",
-                                        "kinetic+bounded_bump:height=inf"])
+                                        "kinetic+bounded_bump:height=inf",
+                                        "kinetic+coulomb_like:alpha=1,reg=-0.1",
+                                        "kinetic+gauss_well:depth=2,width=0",
+                                        "kinetic+gauss_well:depth=2,width=-1",
+                                        "kinetic+bounded_bump:height=1,width=0"])
     def test_degenerate_potential_parameters_rejected(self, symbol):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({**BASE_CFG, "symbol": symbol})
+
+    @pytest.mark.parametrize("pid, key", [("coulomb_like:alpha=1,reg=0", "reg"),
+                                          ("gauss_well:depth=2,width=-1", "width"),
+                                          ("bounded_bump:width=0", "width")])
+    def test_degenerate_potential_names_its_parameter(self, pid, key):
+        with pytest.raises(ConfigError, match=f"needs {key} > 0"):
+            ScenarioConfig.from_dict({**BASE_CFG, "potential": pid})
 
     @given(fuzzed_config())
     @example({"symbol": "kinetic", "grid": {"d": 1, "L": 1.0, "n": 10**400}})
@@ -353,6 +369,88 @@ class TestRealArithmetic:
         gaps = run_scenario(cfg).spectra_summary["bound_state_gaps"]
         assert gaps == [gap for _, _, gap in sc.bound_states]
         assert len(gaps) == 3 and min(gaps) > 0.05
+
+
+def _shipped(name):
+    return ScenarioConfig.from_json(os.path.join(CONFIG_DIR, name))
+
+
+def _shift_bound_eigenvalues(sc, monkeypatch):
+    """Each bound eigenvalue moved by 1e-7 of the spectral scale, ten times the
+    transport tolerance."""
+    scale = max(float(np.abs(sc.dec.eigenvalues).max()), 1.0)
+    sc.__dict__["bound_states"] = [(lam + 1e-7 * scale, u, gap)
+                                   for lam, u, gap in sc.bound_states]
+    return sc
+
+
+def _reverse_conjugation(sc, monkeypatch):
+    """F^{-1} H F in place of F H F^{-1}."""
+    def reversed_conjugate(op, w, eps):
+        f = w(eps, op.grid.nodes)
+        return OperatorMatrix((f[None, :] / f[:, None]) * op.entries, op.grid)
+
+    monkeypatch.setattr(dk, "conjugate_operator", reversed_conjugate)
+    return sc
+
+
+def _threshold_below_ground_state(sc, monkeypatch):
+    lam0 = float(sc.dec.eigenvalues[0])
+    return Scenario(dataclasses.replace(sc.cfg, essential_threshold=lam0 - 1.0))
+
+
+# perturbations of a scenario under which a decay-suite check must fail
+CHECK_FIXTURES = {
+    "weighted-eigenvector": (_shift_bound_eigenvalues, _reverse_conjugation),
+    "discrete-spectrum-nonempty": (_threshold_below_ground_state,),
+}
+# decay-suite checks that no perturbation is known to fail yet
+NO_FIXTURE_YET = {"rapid-decay-order", "exponential-decay-fit", "uniform-relative-bound",
+                  "epsilon0-estimates", "weighted-sup-certificate"}
+DECAY_CONFIGS = {"thm1-rapid-decay": "thm1_rapid_decay.json",
+                 "thm2-exp-decay": "thm2_exp_decay.json"}
+
+
+class TestCheckFixtures:
+    """Every check the decay suites emit either fails under a named
+    perturbation or is listed in NO_FIXTURE_YET."""
+
+    @pytest.mark.parametrize("suite", DECAY_CONFIGS)
+    def test_every_check_has_a_fixture_or_is_listed(self, suite):
+        checks = verify_suite(suite, _shipped(DECAY_CONFIGS[suite]))
+        assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
+        unregistered = {c.name for c in checks} - set(CHECK_FIXTURES) - NO_FIXTURE_YET
+        assert not unregistered
+
+    def test_registry_lists_live_checks_once(self):
+        emitted = {c.name for suite, name in DECAY_CONFIGS.items()
+                   for c in verify_suite(suite, _shipped(name))}
+        assert not set(CHECK_FIXTURES) & NO_FIXTURE_YET
+        assert set(CHECK_FIXTURES) | NO_FIXTURE_YET == emitted
+
+    @pytest.mark.parametrize("suite, check, fixture", [
+        pytest.param(suite, check, fixture, id=f"{suite}-{fixture.__name__.strip('_')}")
+        for suite in DECAY_CONFIGS
+        for check, fixtures in CHECK_FIXTURES.items() for fixture in fixtures])
+    def test_fixture_fails_its_check(self, suite, check, fixture, monkeypatch):
+        sc = fixture(Scenario(_shipped(DECAY_CONFIGS[suite])), monkeypatch)
+        result = {c.name: c for c in verify_suite(suite, sc)}
+        assert not result[check].passed, result[check].details
+
+    @pytest.mark.parametrize("suite", DECAY_CONFIGS)
+    def test_transport_covers_every_bound_state_and_eps(self, suite):
+        cfg = _shipped(DECAY_CONFIGS[suite])
+        sc = Scenario(cfg)
+        check = {c.name: c for c in verify_suite(suite, sc)}["weighted-eigenvector"]
+        assert (f"over {len(sc.bound_states)} bound states x {len(cfg.eps_list)} eps"
+                in check.details)
+
+    def test_thm1_selects_only_true_bound_states(self):
+        # kinetic essential spectrum is [0, inf): the box continuum stays out
+        cfg = dataclasses.replace(_shipped("thm1_rapid_decay.json"), suites=[])
+        summary = run_scenario(cfg).spectra_summary
+        assert summary["discrete_count"] == 2
+        assert [round(lam, 3) for lam in summary["lowest"][:2]] == [-1.188, -0.075]
 
 
 class TestReports:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from magpsido.errors import ContourError, NotApplicableError
+from conftest import dense_riesz_projector, projector_rank
+from magpsido.errors import NotApplicableError
 from magpsido.gauge import constant_field_2d, transversal_gauge, zero_field
 from magpsido.quantize import Grid, OperatorMatrix, op_weyl
-from magpsido.spectral import (CONTOUR_NODES, SpectralWindow,
-                               discrete_spectrum_select, eig_hermitian,
-                               matrix_exp_neg, relative_bound, riesz_projector)
+from magpsido.spectral import (SpectralWindow, discrete_spectrum_select,
+                               eig_hermitian, matrix_exp_neg, nearest_gaps,
+                               relative_bound)
 from magpsido.symbols import kinetic_symbol, symbol_from_id
 
 
@@ -85,6 +86,12 @@ class TestDiscreteSelect:
         dec = eig_hermitian(H)
         found = discrete_spectrum_select(dec, SpectralWindow(1.0, 0.05))
         assert found == []
+
+    def test_nearest_gaps_match_all_pairs(self):
+        lam = np.sort(np.random.default_rng(29).standard_normal(50))
+        lam[[10, 11]] = lam[10]  # an exact degenerate pair has gap 0
+        pairs = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(50, np.inf))
+        assert np.array_equal(nearest_gaps(lam), pairs.min(axis=1))
 
     def test_margin_positive_required(self):
         with pytest.raises(NotApplicableError):
@@ -165,13 +172,29 @@ class TestRelativeBound:
             relative_bound(np.eye(32), OperatorMatrix(A, Grid(1, 1.0, 32)))
 
 
+def filter_projector(H, center, radius, num_nodes=32):
+    """The closed form of the quadrature: V diag(r(lam)) V^* with the rational
+    filter r(lam) = 1 / (1 + ((lam - center) / radius)^num_nodes)."""
+    lam, V = np.linalg.eigh(H)
+    r = 1.0 / (1.0 + ((lam - center) / radius) ** num_nodes)
+    return (V * r[None, :]) @ V.conj().T
+
+
+def assert_matches_filter(P, mat, center, radius):
+    """The dense quadrature against its closed-form filter."""
+    assert np.linalg.norm(P - filter_projector(mat, center, radius)) < 1e-12
+
+
 class TestRieszProjector:
+    """The dense contour quadrature that criterion 08 measures |P^2 - P| and
+    the rank with."""
+
     def test_isolated_diagonal_eigenvalue(self):
-        P = riesz_projector(np.diag([0.0, 5.0]), 0.0, 1.0).matrix()
+        P = dense_riesz_projector(np.diag([0.0, 5.0]), 0.0, 1.0)
         assert np.abs(P - np.diag([1.0, 0.0])).max() < 1e-10
 
     def test_empty_enclosure(self):
-        P = riesz_projector(np.diag([5.0, 6.0]), 0.0, 1.0).matrix()
+        P = dense_riesz_projector(np.diag([5.0, 6.0]), 0.0, 1.0)
         assert np.abs(P).max() < 1e-10
 
     def test_multiplicity_two_range(self):
@@ -180,26 +203,26 @@ class TestRieszProjector:
                          + 1j * rng.standard_normal((16, 16)))[0]
         lam = np.concatenate([[0.3, 0.3], np.linspace(2.0, 9.0, 14)])
         H = (Q * lam[None, :]) @ Q.conj().T
-        proj = riesz_projector(H, 0.3, 0.5)
-        P = proj.matrix()
+        P = dense_riesz_projector((H + H.conj().T) / 2, 0.3, 0.5)
         assert np.linalg.norm(P @ P - P) < 1e-8
-        assert proj.rank == 2
+        assert projector_rank(P) == 2
         # range spans the two eigenvectors
         V = Q[:, :2]
         assert np.linalg.norm(P @ V - V) < 1e-7
 
     def test_contour_through_spectrum_rejected(self):
-        with pytest.raises(ContourError):
-            riesz_projector(np.diag([0.0, 1.0]), 0.0, 0.97)
+        # the eigenvalue 1 sits 3% outside the contour: the quadrature is no
+        # projector, and its idempotency defect shows it
+        P = dense_riesz_projector(np.diag([0.0, 1.0]), 0.0, 0.97)
+        assert np.linalg.norm(P @ P - P) > 0.1
 
     def test_hermitian_projector_and_rank_additivity(self):
         H = np.diag([0.0, 1.0, 4.0, 4.0])
-        P1 = riesz_projector(H, 0.0, 0.4)
-        P2 = riesz_projector(H, 1.0, 0.4)
-        P12 = riesz_projector(H, 0.5, 1.2)
-        P1m = P1.matrix()
-        assert np.linalg.norm(P1m - P1m.conj().T) < 1e-10
-        assert P1.rank + P2.rank == P12.rank
+        P1 = dense_riesz_projector(H, 0.0, 0.4)
+        P2 = dense_riesz_projector(H, 1.0, 0.4)
+        P12 = dense_riesz_projector(H, 0.5, 1.2)
+        assert np.linalg.norm(P1 - P1.conj().T) < 1e-10
+        assert projector_rank(P1) + projector_rank(P2) == projector_rank(P12)
 
     def test_diagonal_similarity_preserves_spectrum(self):
         # conjugation by a positive diagonal: identical eigenvalues
@@ -211,28 +234,8 @@ class TestRieszProjector:
         assert np.abs(lam - lam2).max() < 1e-9 * max(1.0, np.abs(lam).max())
 
 
-def dense_riesz_projector(mat, center, radius, num_nodes=32):
-    """Test oracle: the contour quadrature with one dense inverse per node."""
-    n = mat.shape[0]
-    theta = 2.0 * np.pi * (np.arange(num_nodes) + 0.5) / num_nodes
-    P = np.zeros((n, n), dtype=complex)
-    eye = np.eye(n)
-    for th in theta:
-        mu = center + radius * np.exp(1j * th)
-        P += radius * np.exp(1j * th) * np.linalg.solve(mu * eye - mat, eye)
-    return P / num_nodes
-
-
-def assert_matches_oracle(proj, mat, center, radius):
-    """P, |P^2 - P|_F and the SVD rank against the dense quadrature."""
-    want = dense_riesz_projector(mat, center, radius)
-    assert np.linalg.norm(proj.matrix() - want) < 1e-12
-    assert abs(proj.idempotency_defect - np.linalg.norm(want @ want - want)) < 1e-12
-    assert proj.rank == int((np.linalg.svd(want, compute_uv=False) > 0.5).sum())
-
-
 class TestRieszProjectorTridiagonal:
-    """The projector against the dense quadrature, one solve per node."""
+    """The dense quadrature against its closed-form filter, and its input checks."""
 
     @pytest.mark.parametrize("n, seed", [(8, 20), (33, 21), (96, 22)])
     def test_matches_dense_oracle(self, n, seed):
@@ -240,9 +243,9 @@ class TestRieszProjectorTridiagonal:
         lam = np.linalg.eigvalsh(H)
         k = n // 3
         radius = 0.4 * min(lam[k] - lam[k - 1], lam[k + 1] - lam[k])
-        proj = riesz_projector(H, lam[k], radius)
-        assert_matches_oracle(proj, H, lam[k], radius)
-        assert proj.rank == 1
+        P = dense_riesz_projector(H, lam[k], radius)
+        assert_matches_filter(P, H, lam[k], radius)
+        assert projector_rank(P) == 1
 
     def test_matches_dense_oracle_multiplicity_two(self):
         rng = np.random.default_rng(23)
@@ -251,9 +254,9 @@ class TestRieszProjectorTridiagonal:
         lam = np.concatenate([[-1.0, 0.7, 0.7], np.linspace(2.0, 9.0, 21)])
         H = (Q * lam[None, :]) @ Q.conj().T
         H = (H + H.conj().T) / 2
-        proj = riesz_projector(as_op(H), 0.7, 0.6)
-        assert_matches_oracle(proj, H, 0.7, 0.6)
-        assert proj.rank == 2
+        P = dense_riesz_projector(H, 0.7, 0.6)
+        assert_matches_filter(P, H, 0.7, 0.6)
+        assert projector_rank(P) == 2
 
     def test_matches_dense_oracle_magnetic_operator(self):
         # constant field b = 1 on a 2-D grid: complex entries off the diagonal
@@ -263,18 +266,18 @@ class TestRieszProjectorTridiagonal:
         assert np.abs(H.entries.imag).max() > 0.1
         lam = np.linalg.eigvalsh(H.entries)
         radius = 0.4 * (lam[1] - lam[0])
-        proj = riesz_projector(H, lam[0], radius)
-        assert_matches_oracle(proj, H.entries, lam[0], radius)
-        assert proj.rank == 1
+        P = dense_riesz_projector(H.entries, lam[0], radius)
+        assert_matches_filter(P, H.entries, lam[0], radius)
+        assert projector_rank(P) == 1
 
     def test_one_by_one(self):
-        proj = riesz_projector(np.array([[0.3]]), 0.0, 1.0)
-        assert np.abs(proj.matrix() - 1.0).max() < 1e-14
-        assert_matches_oracle(proj, np.array([[0.3]]), 0.0, 1.0)
-        assert proj.rank == 1
+        P = dense_riesz_projector(np.array([[0.3]]), 0.0, 1.0)
+        assert np.abs(P - 1.0).max() < 1e-14
+        assert projector_rank(P) == 1
 
     @pytest.mark.parametrize("source", ["random", "zero-field"])
     def test_real_path_matches_complex_path(self, source):
+        # the nodes come in conjugate pairs, so a real H has a real projector
         if source == "random":
             A = np.random.default_rng(26).standard_normal((40, 40))
             H = (A + A.T) / 2
@@ -284,39 +287,28 @@ class TestRieszProjectorTridiagonal:
         assert H.dtype == np.float64
         lam = np.linalg.eigvalsh(H)
         radius = 0.4 * (lam[1] - lam[0])
-        real = riesz_projector(H, lam[0], radius)
-        cplx = riesz_projector(H.astype(complex), lam[0], radius)
-        assert real.eigenvectors.dtype == np.float64
-        assert cplx.eigenvectors.dtype == np.complex128
-        assert np.abs(real.filter - cplx.filter).max() < 1e-12
-        assert abs(real.idempotency_defect - cplx.idempotency_defect) < 1e-12
-        assert real.rank == cplx.rank == 1
-        P = real.matrix()
-        assert P.dtype == np.float64
-        assert np.abs(P - cplx.matrix()).max() < 1e-12
-
-    def test_one_by_one_keeps_dtype(self):
-        assert riesz_projector(np.array([[0.3]]), 0.0, 1.0).matrix().dtype == np.float64
-        proj = riesz_projector(np.array([[0.3 + 0j]]), 0.0, 1.0)
-        assert proj.matrix().dtype == np.complex128
+        P = dense_riesz_projector(H, lam[0], radius)
+        assert np.abs(P.imag).max() < 1e-12
+        assert_matches_filter(P.real, H, lam[0], radius)
+        assert projector_rank(P) == 1
 
     def test_non_hermitian_rejected(self):
         A = np.triu(random_hermitian(16, 25))
-        with pytest.raises(NotApplicableError):
-            riesz_projector(A, 0.0, 0.5)
+        with pytest.raises(ValueError):
+            dense_riesz_projector(A, 0.0, 0.5)
 
     @pytest.mark.parametrize("corner", [1e308, np.inf])
     def test_overflowing_non_hermitian_rejected(self, corner):
         # unscaled Frobenius norms overflow to inf here, and inf <= tol * inf
-        with pytest.raises(NotApplicableError):
-            riesz_projector(np.array([[0.0, corner], [0.0, 5.0]]), 0.0, 1.0)
+        with pytest.raises(ValueError):
+            dense_riesz_projector(np.array([[0.0, corner], [0.0, 5.0]]), 0.0, 1.0)
 
     @pytest.mark.parametrize("center, radius", [(0.0, 0.0), (0.0, -1.0),
                                                 (0.0, np.nan), (0.0, np.inf),
                                                 (np.nan, 1.0), (np.inf, 1.0)])
     def test_bad_contour_rejected(self, center, radius):
-        with pytest.raises(ContourError):
-            riesz_projector(np.diag([0.0, 0.0, 5.0]), center, radius)
+        with pytest.raises(ValueError):
+            dense_riesz_projector(np.diag([0.0, 0.0, 5.0]), center, radius)
 
 
 class TestRieszProjectorFilter:
@@ -324,20 +316,18 @@ class TestRieszProjectorFilter:
 
     def test_filter_closed_form(self):
         H = random_hermitian(40, 27)
-        lam = np.linalg.eigvalsh(H)
+        lam, V = np.linalg.eigh(H)
         center, radius = lam[13], 0.4 * min(lam[13] - lam[12], lam[14] - lam[13])
-        proj = riesz_projector(H, center, radius)
-        want = 1.0 / (1.0 + ((lam - center) / radius) ** CONTOUR_NODES)
-        assert np.abs(proj.filter - want).max() < 1e-14
+        P = dense_riesz_projector(H, center, radius)
+        want = 1.0 / (1.0 + ((lam - center) / radius) ** 32)
+        assert np.abs(np.diag(V.conj().T @ P @ V) - want).max() < 1e-12
 
     def test_decomposition_input_matches_matrix_input(self):
-        H = as_op(random_hermitian(32, 28))
-        dec = eig_hermitian(H)
-        lam = dec.eigenvalues
+        # the quadrature commutes with the change to the eigenbasis
+        H = random_hermitian(32, 28)
+        lam, V = np.linalg.eigh(H)
         radius = 0.4 * min(lam[5] - lam[4], lam[6] - lam[5])
-        from_dec = riesz_projector(dec, lam[5], radius)
-        from_mat = riesz_projector(H, lam[5], radius)
-        assert from_dec.eigenvectors is dec.eigenvectors
-        assert np.array_equal(from_dec.filter, from_mat.filter)
-        assert from_dec.idempotency_defect == from_mat.idempotency_defect
-        assert from_dec.rank == from_mat.rank == 1
+        from_dec = dense_riesz_projector(np.diag(lam), lam[5], radius)
+        from_mat = dense_riesz_projector(H, lam[5], radius)
+        assert np.abs(V @ from_dec @ V.conj().T - from_mat).max() < 1e-12
+        assert projector_rank(from_dec) == projector_rank(from_mat) == 1
