@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Commands: build, spectrum, decay, conjugate, semigroup, kato, verify, report.
-Exit code 0 iff every selected check passed.
+Exit code 0 iff every selected check passed; 2 on an error, including a
+reader that closed stdout early.
 """
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -243,9 +245,21 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except MagpsidoError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed the pipe (`magpsido spectrum ... | head -3`): put
+        # devnull under stdout, so the final flush of what is still buffered
+        # cannot raise again
+        devnull = open(os.devnull, "w")
+        try:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):  # stdout is not a file
+            sys.stdout = devnull
         return 2
 
 

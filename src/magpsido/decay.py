@@ -214,7 +214,6 @@ class DecayFit:
     r_squared: float
     window: Tuple[float, float]
     sample_count: int
-    intercept: float = 0.0
 
 
 def decay_fit(u, mode, window):
@@ -244,8 +243,7 @@ def decay_fit(u, mode, window):
     ss_res = float(np.sum((Y - pred) ** 2))
     ss_tot = float(np.sum((Y - Y.mean()) ** 2))
     r2v = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return DecayFit(mode, float(coef[0]), r2v, (float(r1), float(r2)),
-                    int(mask.sum()), float(coef[1]))
+    return DecayFit(mode, float(coef[0]), r2v, (float(r1), float(r2)), int(mask.sum()))
 
 
 def default_window(grid):

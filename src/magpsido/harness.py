@@ -19,7 +19,7 @@ import numpy as np
 
 from . import decay as dk
 from . import relativistic as rel
-from .errors import ConfigError, FormatError, MagpsidoError
+from .errors import ConfigError, FormatError, MagpsidoError, NotApplicableError
 from .gauge import (constant_field_2d, field_from_id, gauge_transform, potential_residual,
                     transversal_gauge, zero_field)
 from .mpdo import LOAD_BUDGET_BYTES, atomic_open
@@ -28,8 +28,8 @@ from .quantize import (Grid, GridFunction, fourier_mode, mag_derivative, op_ampl
                        op_ps, op_weyl, op_weyl_unsym, sobolev_norm)
 from .spectral import (SpectralWindow, discrete_spectrum_select, eig_hermitian,
                        matrix_exp_neg, nearest_gaps)
-from .symbols import (HormanderSymbol, SampleBox, bracket, cauchy_derivative_bound_check,
-                      symbol_from_id)
+from .symbols import (HormanderSymbol, SampleBox, _with_potential, bracket,
+                      cauchy_derivative_bound_check, relativistic_symbol, symbol_from_id)
 
 SUITE_NAMES = ("quantize-core", "lemmas-weights", "thm1-rapid-decay",
                "thm2-exp-decay", "thm3-relativistic")
@@ -39,7 +39,6 @@ CONFIG_SCHEMA = {
     "properties": {
         "symbol": {"type": "string"},
         "field": {"type": "string"},
-        "potential": {"type": ["string", "null"]},
         "grid": {
             "type": "object",
             "properties": {
@@ -79,7 +78,6 @@ class ScenarioConfig:
     symbol: str
     grid: dict
     field: str = "zero"
-    potential: Optional[str] = None
     weight: dict = dc_field(default_factory=lambda: {"kind": "exponential", "p": 1})
     eps_list: list = dc_field(default_factory=lambda: [0.0125, 0.025, 0.05, 0.1])
     window: Optional[list] = None
@@ -142,12 +140,9 @@ def validate_config(raw):
 
 def _momentum_scale(raw):
     """Decay-relevant momentum scale: sqrt(well depth), at least 1."""
-    scale = 1.0
-    for pid in (raw["symbol"].partition("+")[2], raw.get("potential")):
-        if pid:
-            depth = potential_from_id(pid)[1].get("depth", 0.0)
-            scale = max(scale, math.sqrt(abs(depth)))
-    return scale
+    pid = raw["symbol"].partition("+")[2]
+    depth = potential_from_id(pid)[1].get("depth", 0.0) if pid else 0.0
+    return max(1.0, math.sqrt(abs(depth)))
 
 
 def lint_config(raw):
@@ -354,8 +349,11 @@ def suite_quantize_core(sc):
                         f"max deviation {amp_dev:.3e}"))
 
     if d == 1:
-        checks.append(_graph_norm_check(cfg, grid, gauge))
-        checks.append(_sobolev_char_check(cfg, grid, gauge))
+        # <eta> on the grid and on its half: relativistic is p_s:s=1, so one
+        # matrix per grid serves as both H and P_1
+        P1s = [op_ps(1.0, gauge, g) for g in (Grid(d, grid.L, grid.n // 2), grid)]
+        checks.append(_graph_norm_check(cfg, P1s, gauge))
+        checks.append(_sobolev_char_check(cfg, P1s, gauge))
 
     res = potential_residual(gauge, radius=min(4.0, grid.L / 2), density=16)
     checks.append(Check("potential-consistency", "gauge/dA-equals-B", res < 1e-6,
@@ -383,13 +381,12 @@ def _test_functions(g, seed):
                for _ in range(4)])
 
 
-def _graph_norm_check(cfg, grid, gauge):
+def _graph_norm_check(cfg, P1s, gauge):
     ratios = []
-    for g in (Grid(grid.dimension, grid.L, grid.n // 2), grid):
-        H = op_weyl(symbol_from_id("relativistic", 1), gauge, g)
-        P1 = op_ps(1.0, gauge, g)
+    for P1 in P1s:
         vals = [sobolev_norm(u, 1.0, gauge, ps_operator=P1)
-                / (u.l2_norm() + H.apply(u).l2_norm()) for u in _test_functions(g, cfg.seed)]
+                / (u.l2_norm() + P1.apply(u).l2_norm())
+                for u in _test_functions(P1.grid, cfg.seed)]
         ratios.append((min(vals), max(vals)))
     spread = [hi / lo for lo, hi in ratios]
     drift = abs(spread[1] - spread[0]) / spread[0]
@@ -398,13 +395,12 @@ def _graph_norm_check(cfg, grid, gauge):
                  f"interval {ratios[1][0]:.4f}..{ratios[1][1]:.4f}, drift {drift:.3f}")
 
 
-def _sobolev_char_check(cfg, grid, gauge):
+def _sobolev_char_check(cfg, P1s, gauge):
     spreads = []
-    for g in (Grid(grid.dimension, grid.L, grid.n // 2), grid):
-        P1 = op_ps(1.0, gauge, g)
+    for P1 in P1s:
         vals = [sobolev_norm(u, 1.0, gauge, ps_operator=P1) ** 2
                 / (u.l2_norm() ** 2 + mag_derivative((1,), u, gauge).l2_norm() ** 2)
-                for u in _test_functions(g, cfg.seed + 1)]
+                for u in _test_functions(P1.grid, cfg.seed + 1)]
         spreads.append(max(vals) / min(vals))
     drift = abs(spreads[1] - spreads[0]) / spreads[0]
     return Check("sobolev-characterization", "quantize/sobolev-eq", drift < _DRIFT_TOL,
@@ -546,7 +542,24 @@ def suite_thm2_exp_decay(sc):
     return checks
 
 
+def _thm3_contract(sc):
+    """thm3 takes the scenario's operator as the comparison operator of its
+    pointwise chain, which needs a relativistic symbol, v <= 0 and the
+    unshifted gauge; NotApplicableError names the first condition missed."""
+    base, _, pid = sc.cfg.symbol.strip().partition("+")
+    if base != "relativistic":
+        raise NotApplicableError(f"thm3 needs the symbol relativistic or "
+                                 f"relativistic+<potential>, got {sc.cfg.symbol!r}")
+    if pid and (potential_from_id(pid)[0](sc.grid.nodes) > 0).any():
+        raise NotApplicableError(f"thm3 needs v <= 0 on the grid nodes; {pid} is "
+                                 f"positive at some node")
+    if sc.cfg.gauge_chi:
+        raise NotApplicableError(f"thm3 needs gauge_chi unset; {sc.cfg.gauge_chi!r} "
+                                 f"rotates the kernel by e^(i chi)")
+
+
 def suite_thm3_relativistic(sc):
+    _thm3_contract(sc)
     cfg, grid = sc.cfg, sc.grid
     d = grid.dimension
     checks = []
@@ -610,35 +623,30 @@ def suite_thm3_relativistic(sc):
 
     dia_grid = Grid(2, 5.0, 16)
     gb = transversal_gauge(constant_field_2d(1.0))
-    dia = rel.diamagnetic_check(gb, rel.PotentialSpec(), 1.0, 10, dia_grid,
-                                seed=cfg.seed)
+    dia = rel.diamagnetic_check(gb, 1.0, 10, dia_grid, seed=cfg.seed)
     checks.append(Check("diamagnetic-domination", "relativistic/diamagnetic",
                         dia["violation"] < 1e-2, 1e-2 - dia["violation"],
                         f"violation {dia['violation']:.3e} (signed {dia['signed_max']:.3e})"))
 
-    g0 = transversal_gauge(zero_field(d))
     if d == 1:
-        well = rel.potential_spec_from_id(cfg.potential
-                                          or "gauss_well:depth=2,width=1")
-        Hfs = rel.build_form_sum(g0, well, grid)
-        decfs = eig_hermitian(Hfs)
-        below = int((decfs.eigenvalues < cfg.essential_threshold - cfg.margin).sum())
+        below = len(sc.bound_states)
         checks.append(Check("form-sum-bound-state", "relativistic/form-sum",
                             below >= 1, float(below),
                             f"{below} eigenvalues below threshold"))
-        rep = rel.pointwise_bound_check(
-            well, float(decfs.eigenvalues[0]), decfs.eigenvectors[:, 0],
-            eps=0.1, p=2.0, grid=grid)
-        ok = rep["kernel_margin"] > 0 and rep["chain_margin"] > 0
-        checks.append(Check("pointwise-bound-chain", "relativistic/decay-chain",
-                            ok, rep["chain_margin"],
-                            f"C_hat {rep['C_hat']:.3f}, chain margin "
-                            f"{rep['chain_margin']:.3f}, kernel min {rep['kernel_min']:.2e}"))
+        if below:
+            # zero field and v <= 0: the scenario operator is the chain's
+            # comparison operator H(0, -V_minus)
+            rep = rel.pointwise_bound_check(sc.dec, eps=0.1, p=2.0, grid=grid)
+            ok = rep["kernel_margin"] > 0 and rep["chain_margin"] > 0
+            checks.append(Check("pointwise-bound-chain", "relativistic/decay-chain",
+                                ok, rep["chain_margin"],
+                                f"C_hat {rep['C_hat']:.3f}, chain margin "
+                                f"{rep['chain_margin']:.3f}, kernel min {rep['kernel_min']:.2e}"))
 
-        vplus = rel.PotentialSpec(
-            V_plus=lambda x: bracket(np.asarray(x, dtype=float)) - 1.0,
-            potential_id="linear-growth")
-        Hp = rel.build_form_sum(g0, vplus, grid)
+        growth = _with_potential(relativistic_symbol(1),
+                                 lambda x: bracket(np.asarray(x, dtype=float)) - 1.0,
+                                 {"id": "linear-growth"}, 1)
+        Hp = op_weyl(growth, transversal_gauge(zero_field(1)), grid)
         lam_min = float(np.linalg.eigvalsh(Hp.entries)[0])
         base_min = 1.0
         checks.append(Check("weyl-lower-bound", "relativistic/weyl-shift",

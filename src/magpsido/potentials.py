@@ -17,7 +17,7 @@ def gauss_well(depth=2.0, width=1.0):
         return -depth * np.exp(-r2 / (2.0 * width**2))
 
     return v, {"id": f"gauss_well:depth={depth},width={width}",
-               "nonneg": False, "depth": depth, "width": width}
+               "nonneg": False, "depth": depth}
 
 
 def bounded_bump(height=1.0, width=1.0):

@@ -1,22 +1,19 @@
 """Square-root kinetic semigroup: explicit convolution kernel, modified
-Bessel evaluators, smeared-potential (Kato-type) estimates, form sums with
-singular potentials, the magnetic/non-magnetic semigroup comparison, and the
-pointwise eigenfunction bound chain.
+Bessel evaluators, smeared-potential (Kato-type) estimates, the
+magnetic/non-magnetic semigroup comparison, and the pointwise eigenfunction
+bound chain.
 
 Kernel convention: kernel_t generates exp(-t H0) for H0 = sqrt(1 - Laplace),
 so its integral equals e^{-t} and its Fourier transform is e^{-t <eta>}.
 """
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError, NotApplicableError
 from .gauge import transversal_gauge, zero_field
-from .potentials import potential_from_id
 from .quadrature import gauss_legendre_0t
-from .quantize import OperatorMatrix, hermitize, op_weyl
+from .quantize import op_weyl
 from .spectral import matrix_exp_neg
 from .symbols import bracket, relativistic_symbol
 
@@ -110,7 +107,7 @@ def semigroup_checks(t, s, grid):
 # ---------------------------------------------------------------------------
 
 def _as_node_values(W, grid):
-    vals = W(grid.nodes) if callable(W) else np.asarray(W, dtype=float).reshape(-1)
+    vals = np.asarray(W, dtype=float).reshape(-1)
     if vals.shape[0] != grid.size:
         raise ConfigError("potential values do not match the grid")
     if not np.all(np.isfinite(vals)):
@@ -155,60 +152,22 @@ def kato_scan(W, t0, grid, halvings=6):
 
 
 # ---------------------------------------------------------------------------
-# form sums and semigroup comparisons
+# semigroup comparisons
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PotentialSpec:
-    """V = V_plus - V_minus with both parts nonnegative."""
-
-    V_plus: Optional[Callable] = None
-    V_minus: Optional[Callable] = None
-    potential_id: str = ""
-
-    def plus_values(self, grid):
-        return (np.zeros(grid.size) if self.V_plus is None
-                else np.maximum(_as_node_values(self.V_plus, grid), 0.0))
-
-    def minus_values(self, grid):
-        return (np.zeros(grid.size) if self.V_minus is None
-                else np.maximum(_as_node_values(self.V_minus, grid), 0.0))
-
-
-def potential_spec_from_id(pid):
-    """Split a catalog potential into nonnegative attractive/repulsive parts."""
-    v, meta = potential_from_id(pid)
-
-    def vplus(x):
-        return np.maximum(v(x), 0.0)
-
-    def vminus(x):
-        return np.maximum(-v(x), 0.0)
-
-    return PotentialSpec(vplus, vminus, potential_id=meta["id"])
-
-
-def build_form_sum(g, V, grid):
-    """H = op_weyl(<eta>, gauge) + diag(V_plus - V_minus), symmetrized."""
-    base = op_weyl(relativistic_symbol(grid.dimension), g, grid)
-    H = base.entries + np.diag(V.plus_values(grid) - V.minus_values(grid))
-    return hermitize(OperatorMatrix(H, grid, symbol_id=f"form_sum({V.potential_id})"))
-
-
-def diamagnetic_check(g, V, t, trials, grid, seed=0):
-    """Pointwise comparison |exp(-tH) u| <= exp(-tH(0, -V_minus)) |u|.
+def diamagnetic_check(g, t, trials, grid, seed=0):
+    """Pointwise comparison |exp(-tH_A) u| <= exp(-tH_0) |u| for the free
+    operator H_A = op_weyl(<eta>, g) and its zero-field version H_0.
 
     Returns the worst signed excess over random complex trials plus one
     nonnegative trial; `violation` clips at zero.
     """
     if not t > 0:  # also rejects NaN
         raise NotApplicableError("t must be positive")
-    H = build_form_sum(g, V, grid)
-    cmp_spec = PotentialSpec(V_minus=V.V_minus, potential_id=V.potential_id)
+    sym = relativistic_symbol(grid.dimension)
+    E = matrix_exp_neg(op_weyl(sym, g, grid), t)
     g0 = transversal_gauge(zero_field(grid.dimension))
-    Hcmp = build_form_sum(g0, cmp_spec, grid)
-    E = matrix_exp_neg(H, t)
-    E0 = matrix_exp_neg(Hcmp, t).real
+    E0 = matrix_exp_neg(op_weyl(sym, g0, grid), t).real
     rng = np.random.default_rng(seed)
     signed = -np.inf
     for k in range(trials + 1):
@@ -221,12 +180,13 @@ def diamagnetic_check(g, V, t, trials, grid, seed=0):
     return {"signed_max": signed, "violation": max(0.0, signed)}
 
 
-def pointwise_bound_check(V, lam, u, eps, p, grid):
-    """Grid verification of the pointwise decay chain for an eigenpair.
+def pointwise_bound_check(dec, eps, p, grid):
+    """Grid verification of the pointwise decay chain for the ground pair
+    (lam, u) of `dec`, the EigenDecomposition of a comparison operator
+    H(0, -V_minus) (zero field, v <= 0):
 
-    (i) the comparison kernel exp(-H(0,-V_minus))/h^d, always at zero field,
-        is entrywise above -1e-10 and below C_p e^{-<x-y>/p} with C_p fitted
-        on the band |x - y| <= CHAIN_BAND_FRAC * L;
+    (i) the kernel exp(-H)/h^d is entrywise above -1e-10 and below
+        C_p e^{-<x-y>/p} with C_p fitted on the band |x - y| <= CHAIN_BAND_FRAC * L;
     (ii) sup_x f_eps(x) |u(x)| <= C_p e^lam (int e^{-2|z|(1/p - eps)} dz)^{1/2}
         ||f_eps u||, all integrals by grid sums.
 
@@ -236,12 +196,10 @@ def pointwise_bound_check(V, lam, u, eps, p, grid):
         raise ConfigError("chain needs eps < 1/p")
     d = grid.dimension
     hd = grid.h**d
-    uvec = np.asarray(u.values if hasattr(u, "values") else u, dtype=complex)
+    lam = float(dec.eigenvalues[0])
+    uvec = np.asarray(dec.eigenvectors[:, 0], dtype=complex)
     uvec = uvec / (np.linalg.norm(uvec) * grid.h ** (d / 2.0))  # discrete L2 = 1
-    cmp_spec = PotentialSpec(V_minus=V.V_minus, potential_id=V.potential_id)
-    g0 = transversal_gauge(zero_field(d))
-    Hcmp = build_form_sum(g0, cmp_spec, grid)
-    kern = matrix_exp_neg(Hcmp, 1.0).real / hd
+    kern = matrix_exp_neg(dec, 1.0).real / hd
     kernel_min = float(kern.min())
     nodes = grid.nodes
     diff = nodes[:, None, :] - nodes[None, :, :]

@@ -83,11 +83,11 @@ def discrete_spectrum_select(dec, win):
 
 
 def matrix_exp_neg(H, t):
-    """exp(-t H) through the eigendecomposition (t >= 0)."""
+    """exp(-t H) through the eigendecomposition (t >= 0); H may also be
+    given as its EigenDecomposition."""
     if t < 0:
         raise NotApplicableError("t must be nonnegative")
-    dec = eig_hermitian(H)
-    lam, V = dec.eigenvalues, dec.eigenvectors
+    lam, V = H if isinstance(H, EigenDecomposition) else eig_hermitian(H)
     return (V * np.exp(-t * lam)[None, :]) @ V.conj().T
 
 

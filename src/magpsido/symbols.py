@@ -16,10 +16,8 @@ from .errors import ConfigError, NotApplicableError, UnsupportedOrderError
 from .potentials import parse_params, potential_from_id
 
 DERIVATIVE_BUDGET = 6
-FD_REL_STEP = 1e-4    # frequency difference step, relative to max(1, |eta|)
 CAUCHY_SLACK = 1.5    # factor on the order-0 seminorm in the Cauchy bound constant
 CONTOUR_NODES = 32    # trapezoid nodes per ring of the Cauchy-integral eta derivative
-X_FD_STEP = 1e-5      # central-difference step of position derivatives
 
 
 def bracket(eta):
@@ -67,25 +65,6 @@ class HormanderSymbol:
         return self.eval(x, eta)
 
 
-def _fd_eta_derivative(sym, alpha, x, eta, h_fd=None):
-    """Nested central differences along frequency axes."""
-    eta = np.asarray(eta, dtype=float)
-
-    def rec(alpha_left, pts):
-        for axis in range(sym.dimension):
-            if alpha_left[axis] > 0:
-                step = (h_fd if h_fd is not None
-                        else FD_REL_STEP * max(1.0, float(np.abs(pts[..., axis]).max())))
-                e = np.zeros(sym.dimension)
-                e[axis] = step
-                lowered = tuple(a - (1 if i == axis else 0)
-                                for i, a in enumerate(alpha_left))
-                return (rec(lowered, pts + e) - rec(lowered, pts - e)) / (2 * step)
-        return np.asarray(sym.eval(x, pts), dtype=complex)
-
-    return rec(tuple(alpha), eta)
-
-
 def _contour_eta_derivative(sym, alpha, x, eta):
     """Cauchy-integral derivative on a polydisc of radius strip_delta/2."""
     rho = 0.5 * sym.strip_delta
@@ -114,11 +93,11 @@ def _contour_eta_derivative(sym, alpha, x, eta):
     raise UnsupportedOrderError("contour derivatives implemented for d <= 2")
 
 
-def eta_derivative(sym, alpha, x, eta, h_fd=None, force_fd=False):
+def eta_derivative(sym, alpha, x, eta):
     """d^alpha/d eta^alpha of the symbol at (x, eta).
 
-    Closed form via `eta_grad` for first order, Cauchy contour quadrature when
-    an analytic extension exists, nested central differences otherwise.
+    Closed form via `eta_grad` for first order, Cauchy contour quadrature
+    otherwise, which needs the analytic extension.
     """
     alpha = tuple(int(a) for a in np.atleast_1d(alpha))
     if len(alpha) != sym.dimension:
@@ -131,29 +110,12 @@ def eta_derivative(sym, alpha, x, eta, h_fd=None, force_fd=False):
     eta = np.asarray(eta, dtype=float)
     if total == 0:
         return np.asarray(sym.eval(x, eta), dtype=complex)
-    if not force_fd:
-        if total == 1 and sym.eta_grad is not None:
-            axis = alpha.index(1)
-            return np.asarray(sym.eta_grad(x, eta)[..., axis], dtype=complex)
-        if sym.analytic_ext is not None and sym.strip_delta is not None:
-            return _contour_eta_derivative(sym, alpha, x, eta)
-    return _fd_eta_derivative(sym, alpha, x, eta, h_fd=h_fd)
-
-
-def _x_derivative(sym, alpha, x, eta):
-    """Central finite differences in position, nested per axis."""
-
-    def rec(alpha_left, pts):
-        for axis in range(sym.dimension):
-            if alpha_left[axis] > 0:
-                e = np.zeros(sym.dimension)
-                e[axis] = X_FD_STEP
-                lowered = tuple(a - (1 if i == axis else 0)
-                                for i, a in enumerate(alpha_left))
-                return (rec(lowered, pts + e) - rec(lowered, pts - e)) / (2 * X_FD_STEP)
-        return np.asarray(sym.eval(pts, eta), dtype=complex)
-
-    return rec(tuple(alpha), np.asarray(x, dtype=float))
+    if total == 1 and sym.eta_grad is not None:
+        axis = alpha.index(1)
+        return np.asarray(sym.eta_grad(x, eta)[..., axis], dtype=complex)
+    if sym.analytic_ext is None or sym.strip_delta is None:
+        raise NotApplicableError("symbol carries no analytic extension")
+    return _contour_eta_derivative(sym, alpha, x, eta)
 
 
 @dataclass(frozen=True)
@@ -177,44 +139,15 @@ def _sample_points(sym, box, density):
     return X[:, None, :], E[None, :, :]
 
 
-def seminorm_estimate(sym, alpha, beta, box, grid_density=64):
-    """Sampled seminorm sup <eta>^(-m+|beta|) |d^alpha_x d^beta_eta a|."""
-    alpha = tuple(int(a) for a in np.atleast_1d(alpha))
+def seminorm_estimate(sym, beta, box, grid_density=64):
+    """Sampled seminorm sup <eta>^(-m+|beta|) |d^beta_eta a|."""
     beta = tuple(int(b) for b in np.atleast_1d(beta))
-    if sum(alpha) + sum(beta) > DERIVATIVE_BUDGET:
-        raise UnsupportedOrderError(
-            f"|alpha|+|beta| exceeds budget {DERIVATIVE_BUDGET}")
     if box.x_radius < 0 or box.eta_radius < 0 or grid_density < 2:
         raise ConfigError("sample box must be nonempty")
     X, E = _sample_points(sym, box, grid_density)
-    if sum(alpha) == 0:
-        vals = eta_derivative(sym, beta, X, E) if sum(beta) else sym.eval(X, E)
-    else:
-        if sum(beta) > 0:
-            # mixed derivative: difference the eta-derivative in x
-            def mixed(pts):
-                return eta_derivative(sym, beta, pts, E)
-
-            h = 1e-5
-            vals = _nested_x_fd(mixed, alpha, X, sym.dimension, h)
-        else:
-            vals = _x_derivative(sym, alpha, X, E)
+    vals = eta_derivative(sym, beta, X, E) if sum(beta) else sym.eval(X, E)
     weight = bracket(E) ** (-sym.order + sum(beta))
     return float(np.abs(vals * weight).max())
-
-
-def _nested_x_fd(fun, alpha, pts, d, h):
-    def rec(alpha_left, p):
-        for axis in range(d):
-            if alpha_left[axis] > 0:
-                e = np.zeros(d)
-                e[axis] = h
-                lowered = tuple(a - (1 if i == axis else 0)
-                                for i, a in enumerate(alpha_left))
-                return (rec(lowered, p + e) - rec(lowered, p - e)) / (2 * h)
-        return np.asarray(fun(p), dtype=complex)
-
-    return rec(tuple(alpha), pts)
 
 
 @dataclass(frozen=True)
@@ -234,7 +167,7 @@ def cauchy_derivative_bound_check(sym, max_order, box, grid_density=24):
     if max_order > DERIVATIVE_BUDGET:
         raise UnsupportedOrderError("max_order exceeds budget")
     zero = (0,) * sym.dimension
-    C = CAUCHY_SLACK * seminorm_estimate(sym, zero, zero, box, grid_density)
+    C = CAUCHY_SLACK * seminorm_estimate(sym, zero, box, grid_density)
     X, E = _sample_points(sym, box, grid_density)
     weight = bracket(E) ** sym.order
     worst = 0.0

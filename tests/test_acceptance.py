@@ -16,10 +16,9 @@ from magpsido.decay import (WeightFamily, amplitude_c_eps, amplitude_d_eps,
 from magpsido.gauge import (constant_field_2d, gauge_transform,
                             transversal_gauge, zero_field)
 from magpsido.quantize import Grid, GridFunction, op_amplitude, op_weyl, op_weyl_unsym
-from magpsido.relativistic import (PotentialSpec, bessel_k, diamagnetic_check,
-                                   displacement_lattice, kato_estimate,
-                                   kato_scan, kernel_pt, pointwise_bound_check,
-                                   potential_spec_from_id, semigroup_checks)
+from magpsido.relativistic import (bessel_k, diamagnetic_check, displacement_lattice,
+                                   kato_estimate, kato_scan, kernel_pt,
+                                   pointwise_bound_check, semigroup_checks)
 from magpsido.spectral import SpectralWindow, discrete_spectrum_select, eig_hermitian
 from magpsido.symbols import kinetic_symbol, relativistic_symbol, symbol_from_id
 
@@ -280,8 +279,8 @@ def test_criterion_12_kato_estimator():
 
 def test_criterion_13_diamagnetic_comparison():
     gb = transversal_gauge(constant_field_2d(1.0))
-    out24 = diamagnetic_check(gb, PotentialSpec(), 1.0, 20, Grid(2, 6.0, 24), seed=5)
-    out32 = diamagnetic_check(gb, PotentialSpec(), 1.0, 20, Grid(2, 6.0, 32), seed=5)
+    out24 = diamagnetic_check(gb, 1.0, 20, Grid(2, 6.0, 24), seed=5)
+    out32 = diamagnetic_check(gb, 1.0, 20, Grid(2, 6.0, 32), seed=5)
     # the positive part stays at zero here; the signed excess must still
     # strictly decrease under refinement
     ok = (out24["violation"] < 1e-2 and out32["violation"] <= out24["violation"]
@@ -296,12 +295,9 @@ def test_criterion_13_diamagnetic_comparison():
 
 
 def test_criterion_14_pointwise_bound_chain(g1, bound_state_512, bound_state_768):
-    spec = potential_spec_from_id("gauss_well:depth=2,width=1")
-    reports = []
-    for grid, H, dec, _ in (bound_state_512, bound_state_768):
-        reports.append(pointwise_bound_check(
-            spec, float(dec.eigenvalues[0]), dec.eigenvectors[:, 0],
-            eps=0.1, p=2.0, grid=grid))
+    # zero field and v <= 0: the well operator is its own comparison operator
+    reports = [pointwise_bound_check(dec, eps=0.1, p=2.0, grid=grid)
+               for grid, H, dec, _ in (bound_state_512, bound_state_768)]
     m1, m2 = reports[0]["chain_margin"], reports[1]["chain_margin"]
     ok = (reports[0]["kernel_margin"] > 0 and reports[1]["kernel_margin"] > 0
           and m1 > 0 and m2 > 0 and abs(m1 - m2) / m1 < 0.10)

@@ -184,3 +184,41 @@ def test_output_under_a_regular_file_exits_2(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ")
     assert "Traceback" not in err
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_stdout_exits_2_without_traceback(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    code = cli_main(["semigroup", "--t", "1.0", "--n", "16", "--L", "5"])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_closed_pipe_process_exits_2_without_traceback():
+    # the read end is closed before the command starts, so its first write or
+    # its final flush meets EPIPE whatever the timing
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(CONFIG_DIR), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "magpsido.cli", "semigroup", "--t", "1.0",
+             "--n", "16", "--L", "5"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr

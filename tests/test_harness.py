@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import magpsido.decay as dk
 from magpsido.cli import main as cli_main
-from magpsido.errors import ConfigError, FormatError
+from magpsido.errors import ConfigError, FormatError, NotApplicableError
 from magpsido.quantize import OperatorMatrix
 from magpsido.harness import (CONFIG_SCHEMA, Scenario, ScenarioConfig, merge_reports,
                               run_scenario, validate_config, verify_suite, write_atomic,
@@ -51,7 +51,7 @@ def fuzzed_config(draw):
     """A valid config with some keys replaced, added or dropped."""
     raw = copy.deepcopy(BASE_CFG)
     for key in draw(st.lists(st.sampled_from(CONFIG_KEYS + ["frobnicate", 3]), max_size=4)):
-        if key in ("symbol", "potential") and draw(st.booleans()):
+        if key == "symbol" and draw(st.booleans()):
             raw[key] = draw(ID_STRINGS)
         else:
             raw[key] = draw(JSON_VALUES)
@@ -165,7 +165,7 @@ class TestConfigValidation:
         ("symbol", "kinetic+gauss_well:depth"),
         ("symbol", "kinetic+gauss_well:wat=1"),
         ("symbol", "kinetic+no_such_well:depth=2"),
-        ("potential", "gauss_well:depth=x"),
+        ("symbol", "neg_order+gauss_well:depth=x"),
     ])
     def test_malformed_potential_id_rejected(self, field, value):
         with pytest.raises(ConfigError):
@@ -176,8 +176,7 @@ class TestConfigValidation:
         raw = {**BASE_CFG, "grid": {"d": 1, "L": 30.0, "n": 64}}
         ScenarioConfig.from_dict({**raw, "symbol": "relativistic"})
         with pytest.raises(ConfigError, match="headroom"):
-            ScenarioConfig.from_dict({**raw, "potential": "gauss_well:depth=4,width=1",
-                                      "symbol": "relativistic"})
+            ScenarioConfig.from_dict({**raw, "symbol": "relativistic+gauss_well:depth=4,width=1"})
 
     @pytest.mark.parametrize("field, value", [("symbol", "nope"), ("field", "bogus"),
                                               ("field", "cos2d:amp=1")])
@@ -208,7 +207,12 @@ class TestConfigValidation:
                                           ("bounded_bump:width=0", "width")])
     def test_degenerate_potential_names_its_parameter(self, pid, key):
         with pytest.raises(ConfigError, match=f"needs {key} > 0"):
-            ScenarioConfig.from_dict({**BASE_CFG, "potential": pid})
+            ScenarioConfig.from_dict({**BASE_CFG, "symbol": f"relativistic+{pid}"})
+
+    def test_potential_key_rejected(self):
+        # a potential enters only through the `+<potential>` part of the symbol id
+        with pytest.raises(ConfigError, match="potential"):
+            ScenarioConfig.from_dict({**BASE_CFG, "potential": "gauss_well:depth=2,width=1"})
 
     @given(fuzzed_config())
     @example({"symbol": "kinetic", "grid": {"d": 1, "L": 1.0, "n": 10**400}})
@@ -268,6 +272,23 @@ class TestSuites:
         failed = [c for c in checks if not c.passed]
         assert not failed, [f"{c.name}: {c.details}" for c in failed]
 
+    @pytest.mark.parametrize("overrides, missing", [
+        ({"symbol": "kinetic+gauss_well:depth=2,width=1"}, "symbol relativistic"),
+        ({"symbol": "relativistic+bounded_bump:height=1,width=1"}, "v <= 0"),
+        ({"gauge_chi": "bilinear"}, "gauge_chi unset")],
+        ids=["kinetic-symbol", "repulsive-potential", "gauge-chi"])
+    def test_thm3_outside_its_contract_not_applicable(self, overrides, missing):
+        cfg = cfg_with(grid={"d": 1, "L": 30.0, "n": 64}, **overrides)
+        with pytest.raises(NotApplicableError, match=missing):
+            verify_suite("thm3-relativistic", cfg)
+
+    def test_thm3_without_bound_state_skips_the_chain(self):
+        cfg = cfg_with(symbol="relativistic", grid={"d": 1, "L": 30.0, "n": 64})
+        checks = {c.name: c for c in verify_suite("thm3-relativistic", cfg)}
+        assert not checks["form-sum-bound-state"].passed
+        assert "pointwise-bound-chain" not in checks
+        assert checks["weyl-lower-bound"].passed
+
     def test_quantize_core_2d_with_field(self):
         cfg = cfg_with(symbol="relativistic", field="constant2d:b=0.5",
                        grid={"d": 2, "L": 4.0, "n": 10})
@@ -299,30 +320,51 @@ class TestSharedScenario:
 
     THM2 = {**BASE_CFG, "grid": {"d": 1, "L": 20.0, "n": 160},
             "eps_list": [0.025, 0.05], "suites": ["thm2-exp-decay"]}
+    THM3 = {**BASE_CFG, "grid": {"d": 1, "L": 30.0, "n": 384},
+            "suites": ["thm3-relativistic"]}
+    GROWTH_ID = "relativistic+linear-growth"   # the weyl-lower-bound operator
 
     def test_run_does_no_work_twice(self, monkeypatch):
+        """Assemblies, decompositions and sweeps on the scenario's grid, by
+        the symbol id of the operator they take or return ("H" for the
+        scenario's own operator)."""
+        import collections
+
         import magpsido.decay as dk
         import magpsido.harness as hs
+        import magpsido.relativistic as rel
         import magpsido.spectral as sp
 
-        calls = {"op_weyl": 0, "eig_hermitian": 0, "uniform_bound_sweep": 0}
+        calls = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+                out = fn(*args, **kwargs)
+                op = out if name == "op_weyl" else args[0]
+                calls.append((name, getattr(op, "grid", None), getattr(op, "symbol_id", None)))
+                return out
             return wrapper
 
-        monkeypatch.setattr(hs, "op_weyl", counted("op_weyl", hs.op_weyl))
+        for mod in (hs, rel):
+            monkeypatch.setattr(mod, "op_weyl", counted("op_weyl", hs.op_weyl))
         eig = counted("eig_hermitian", hs.eig_hermitian)
-        monkeypatch.setattr(hs, "eig_hermitian", eig)
-        monkeypatch.setattr(dk, "eig_hermitian", eig)
-        monkeypatch.setattr(sp, "eig_hermitian", eig)
+        for mod in (hs, dk, sp):
+            monkeypatch.setattr(mod, "eig_hermitian", eig)
         monkeypatch.setattr(dk, "uniform_bound_sweep",
                             counted("uniform_bound_sweep", dk.uniform_bound_sweep))
-        report = run_scenario(ScenarioConfig.from_dict(self.THM2))
-        assert report.all_passed
-        assert calls == {"op_weyl": 1, "eig_hermitian": 1, "uniform_bound_sweep": 1}
+        for raw, want in (
+                (self.THM2, {("op_weyl", "H"): 1, ("eig_hermitian", "H"): 1,
+                             ("uniform_bound_sweep", "H"): 1}),
+                (self.THM3, {("op_weyl", "H"): 1, ("eig_hermitian", "H"): 1,
+                             ("op_weyl", self.GROWTH_ID): 1})):
+            calls.clear()
+            cfg = ScenarioConfig.from_dict(raw)
+            report = run_scenario(cfg)
+            assert report.all_passed, raw["suites"]
+            sc = Scenario(cfg)
+            own = sc.symbol.symbol_id
+            assert collections.Counter((name, "H" if sid == own else sid)
+                                       for name, g, sid in calls if g == sc.grid) == want
 
     @pytest.mark.parametrize("suites", [["thm2-exp-decay"],
                                         ["quantize-core", "lemmas-weights",

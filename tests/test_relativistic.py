@@ -5,14 +5,13 @@ import scipy.special as sps
 from magpsido.errors import ConfigError, NotApplicableError
 from magpsido.gauge import constant_field_2d, transversal_gauge, zero_field
 from magpsido.quantize import Grid, op_weyl
-from magpsido.relativistic import (PotentialSpec, bessel_k, build_form_sum,
-                                   diamagnetic_check, displacement_lattice,
-                                   kato_estimate, kato_scan,
-                                   kernel_pt, pointwise_bound_check,
-                                   potential_spec_from_id, semigroup_checks)
+from magpsido.relativistic import (bessel_k, diamagnetic_check, displacement_lattice,
+                                   kato_estimate, kato_scan, kernel_pt,
+                                   pointwise_bound_check, semigroup_checks)
 from magpsido.spectral import eig_hermitian, matrix_exp_neg
-from magpsido.symbols import bracket, relativistic_symbol
+from magpsido.symbols import _with_potential, bracket, relativistic_symbol, symbol_from_id
 
+WELL_ID = "relativistic+gauss_well:depth=2,width=1"
 EULER_GAMMA = 0.5772156649015328606
 K01_SERIES_TERMS = 40     # ascending-series terms of the K_0/K_1 oracle
 ASYMPTOTIC_TERMS = 12     # terms of the divergent large-argument oracle
@@ -215,61 +214,47 @@ class TestKato:
 
 
 class TestFormSum:
-    def test_zero_potential_is_plain_operator(self, g0):
-        grid = Grid(1, 15.0, 96)
-        H = build_form_sum(g0, PotentialSpec(), grid)
-        base = op_weyl(relativistic_symbol(1), g0, grid)
-        assert np.abs(H.entries - base.entries).max() < 1e-14
+    """<eta> plus an x-only potential, quantized as one symbol."""
 
     def test_weyl_lower_bound_with_growing_potential(self, g0):
         grid = Grid(1, 15.0, 96)
-        spec = PotentialSpec(V_plus=lambda x: bracket(np.asarray(x, dtype=float)) - 1.0,
-                             potential_id="growth")
-        H = build_form_sum(g0, spec, grid)
+        growth = _with_potential(relativistic_symbol(1),
+                                 lambda x: bracket(np.asarray(x, dtype=float)) - 1.0,
+                                 {"id": "growth"}, 1)
+        H = op_weyl(growth, g0, grid)
         lam = np.linalg.eigvalsh(H.entries)
         assert lam[0] >= 1.0 - 1e-8  # min spec of the kinetic part plus min V
 
     def test_gaussian_well_binds(self, g0):
         grid = Grid(1, 30.0, 256)
-        spec = potential_spec_from_id("gauss_well:depth=2,width=1")
-        H = build_form_sum(g0, spec, grid)
+        H = op_weyl(symbol_from_id(WELL_ID, 1), g0, grid)
         lam = np.linalg.eigvalsh(H.entries)
         assert lam[0] < 0.95
-
-    def test_potential_split_from_id(self):
-        spec = potential_spec_from_id("gauss_well:depth=2,width=1")
-        x = np.zeros((1, 1))
-        assert float(spec.minus_values(Grid(1, 5.0, 4))[0]) >= 0.0
-        assert spec.V_plus(x)[0] == 0.0
-        assert spec.V_minus(x)[0] == pytest.approx(2.0)
 
 
 class TestDiamagnetic:
     def test_zero_field_zero_potential_no_violation(self, g0):
         grid = Grid(1, 10.0, 64)
-        out = diamagnetic_check(g0, PotentialSpec(), 1.0, 8, grid, seed=0)
+        out = diamagnetic_check(g0, 1.0, 8, grid, seed=0)
         assert out["violation"] <= 1e-9
 
     def test_constant_field_2d_domination(self):
         grid = Grid(2, 5.0, 16)
         gb = transversal_gauge(constant_field_2d(1.0))
-        out = diamagnetic_check(gb, PotentialSpec(), 1.0, 10, grid, seed=1)
+        out = diamagnetic_check(gb, 1.0, 10, grid, seed=1)
         assert out["violation"] < 1e-2
 
     def test_comparison_semigroup_positive(self, g0):
         # positivity ripples come from the Nyquist truncation of e^{-t<eta>};
         # they sit below the 1e-10 floor once the frequency box is resolved
         grid = Grid(1, 30.0, 384)
-        spec = potential_spec_from_id("gauss_well:depth=2,width=1")
-        cmp_spec = PotentialSpec(V_minus=spec.V_minus, potential_id=spec.potential_id)
-        H = build_form_sum(g0, cmp_spec, grid)
+        H = op_weyl(symbol_from_id(WELL_ID, 1), g0, grid)
         E = matrix_exp_neg(H, 1.0)
         assert E.real.min() > -1e-10
 
     def test_eigenfunction_spectral_identity(self, g0):
         grid = Grid(1, 20.0, 128)
-        spec = potential_spec_from_id("gauss_well:depth=2,width=1")
-        H = build_form_sum(g0, spec, grid)
+        H = op_weyl(symbol_from_id(WELL_ID, 1), g0, grid)
         dec = eig_hermitian(H)
         lam0 = dec.eigenvalues[0]
         u = dec.eigenvectors[:, 0]
@@ -294,38 +279,28 @@ class TestExpVsKernel:
 
 
 class TestPointwiseChain:
-    def test_parameter_guard(self):
+    def test_parameter_guard(self, g0):
         grid = Grid(1, 10.0, 64)
-        spec = potential_spec_from_id("gauss_well:depth=2,width=1")
+        dec = eig_hermitian(op_weyl(symbol_from_id(WELL_ID, 1), g0, grid))
         with pytest.raises(ConfigError):
-            pointwise_bound_check(spec, -0.4, np.ones(64), eps=0.6, p=2.0,
-                                  grid=grid)
+            pointwise_bound_check(dec, eps=0.6, p=2.0, grid=grid)
 
     def test_free_kernel_envelope_constant_finite(self, g0):
         grid = Grid(1, 30.0, 384)
-        rep_spec = PotentialSpec()
-        dec = eig_hermitian(build_form_sum(g0, rep_spec, grid))
-        rep = pointwise_bound_check(rep_spec, float(dec.eigenvalues[0]),
-                                    dec.eigenvectors[:, 0], eps=0.1, p=2.0,
-                                    grid=grid)
+        dec = eig_hermitian(op_weyl(relativistic_symbol(1), g0, grid))
+        rep = pointwise_bound_check(dec, eps=0.1, p=2.0, grid=grid)
         assert np.isfinite(rep["C_hat"])
         assert rep["kernel_margin"] > 0
 
     def test_zero_weight_reduces_to_sup_bound(self, g0):
         grid = Grid(1, 30.0, 384)
-        spec = potential_spec_from_id("gauss_well:depth=2,width=1")
-        dec = eig_hermitian(build_form_sum(g0, spec, grid))
-        rep = pointwise_bound_check(spec, float(dec.eigenvalues[0]),
-                                    dec.eigenvectors[:, 0], eps=0.0, p=2.0,
-                                    grid=grid)
+        dec = eig_hermitian(op_weyl(symbol_from_id(WELL_ID, 1), g0, grid))
+        rep = pointwise_bound_check(dec, eps=0.0, p=2.0, grid=grid)
         assert rep["chain_margin"] > 0
 
     def test_bound_state_margins_positive(self, g0):
         grid = Grid(1, 30.0, 384)
-        spec = potential_spec_from_id("gauss_well:depth=2,width=1")
-        dec = eig_hermitian(build_form_sum(g0, spec, grid))
-        rep = pointwise_bound_check(spec, float(dec.eigenvalues[0]),
-                                    dec.eigenvectors[:, 0], eps=0.1, p=2.0,
-                                    grid=grid)
+        dec = eig_hermitian(op_weyl(symbol_from_id(WELL_ID, 1), g0, grid))
+        rep = pointwise_bound_check(dec, eps=0.1, p=2.0, grid=grid)
         assert rep["kernel_margin"] > 0
         assert rep["chain_margin"] > 0
