@@ -1,5 +1,5 @@
-"""Hot assembly kernels: kernel-table gather, amplitude-row contraction and
-pair phase exponents for linear potentials, all in numpy."""
+"""Hot assembly kernels: kernel-table gather and amplitude-row contraction,
+both in numpy."""
 import numpy as np
 
 
@@ -39,17 +39,3 @@ def amplitude_row(M, j_multi, n, d):
         return T[k, (j_multi[0] - k1) % n, (j_multi[1] - k2) % n]
     raise ValueError("dimension must be 1 or 2")
 
-
-# ---------------------------------------------------------------------------
-# pair phase exponents for linear vector potentials A(x) = W x + c:
-# exponent[j,k] = <x_k - x_j, A((x_j + x_k)/2)>  (midpoint rule, exact for linear A)
-#               = x_k^T W_a x_j + p_k - p_j,  p = x^T W x / 2 + <x, c>,
-# with W_a = (W - W^T)/2; the transversal gauge has W = W_a and x^T W x = 0
-# ---------------------------------------------------------------------------
-
-def linear_pair_exponent(nodes, W, c):
-    """Segment integrals of a linear potential over every node pair."""
-    X = np.asarray(nodes, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    p = 0.5 * ((X @ W) * X).sum(axis=-1) + X @ np.asarray(c, dtype=np.float64)
-    return (X @ (0.5 * (W - W.T)).T) @ X.T + (p[None, :] - p[:, None])

@@ -9,13 +9,14 @@ turns that segment integral into the flux of B through the triangle
     I(x,y) = sum_{j<k} (x_j y_k - x_k y_j)
              int_0^1 int_0^1 s B_jk(s (x + t (y - x))) ds dt,
 
-evaluated with the tensor Gauss-Legendre rule of order PHASE_QUAD_ORDER,
-or in closed form (midpoint rule) when the potential is linear. The double
-integral (the flux mean) is symmetric in x and y, and for a field whose
-components depend on one coordinate only (`MagneticField.axis`) it is a
-function of (x_axis, y_axis): the phase table then runs the rule once per
-pair of distinct coordinate values and multiplies by the cross factor
-x_j y_k - x_k y_j per node pair.
+evaluated with the tensor Gauss-Legendre rule of order PHASE_QUAD_ORDER
+for every field; the potential itself comes from the radial rule of the same
+order. Both rules are exact for a constant B. The double integral (the flux
+mean) is symmetric in x and y, and for a field with an `axis` (a coordinate
+such that no component depends on any other one; a constant component
+depends on none) it is a function of (x_axis, y_axis): the phase table then
+runs the rule once per pair of distinct coordinate values and multiplies by
+the cross factor x_j y_k - x_k y_j per node pair.
 
 A gauge shifted by grad(chi) keeps this evaluator and records chi; its
 segment integral is I(x,y) + chi(y) - chi(x) exactly, so no quadrature over
@@ -23,29 +24,27 @@ the shifted potential is ever run. `GaugeData.potential`
 (A + grad chi) serves the dA = B check and covariant derivatives only.
 """
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConfigError
 from .potentials import parse_params
 from .quadrature import gauss_legendre_01
 
 PHASE_QUAD_ORDER = 16     # Gauss-Legendre nodes per axis of the flux and radial rules
-FD_GRAD_STEP = 1e-6       # central-difference step of a gauge shift without a gradient
 
 
 @dataclass
 class MagneticField:
     """Antisymmetric two-form with components B_jk, stored for j < k only.
 
-    `axis`, when set, is the one coordinate every component depends on.
+    `axis`, when set, is a coordinate such that no component depends on
+    any other one.
     """
 
     dimension: int
     components: dict  # (j, k) with j < k -> callable x(...,d) -> (...)
-    constant_matrix: Optional[np.ndarray] = None
     axis: Optional[int] = None
 
     def component(self, j, k, x):
@@ -68,13 +67,12 @@ class MagneticField:
 
 
 def zero_field(dimension):
-    return MagneticField(dimension, {}, constant_matrix=np.zeros((dimension, dimension)))
+    return MagneticField(dimension, {})
 
 
 def constant_field_2d(b):
-    mat = np.array([[0.0, b], [-b, 0.0]])
     comps = {} if b == 0.0 else {(0, 1): lambda x: np.full(np.asarray(x).shape[:-1], b)}
-    return MagneticField(2, comps, constant_matrix=mat)
+    return MagneticField(2, comps, axis=0)
 
 
 def cos_field_2d(amp=1.0):
@@ -83,34 +81,37 @@ def cos_field_2d(amp=1.0):
     return MagneticField(2, comps, axis=0)
 
 
+_FIELD_PARAMS = {"zero": (), "constant2d": ("b",), "cos2d": ("amp",)}
+
+
 def field_from_id(fid, dimension):
     name, _, rest = fid.partition(":")
     name = name.strip()
+    if name not in _FIELD_PARAMS:
+        raise ConfigError(f"unknown field {fid!r}")
     params = parse_params(rest)
+    for key in params:
+        if key not in _FIELD_PARAMS[name]:
+            raise ConfigError(f"unknown parameter {key!r} for field {name!r}")
     if name == "zero":
         return zero_field(dimension)
+    if dimension != 2:
+        raise ConfigError(f"{name} needs d=2")
     if name == "constant2d":
-        if dimension != 2:
-            raise ConfigError("constant2d needs d=2")
         return constant_field_2d(params.get("b", 1.0))
-    if name == "cos2d":
-        if dimension != 2:
-            raise ConfigError("cos2d needs d=2")
-        return cos_field_2d(params.get("amp", 1.0))
-    raise ConfigError(f"unknown field {fid!r}")
+    return cos_field_2d(params.get("amp", 1.0))
 
 
 @dataclass
 class GaugeData:
     """A vector potential for a field, plus the segment-phase evaluator.
 
-    Segment phases come from `field` (or `linear`) and `chi`, never from
-    `potential`: the potential is the transversal one plus grad(chi).
+    Segment phases come from `field` and `chi`, never from `potential`:
+    the potential is the transversal one plus grad(chi).
     """
 
     field: MagneticField
     potential: Callable  # X (...,d) -> (...,d)
-    linear: Optional[Tuple[np.ndarray, np.ndarray]] = None  # A(x) = W x + c before the chi shift
     chi: Optional[Callable] = None  # X (...,d) -> (...); accumulated gauge shift
 
     @property
@@ -121,15 +122,6 @@ class GaugeData:
 def transversal_gauge(B):
     """Radial-integration potential A_j(x) = -sum_k x_k int_0^1 s B_jk(s x) ds."""
     d = B.dimension
-    if B.constant_matrix is not None:
-        W = -0.5 * B.constant_matrix
-
-        def A(X):
-            X = np.asarray(X, dtype=float)
-            return X @ W.T
-
-        return GaugeData(B, A, linear=(W, np.zeros(d)))
-
     s_nodes, s_weights = gauss_legendre_01(PHASE_QUAD_ORDER)
 
     def A(X):
@@ -151,25 +143,28 @@ def transversal_gauge(B):
 
 
 def _is_trivial(g):
-    """Zero field, zero potential, no shift: every phase is exactly 1."""
-    return (g.field.is_zero and g.chi is None and g.linear is not None
-            and not g.linear[0].any() and not g.linear[1].any())
+    """Zero field, no shift: every phase is exactly 1."""
+    return g.field.is_zero and g.chi is None
 
 
 def _flux_means(B, x, y, order):
     """Per component, int_0^1 int_0^1 s B_jk(s(x + t(y-x))) ds dt."""
     nodes, weights = gauss_legendre_01(order)
-    shape = np.broadcast(x[..., 0], y[..., 0]).shape
-    # coordinate axis first, so the broadcast sums run over long rows
+    # one s node at a time, every t node along a leading axis; coordinate
+    # axis next, so the broadcast sums run over long rows
+    lead = (-1,) + (1,) * x.ndim
+    t, wt = nodes.reshape(lead), weights.reshape(lead[:-1])
     xT = np.ascontiguousarray(np.moveaxis(x, -1, 0))
     yT = np.ascontiguousarray(np.moveaxis(y, -1, 0))
-    means = {jk: np.zeros(shape) for jk in B.components}
+    means = dict.fromkeys(B.components, 0.0)
     for s, ws in zip(nodes, weights):
-        for t, wt in zip(nodes, weights):
-            # s (x + t (y - x)) = s (1 - t) x + s t y
-            pts = np.moveaxis((s * (1.0 - t)) * xT + (s * t) * yT, 0, -1)
-            for jk, fun in B.components.items():
-                means[jk] += (ws * wt * s) * fun(pts)
+        # s (x + t (y - x)) = s (1 - t) x + s t y
+        pts = np.moveaxis((s * (1.0 - t)) * xT + (s * t) * yT, 1, -1)
+        for jk, fun in B.components.items():
+            # a running sum adds the points in rule order whatever the block shape
+            terms = (ws * wt * s) * fun(pts)
+            terms[0] += means[jk]
+            means[jk] = np.cumsum(terms, axis=0)[-1]
     return means
 
 
@@ -186,12 +181,7 @@ def line_integral_A(g, x, y):
     the triangle (0, x, y) plus chi(y) - chi(x)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if g.linear is not None:
-        W, c = g.linear
-        mid = 0.5 * (x + y)
-        acc = ((y - x) * (mid @ W.T + c)).sum(axis=-1)
-    else:
-        acc = _cross_sum(_flux_means(g.field, x, y, PHASE_QUAD_ORDER), x, y)
+    acc = _cross_sum(_flux_means(g.field, x, y, PHASE_QUAD_ORDER), x, y)
     if g.chi is not None:
         acc = acc + (g.chi(y) - g.chi(x))
     return acc
@@ -205,24 +195,13 @@ def magnetic_phase(g, x, y):
     return np.exp(-1j * line_integral_A(g, x, y))
 
 
-def gauge_transform(g, chi, grad_chi=None):
+def gauge_transform(g, chi, grad_chi):
     """Shift the potential by a gradient: A -> A + grad(chi), same field.
 
     The shifted gauge keeps the base phase evaluator and accumulates chi, so
     its phases are the base phases times exp(-i (chi(y) - chi(x))) exactly;
-    `grad_chi` (finite differences when omitted) only enters `potential`.
+    `grad_chi` only enters `potential`.
     """
-    d = g.dimension
-    if grad_chi is None:
-        def grad_chi(X):
-            X = np.asarray(X, dtype=float)
-            out = np.zeros(X.shape)
-            for axis in range(d):
-                e = np.zeros(d)
-                e[axis] = FD_GRAD_STEP
-                out[..., axis] = (chi(X + e) - chi(X - e)) / (2 * FD_GRAD_STEP)
-            return out
-
     base_A = g.potential
     base_chi = g.chi
 
@@ -235,10 +214,10 @@ def gauge_transform(g, chi, grad_chi=None):
         def total_chi(X):
             return base_chi(X) + chi(X)
 
-    return GaugeData(g.field, A, linear=g.linear, chi=total_chi)
+    return GaugeData(g.field, A, chi=total_chi)
 
 
-def phase_table(g, nodes, chunk=65536):
+def phase_table(g, nodes, chunk=4096):
     """Pair phase matrix omega[j,k] over flat node lists (hot path).
 
     The flux means are evaluated over keys, about `chunk` key pairs at a
@@ -246,15 +225,15 @@ def phase_table(g, nodes, chunk=65536):
     the nodes themselves otherwise. Only the upper key triangle is computed;
     the means are symmetric in (x, y). The exponent is taken from the upper
     node triangle and the lower triangle is filled as its negative
-    transpose, so omega is exactly Hermitian.
+    transpose, so omega is exactly Hermitian. A zero field has exponent 0
+    before the chi term.
     """
     nodes = np.asarray(nodes, dtype=float)
     N = nodes.shape[0]
     if _is_trivial(g):
         return np.ones((N, N), dtype=complex)
-    if g.linear is not None:
-        W, c = g.linear
-        E = _kernels.linear_pair_exponent(nodes, W, c)
+    if g.field.is_zero:
+        E = np.zeros((N, N))
     else:
         axis = g.field.axis
         if axis is None:
@@ -276,11 +255,10 @@ def phase_table(g, nodes, chunk=65536):
         lower = np.tril_indices(m, -1)
         for mean in means.values():
             mean[lower] = mean.T[lower]
-        E = _cross_sum({jk: mean[inverse[:, None], inverse[None, :]]
-                        for jk, mean in means.items()},
-                       nodes[:, None, :], nodes[None, :, :])
-    E = np.triu(E, 1)
-    E -= E.T
+        E = np.triu(_cross_sum({jk: mean[inverse[:, None], inverse[None, :]]
+                                for jk, mean in means.items()},
+                               nodes[:, None, :], nodes[None, :, :]), 1)
+        E -= E.T
     if g.chi is not None:
         c = g.chi(nodes)
         E += c[None, :] - c[:, None]

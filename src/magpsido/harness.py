@@ -290,7 +290,7 @@ def suite_quantize_core(sc):
 
     pure_mult = HormanderSymbol(
         order=0.0, eval=lambda x, eta: vfun(x) + 0.0 * np.asarray(eta).sum(-1),
-        dimension=d, real=True, symbol_id="mult:v")
+        dimension=d, symbol_id="mult:v")
     Hm = op_weyl(pure_mult, gauge, grid).entries
     diag_dev = float(np.abs(Hm - np.diag(vfun(grid.nodes))).max())
     checks.append(Check("multiplication-exactness", "quantize/multiplication",

@@ -185,9 +185,8 @@ def op_weyl_unsym(sym, g, grid):
 
 
 def op_weyl(sym, g, grid):
-    """Quantize a symbol against a gauge; symmetrizes real-flagged symbols."""
-    op = OperatorMatrix(op_weyl_unsym(sym, g, grid), grid, symbol_id=sym.symbol_id)
-    return hermitize(op) if sym.real else op
+    """Quantize a real symbol against a gauge and symmetrize the result."""
+    return hermitize(OperatorMatrix(op_weyl_unsym(sym, g, grid), grid, symbol_id=sym.symbol_id))
 
 
 def _cpu_count():

@@ -58,7 +58,6 @@ class HormanderSymbol:
     analytic_ext: Optional[Callable] = None
     strip_delta: Optional[float] = None
     eta_grad: Optional[Callable] = None
-    real: bool = False
     symbol_id: str = ""
 
     def __call__(self, x, eta):
@@ -202,7 +201,7 @@ def p_s_symbol(s, dimension):
 
     return HormanderSymbol(
         order=float(s), eval=ev, dimension=dimension, analytic_ext=ext,
-        strip_delta=delta, eta_grad=grad, real=True, symbol_id=f"p_s:s={s}")
+        strip_delta=delta, eta_grad=grad, symbol_id=f"p_s:s={s}")
 
 
 def relativistic_symbol(dimension):
@@ -227,7 +226,7 @@ def kinetic_symbol(dimension):
 
     return HormanderSymbol(
         order=2.0, eval=ev, dimension=dimension, analytic_ext=ext,
-        strip_delta=1.0, eta_grad=grad, real=True, symbol_id="kinetic")
+        strip_delta=1.0, eta_grad=grad, symbol_id="kinetic")
 
 
 def _with_potential(base, v, vmeta, dimension):
@@ -243,7 +242,7 @@ def _with_potential(base, v, vmeta, dimension):
     return HormanderSymbol(
         order=base.order, eval=ev, dimension=dimension,
         analytic_ext=ext, strip_delta=base.strip_delta, eta_grad=base_grad,
-        real=base.real, symbol_id=f"{base.symbol_id}+{vmeta['id']}")
+        symbol_id=f"{base.symbol_id}+{vmeta['id']}")
 
 
 def negative_order_symbol(v, vmeta, dimension):
@@ -263,7 +262,7 @@ def negative_order_symbol(v, vmeta, dimension):
 
     return HormanderSymbol(
         order=-1.0, eval=ev, dimension=dimension, analytic_ext=ext,
-        strip_delta=base.strip_delta, eta_grad=grad, real=True,
+        strip_delta=base.strip_delta, eta_grad=grad,
         symbol_id=f"neg_order+{vmeta['id']}")
 
 

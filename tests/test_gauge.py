@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from magpsido.errors import ConfigError
 from magpsido.gauge import (_cross_sum, _flux_means, constant_field_2d,
                             cos_field_2d, field_from_id, gauge_transform,
                             line_integral_A, magnetic_phase, phase_table,
                             potential_residual, transversal_gauge, zero_field)
+from magpsido.harness import _named_chi
 from magpsido.quadrature import gauss_legendre_01
 from magpsido.quantize import Grid
 
@@ -67,15 +69,6 @@ class TestTransversalGauge:
         A = g_const.potential(X)
         want = np.stack([-X[:, 1] / 2, X[:, 0] / 2], axis=-1)
         assert np.abs(A - want).max() < 1e-14
-
-    def test_quadrature_matches_closed_form_for_constant_field(self):
-        B = constant_field_2d(0.7)
-        B_general = constant_field_2d(0.7)
-        B_general.constant_matrix = None  # force the quadrature path
-        ga = transversal_gauge(B)
-        gb = transversal_gauge(B_general)
-        X = np.random.default_rng(1).uniform(-4, 4, size=(30, 2))
-        assert np.abs(ga.potential(X) - gb.potential(X)).max() < 1e-13
 
     def test_cos_field_potential_consistency(self, g_cos):
         assert potential_residual(g_cos, radius=4.0, density=16) < 1e-6
@@ -187,17 +180,17 @@ class TestTriangleFluxTable:
     def test_keyed_table_runs_rule_per_coordinate_pair(self):
         # n^2 nodes, n distinct x_1 values: at most n^2 key pairs of 16 x 16 points
         n = 8
-        B = cos_field_2d(1.0)
-        fun = B.components[(0, 1)]
-        points = []
+        for B in (cos_field_2d(1.0), constant_field_2d(0.5)):
+            fun = B.components[(0, 1)]
+            points = []
 
-        def counted(x):
-            points.append(np.asarray(x)[..., 0].size)
-            return fun(x)
+            def counted(x):
+                points.append(np.asarray(x)[..., 0].size)
+                return fun(x)
 
-        B.components[(0, 1)] = counted
-        phase_table(transversal_gauge(B), Grid(2, 6.0, n).nodes)
-        assert sum(points) <= 256 * n**2
+            B.components[(0, 1)] = counted
+            phase_table(transversal_gauge(B), Grid(2, 6.0, n).nodes)
+            assert 0 < sum(points) <= 256 * n**2
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), count=st.integers(2, 24))
@@ -209,6 +202,23 @@ class TestTriangleFluxTable:
         omega = phase_table(g_cos, nodes, chunk=7)
         assert np.abs(omega - line_quadrature_table(g_cos, nodes)).max() <= 1e-12
         assert np.array_equal(omega, omega.conj().T)
+
+    @settings(max_examples=40, deadline=None)
+    @given(b=st.floats(-2, 2), shifted=st.booleans(),
+           nodes=arrays(np.float64, st.tuples(st.integers(1, 24), st.just(2)),
+                        elements=st.floats(-6, 6)))
+    def test_constant_field_table_matches_closed_form(self, b, shifted, nodes):
+        # exp(-i (b/2)(x_j1 x_k2 - x_j2 x_k1)), times exp(-i (chi_k - chi_j)) when shifted
+        g = transversal_gauge(constant_field_2d(b))
+        x = nodes[:, None, :]
+        y = nodes[None, :, :]
+        E = 0.5 * b * (x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0])
+        if shifted:
+            chi, grad = _named_chi("bilinear", 2)
+            g = gauge_transform(g, chi, grad)
+            c = chi(nodes)
+            E = E + (c[None, :] - c[:, None])
+        assert np.abs(phase_table(g, nodes) - np.exp(-1j * E)).max() <= 1e-12
 
 
 class TestGaugeTransform:
@@ -253,18 +263,12 @@ class TestGaugeTransform:
         rhs = magnetic_phase(g_cos, x, y) * np.exp(-1j * (chi(y) - chi(x)))
         assert np.abs(lhs - rhs).max() < 1e-10
 
-    def test_finite_difference_gradient_fallback(self, g_const):
-        chi = lambda X: np.asarray(X)[..., 0] * np.asarray(X)[..., 1]
-        g2 = gauge_transform(g_const, chi)  # no closed-form gradient
-        X = np.array([[0.7, -1.2]])
-        want = np.array([[-1.2, 0.7]]) + g_const.potential(X)
-        assert np.abs(g2.potential(X) - want).max() < 1e-8
-
 
 class TestFieldCatalog:
     def test_ids_resolve(self):
         assert field_from_id("zero", 1).is_zero
-        assert field_from_id("constant2d:b=0.5", 2).constant_matrix[0, 1] == 0.5
+        c = field_from_id("constant2d:b=0.5", 2)
+        assert float(c.component(0, 1, np.zeros((1, 2)))[0]) == 0.5
         f = field_from_id("cos2d:amp=2", 2)
         assert float(f.component(0, 1, np.zeros((1, 2)))[0]) == 2.0
         # antisymmetry through the accessor
@@ -277,3 +281,9 @@ class TestFieldCatalog:
     def test_unknown_field(self):
         with pytest.raises(ConfigError):
             field_from_id("spiral", 2)
+
+    @pytest.mark.parametrize("fid, key", [("constant2d:B=0.5", "B"), ("cos2d:b=3", "b"),
+                                          ("zero:b=3", "b")])
+    def test_unknown_parameter_named(self, fid, key):
+        with pytest.raises(ConfigError, match=f"parameter '{key}'"):
+            field_from_id(fid, 2)

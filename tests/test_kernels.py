@@ -41,22 +41,6 @@ def loop_amplitude_row(M, j_multi, n, d):
     return out
 
 
-def loop_linear_pair_exponent(nodes, W, c):
-    """exponent[j, k] = <x_k - x_j, W (x_j + x_k)/2 + c>."""
-    N, d = nodes.shape
-    out = np.empty((N, N))
-    for j in range(N):
-        for k in range(N):
-            acc = 0.0
-            for a in range(d):
-                Am = c[a]
-                for b in range(d):
-                    Am += W[a, b] * 0.5 * (nodes[j, b] + nodes[k, b])
-                acc += (nodes[k, a] - nodes[j, a]) * Am
-            out[j, k] = acc
-    return out
-
-
 def complex_normal(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
@@ -96,11 +80,3 @@ def test_amplitude_row_matches_loop(d, n, j_multi):
     got = _kernels.amplitude_row(M, j_multi, n, d)
     assert np.abs(got - loop_amplitude_row(M, j_multi, n, d)).max() < 1e-13
 
-
-def test_linear_pair_exponent_matches_loop():
-    rng = np.random.default_rng(3)
-    nodes = rng.uniform(-3, 3, size=(15, 2))
-    W = rng.standard_normal((2, 2))
-    c = rng.standard_normal(2)
-    got = _kernels.linear_pair_exponent(nodes, W, c)
-    assert np.abs(got - loop_linear_pair_exponent(nodes, W, c)).max() < 1e-12

