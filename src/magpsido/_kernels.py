@@ -1,4 +1,4 @@
-"""Hot assembly kernels: kernel-table gather and amplitude-row contraction,
+"""Hot assembly kernels: kernel-table gather and amplitude-pair contraction,
 both in numpy."""
 import numpy as np
 
@@ -23,19 +23,22 @@ def weyl_gather(T, omega, n, d):
 
 
 # ---------------------------------------------------------------------------
-# amplitude row contraction: out[k] = n^{-d} sum_q M[k,q] e^{i 2pi (j-k).q/n}
+# amplitude pair contraction, pairs (j, k) with k = j + i:
+#   T[i, r] = n^{-d} sum_q M[i,q] e^{i 2pi r.q/n},
+#   forward[i] = T[i, wrap(j-k)] (entry j,k), backward[i] = T[i, wrap(k-j)] (entry k,j)
 # ---------------------------------------------------------------------------
 
-def amplitude_row(M, j_multi, n, d):
-    """Contract one row of amplitude samples against the lattice phases."""
-    N = M.shape[0]
-    k = np.arange(N)
+def amplitude_pairs(M, j, n, d):
+    """Contract the samples of the node pairs (j, j + i) against the lattice
+    phases of both entry orders; returns (forward, backward)."""
+    i = np.arange(M.shape[0])
+    k = j + i
     if d == 1:
         T = np.fft.ifft(M, axis=1)
-        return T[k, (j_multi[0] - k) % n]
+        r = (j - k) % n
+        return T[i, r], T[i, -r % n]
     if d == 2:
-        T = np.fft.ifft2(M.reshape(N, n, n), axes=(1, 2))
-        k1, k2 = k // n, k % n
-        return T[k, (j_multi[0] - k1) % n, (j_multi[1] - k2) % n]
+        T = np.fft.ifft2(M.reshape(-1, n, n), axes=(1, 2))
+        r1, r2 = (j // n - k // n) % n, (j % n - k % n) % n
+        return T[i, r1, r2], T[i, -r1 % n, -r2 % n]
     raise ValueError("dimension must be 1 or 2")
-

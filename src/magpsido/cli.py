@@ -13,11 +13,11 @@ import numpy as np
 
 from . import decay as dk
 from . import relativistic as rel
-from .errors import ConfigError, MagpsidoError
+from .errors import BudgetError, ConfigError, MagpsidoError
 from .harness import (SUITE_NAMES, Scenario, ScenarioConfig, ScenarioReport,
                       merge_reports, run_scenario, verify_suite, write_atomic,
                       write_kato_csv, write_spectrum_csv, write_sweep_csv)
-from .mpdo import file_hash, load_operator, save_operator
+from .mpdo import LOAD_BUDGET_BYTES, file_hash, load_operator, save_operator
 from .potentials import potential_from_id
 from .quantize import Grid, GridFunction, hermitize
 from .spectral import SpectralWindow, discrete_spectrum_select, eig_hermitian
@@ -29,8 +29,22 @@ def _add_grid_args(p):
     p.add_argument("--L", type=float, default=20.0)
 
 
+# float64 words per node that each grid command holds at once, besides the d
+# words of the node positions; measured peak growth, positions included: 15.1
+# words per node for semigroup (d = 1 and 2) and 11.1 for kato (d = 2)
+WORK_ARRAYS = {"semigroup": 15, "kato": 10}
+
+
 def _grid_from_args(args):
-    return Grid(args.d, args.L, args.n)
+    """The command's grid, refused before anything is allocated on it when
+    its work arrays would exceed the load budget."""
+    grid = Grid(args.d, args.L, args.n)
+    nbytes = 8 * (WORK_ARRAYS[args.command] + args.d) * grid.size
+    if nbytes > LOAD_BUDGET_BYTES:
+        raise BudgetError(
+            f"{args.command} on n^d = {grid.size:.3g} nodes needs {nbytes / 1e9:.3g} GB "
+            f"of work arrays, over the {LOAD_BUDGET_BYTES / 1e9:.2f} GB budget; shrink n")
+    return grid
 
 
 def cmd_build(args):

@@ -25,6 +25,7 @@ from .symbols import p_s_symbol
 AMPLITUDE_BUDGET = 10**10
 MIDPOINT_CHUNK = 2 * 10**7  # symbol values evaluated per block of midpoint rows
 REAL_TOL = 1e-14            # max|Im H| / max|H| at or below which a symmetrized H is stored real
+SYMMETRY_TOL = 1e-12        # max|amp(x,y) - amp(y,x)| / max|amp| above which op_amplitude refuses
 
 
 @dataclass(frozen=True)
@@ -198,34 +199,53 @@ def _cpu_count():
 
 
 def op_amplitude(amp, g, grid):
-    """Quantize a three-argument amplitude amp(x, y, eta) by direct frequency
-    summation per matrix entry (O(n^{3d}); guarded by a size budget).
+    """Quantize a three-argument amplitude amp(x, y, eta), symmetric in
+    (x, y), by direct frequency summation per matrix entry (O(n^{3d});
+    guarded by a size budget).
 
-    Rows are independent, so they are split into one contiguous block per
-    CPU: block 0 runs on the calling thread, the others on a thread pool
-    (numpy releases the GIL inside the elementwise and FFT work). Each row
-    runs the same code whatever the block count, so H is bit-identical to a
-    serial row loop.
+    The amplitudes the package quantizes depend on x and y only through
+    x + y and <eps x> + <eps y>: the midpoint amplitude a((x + y)/2, eta)
+    and the conjugation amplitudes c_eps and d_eps. So amp(x_j, x_k, .) and
+    amp(x_k, x_j, .) are the same samples, bit for bit, and each unordered
+    node pair is evaluated once: row j samples amp(x_j, x_k, .) for k >= j,
+    runs one inverse DFT per pair, and reads H[j, k] at the lattice
+    displacement j - k and H[k, j] at k - j, each times its own omega.
+    Before assembly, amp(x_0, y, .) is compared with amp(y, x_0, .) on every
+    node y; a difference above SYMMETRY_TOL max|amp| raises AssemblyError.
+
+    Row j carries N - j pairs. The rows are split into one contiguous block
+    per CPU, of equal pair count: block 0 runs on the calling thread, the
+    others on a thread pool (numpy releases the GIL inside the elementwise
+    and FFT work). Every entry is computed by the same code whatever the
+    block count, so H is bit-identical to the serial loop over full rows.
     """
     n, d = grid.n, grid.dimension
     if grid.size**3 > AMPLITUDE_BUDGET:
         raise BudgetError(
             f"n^(3d) = {grid.size ** 3:.3g} exceeds the amplitude budget "
             f"{AMPLITUDE_BUDGET:.3g}; use a coarser grid")
+    N = grid.size
     nodes = grid.nodes
-    etas = grid.eta_nodes
+    etas = grid.eta_nodes[None, :, :]
+    first = amp(nodes[0], nodes[:, None, :], etas)  # row 0's pairs: every node
+    asym = float(np.abs(first - amp(nodes[:, None, :], nodes[0], etas)).max())
+    if asym > SYMMETRY_TOL * np.abs(first).max():
+        raise AssemblyError(
+            f"amplitude is not symmetric in (x, y): amp(x, y) and amp(y, x) "
+            f"differ by {asym:.3e} at x = {nodes[0]}")
     omega = phase_table(g, nodes)
-    H = np.empty((grid.size, grid.size), dtype=complex)
+    H = np.empty((N, N), dtype=complex)
 
     def fill(rows):
-        for jflat in rows:
-            j_multi = (jflat,) if d == 1 else (jflat // n, jflat % n)
-            M = amp(nodes[jflat], nodes[:, None, :], etas[None, :, :])
-            row = _kernels.amplitude_row(M, j_multi, n, d)
-            H[jflat] = omega[jflat] * row
+        for j in rows:
+            M = first if j == 0 else amp(nodes[j], nodes[j:, None, :], etas)
+            forward, backward = _kernels.amplitude_pairs(M, j, n, d)
+            H[j, j:] = omega[j, j:] * forward
+            H[j:, j] = omega[j:, j] * backward
 
-    blocks = min(_cpu_count(), grid.size)
-    bounds = [grid.size * b // blocks for b in range(blocks + 1)]
+    blocks = min(_cpu_count(), N)
+    done = np.concatenate(([0], np.cumsum(np.arange(N, 0, -1))))  # pairs in rows < j
+    bounds = np.searchsorted(done, done[-1] * np.arange(blocks + 1) / blocks).tolist()
     with ThreadPoolExecutor(max_workers=max(1, blocks - 1)) as ex:
         futures = [ex.submit(fill, range(bounds[b], bounds[b + 1]))
                    for b in range(1, blocks)]

@@ -52,8 +52,8 @@ def kernel_pt(t, x, d):
 
     Positions carry a trailing axis of length d. Integral over R^d is e^{-t}.
     """
-    if not t > 0:  # also rejects NaN
-        raise NotApplicableError("t must be positive")
+    if not (t > 0 and math.isfinite(t)):  # also rejects NaN
+        raise NotApplicableError("t must be positive and finite")
     x = np.asarray(x, dtype=float)
     r2 = (x * x).sum(axis=-1) + t * t
     nu = (d + 1) / 2.0
@@ -81,8 +81,8 @@ def semigroup_checks(t, s, grid):
            on the low-frequency quarter;
     mass:  |h^d sum p_t - e^{-t}|.
     """
-    if not (t > 0 and s > 0):  # also rejects NaN
-        raise NotApplicableError("t and s must be positive")
+    if not (t > 0 and s > 0 and math.isfinite(t + s)):  # also rejects NaN
+        raise NotApplicableError("t and s must be positive and finite")
     d = grid.dimension
     Z = displacement_lattice(grid)
     pt = kernel_pt(t, Z, d)
@@ -123,8 +123,8 @@ def kato_estimate(W, t, grid):
     lattice), which keeps the flat-potential identity
     int_0^t e^{-s} ds = 1 - e^{-t} exact uniformly in s.
     """
-    if not t > 0:  # also rejects NaN
-        raise NotApplicableError("t must be positive")
+    if not (t > 0 and math.isfinite(t)):  # also rejects NaN
+        raise NotApplicableError("t must be positive and finite")
     vals = _as_node_values(W, grid)
     if (vals < 0).any():
         raise ConfigError("Kato estimate expects W >= 0")

@@ -102,6 +102,10 @@ NON_FINITE_ARGS = {
     "semigroup-t": ["semigroup", "--t", "nan", "--n", "16"],
     "semigroup-L": ["semigroup", "--t", "1.0", "--L", "nan", "--n", "16"],
     "kato-t0": ["kato", "--potential", "bounded_bump", "--t0", "nan", "--n", "16"],
+    # 1e400 parses as inf, which passes a bare `t > 0`
+    "semigroup-t-inf": ["semigroup", "--t", "1e400", "--n", "16"],
+    "semigroup-s-inf": ["semigroup", "--t", "1", "--s", "1e400", "--n", "16"],
+    "kato-t0-inf": ["kato", "--potential", "bounded_bump", "--t0", "1e400", "--n", "16"],
 }
 
 
@@ -115,7 +119,28 @@ def test_non_finite_numbers_exit_2(case, tmp_path, capsys):
         argv += ["--op", op]
     assert cli_main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not os.path.exists(tmp_path / "out")
 
+
+# grids whose work arrays the budget refuses by arithmetic alone
+OVERSIZED_GRIDS = {
+    "semigroup-2d": ["semigroup", "--t", "1", "--d", "2", "--n", "100000000"],
+    "semigroup-1d": ["semigroup", "--t", "1", "--n", "1000000000"],
+    "kato-2d": ["kato", "--potential", "bounded_bump", "--d", "2", "--n", "100000"],
+}
+
+
+@pytest.mark.parametrize("case", OVERSIZED_GRIDS)
+def test_oversized_grid_exits_2_before_allocating(case, tmp_path, capsys, monkeypatch):
+    def allocates(*args, **kwargs):
+        raise AssertionError("the grid reached an allocation")
+
+    for name in ("semigroup_checks", "kato_scan", "kato_estimate"):
+        monkeypatch.setattr(f"magpsido.relativistic.{name}", allocates)
+    monkeypatch.setattr(Grid, "nodes", property(allocates))
+    assert cli_main(OVERSIZED_GRIDS[case] + ["--out", str(tmp_path / "out")]) == 2
+    assert "GB budget" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
 
 
 # argv of each case; {tmp} holds a malformed config and a report directory

@@ -1,3 +1,4 @@
+import collections
 import copy
 import csv
 import dataclasses
@@ -441,41 +442,68 @@ def _threshold_below_ground_state(sc, monkeypatch):
     return Scenario(dataclasses.replace(sc.cfg, essential_threshold=lam0 - 1.0))
 
 
-# perturbations of a scenario under which a decay-suite check must fail
-CHECK_FIXTURES = {
-    "weighted-eigenvector": (_shift_bound_eigenvalues, _reverse_conjugation),
-    "discrete-spectrum-nonempty": (_threshold_below_ground_state,),
-}
-# decay-suite checks that no perturbation is known to fail yet
-NO_FIXTURE_YET = {"rapid-decay-order", "exponential-decay-fit", "uniform-relative-bound",
-                  "epsilon0-estimates", "weighted-sup-certificate"}
+def _one_node_remainder_rule(sc, monkeypatch):
+    """The t-integral of d_eps by one Gauss node: c_eps = a + eps d_eps then
+    misses by 3.1e-8 of ||H|| on the shipped config, three times the tolerance."""
+    monkeypatch.setattr(dk, "REMAINDER_QUAD_ORDER", 1)
+    return sc
+
+
+def _doubled_shift_field(sc, monkeypatch):
+    """b_eps scaled by 2, so c_eps shifts the frequency twice as far as the
+    weight ratio asks (ratio 3.6e-3 against the 1e-3 tolerance)."""
+    b_shift = dk.b_shift
+    monkeypatch.setattr(dk, "b_shift", lambda eps, x, y: 2.0 * b_shift(eps, x, y))
+    return sc
+
+
+Registry = collections.namedtuple("Registry", "configs fixtures no_fixture_yet")
+
 DECAY_CONFIGS = {"thm1-rapid-decay": "thm1_rapid_decay.json",
                  "thm2-exp-decay": "thm2_exp_decay.json"}
+# per group of suites: the shipped config of each suite, the perturbations of
+# a scenario under which a check must fail, and the checks that no
+# perturbation is known to fail yet
+REGISTRIES = (
+    Registry(DECAY_CONFIGS,
+             {"weighted-eigenvector": (_shift_bound_eigenvalues, _reverse_conjugation),
+              "discrete-spectrum-nonempty": (_threshold_below_ground_state,)},
+             {"rapid-decay-order", "exponential-decay-fit", "uniform-relative-bound",
+              "epsilon0-estimates", "weighted-sup-certificate"}),
+    Registry({"lemmas-weights": "lemmas_weights.json"},
+             {"conjugation-amplitude-match": (_doubled_shift_field,),
+              "remainder-amplitude-identity": (_one_node_remainder_rule,)},
+             {"cauchy-derivative-bound", "shift-field-bound", "exp-weight-identity",
+              "poly-weight-identity"}),
+)
+SUITE_REGISTRY = {suite: reg for reg in REGISTRIES for suite in reg.configs}
 
 
 class TestCheckFixtures:
-    """Every check the decay suites emit either fails under a named
-    perturbation or is listed in NO_FIXTURE_YET."""
+    """Every check of a registered suite either fails under a named
+    perturbation or is listed in its registry's no_fixture_yet."""
 
-    @pytest.mark.parametrize("suite", DECAY_CONFIGS)
+    @pytest.mark.parametrize("suite", SUITE_REGISTRY)
     def test_every_check_has_a_fixture_or_is_listed(self, suite):
-        checks = verify_suite(suite, _shipped(DECAY_CONFIGS[suite]))
+        reg = SUITE_REGISTRY[suite]
+        checks = verify_suite(suite, _shipped(reg.configs[suite]))
         assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
-        unregistered = {c.name for c in checks} - set(CHECK_FIXTURES) - NO_FIXTURE_YET
+        unregistered = {c.name for c in checks} - set(reg.fixtures) - reg.no_fixture_yet
         assert not unregistered
 
     def test_registry_lists_live_checks_once(self):
-        emitted = {c.name for suite, name in DECAY_CONFIGS.items()
-                   for c in verify_suite(suite, _shipped(name))}
-        assert not set(CHECK_FIXTURES) & NO_FIXTURE_YET
-        assert set(CHECK_FIXTURES) | NO_FIXTURE_YET == emitted
+        for reg in REGISTRIES:
+            emitted = {c.name for suite, name in reg.configs.items()
+                       for c in verify_suite(suite, _shipped(name))}
+            assert not set(reg.fixtures) & reg.no_fixture_yet
+            assert set(reg.fixtures) | reg.no_fixture_yet == emitted
 
     @pytest.mark.parametrize("suite, check, fixture", [
         pytest.param(suite, check, fixture, id=f"{suite}-{fixture.__name__.strip('_')}")
-        for suite in DECAY_CONFIGS
-        for check, fixtures in CHECK_FIXTURES.items() for fixture in fixtures])
+        for suite, reg in SUITE_REGISTRY.items()
+        for check, fixtures in reg.fixtures.items() for fixture in fixtures])
     def test_fixture_fails_its_check(self, suite, check, fixture, monkeypatch):
-        sc = fixture(Scenario(_shipped(DECAY_CONFIGS[suite])), monkeypatch)
+        sc = fixture(Scenario(_shipped(SUITE_REGISTRY[suite].configs[suite])), monkeypatch)
         result = {c.name: c for c in verify_suite(suite, sc)}
         assert not result[check].passed, result[check].details
 

@@ -26,19 +26,27 @@ def loop_weyl_gather_2d(T, omega, n):
     return H
 
 
-def loop_amplitude_row(M, j_multi, n, d):
-    """out[k] = n^{-d} sum_q M[k, q] e^{i 2 pi (j - k).q / n}, q in C order."""
+def loop_lattice_sum(m, r_multi, n, d):
+    """n^{-d} sum_q m[q] e^{i 2 pi r.q / n}, q in C order."""
     N = n**d
-    out = np.empty(N, dtype=complex)
-    for k in range(N):
-        k_multi = (k,) if d == 1 else (k // n, k % n)
-        acc = 0.0j
-        for q in range(N):
-            q_multi = (q,) if d == 1 else (q // n, q % n)
-            dot = sum((j - kk) * qq for j, kk, qq in zip(j_multi, k_multi, q_multi))
-            acc += M[k, q] * np.exp(2j * np.pi * dot / n)
-        out[k] = acc / N
-    return out
+    acc = 0.0j
+    for q in range(N):
+        q_multi = (q,) if d == 1 else (q // n, q % n)
+        acc += m[q] * np.exp(2j * np.pi * sum(r * qq for r, qq in zip(r_multi, q_multi)) / n)
+    return acc / N
+
+
+def loop_amplitude_pairs(M, j, n, d):
+    """Entries (j, k) and (k, j) of the pairs k = j + i: the lattice sums of
+    pair i's samples at displacements j - k and k - j."""
+    multi = (lambda f: (f,)) if d == 1 else (lambda f: (f // n, f % n))
+    forward = np.empty(M.shape[0], dtype=complex)
+    backward = np.empty(M.shape[0], dtype=complex)
+    for i in range(M.shape[0]):
+        r = tuple(a - b for a, b in zip(multi(j), multi(j + i)))
+        forward[i] = loop_lattice_sum(M[i], r, n, d)
+        backward[i] = loop_lattice_sum(M[i], tuple(-x for x in r), n, d)
+    return forward, backward
 
 
 def complex_normal(rng, shape):
@@ -73,10 +81,16 @@ def test_weyl_gather_rejects_dimension_three():
         _kernels.weyl_gather(np.zeros((7, 4)), np.ones((4, 4)), 4, 3)
 
 
-@pytest.mark.parametrize("d, n, j_multi", [(1, 8, (5,)), (2, 4, (3, 1))])
-def test_amplitude_row_matches_loop(d, n, j_multi):
+@pytest.mark.parametrize("d, n, j", [(1, 8, 5), (2, 4, 6)])
+def test_amplitude_pairs_matches_loop(d, n, j):
     rng = np.random.default_rng(2)
-    M = complex_normal(rng, (n**d, n**d))
-    got = _kernels.amplitude_row(M, j_multi, n, d)
-    assert np.abs(got - loop_amplitude_row(M, j_multi, n, d)).max() < 1e-13
+    M = complex_normal(rng, (n**d - j, n**d))
+    got = _kernels.amplitude_pairs(M, j, n, d)
+    want = loop_amplitude_pairs(M, j, n, d)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() < 1e-13
 
+
+def test_amplitude_pairs_rejects_dimension_three():
+    with pytest.raises(ValueError):
+        _kernels.amplitude_pairs(np.zeros((2, 4)), 2, 4, 3)

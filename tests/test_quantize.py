@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import magpsido.quantize
-from magpsido import _kernels
 from magpsido.decay import amplitude_c_eps, amplitude_d_eps
 from magpsido.errors import AssemblyError, BudgetError, ConfigError, NotApplicableError
 from magpsido.gauge import (constant_field_2d, field_from_id, gauge_transform, phase_table,
@@ -199,8 +198,20 @@ class TestOpAmplitude:
         assert np.abs(Ha.entries - Hw).max() < 1e-12 * np.abs(Hw).max()
 
 
+def row_contraction(M, j_multi, n, d):
+    """out[k] = n^{-d} sum_q M[k,q] e^{i 2pi (j-k).q/n}: one full row of H."""
+    N = M.shape[0]
+    k = np.arange(N)
+    if d == 1:
+        T = np.fft.ifft(M, axis=1)
+        return T[k, (j_multi[0] - k) % n]
+    T = np.fft.ifft2(M.reshape(N, n, n), axes=(1, 2))
+    k1, k2 = k // n, k % n
+    return T[k, (j_multi[0] - k1) % n, (j_multi[1] - k2) % n]
+
+
 def serial_op_amplitude(amp, g, grid):
-    """Oracle: the one-thread row loop that op_amplitude splits into blocks."""
+    """Oracle: the one-thread loop over full rows, every ordered pair sampled."""
     n, d = grid.n, grid.dimension
     nodes = grid.nodes
     etas = grid.eta_nodes
@@ -209,7 +220,7 @@ def serial_op_amplitude(amp, g, grid):
     for jflat in range(grid.size):
         j_multi = (jflat,) if d == 1 else (jflat // n, jflat % n)
         M = amp(nodes[jflat], nodes[:, None, :], etas[None, :, :])
-        H[jflat] = omega[jflat] * _kernels.amplitude_row(M, j_multi, n, d)
+        H[jflat] = omega[jflat] * row_contraction(M, j_multi, n, d)
     return H
 
 
@@ -221,10 +232,24 @@ def sin_amplitude(x, y, e):
     return np.exp(-(X**2 + Y**2) / 4 - E**2 / 2.88) * (1 + 0.3 * np.sin(X - Y))
 
 
+def symmetric_sin_amplitude(x, y, e):
+    """Amplitude symmetric in (x, y) bit for bit, complex, and not even in eta."""
+    X = np.asarray(x, dtype=float)[..., 0]
+    Y = np.asarray(y, dtype=float)[..., 0]
+    E = np.asarray(e, dtype=float)[..., 0]
+    return (np.exp(-(X**2 + Y**2) / 4 - E**2 / 2.88)
+            * (1 + 0.3 * np.sin(X + Y) + 0.2j * np.sin(E)))
+
+
 def midpoint_amplitude(sym):
     def amp(x, y, e):
         return sym.eval(0.5 * (np.asarray(x, dtype=float) + np.asarray(y, dtype=float)), e)
     return amp
+
+
+def one_row(x):
+    """True on a row call amp(x_j, nodes, .), false on the guard's swapped call."""
+    return np.ndim(x) == 1
 
 
 # amplitude, gauge and grid of each case; built on use, each case in its own test
@@ -233,7 +258,8 @@ AMPLITUDE_CASES = {
                       transversal_gauge(zero_field(1)), Grid(1, 10.0, 64)),
     "d_eps": lambda: (amplitude_d_eps(symbol_from_id("relativistic", 1), 0.05),
                       transversal_gauge(zero_field(1)), Grid(1, 10.0, 64)),
-    "sin": lambda: (sin_amplitude, transversal_gauge(zero_field(1)), Grid(1, 8.0, 32)),
+    "sin": lambda: (symmetric_sin_amplitude, transversal_gauge(zero_field(1)),
+                    Grid(1, 8.0, 32)),
     "constant_field_2d": lambda: (midpoint_amplitude(symbol_from_id("relativistic", 2)),
                                   transversal_gauge(constant_field_2d(0.3)),
                                   Grid(2, 4.0, 8)),
@@ -246,8 +272,9 @@ def _set_cpus(monkeypatch, cpus):
 
 
 class TestParallelRows:
-    """op_amplitude splits its rows into one block per CPU; every block count
-    gives the serial loop's matrix bit for bit."""
+    """op_amplitude samples each unordered node pair once and splits the rows
+    into one block of equal pair count per CPU; every block count gives the
+    serial full-row loop's matrix bit for bit."""
 
     @pytest.mark.parametrize("cpus", [None, 1, 3, 7])
     @pytest.mark.parametrize("case", AMPLITUDE_CASES)
@@ -257,6 +284,26 @@ class TestParallelRows:
             _set_cpus(monkeypatch, cpus)
         H = op_amplitude(amp, g, grid).entries
         assert np.array_equal(H, serial_op_amplitude(amp, g, grid))
+
+    def test_asymmetric_amplitude_raises(self):
+        with pytest.raises(AssemblyError, match="not symmetric in"):
+            op_amplitude(sin_amplitude, transversal_gauge(zero_field(1)), Grid(1, 8.0, 32))
+
+    @pytest.mark.parametrize("case", ["sin", "constant_field_2d"])
+    def test_samples_each_unordered_pair_once(self, case, monkeypatch):
+        _set_cpus(monkeypatch, 2)
+        amp, g, grid = AMPLITUDE_CASES[case]()
+        rows = []
+
+        def counting(x, y, e):
+            M = amp(x, y, e)
+            rows.append(M.shape[0])
+            return M
+
+        op_amplitude(counting, g, grid)
+        N = grid.size
+        assert len(rows) == N + 1  # one call per row, plus the guard's swapped row
+        assert sum(rows) == N * (N + 1) // 2 + N
 
     def test_cpu_count_fallback_without_affinity(self, monkeypatch):
         amp, g, grid = AMPLITUDE_CASES["sin"]()
@@ -272,17 +319,18 @@ class TestParallelRows:
         monkeypatch.setattr(magpsido.quantize, "ThreadPoolExecutor", Recording)
         H = op_amplitude(amp, g, grid).entries
         assert np.array_equal(H, serial_op_amplitude(amp, g, grid))
-        assert submitted == [(range(10, 21),), (range(21, 32),)]
+        # 528 pairs in rows of 32, 31, ..., 1: blocks of 177, 180 and 171 pairs
+        assert submitted == [(range(6, 14),), (range(14, 32),)]
 
     def test_error_on_the_last_block_surfaces(self, monkeypatch):
         _set_cpus(monkeypatch, 3)
-        grid = Grid(1, 8.0, 16)  # blocks: rows 0-4, 5-9, 10-15
-        first_of_last = grid.nodes[10, 0]
+        grid = Grid(1, 8.0, 16)  # blocks of equal pair count: rows 0-3, 4-6, 7-15
+        first_of_last = grid.nodes[7, 0]
 
         def amp(x, y, e):
-            if x[0] >= first_of_last:
+            if one_row(x) and x[0] >= first_of_last:
                 raise ConfigError("last block")
-            return sin_amplitude(x, y, e)
+            return symmetric_sin_amplitude(x, y, e)
 
         with pytest.raises(ConfigError, match="last block"):
             op_amplitude(amp, transversal_gauge(zero_field(1)), grid)
@@ -290,13 +338,13 @@ class TestParallelRows:
     def test_nan_on_a_worker_row_raises_assembly_error(self, monkeypatch):
         _set_cpus(monkeypatch, 3)
         grid = Grid(1, 8.0, 16)
-        worker_row = grid.nodes[7, 0]
+        worker_row = grid.nodes[5, 0]  # block 1, rows 4-6
 
         def amp(x, y, e):
-            M = sin_amplitude(x, y, e)
-            return M * np.nan if x[0] == worker_row else M
+            M = symmetric_sin_amplitude(x, y, e)
+            return M * np.nan if one_row(x) and x[0] == worker_row else M
 
-        with pytest.raises(AssemblyError):
+        with pytest.raises(AssemblyError, match="non-finite"):
             op_amplitude(amp, transversal_gauge(zero_field(1)), grid)
 
     @pytest.mark.parametrize("cpus", [1, 3])
@@ -308,10 +356,10 @@ class TestParallelRows:
 
         def amp(x, y, e):
             alive.append(threading.active_count())
-            return sin_amplitude(x, y, e)
+            return symmetric_sin_amplitude(x, y, e)
 
         op_amplitude(amp, transversal_gauge(zero_field(1)), grid)
-        assert len(alive) == grid.size
+        assert len(alive) == grid.size + 1  # one call per row, plus the guard's
         assert max(alive) <= before + cpus - 1
 
 

@@ -137,6 +137,21 @@ class TestKernel:
         with pytest.raises(NotApplicableError):
             kernel_pt(0.0, np.zeros(1), 1)
 
+    @pytest.mark.parametrize("t", [np.inf, np.nan])
+    def test_non_finite_time_error(self, t):
+        with pytest.raises(NotApplicableError):
+            kernel_pt(t, np.zeros(1), 1)
+
+    @pytest.mark.parametrize("t, s", [(np.inf, 1.0), (1.0, np.inf), (1e308, 1e308)])
+    def test_semigroup_checks_need_finite_times(self, t, s):
+        with pytest.raises(NotApplicableError, match="finite"):
+            semigroup_checks(t, s, Grid(1, 5.0, 16))
+
+    def test_kato_estimate_needs_finite_time(self):
+        grid = Grid(1, 5.0, 16)
+        with pytest.raises(NotApplicableError, match="finite"):
+            kato_estimate(np.ones(grid.size), np.inf, grid)
+
     def test_mass_is_exponential(self):
         grid = Grid(1, 40.0, 2048)
         Z = displacement_lattice(grid)
