@@ -1,5 +1,5 @@
 """Weight families, conjugated operators, remainder bounds, the analytic
-frequency-shift amplitudes, and decay-rate fitting for eigenfunctions."""
+frequency-shift amplitude, and decay-rate fitting for eigenfunctions."""
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 from typing import Tuple
@@ -16,7 +16,6 @@ from .symbols import bracket
 SWEEP_SHIFT = 1j          # resolvent point z of the relative bounds in a sweep
 EPS0_THRESHOLD = 0.5      # a swept eps is admissible when eps * rel_bound is below this
 TAYLOR_QUAD_ORDER = 16    # Gauss-Legendre nodes of the polynomial weight identity
-REMAINDER_QUAD_ORDER = 8  # Gauss-Legendre nodes of the t-integral in d_eps
 FIT_FLOOR = 1e-13         # samples with |u| at or below this stay out of decay fits
 
 
@@ -172,37 +171,6 @@ def amplitude_c_eps(sym, eps):
         mid = 0.5 * (np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
         zeta = np.asarray(eta, dtype=float) + 1j * eps * shift
         return sym.analytic_ext(mid, zeta)
-
-    return amp
-
-
-def amplitude_d_eps(sym, eps):
-    """First-order remainder amplitude
-
-        d_eps(x,y,eta) = i int_0^1 <b_eps, grad_eta a~((x+y)/2, eta + i t eps b_eps)> dt
-
-    so that c_eps = a((x+y)/2, eta) + eps d_eps exactly. The t-integral uses
-    Gauss-Legendre; the closed-form frequency gradient is required.
-    """
-    if sym.analytic_ext is None or sym.strip_delta is None:
-        raise NotApplicableError("symbol carries no analytic extension")
-    cap = analytic_eps_cap(sym)
-    if eps > cap:
-        raise StripViolationError(f"eps {eps} above strip-safe cap {cap}")
-    if sym.eta_grad is None:
-        raise NotApplicableError("closed-form frequency gradient required")
-    nodes, weights = gauss_legendre_01(REMAINDER_QUAD_ORDER)
-
-    def amp(x, y, eta):
-        shift = b_shift(eps, x, y)
-        mid = 0.5 * (np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
-        eta = np.asarray(eta, dtype=float)
-        acc = None
-        for t, wt in zip(nodes, weights):
-            grad = sym.eta_grad(mid, eta + 1j * t * eps * shift)
-            term = wt * (shift * grad).sum(axis=-1)
-            acc = term if acc is None else acc + term
-        return 1j * acc
 
     return amp
 

@@ -29,7 +29,8 @@ from .quantize import (Grid, GridFunction, fourier_mode, mag_derivative, op_ampl
 from .spectral import (SpectralWindow, discrete_spectrum_select, eig_hermitian,
                        matrix_exp_neg, nearest_gaps)
 from .symbols import (HormanderSymbol, SampleBox, _with_potential, bracket,
-                      cauchy_derivative_bound_check, relativistic_symbol, symbol_from_id)
+                      cauchy_derivative_bound_check, eta_derivative, relativistic_symbol,
+                      symbol_from_id)
 
 SUITE_NAMES = ("quantize-core", "lemmas-weights", "thm1-rapid-decay",
                "thm2-exp-decay", "thm3-relativistic")
@@ -451,11 +452,51 @@ def suite_lemmas_weights(sc):
     checks.append(Check("conjugation-amplitude-match", "decay/shift-conjugation",
                         ratio < 1e-3, 1e-3 - ratio, f"eps={eps}, ratio {ratio:.3e}"))
 
-    Ed = op_amplitude(dk.amplitude_d_eps(sym, eps), gauge, grid).entries
-    res4 = float(np.linalg.norm(Ec - Hraw - eps * Ed) / scale)
-    checks.append(Check("remainder-amplitude-identity", "decay/first-order-split",
-                        res4 < 1e-8, 1e-8 - res4, f"residual ratio {res4:.3e}"))
+    checks.append(_remainder_order_check(sym, cfg.eps_list, pairs, box.eta_radius))
     return checks
+
+
+# slack of remainder-symbol-order: <eta>^{1-m} |grad_eta a| still grows by a few
+# per mille between the fitted eta radius and twice it, and the shift moves eta
+# off the real axis
+_ORDER_SLACK = 1.05
+
+
+def _eta_lattice(radius, d):
+    axis = np.linspace(-radius, radius, 16)
+    return np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+
+
+def _remainder_order_check(sym, eps_list, pairs, radius):
+    """The remainder amplitude (c_eps - a)/eps is of order m - 1 uniformly in eps.
+
+    On the first 64 sample pairs and eta lattices of radius R and 2R, each
+    ratio |c_eps - a| / (eps <eta>^{m-1}) is divided by sup|b_eps| times
+    C1 = sup <eta>^{1-m} |grad_eta a| over radius R. A declared order below
+    the true one shows as growth by 2^(true - declared) on radius 2R.
+    """
+    d = sym.dimension
+    xs, ys = (p[:64, None, :] for p in pairs)
+    mids = 0.5 * (xs + ys)
+    inner = _eta_lattice(radius, d)
+    weight = bracket(inner) ** (1.0 - sym.order)
+    # one midpoint at a time: the 2-D contour rule holds 32^2 samples per point
+    C1 = max(float((np.linalg.norm([eta_derivative(sym, e, mid, inner)
+                                    for e in np.eye(d, dtype=int)], axis=0) * weight).max())
+             for mid in mids[:, 0])
+    cap = dk.analytic_eps_cap(sym)
+    eps_values = sorted({eps for eps in eps_list if eps <= cap} | {cap})
+    worst = 0.0
+    for eps in eps_values:
+        B = float(np.linalg.norm(dk.b_shift(eps, xs, ys), axis=-1).max())
+        c_eps = dk.amplitude_c_eps(sym, eps)
+        for E in (inner, _eta_lattice(2.0 * radius, d)):
+            q = (np.abs(c_eps(xs, ys, E) - sym.eval(mids, E))
+                 / (eps * bracket(E) ** (sym.order - 1.0)))
+            worst = max(worst, float(q.max()) / (B * C1))
+    return Check("remainder-symbol-order", "decay/remainder-order", worst <= _ORDER_SLACK,
+                 _ORDER_SLACK - worst,
+                 f"worst ratio {worst:.4f} over eps {eps_values[0]:g}..{cap:g}")
 
 
 def _window_check(found):

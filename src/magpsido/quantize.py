@@ -205,7 +205,7 @@ def op_amplitude(amp, g, grid):
 
     The amplitudes the package quantizes depend on x and y only through
     x + y and <eps x> + <eps y>: the midpoint amplitude a((x + y)/2, eta)
-    and the conjugation amplitudes c_eps and d_eps. So amp(x_j, x_k, .) and
+    and the conjugation amplitude c_eps. So amp(x_j, x_k, .) and
     amp(x_k, x_j, .) are the same samples, bit for bit, and each unordered
     node pair is evaluated once: row j samples amp(x_j, x_k, .) for k >= j,
     runs one inverse DFT per pair, and reads H[j, k] at the lattice

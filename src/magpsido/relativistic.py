@@ -89,11 +89,12 @@ def semigroup_checks(t, s, grid):
     ps = kernel_pt(s, Z, d)
     pts = kernel_pt(t + s, Z, d)
     hd = grid.h**d
-    conv = hd * np.fft.ifftn(np.fft.fftn(pt) * np.fft.fftn(ps)).real
+    ft = np.fft.fftn(pt)
+    conv = hd * np.fft.ifftn(ft * np.fft.fftn(ps)).real
+    ft = hd * ft.real
     radius = np.sqrt((Z * Z).sum(axis=-1))
     window = radius <= grid.L / 2.0
     conv_res = float(np.abs(conv[window] - pts[window]).max() / pts[window].max())
-    ft = hd * np.fft.fftn(pt).real
     eta = grid.eta_nodes.reshape(Z.shape)
     symbol = np.exp(-t * bracket(eta))
     low = bracket(eta) <= 1.0 + grid.nyquist / 4.0

@@ -48,8 +48,6 @@ class HormanderSymbol:
 
     `analytic_ext(x, zeta)` must agree with `eval` for real zeta and be
     analytic per frequency coordinate on the strip |Im zeta_j| < strip_delta.
-    `eta_grad`, when given, is the closed-form frequency gradient, valid at
-    complex arguments inside the strip.
     """
 
     order: float
@@ -57,7 +55,6 @@ class HormanderSymbol:
     dimension: int
     analytic_ext: Optional[Callable] = None
     strip_delta: Optional[float] = None
-    eta_grad: Optional[Callable] = None
     symbol_id: str = ""
 
     def __call__(self, x, eta):
@@ -93,10 +90,8 @@ def _contour_eta_derivative(sym, alpha, x, eta):
 
 
 def eta_derivative(sym, alpha, x, eta):
-    """d^alpha/d eta^alpha of the symbol at (x, eta).
-
-    Closed form via `eta_grad` for first order, Cauchy contour quadrature
-    otherwise, which needs the analytic extension.
+    """d^alpha/d eta^alpha of the symbol at (x, eta), by Cauchy contour
+    quadrature for |alpha| >= 1, which needs the analytic extension.
     """
     alpha = tuple(int(a) for a in np.atleast_1d(alpha))
     if len(alpha) != sym.dimension:
@@ -109,9 +104,6 @@ def eta_derivative(sym, alpha, x, eta):
     eta = np.asarray(eta, dtype=float)
     if total == 0:
         return np.asarray(sym.eval(x, eta), dtype=complex)
-    if total == 1 and sym.eta_grad is not None:
-        axis = alpha.index(1)
-        return np.asarray(sym.eta_grad(x, eta)[..., axis], dtype=complex)
     if sym.analytic_ext is None or sym.strip_delta is None:
         raise NotApplicableError("symbol carries no analytic extension")
     return _contour_eta_derivative(sym, alpha, x, eta)
@@ -194,14 +186,9 @@ def p_s_symbol(s, dimension):
     def ext(x, zeta):
         return bracket_c(zeta) ** s + 0.0 * np.asarray(x).sum(axis=-1)
 
-    def grad(x, zeta):
-        zeta = np.asarray(zeta)
-        br = (bracket_c(zeta) if np.iscomplexobj(zeta) else bracket(zeta) + 0j)
-        return s * zeta * (br ** (s - 2.0))[..., None]
-
     return HormanderSymbol(
         order=float(s), eval=ev, dimension=dimension, analytic_ext=ext,
-        strip_delta=delta, eta_grad=grad, symbol_id=f"p_s:s={s}")
+        strip_delta=delta, symbol_id=f"p_s:s={s}")
 
 
 def relativistic_symbol(dimension):
@@ -221,17 +208,14 @@ def kinetic_symbol(dimension):
         zeta = np.asarray(zeta)
         return (zeta * zeta).sum(axis=-1) + 0.0 * np.asarray(x).sum(axis=-1)
 
-    def grad(x, zeta):
-        return 2.0 * np.asarray(zeta) + 0j
-
     return HormanderSymbol(
         order=2.0, eval=ev, dimension=dimension, analytic_ext=ext,
-        strip_delta=1.0, eta_grad=grad, symbol_id="kinetic")
+        strip_delta=1.0, symbol_id="kinetic")
 
 
 def _with_potential(base, v, vmeta, dimension):
     """base symbol plus an x-only term v(x)."""
-    base_ev, base_ext, base_grad = base.eval, base.analytic_ext, base.eta_grad
+    base_ev, base_ext = base.eval, base.analytic_ext
 
     def ev(x, eta):
         return base_ev(x, eta) + v(x)
@@ -241,7 +225,7 @@ def _with_potential(base, v, vmeta, dimension):
 
     return HormanderSymbol(
         order=base.order, eval=ev, dimension=dimension,
-        analytic_ext=ext, strip_delta=base.strip_delta, eta_grad=base_grad,
+        analytic_ext=ext, strip_delta=base.strip_delta,
         symbol_id=f"{base.symbol_id}+{vmeta['id']}")
 
 
@@ -255,15 +239,9 @@ def negative_order_symbol(v, vmeta, dimension):
     def ext(x, zeta):
         return bracket_c(zeta) ** (-1.0) * (1.0 + v(x))
 
-    def grad(x, zeta):
-        zeta = np.asarray(zeta)
-        br = bracket_c(zeta)
-        return (-(br**-3.0) * (1.0 + v(x)))[..., None] * zeta
-
     return HormanderSymbol(
         order=-1.0, eval=ev, dimension=dimension, analytic_ext=ext,
-        strip_delta=base.strip_delta, eta_grad=grad,
-        symbol_id=f"neg_order+{vmeta['id']}")
+        strip_delta=base.strip_delta, symbol_id=f"neg_order+{vmeta['id']}")
 
 
 _BASES = {

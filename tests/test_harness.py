@@ -442,16 +442,32 @@ def _threshold_below_ground_state(sc, monkeypatch):
     return Scenario(dataclasses.replace(sc.cfg, essential_threshold=lam0 - 1.0))
 
 
-def _one_node_remainder_rule(sc, monkeypatch):
-    """The t-integral of d_eps by one Gauss node: c_eps = a + eps d_eps then
-    misses by 3.1e-8 of ||H|| on the shipped config, three times the tolerance."""
-    monkeypatch.setattr(dk, "REMAINDER_QUAD_ORDER", 1)
+def _order_lowered_by_one(sc, monkeypatch):
+    """The symbol declares order m - 1: (c_eps - a)/eps then grows like <eta>
+    against the declared bound, ratio 2.00 between the eta radii 16 and 8."""
+    sc.__dict__["symbol"] = dataclasses.replace(sc.symbol, order=sc.symbol.order - 1.0)
+    return sc
+
+
+def _order_lowered_by_half(sc, monkeypatch):
+    """The symbol declares order m - 1/2: ratio 1.42 against the 1.05 slack."""
+    sc.__dict__["symbol"] = dataclasses.replace(sc.symbol, order=sc.symbol.order - 0.5)
+    return sc
+
+
+def _tripled_imaginary_part(sc, monkeypatch):
+    """analytic_ext reads Re zeta + 3i Im zeta: c_eps shifts three times as far
+    while the contour gradient only doubles (ratio 1.51)."""
+    ext = sc.symbol.analytic_ext
+    sc.__dict__["symbol"] = dataclasses.replace(
+        sc.symbol, analytic_ext=lambda x, zeta: ext(x, zeta.real + 3j * zeta.imag))
     return sc
 
 
 def _doubled_shift_field(sc, monkeypatch):
     """b_eps scaled by 2, so c_eps shifts the frequency twice as far as the
-    weight ratio asks (ratio 3.6e-3 against the 1e-3 tolerance)."""
+    weight ratio asks (ratio 3.6e-3 against the 1e-3 tolerance) and max |b|
+    reads 1.96."""
     b_shift = dk.b_shift
     monkeypatch.setattr(dk, "b_shift", lambda eps, x, y: 2.0 * b_shift(eps, x, y))
     return sc
@@ -472,9 +488,10 @@ REGISTRIES = (
               "epsilon0-estimates", "weighted-sup-certificate"}),
     Registry({"lemmas-weights": "lemmas_weights.json"},
              {"conjugation-amplitude-match": (_doubled_shift_field,),
-              "remainder-amplitude-identity": (_one_node_remainder_rule,)},
-             {"cauchy-derivative-bound", "shift-field-bound", "exp-weight-identity",
-              "poly-weight-identity"}),
+              "shift-field-bound": (_doubled_shift_field,),
+              "remainder-symbol-order": (_order_lowered_by_one, _order_lowered_by_half,
+                                         _tripled_imaginary_part)},
+             {"cauchy-derivative-bound", "exp-weight-identity", "poly-weight-identity"}),
 )
 SUITE_REGISTRY = {suite: reg for reg in REGISTRIES for suite in reg.configs}
 
@@ -499,7 +516,8 @@ class TestCheckFixtures:
             assert set(reg.fixtures) | reg.no_fixture_yet == emitted
 
     @pytest.mark.parametrize("suite, check, fixture", [
-        pytest.param(suite, check, fixture, id=f"{suite}-{fixture.__name__.strip('_')}")
+        pytest.param(suite, check, fixture,
+                     id=f"{suite}-{fixture.__name__.strip('_')}-{check}")
         for suite, reg in SUITE_REGISTRY.items()
         for check, fixtures in reg.fixtures.items() for fixture in fixtures])
     def test_fixture_fails_its_check(self, suite, check, fixture, monkeypatch):

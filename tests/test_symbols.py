@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magpsido.errors import ConfigError, NotApplicableError, UnsupportedOrderError
 from magpsido.symbols import (HormanderSymbol, SampleBox, bracket,
                               cauchy_derivative_bound_check, eta_derivative,
                               kinetic_symbol, p_s_symbol, relativistic_symbol,
                               seminorm_estimate, symbol_from_id)
+from magpsido.potentials import potential_from_id
 
 
 def fd_eta_derivative(sym, alpha, x, eta, h):
@@ -23,6 +26,20 @@ def fd_eta_derivative(sym, alpha, x, eta, h):
         return np.asarray(sym.eval(x, pts), dtype=complex)
 
     return rec(tuple(alpha), eta)
+
+
+_WELL = potential_from_id("gauss_well:depth=1,width=1")[0]
+
+# frequency gradients of catalog symbols, written out by hand
+CATALOG_GRADIENTS = {
+    "relativistic": lambda x, e: e / bracket(e),
+    "relativistic+gauss_well:depth=2,width=1": lambda x, e: e / bracket(e),
+    "kinetic": lambda x, e: 2.0 * e,
+    "kinetic+gauss_well:depth=2,width=1": lambda x, e: 2.0 * e,
+    "p_s:s=-1": lambda x, e: -e / bracket(e) ** 3,
+    "p_s:s=0.5": lambda x, e: 0.5 * e * bracket(e) ** -1.5,
+    "neg_order+gauss_well:depth=1,width=1": lambda x, e: -(1.0 + _WELL(x)) * e / bracket(e) ** 3,
+}
 
 
 @pytest.fixture(scope="module")
@@ -115,14 +132,14 @@ class TestAnalyticEvaluation:
 
 
 class TestDerivativeEngine:
-    def test_closed_form_matches_finite_differences(self, rel1):
+    def test_contour_matches_finite_differences(self, rel1):
         x = np.zeros((5, 1))
         eta = np.linspace(-3, 3, 5)[:, None]
-        closed = eta_derivative(rel1, (1,), x, eta)
+        contour = eta_derivative(rel1, (1,), x, eta)
         coarse = fd_eta_derivative(rel1, (1,), x, eta, h=1e-3)
         fine = fd_eta_derivative(rel1, (1,), x, eta, h=5e-4)
-        err_coarse = np.abs(coarse - closed).max()
-        err_fine = np.abs(fine - closed).max()
+        err_coarse = np.abs(coarse - contour).max()
+        err_fine = np.abs(fine - contour).max()
         assert err_coarse < 1e-5
         assert err_coarse / max(err_fine, 1e-18) >= 3.5
 
@@ -133,6 +150,19 @@ class TestDerivativeEngine:
         got = eta_derivative(rel1, (2,), x, eta)
         want = (1 + 0.49) ** -1.5
         assert complex(got[0]) == pytest.approx(want, rel=1e-10)
+
+    @given(st.sampled_from(sorted(CATALOG_GRADIENTS)), st.sampled_from([1, 2]),
+           st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2),
+           st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=2))
+    @settings(max_examples=60, deadline=None)
+    def test_contour_gradient_matches_catalog_closed_forms(self, sid, d, x, eta):
+        # tolerance relative to the order m - 1 size <eta>^(m-1) of a first derivative
+        sym = symbol_from_id(sid, d)
+        x = np.array(x[:d])
+        eta = np.array(eta[:d])
+        want = CATALOG_GRADIENTS[sid](x, eta)
+        got = [complex(eta_derivative(sym, e, x, eta)) for e in np.eye(d, dtype=int)]
+        assert np.abs(np.array(got) - want).max() <= 1e-12 * bracket(eta) ** (sym.order - 1)
 
     def test_higher_order_needs_analytic_data(self):
         bare = HormanderSymbol(order=2.0, eval=lambda x, e: (np.asarray(e) ** 2).sum(-1),
