@@ -30,9 +30,11 @@ def _add_grid_args(p):
 
 
 # float64 words per node that each grid command holds at once, besides the d
-# words of the node positions; measured peak growth, positions included: 15.1
-# words per node for semigroup (d = 1 and 2) and 11.1 for kato (d = 2)
-WORK_ARRAYS = {"semigroup": 15, "kato": 10}
+# words of the node positions. Measured peak RSS growth, positions included:
+# semigroup 17.4 words per node in 1-D (n = 1e6; 14-16 of them grow with n,
+# the rest is the FFT plan and the scipy.special import) and 15.7 in 2-D
+# (n = 768; 10 grow with n); kato 11.1 (d = 2)
+WORK_ARRAYS = {"semigroup": 17, "kato": 10}
 
 
 def _grid_from_args(args):

@@ -27,7 +27,7 @@ from .potentials import potential_from_id
 from .quantize import (Grid, GridFunction, fourier_mode, mag_derivative, op_amplitude,
                        op_ps, op_weyl, op_weyl_unsym, sobolev_norm)
 from .spectral import (SpectralWindow, discrete_spectrum_select, eig_hermitian,
-                       matrix_exp_neg, nearest_gaps)
+                       eigvals_hermitian, matrix_exp_neg, nearest_gaps)
 from .symbols import (HormanderSymbol, SampleBox, _with_potential, bracket,
                       cauchy_derivative_bound_check, eta_derivative, relativistic_symbol,
                       symbol_from_id)
@@ -200,9 +200,11 @@ class Check:
 
 class Scenario:
     """The objects one config defines, each built on first use and then kept:
-    grid, symbol, (possibly gauge-shifted) gauge, the operator H and its
-    Hermitian eigendecomposition. A run shares one Scenario across its suites
-    and its spectra summary, so H is assembled and decomposed once.
+    grid, symbol, (possibly gauge-shifted) gauge, the operator H, its
+    eigenvalues and its Hermitian eigendecomposition. A run shares one
+    Scenario across its suites and its spectra summary, so H is assembled
+    once and decomposed at most once: eigenvectors are computed only when a
+    suite reads them, and a run that reads none solves for eigenvalues only.
     """
 
     def __init__(self, cfg):
@@ -233,10 +235,26 @@ class Scenario:
         return eig_hermitian(self.H)
 
     @cached_property
+    def eigenvalues(self):
+        """Ascending eigenvalues of H: those of `dec` when it is already
+        computed, else from an eigenvalue-only solve."""
+        dec = self.__dict__.get("dec")
+        return eigvals_hermitian(self.H) if dec is None else dec.eigenvalues
+
+    @property
+    def residual(self):
+        """Eigen-residual of `dec`; None when no eigenvectors were computed."""
+        dec = self.__dict__.get("dec")
+        return None if dec is None else dec.residual
+
+    @cached_property
+    def window(self):
+        return SpectralWindow(self.cfg.essential_threshold, self.cfg.margin)
+
+    @cached_property
     def bound_states(self):
         """Eigenpairs below essential_threshold - margin, each with its gap."""
-        return discrete_spectrum_select(
-            self.dec, SpectralWindow(self.cfg.essential_threshold, self.cfg.margin))
+        return discrete_spectrum_select(self.dec, self.window)
 
     def rng(self):
         """A fresh generator seeded from the config: a suite draws the same
@@ -480,10 +498,8 @@ def _remainder_order_check(sym, eps_list, pairs, radius):
     mids = 0.5 * (xs + ys)
     inner = _eta_lattice(radius, d)
     weight = bracket(inner) ** (1.0 - sym.order)
-    # one midpoint at a time: the 2-D contour rule holds 32^2 samples per point
-    C1 = max(float((np.linalg.norm([eta_derivative(sym, e, mid, inner)
-                                    for e in np.eye(d, dtype=int)], axis=0) * weight).max())
-             for mid in mids[:, 0])
+    C1 = float((np.linalg.norm([eta_derivative(sym, e, mids, inner)
+                                for e in np.eye(d, dtype=int)], axis=0) * weight).max())
     cap = dk.analytic_eps_cap(sym)
     eps_values = sorted({eps for eps in eps_list if eps <= cap} | {cap})
     worst = 0.0
@@ -740,12 +756,13 @@ class ScenarioReport:
 
 
 def _spectra_summary(sc):
-    lam = sc.dec.eigenvalues
+    lam = sc.eigenvalues
+    below = sc.window.below(lam)
     return {
         "lowest": [float(v) for v in lam[:8]],
-        "residual": sc.dec.residual,
-        "discrete_count": len(sc.bound_states),
-        "bound_state_gaps": [gap for _, _, gap in sc.bound_states],
+        "residual": sc.residual,
+        "discrete_count": len(below),
+        "bound_state_gaps": [float(gap) for gap in nearest_gaps(lam)[below]],
         "hermiticity_defect": sc.H.hermiticity_defect,
         "real_arithmetic": bool(sc.H.entries.dtype == np.float64),
     }

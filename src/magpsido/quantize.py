@@ -154,7 +154,8 @@ def _midpoint_transform(sym, grid):
     d = grid.dimension
     vals = _eval_midpoint_table(sym, grid)
     axes = tuple(range(d, 2 * d))
-    return np.fft.ifftn(vals, axes=axes)
+    # in place: the table is as large as the transform (65 MB at n^d = 1024)
+    return np.fft.ifftn(vals, axes=axes, out=vals)
 
 
 def hermitize(op):

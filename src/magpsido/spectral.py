@@ -36,21 +36,32 @@ def hermiticity_defect(mat):
     return float(np.linalg.norm(A - A.conj().T) / np.linalg.norm(A))
 
 
+def _hermitian_entries(op):
+    """The matrix of an operator, refused when it is an unsymmetrized
+    OperatorMatrix whose Hermiticity defect exceeds HERMITIAN_TOL."""
+    if not isinstance(op, OperatorMatrix):
+        return np.asarray(op)
+    if not op.symmetrized:
+        defect = hermiticity_defect(op.entries)
+        if defect > HERMITIAN_TOL:
+            raise NotApplicableError(
+                f"matrix not symmetrized (defect {defect:.3e}); hermitize first")
+    return op.entries
+
+
 def eig_hermitian(op):
     """Full LAPACK decomposition of a symmetrized operator."""
-    if isinstance(op, OperatorMatrix):
-        if not op.symmetrized:
-            defect = hermiticity_defect(op.entries)
-            if defect > HERMITIAN_TOL:
-                raise NotApplicableError(
-                    f"matrix not symmetrized (defect {defect:.3e}); hermitize first")
-        H = op.entries
-    else:
-        H = np.asarray(op)
+    H = _hermitian_entries(op)
     lam, V = np.linalg.eigh(H)
     scale = max(float(np.abs(lam).max()), 1e-300)
     residual = float(np.linalg.norm(H @ V - V * lam[None, :], axis=0).max() / scale)
     return EigenDecomposition(lam, V, residual)
+
+
+def eigvals_hermitian(op):
+    """Ascending eigenvalues of a symmetrized operator, with no eigenvectors
+    (LAPACK's eigenvalue-only path, about a third of the time of `eigh`)."""
+    return np.linalg.eigvalsh(_hermitian_entries(op))
 
 
 @dataclass(frozen=True)
@@ -66,6 +77,10 @@ class SpectralWindow:
         if self.margin <= 0:
             raise NotApplicableError("margin must be positive")
 
+    def below(self, eigenvalues):
+        """Indices of the `eigenvalues` below the cutoff, in their order."""
+        return np.flatnonzero(eigenvalues < self.essential_threshold - self.margin)
+
 
 def nearest_gaps(eigenvalues):
     """Distance from each of the ascending `eigenvalues` (at least two) to
@@ -78,8 +93,7 @@ def discrete_spectrum_select(dec, win):
     """Eigenpairs below the window cutoff, each with its spectral gap."""
     lam = dec.eigenvalues
     gaps = nearest_gaps(lam)
-    below = np.flatnonzero(lam < win.essential_threshold - win.margin)
-    return [(float(lam[i]), dec.eigenvectors[:, i], float(gaps[i])) for i in below]
+    return [(float(lam[i]), dec.eigenvectors[:, i], float(gaps[i])) for i in win.below(lam)]
 
 
 def matrix_exp_neg(H, t):
@@ -97,8 +111,10 @@ def relative_bound(R, H, z=1j):
 
     The diagonal is replaced by diag(1/|lam - z|): the two differ by the
     unitary right factor diag(|lam - z| / (lam - z)), which leaves singular
-    values unchanged, so the norm is the same and R V stays real for real R
-    and V.
+    values unchanged, so the norm is the same and M = R V diag(1/|lam - z|)
+    stays real for real R and V. The norm is the square root of the largest
+    eigenvalue of the Gram matrix M^* M, which an eigenvalue-only solve gives
+    in under half the time of the SVD behind `np.linalg.norm(M, 2)`.
 
     H may also be given as its EigenDecomposition, so that a sweep over many
     R decomposes it once.
@@ -107,4 +123,6 @@ def relative_bound(R, H, z=1j):
     if not Rm.any():
         return 0.0
     lam, V = H if isinstance(H, EigenDecomposition) else eig_hermitian(H)
-    return float(np.linalg.norm((Rm @ V) / np.abs(lam - z)[None, :], 2))
+    M = (Rm @ V) / np.abs(lam - z)[None, :]
+    top = np.linalg.eigvalsh(M.conj().T @ M)[-1]
+    return math.sqrt(max(float(top), 0.0))

@@ -62,31 +62,31 @@ class HormanderSymbol:
 
 
 def _contour_eta_derivative(sym, alpha, x, eta):
-    """Cauchy-integral derivative on a polydisc of radius strip_delta/2."""
-    rho = 0.5 * sym.strip_delta
+    """Cauchy-integral derivative on a polydisc of radius strip_delta/2.
+
+    A coordinate with alpha_j = 0 takes no ring: the Cauchy integral over it
+    is the mean value of an analytic function, which is its value at the
+    centre, so alpha = (k, 0) needs one ring, not CONTOUR_NODES of them.
+    """
     d = sym.dimension
+    rho = 0.5 * sym.strip_delta
     theta = 2.0 * np.pi * (np.arange(CONTOUR_NODES) + 0.5) / CONTOUR_NODES
     ring = rho * np.exp(1j * theta)
     x = np.asarray(x, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    if d == 1:
-        zeta = eta[..., None, :] + ring[:, None]
-        vals = sym.analytic_ext(x[..., None, :], zeta)
-        k = alpha[0]
-        coeff = math.factorial(k) / (rho**k * CONTOUR_NODES)
-        return coeff * (vals * np.exp(-1j * k * theta)).sum(axis=-1)
-    if d == 2:
-        k1, k2 = alpha
-        shift = np.zeros((CONTOUR_NODES, CONTOUR_NODES, 2), dtype=complex)
-        shift[..., 0] = ring[:, None]
-        shift[..., 1] = ring[None, :]
-        zeta = eta[..., None, None, :] + shift
-        vals = sym.analytic_ext(x[..., None, None, :], zeta)
-        phase = np.exp(-1j * k1 * theta)[:, None] * np.exp(-1j * k2 * theta)[None, :]
-        coeff = ((math.factorial(k1) * math.factorial(k2))
-                 / (rho ** (k1 + k2) * CONTOUR_NODES**2))
-        return coeff * (vals * phase).sum(axis=(-2, -1))
-    raise UnsupportedOrderError("contour derivatives implemented for d <= 2")
+    axes = [j for j in range(d) if alpha[j] > 0]
+    m = len(axes)
+    shift = np.zeros((CONTOUR_NODES,) * m + (d,), dtype=complex)
+    phase = coeff = 1.0
+    for i, j in enumerate(axes):
+        along = (slice(None),) + (None,) * (m - 1 - i)
+        shift[..., j] = ring[along]
+        phase = phase * np.exp(-1j * alpha[j] * theta)[along]
+        coeff *= math.factorial(alpha[j])
+    coeff /= rho ** sum(alpha) * CONTOUR_NODES**m
+    pad = (Ellipsis,) + (None,) * m + (slice(None),)
+    vals = sym.analytic_ext(x[pad], eta[pad] + shift)
+    return coeff * (vals * phase).sum(axis=tuple(range(-m, 0)))
 
 
 def eta_derivative(sym, alpha, x, eta):

@@ -247,3 +247,26 @@ def test_closed_pipe_process_exits_2_without_traceback():
         os.close(write_end)
     assert proc.returncode == 2
     assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
+
+
+def test_start_up_and_a_no_suite_run_leave_scipy_linalg_unloaded(tmp_path):
+    # importing scipy.linalg costs about 0.3 s per start; the eigenvalue-only
+    # solve and the relative bound stay in numpy
+    import subprocess
+    import sys
+
+    cfg = tmp_path / "cos2d.json"
+    cfg.write_text(json.dumps({"symbol": "relativistic", "field": "cos2d:amp=1",
+                               "grid": {"d": 2, "L": 6.0, "n": 8}, "suites": []}))
+    code = ("import json, sys\n"
+            "import magpsido.cli as cli\n"
+            "seen = ['scipy.linalg' in sys.modules]\n"
+            "rc = cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "seen.append('scipy.linalg' in sys.modules)\n"
+            "print(json.dumps([rc, seen]))\n")
+    src = os.path.join(os.path.dirname(CONFIG_DIR), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "r.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, [False, False]]

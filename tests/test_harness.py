@@ -367,6 +367,36 @@ class TestSharedScenario:
             assert collections.Counter((name, "H" if sid == own else sid)
                                        for name, g, sid in calls if g == sc.grid) == want
 
+    NO_SUITE_2D = {"symbol": "relativistic", "field": "cos2d:amp=1",
+                   "grid": {"d": 2, "L": 6.0, "n": 8}, "suites": []}
+
+    def test_eigenvectors_only_when_a_suite_reads_them(self, monkeypatch):
+        import magpsido.decay as dk
+        import magpsido.harness as hs
+        import magpsido.spectral as sp
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        eig = counted("eig_hermitian", hs.eig_hermitian)
+        for mod in (hs, dk, sp):
+            monkeypatch.setattr(mod, "eig_hermitian", eig)
+        monkeypatch.setattr(hs, "eigvals_hermitian",
+                            counted("eigvals_hermitian", hs.eigvals_hermitian))
+        for raw, want, vectors in (
+                (self.NO_SUITE_2D, {"eigvals_hermitian": 1}, False),
+                (self.THM2, {"eig_hermitian": 1}, True)):
+            calls.clear()
+            report = json.loads(run_scenario(ScenarioConfig.from_dict(raw)).to_json())
+            assert collections.Counter(calls) == want
+            residual = report["spectra_summary"]["residual"]
+            assert (residual is not None) == vectors
+
     @pytest.mark.parametrize("suites", [["thm2-exp-decay"],
                                         ["quantize-core", "lemmas-weights",
                                          "thm1-rapid-decay"]])
@@ -410,7 +440,8 @@ class TestRealArithmetic:
         sc = Scenario(cfg)
         assert np.diff(sc.dec.eigenvalues).min() < 1e-9
         gaps = run_scenario(cfg).spectra_summary["bound_state_gaps"]
-        assert gaps == [gap for _, _, gap in sc.bound_states]
+        # eigenvalue-only and full solves round differently (3e-15 relative)
+        assert gaps == pytest.approx([gap for _, _, gap in sc.bound_states], rel=1e-12)
         assert len(gaps) == 3 and min(gaps) > 0.05
 
 

@@ -89,6 +89,15 @@ class TestKernelTable:
         K = kernel_table(kinetic_symbol(1), grid64)
         assert np.abs(K - K[0][None, :]).max() < 1e-10 / grid64.h
 
+    @pytest.mark.parametrize("sid, grid", [
+        ("relativistic+gauss_well:depth=2,width=1", Grid(1, 6.0, 48)),
+        ("relativistic+gauss_well:depth=2,width=1", Grid(2, 4.0, 12))])
+    def test_in_place_transform_is_the_plain_inverse_fft(self, sid, grid):
+        sym = symbol_from_id(sid, grid.dimension)
+        table = magpsido.quantize._eval_midpoint_table(sym, grid)
+        want = np.fft.ifftn(table, axes=tuple(range(grid.dimension, 2 * grid.dimension)))
+        assert np.array_equal(magpsido.quantize._midpoint_transform(sym, grid), want)
+
 
 class TestOpWeyl:
     def test_identity(self, g1, grid64):

@@ -6,8 +6,8 @@ from magpsido.errors import NotApplicableError
 from magpsido.gauge import constant_field_2d, transversal_gauge, zero_field
 from magpsido.quantize import Grid, OperatorMatrix, op_weyl
 from magpsido.spectral import (SpectralWindow, discrete_spectrum_select,
-                               eig_hermitian, matrix_exp_neg, nearest_gaps,
-                               relative_bound)
+                               eig_hermitian, eigvals_hermitian, matrix_exp_neg,
+                               nearest_gaps, relative_bound)
 from magpsido.symbols import kinetic_symbol, symbol_from_id
 
 
@@ -61,6 +61,20 @@ class TestEig:
         A[0, 1] = big
         with pytest.raises(NotApplicableError):
             eig_hermitian(OperatorMatrix(A, Grid(1, 1.0, 8), symmetrized=False))
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_eigenvalues_only_match_the_full_solve(self, complex_entries):
+        H = random_hermitian(32, 2)
+        H = H if complex_entries else H.real.copy()
+        op = OperatorMatrix(H, Grid(1, 1.0, 32), symmetrized=True)
+        lam = eigvals_hermitian(op)
+        assert np.all(np.diff(lam) >= 0)
+        assert np.abs(lam - eig_hermitian(op).eigenvalues).max() <= 1e-12 * np.abs(lam).max()
+
+    def test_eigenvalues_only_refuse_unsymmetrized(self):
+        A = np.triu(random_hermitian(6, 3))
+        with pytest.raises(NotApplicableError):
+            eigvals_hermitian(OperatorMatrix(A, Grid(1, 1.0, 6), symmetrized=False))
 
     def test_unitary_eigenvectors(self):
         dec = eig_hermitian(as_op(random_hermitian(32, 1)))
@@ -165,6 +179,32 @@ class TestRelativeBound:
         H = as_op(random_hermitian(32, 9))
         R = np.random.default_rng(10).standard_normal((32, 32))
         assert relative_bound(R, eig_hermitian(H), z=0.5j) == relative_bound(R, H, z=0.5j)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("z", [1j, 0.3 + 2j])
+    @pytest.mark.parametrize("kind", ["dense", "rank-one", "near-equal-top"])
+    def test_gram_norm_matches_the_svd_norm(self, complex_entries, z, kind):
+        # the oracle is the SVD norm of the very matrix M = R V diag(1/|lam - z|)
+        # whose Gram matrix relative_bound decomposes
+        rng = np.random.default_rng(16)
+        H = random_hermitian(32, 17)
+        H = H if complex_entries else H.real.copy()
+        op = OperatorMatrix(H, Grid(1, 1.0, 32), symmetrized=True)
+        draw = (lambda *shape: rng.standard_normal(shape)
+                + (1j * rng.standard_normal(shape) if complex_entries else 0.0))
+        if kind == "dense":
+            R = draw(32, 32)
+        elif kind == "rank-one":
+            R = np.outer(draw(32), draw(32).conj())
+        else:
+            U, _ = np.linalg.qr(draw(32, 32))
+            W, _ = np.linalg.qr(draw(32, 32))
+            sing = np.concatenate([[3.0, 3.0 * (1.0 - 1e-9)], np.linspace(1.0, 0.1, 30)])
+            R = (U * sing) @ W.conj().T
+        dec = eig_hermitian(op)
+        M = (R @ dec.eigenvectors) / np.abs(dec.eigenvalues - z)[None, :]
+        want = np.linalg.norm(M, 2)
+        assert relative_bound(R, dec, z=z) == pytest.approx(want, rel=1e-12)
 
     def test_unsymmetrized_operator_rejected(self):
         A = np.triu(random_hermitian(32, 11))

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magpsido.errors import ConfigError, NotApplicableError, UnsupportedOrderError
-from magpsido.symbols import (HormanderSymbol, SampleBox, bracket,
+from magpsido.symbols import (CONTOUR_NODES, HormanderSymbol, SampleBox, bracket,
                               cauchy_derivative_bound_check, eta_derivative,
                               kinetic_symbol, p_s_symbol, relativistic_symbol,
                               seminorm_estimate, symbol_from_id)
@@ -26,6 +28,23 @@ def fd_eta_derivative(sym, alpha, x, eta, h):
         return np.asarray(sym.eval(x, pts), dtype=complex)
 
     return rec(tuple(alpha), eta)
+
+
+def polydisc_eta_derivative(sym, alpha, x, eta):
+    """Oracle for d = 2: the Cauchy integral over the full CONTOUR_NODES^2
+    torus of radius strip_delta/2, also in a coordinate with alpha_j = 0."""
+    rho = 0.5 * sym.strip_delta
+    theta = 2.0 * np.pi * (np.arange(CONTOUR_NODES) + 0.5) / CONTOUR_NODES
+    ring = rho * np.exp(1j * theta)
+    shift = np.zeros((CONTOUR_NODES, CONTOUR_NODES, 2), dtype=complex)
+    shift[..., 0] = ring[:, None]
+    shift[..., 1] = ring[None, :]
+    vals = sym.analytic_ext(x[..., None, None, :], eta[..., None, None, :] + shift)
+    k1, k2 = alpha
+    phase = np.exp(-1j * k1 * theta)[:, None] * np.exp(-1j * k2 * theta)[None, :]
+    coeff = (math.factorial(k1) * math.factorial(k2)
+             / (rho ** (k1 + k2) * CONTOUR_NODES**2))
+    return coeff * (vals * phase).sum(axis=(-2, -1))
 
 
 _WELL = potential_from_id("gauss_well:depth=1,width=1")[0]
@@ -163,6 +182,33 @@ class TestDerivativeEngine:
         want = CATALOG_GRADIENTS[sid](x, eta)
         got = [complex(eta_derivative(sym, e, x, eta)) for e in np.eye(d, dtype=int)]
         assert np.abs(np.array(got) - want).max() <= 1e-12 * bracket(eta) ** (sym.order - 1)
+
+    @pytest.mark.parametrize("sid", ["relativistic", "kinetic", "p_s:s=-1",
+                                     "relativistic+gauss_well:depth=2,width=1"])
+    def test_single_ring_matches_polydisc(self, sid):
+        # a multi-index with a zero entry takes one ring in the other
+        # coordinate; the full polydisc is the oracle, |alpha| <= 3, |eta| <= 8
+        sym = symbol_from_id(sid, 2)
+        axis = np.linspace(-8.0, 8.0, 17)
+        lattice = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+        rng = np.random.default_rng(3)
+        radius = 8.0 * np.sqrt(rng.uniform(size=64))
+        angle = rng.uniform(0.0, 2.0 * np.pi, 64)
+        eta = np.concatenate([lattice[(lattice**2).sum(-1) <= 64.0],
+                              np.stack([radius * np.cos(angle), radius * np.sin(angle)], -1)])
+        x = rng.uniform(-3.0, 3.0, eta.shape)
+        for alpha in ((1, 0), (0, 1), (2, 0), (0, 2), (3, 0), (0, 3)):
+            got = eta_derivative(sym, alpha, x, eta)
+            want = polydisc_eta_derivative(sym, alpha, x, eta)
+            assert np.abs(got - want).max() <= 1e-12, alpha
+
+    def test_mixed_index_keeps_the_polydisc(self):
+        sym = symbol_from_id("relativistic", 2)
+        x = np.zeros((3, 2))
+        eta = np.array([[0.4, -1.1], [2.0, 3.0], [-6.0, 1.5]])
+        for alpha in ((1, 1), (2, 1), (1, 2)):
+            assert np.array_equal(eta_derivative(sym, alpha, x, eta),
+                                  polydisc_eta_derivative(sym, alpha, x, eta))
 
     def test_higher_order_needs_analytic_data(self):
         bare = HormanderSymbol(order=2.0, eval=lambda x, e: (np.asarray(e) ** 2).sum(-1),
