@@ -1,25 +1,33 @@
-"""Hot assembly kernels: kernel-table gather and amplitude-pair contraction,
-both in numpy."""
+"""Hot assembly kernels: factor gather and amplitude-pair contraction, both
+in numpy."""
 import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# kernel-table gather: H[j,k] = omega[j,k] * T[midpoint(j,k), wrap(j-k)]
+# factor gather: H[j,k] = omega[j,k] * gmid[j + k] * fhat[wrap(j - k)], the
+# lattice index j + k of the midpoint (x_j + x_k)/2 and the wrapped lattice
+# displacement j - k taken per axis
 # ---------------------------------------------------------------------------
 
-def weyl_gather(T, omega, n, d):
-    """Assemble the dense operator from the midpoint kernel table."""
-    if d == 1:
-        j = np.arange(n)
-        J, K = np.meshgrid(j, j, indexing="ij")
-        return omega * T[J + K, (J - K) % n]
+def weyl_gather(fhat, omega, n, d, gmid=None):
+    """Assemble the dense operator from the transformed frequency factor
+    fhat (n^d), the pair phases omega, and the modulation gmid on the
+    (2n-1)^d midpoint lattice when the symbol has one."""
+    r = np.arange(n)
+    wrap = (r[:, None] - r) % n
+    mid = r[:, None] + r
     if d == 2:
-        idx = np.arange(n)
-        J1, J2, K1, K2 = np.ix_(idx, idx, idx, idx)
-        G = T[J1 + K1, J2 + K2, (J1 - K1) % n, (J2 - K2) % n]
-        # node flat order is C order on (j1, j2): pair axes (j1,j2) x (k1,k2)
-        return omega * G.reshape(n * n, n * n)
-    raise ValueError("dimension must be 1 or 2")
+        # node flat order is C order on (j1, j2): pair axes (j1, j2) x (k1, k2);
+        # the n x n tables broadcast, so no N x N index array is formed
+        wrap = (wrap[:, None, :, None], wrap[None, :, None, :])
+        mid = (mid[:, None, :, None], mid[None, :, None, :])
+    elif d != 1:
+        raise ValueError("dimension must be 1 or 2")
+    H = fhat[wrap].reshape(omega.shape)
+    np.multiply(omega, H, out=H)  # omega first: fused complex products round by operand order
+    if gmid is not None:
+        H *= gmid[mid].reshape(omega.shape)
+    return H
 
 
 # ---------------------------------------------------------------------------

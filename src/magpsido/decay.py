@@ -160,7 +160,7 @@ def amplitude_c_eps(sym, eps):
     Requires eps <= min(1, delta/4) so the imaginary shift eps |b| stays a
     factor 4 inside the analyticity strip.
     """
-    if sym.analytic_ext is None or sym.strip_delta is None:
+    if sym.strip_delta is None:
         raise NotApplicableError("symbol carries no analytic extension")
     cap = analytic_eps_cap(sym)
     if eps > cap:

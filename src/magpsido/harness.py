@@ -10,7 +10,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -24,13 +24,12 @@ from .gauge import (constant_field_2d, field_from_id, gauge_transform, potential
                     transversal_gauge, zero_field)
 from .mpdo import LOAD_BUDGET_BYTES, atomic_open
 from .potentials import potential_from_id
-from .quantize import (Grid, GridFunction, fourier_mode, mag_derivative, op_amplitude,
-                       op_ps, op_weyl, op_weyl_unsym, sobolev_norm)
+from .quantize import (ASSEMBLY_WORDS, Grid, GridFunction, fourier_mode, mag_derivative,
+                       op_amplitude, op_ps, op_weyl, op_weyl_unsym, sobolev_norm)
 from .spectral import (SpectralWindow, discrete_spectrum_select, eig_hermitian,
                        eigvals_hermitian, matrix_exp_neg, nearest_gaps)
-from .symbols import (HormanderSymbol, SampleBox, _with_potential, bracket,
-                      cauchy_derivative_bound_check, eta_derivative, relativistic_symbol,
-                      symbol_from_id)
+from .symbols import (HormanderSymbol, SampleBox, bracket, cauchy_derivative_bound_check,
+                      eta_derivative, relativistic_symbol, symbol_from_id)
 
 SUITE_NAMES = ("quantize-core", "lemmas-weights", "thm1-rapid-decay",
                "thm2-exp-decay", "thm3-relativistic")
@@ -167,12 +166,13 @@ def lint_config(raw):
         if raw.get("weight", {}).get("kind", "exponential") == "exponential":
             if math.hypot(1.0, eps * g["L"]) - 1.0 > 690.0:
                 raise ConfigError(f"eps={eps} overflows the exponential weight")
-    # assembly holds a (2n-1)^d x n^d complex128 midpoint table; Python
-    # integers keep its size exact however large n is
-    d = g["d"]
-    if 16 * (2 * g["n"] - 1) ** d * g["n"] ** d > LOAD_BUDGET_BYTES:
+    # assembly holds ASSEMBLY_WORDS complex128 N x N matrices; Python
+    # integers keep their size exact however large n is
+    N = g["n"] ** g["d"]
+    if 16 * ASSEMBLY_WORDS * N**2 > LOAD_BUDGET_BYTES:
         raise ConfigError(
-            f"grid n too large: the (2n-1)^{d} x n^{d} midpoint table exceeds the "
+            f"grid n too large: assembling the N x N operator (N = n^d = {N}) holds "
+            f"{ASSEMBLY_WORDS} complex N x N matrices, over the "
             f"{LOAD_BUDGET_BYTES / 1e9:.2f} GB budget; shrink n")
     nyquist = math.pi * g["n"] / (2.0 * g["L"])
     scale = _momentum_scale(raw)
@@ -307,9 +307,8 @@ def suite_quantize_core(sc):
     def vfun(x):
         return -np.exp(-(np.asarray(x) ** 2).sum(-1) / 2.0)
 
-    pure_mult = HormanderSymbol(
-        order=0.0, eval=lambda x, eta: vfun(x) + 0.0 * np.asarray(eta).sum(-1),
-        dimension=d, symbol_id="mult:v")
+    pure_mult = HormanderSymbol(order=0.0, f=lambda eta: np.zeros(np.shape(eta)[:-1]),
+                                dimension=d, v=vfun, symbol_id="mult:v")
     Hm = op_weyl(pure_mult, gauge, grid).entries
     diag_dev = float(np.abs(Hm - np.diag(vfun(grid.nodes))).max())
     checks.append(Check("multiplication-exactness", "quantize/multiplication",
@@ -700,9 +699,8 @@ def suite_thm3_relativistic(sc):
                                 f"C_hat {rep['C_hat']:.3f}, chain margin "
                                 f"{rep['chain_margin']:.3f}, kernel min {rep['kernel_min']:.2e}"))
 
-        growth = _with_potential(relativistic_symbol(1),
-                                 lambda x: bracket(np.asarray(x, dtype=float)) - 1.0,
-                                 {"id": "linear-growth"}, 1)
+        growth = replace(relativistic_symbol(1), v=lambda x: bracket(x) - 1.0,
+                         symbol_id="relativistic+linear-growth")
         Hp = op_weyl(growth, transversal_gauge(zero_field(1)), grid)
         lam_min = float(np.linalg.eigvalsh(Hp.entries)[0])
         base_min = 1.0

@@ -4,11 +4,18 @@ The grid couples n even nodes per axis on [-L, L) with the exact DFT dual
 frequencies (pi/L) k, k in [-n/2, n/2). A symbol a becomes the matrix
 
     H[j,k] = n^{-d} sum_eta e^{i <x_j - x_k, eta>} omega(x_j, x_k)
-             a((x_j + x_k)/2, eta),
+             a((x_j + x_k)/2, eta).
 
-assembled from one inverse DFT per midpoint. Displacements wrap with period
-2L (the frequency sum is an exact DFT); the pair phase omega is evaluated on
-the true, unwrapped segment.
+For a symbol in factor form a(x, eta) = g(x) f(eta) + v(x) the frequency sum
+splits: the f term is one inverse n^d DFT fhat of f on the dual lattice, read
+at the wrapped lattice displacement j - k, and the v term sums to delta_jk,
+where omega is 1. So
+
+    H[j,k] = omega[j,k] g((x_j + x_k)/2) fhat[wrap(j - k)] + delta_jk v(x_j),
+
+and assembly holds a few N x N matrices (N = n^d) and nothing larger.
+Displacements wrap with period 2L (the frequency sum is an exact DFT); the
+pair phase omega is evaluated on the true, unwrapped segment.
 """
 import math
 import os
@@ -23,7 +30,7 @@ from .gauge import phase_table
 from .symbols import p_s_symbol
 
 AMPLITUDE_BUDGET = 10**10
-MIDPOINT_CHUNK = 2 * 10**7  # symbol values evaluated per block of midpoint rows
+ASSEMBLY_WORDS = 4          # complex N x N matrices op_weyl holds at its peak
 REAL_TOL = 1e-14            # max|Im H| / max|H| at or below which a symmetrized H is stored real
 SYMMETRY_TOL = 1e-12        # max|amp(x,y) - amp(y,x)| / max|amp| above which op_amplitude refuses
 
@@ -131,31 +138,13 @@ class OperatorMatrix:
         return GridFunction(self.entries @ u.values, self.grid)
 
 
-def _eval_midpoint_table(sym, grid):
-    """Symbol values a(m, eta) on midpoint x dual lattices, shaped for ifft."""
-    n, d = grid.n, grid.dimension
-    mids = grid.midpoints
-    etas = grid.eta_nodes
-    n_mid = mids.shape[0]
-    vals = np.empty((n_mid, grid.size), dtype=complex)
-    chunk_rows = max(1, MIDPOINT_CHUNK // grid.size)
-    for start in range(0, n_mid, chunk_rows):
-        stop = min(n_mid, start + chunk_rows)
-        vals[start:stop] = sym.eval(mids[start:stop, None, :], etas[None, :, :])
-    if not np.all(np.isfinite(vals)):
-        bad = np.argwhere(~np.isfinite(vals))[0]
-        raise AssemblyError(
-            f"non-finite symbol value at midpoint {mids[bad[0]]}, eta {etas[bad[1]]}")
-    return vals.reshape((2 * n - 1,) * d + (n,) * d)
-
-
-def _midpoint_transform(sym, grid):
-    """T[m, r] = n^{-d} sum_q a(m, eta_q) e^{i 2 pi r.q / n} for every midpoint."""
-    d = grid.dimension
-    vals = _eval_midpoint_table(sym, grid)
-    axes = tuple(range(d, 2 * d))
-    # in place: the table is as large as the transform (65 MB at n^d = 1024)
-    return np.fft.ifftn(vals, axes=axes, out=vals)
+def _finite(values, points, what):
+    """The factor values on `points`; AssemblyError names the first point
+    where one is not finite."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise AssemblyError(f"non-finite symbol factor {what} {points[np.argmax(bad)]}")
+    return values
 
 
 def hermitize(op):
@@ -168,9 +157,12 @@ def hermitize(op):
     if op.symmetrized:
         return op
     H = op.entries
+    Ha = H.conj().T
     scale = np.linalg.norm(H)
-    defect = float(np.linalg.norm(H - H.conj().T) / scale) if scale > 0 else 0.0
-    Hs = 0.5 * (H + H.conj().T)
+    defect = float(np.linalg.norm(H - Ha) / scale) if scale > 0 else 0.0
+    Hs = H + Ha
+    del Ha
+    Hs *= 0.5
     if np.iscomplexobj(Hs) and np.abs(Hs.imag).max() <= REAL_TOL * np.abs(Hs).max():
         Hs = np.ascontiguousarray(Hs.real)
     return OperatorMatrix(Hs, op.grid, op.symbol_id,
@@ -178,12 +170,22 @@ def hermitize(op):
 
 
 def op_weyl_unsym(sym, g, grid):
-    """Raw Weyl assembly: the dense entries before any symmetrization."""
+    """Raw Weyl assembly from the symbol's factors: the dense entries before
+    any symmetrization."""
     if sym.dimension != grid.dimension or g.dimension != grid.dimension:
         raise ConfigError("dimension mismatch between symbol, gauge, and grid")
-    T = _midpoint_transform(sym, grid)
-    omega = phase_table(g, grid.nodes)
-    return _kernels.weyl_gather(T, omega, grid.n, grid.dimension)
+    n, d = grid.n, grid.dimension
+    etas = grid.eta_nodes
+    fhat = np.fft.ifftn(_finite(sym.f(etas), etas, "f at frequency").reshape((n,) * d))
+    gmid = None
+    if sym.g is not None:
+        mids = grid.midpoints
+        gmid = _finite(sym.g(mids), mids, "g at midpoint").reshape((2 * n - 1,) * d)
+    H = _kernels.weyl_gather(fhat, phase_table(g, grid.nodes), n, d, gmid)
+    if sym.v is not None:
+        nodes = grid.nodes
+        H.flat[::grid.size + 1] += _finite(sym.v(nodes), nodes, "v at node")
+    return H
 
 
 def op_weyl(sym, g, grid):

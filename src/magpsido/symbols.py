@@ -1,13 +1,14 @@
 """Frequency-space symbols: evaluation, derivatives, analytic continuation,
 and the quantitative class checks (seminorms, factorial derivative growth).
 
-Evaluation convention: every symbol callback receives position and frequency
-arguments as numpy arrays whose trailing axis has length `dimension`, and the
-arguments broadcast against each other; the result drops the trailing axis.
+A symbol is held in factor form g(x) f(eta) + v(x). Evaluation convention:
+f receives frequency arrays and g, v position arrays, each with a trailing
+axis of length `dimension`; `eval` and `analytic_ext` take both, broadcast
+them against each other, and drop the trailing axis.
 """
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -18,18 +19,14 @@ from .potentials import parse_params, potential_from_id
 DERIVATIVE_BUDGET = 6
 CAUCHY_SLACK = 1.5    # factor on the order-0 seminorm in the Cauchy bound constant
 CONTOUR_NODES = 32    # trapezoid nodes per ring of the Cauchy-integral eta derivative
+CAUCHY_BLOCK = 2**19  # complex contour samples per block of the Cauchy bound check
 
 
 def bracket(eta):
-    """<eta> = sqrt(1 + |eta|^2), trailing axis summed."""
+    """<eta> = sqrt(1 + sum eta_j^2), trailing axis summed; for complex zeta the
+    principal branch, which is analytic where Re(1 + sum zeta_j^2) > 0."""
     eta = np.asarray(eta)
     return np.sqrt(1.0 + (eta * eta).sum(axis=-1))
-
-
-def bracket_c(zeta):
-    """Analytic <zeta> = (1 + sum zeta_j^2)^(1/2), principal branch."""
-    zeta = np.asarray(zeta)
-    return np.sqrt(1.0 + (zeta * zeta).sum(axis=-1) + 0j)
 
 
 def multi_indices(d, max_total):
@@ -44,21 +41,42 @@ def multi_indices(d, max_total):
 
 @dataclass
 class HormanderSymbol:
-    """An order-m symbol a(x, eta) with optional analytic frequency extension.
+    """An order-m symbol in factor form, a(x, eta) = g(x) f(eta) + v(x).
 
-    `analytic_ext(x, zeta)` must agree with `eval` for real zeta and be
-    analytic per frequency coordinate on the strip |Im zeta_j| < strip_delta.
+    f takes real eta or complex zeta, so the one callable gives both `eval`
+    and `analytic_ext`; the modulation g (default 1) and the potential v
+    (default 0) take x. `analytic_ext(x, zeta)` agrees with `eval` for real
+    zeta and is analytic per frequency coordinate on the strip
+    |Im zeta_j| < strip_delta; a symbol without strip_delta has none.
+
+    Every catalog symbol has this form, and `quantize.op_weyl` assembles
+    from the factors with one n^d FFT of f. A non-separable symbol is outside
+    the catalog and would need its own assembly.
     """
 
     order: float
-    eval: Callable
+    f: Callable
     dimension: int
-    analytic_ext: Optional[Callable] = None
+    g: Optional[Callable] = None
+    v: Optional[Callable] = None
     strip_delta: Optional[float] = None
     symbol_id: str = ""
 
-    def __call__(self, x, eta):
-        return self.eval(x, eta)
+    def eval(self, x, eta):
+        return self._combine(x, self.f(np.asarray(eta)))
+
+    def analytic_ext(self, x, zeta):
+        if self.strip_delta is None:
+            raise NotApplicableError("symbol carries no analytic extension")
+        return self._combine(x, self.f(np.asarray(zeta, dtype=complex)))
+
+    def _combine(self, x, fz):
+        """g(x) f + v(x), broadcast over the x and frequency arguments."""
+        x = np.asarray(x, dtype=float)
+        out = fz if self.g is None else self.g(x) * fz
+        if self.v is not None:
+            out = out + self.v(x)
+        return np.broadcast_to(out, np.broadcast_shapes(np.shape(out), x.shape[:-1]))
 
 
 def _contour_eta_derivative(sym, alpha, x, eta):
@@ -104,7 +122,7 @@ def eta_derivative(sym, alpha, x, eta):
     eta = np.asarray(eta, dtype=float)
     if total == 0:
         return np.asarray(sym.eval(x, eta), dtype=complex)
-    if sym.analytic_ext is None or sym.strip_delta is None:
+    if sym.strip_delta is None:
         raise NotApplicableError("symbol carries no analytic extension")
     return _contour_eta_derivative(sym, alpha, x, eta)
 
@@ -153,7 +171,7 @@ def cauchy_derivative_bound_check(sym, max_order, box, grid_density=24):
 
     C is the order-0 seminorm over the box times CAUCHY_SLACK.
     """
-    if sym.analytic_ext is None or sym.strip_delta is None:
+    if sym.strip_delta is None:
         raise NotApplicableError("symbol carries no analytic extension")
     if max_order > DERIVATIVE_BUDGET:
         raise UnsupportedOrderError("max_order exceeds budget")
@@ -161,14 +179,17 @@ def cauchy_derivative_bound_check(sym, max_order, box, grid_density=24):
     C = CAUCHY_SLACK * seminorm_estimate(sym, zero, box, grid_density)
     X, E = _sample_points(sym, box, grid_density)
     weight = bracket(E) ** sym.order
+    # x samples per block: a mixed index evaluates a full polydisc per pair
+    rows = max(1, CAUCHY_BLOCK // (E.shape[1] * CONTOUR_NODES**sym.dimension))
     worst = 0.0
     for alpha in multi_indices(sym.dimension, max_order):
-        lhs = np.abs(eta_derivative(sym, alpha, X, E))
         fact = 1.0
         for a in alpha:
             fact *= math.factorial(a)
         rhs = C * (2.0 / sym.strip_delta) ** sum(alpha) * fact * weight
-        worst = max(worst, float((lhs / rhs).max()))
+        for start in range(0, X.shape[0], rows):
+            lhs = np.abs(eta_derivative(sym, alpha, X[start:start + rows], E))
+            worst = max(worst, float((lhs / rhs).max()))
     return CauchyBoundResult(worst <= 1.0, worst, C)
 
 
@@ -177,71 +198,27 @@ def cauchy_derivative_bound_check(sym, max_order, box, grid_density=24):
 # ---------------------------------------------------------------------------
 
 def p_s_symbol(s, dimension):
-    """<eta>^s with its analytic extension and strip 1/(2 sqrt(d))."""
-    delta = 1.0 / (2.0 * math.sqrt(dimension))
-
-    def ev(x, eta):
-        return bracket(eta) ** s + 0.0 * np.asarray(x).sum(axis=-1)
-
-    def ext(x, zeta):
-        return bracket_c(zeta) ** s + 0.0 * np.asarray(x).sum(axis=-1)
-
+    """<eta>^s on the strip 1/(2 sqrt(d))."""
     return HormanderSymbol(
-        order=float(s), eval=ev, dimension=dimension, analytic_ext=ext,
-        strip_delta=delta, symbol_id=f"p_s:s={s}")
+        order=float(s), f=lambda eta: bracket(eta) ** s, dimension=dimension,
+        strip_delta=1.0 / (2.0 * math.sqrt(dimension)), symbol_id=f"p_s:s={s}")
 
 
 def relativistic_symbol(dimension):
-    sym = p_s_symbol(1.0, dimension)
-    sym.symbol_id = "relativistic"
-    return sym
+    return replace(p_s_symbol(1.0, dimension), symbol_id="relativistic")
 
 
 def kinetic_symbol(dimension):
     """|eta|^2, entire in the frequencies."""
-
-    def ev(x, eta):
-        eta = np.asarray(eta)
-        return (eta * eta).sum(axis=-1) + 0.0 * np.asarray(x).sum(axis=-1)
-
-    def ext(x, zeta):
-        zeta = np.asarray(zeta)
-        return (zeta * zeta).sum(axis=-1) + 0.0 * np.asarray(x).sum(axis=-1)
-
     return HormanderSymbol(
-        order=2.0, eval=ev, dimension=dimension, analytic_ext=ext,
+        order=2.0, f=lambda eta: (eta * eta).sum(axis=-1), dimension=dimension,
         strip_delta=1.0, symbol_id="kinetic")
-
-
-def _with_potential(base, v, vmeta, dimension):
-    """base symbol plus an x-only term v(x)."""
-    base_ev, base_ext = base.eval, base.analytic_ext
-
-    def ev(x, eta):
-        return base_ev(x, eta) + v(x)
-
-    def ext(x, zeta):
-        return base_ext(x, zeta) + v(x)
-
-    return HormanderSymbol(
-        order=base.order, eval=ev, dimension=dimension,
-        analytic_ext=ext, strip_delta=base.strip_delta,
-        symbol_id=f"{base.symbol_id}+{vmeta['id']}")
 
 
 def negative_order_symbol(v, vmeta, dimension):
     """<eta>^{-1} (1 + v(x))."""
-    base = p_s_symbol(-1.0, dimension)
-
-    def ev(x, eta):
-        return bracket(eta) ** (-1.0) * (1.0 + v(x))
-
-    def ext(x, zeta):
-        return bracket_c(zeta) ** (-1.0) * (1.0 + v(x))
-
-    return HormanderSymbol(
-        order=-1.0, eval=ev, dimension=dimension, analytic_ext=ext,
-        strip_delta=base.strip_delta, symbol_id=f"neg_order+{vmeta['id']}")
+    return replace(p_s_symbol(-1.0, dimension), g=lambda x: 1.0 + v(x),
+                   symbol_id=f"neg_order+{vmeta['id']}")
 
 
 _BASES = {
@@ -262,8 +239,7 @@ def symbol_from_id(sid, dimension):
     base_id, _, pot_id = sid.partition("+")
     if base_id == "neg_order":
         if not pot_id:
-            one = (lambda x: 0.0 * np.asarray(x, dtype=float).sum(axis=-1))
-            return negative_order_symbol(one, {"id": "zero"}, dimension)
+            return replace(p_s_symbol(-1.0, dimension), symbol_id="neg_order+zero")
         v, meta = potential_from_id(pot_id)
         return negative_order_symbol(v, meta, dimension)
     if base_id not in _BASES:
@@ -272,4 +248,4 @@ def symbol_from_id(sid, dimension):
     if not pot_id:
         return base
     v, meta = potential_from_id(pot_id)
-    return _with_potential(base, v, meta, dimension)
+    return replace(base, v=v, symbol_id=f"{base.symbol_id}+{meta['id']}")

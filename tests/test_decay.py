@@ -16,7 +16,7 @@ from magpsido.quadrature import gauss_legendre_01
 from magpsido.quantize import (Grid, GridFunction, OperatorMatrix, op_amplitude, op_weyl,
                                op_weyl_unsym)
 from magpsido.spectral import eig_hermitian
-from magpsido.symbols import bracket, bracket_c, relativistic_symbol, symbol_from_id
+from magpsido.symbols import bracket, relativistic_symbol, symbol_from_id
 
 
 WELL_1D = symbol_from_id("relativistic+gauss_well:depth=2,width=1", 1)
@@ -233,8 +233,7 @@ class TestShiftAmplitudes:
 
     def test_requires_analytic_extension(self):
         from magpsido.symbols import HormanderSymbol
-        bare = HormanderSymbol(order=0.0,
-                               eval=lambda x, e: np.ones(np.asarray(e).shape[:-1]),
+        bare = HormanderSymbol(order=0.0, f=lambda e: np.ones(np.shape(e)[:-1]),
                                dimension=1, symbol_id="bare")
         with pytest.raises(NotApplicableError):
             amplitude_c_eps(bare, 0.05)
@@ -280,7 +279,7 @@ class TestShiftAmplitudes:
         d_eps = 0.0
         for t, wt in zip(*gauss_legendre_01(8)):
             zeta = e + 1j * t * eps * b
-            d_eps = d_eps + 1j * wt * (b * zeta).sum(-1) / bracket_c(zeta)
+            d_eps = d_eps + 1j * wt * (b * zeta).sum(-1) / bracket(zeta)
         mid = sym.eval((x + y) / 2, e)
         res = np.abs(c(x, y, e) - mid - eps * d_eps).max()
         assert res < 1e-10

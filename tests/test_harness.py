@@ -150,8 +150,8 @@ class TestConfigValidation:
             if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING}
 
     def test_midpoint_table_over_budget_rejected(self):
-        # 511^2 x 256^2 complex128 values: about 274 GB
-        with pytest.raises(ConfigError, match="midpoint table"):
+        # N = 256^2: four complex128 N x N matrices, about 275 GB
+        with pytest.raises(ConfigError, match="N x N operator"):
             ScenarioConfig.from_dict({"symbol": "relativistic",
                                       "grid": {"d": 2, "L": 6, "n": 256}})
 
@@ -489,9 +489,10 @@ def _order_lowered_by_half(sc, monkeypatch):
 def _tripled_imaginary_part(sc, monkeypatch):
     """analytic_ext reads Re zeta + 3i Im zeta: c_eps shifts three times as far
     while the contour gradient only doubles (ratio 1.51)."""
-    ext = sc.symbol.analytic_ext
+    f = sc.symbol.f
     sc.__dict__["symbol"] = dataclasses.replace(
-        sc.symbol, analytic_ext=lambda x, zeta: ext(x, zeta.real + 3j * zeta.imag))
+        sc.symbol,
+        f=lambda zeta: f(zeta.real + 3j * zeta.imag) if np.iscomplexobj(zeta) else f(zeta))
     return sc
 
 

@@ -6,23 +6,23 @@ import magpsido
 from magpsido import _kernels
 
 
-def loop_weyl_gather_1d(T, omega, n):
+def loop_weyl_gather_1d(fhat, omega, n, gmid):
     H = np.empty((n, n), dtype=complex)
     for j in range(n):
         for k in range(n):
-            H[j, k] = omega[j, k] * T[j + k, (j - k) % n]
+            H[j, k] = omega[j, k] * fhat[(j - k) % n] * gmid[j + k]
     return H
 
 
-def loop_weyl_gather_2d(T, omega, n):
+def loop_weyl_gather_2d(fhat, omega, n, gmid):
     H = np.empty((n * n, n * n), dtype=complex)
     for j1 in range(n):
         for j2 in range(n):
             for k1 in range(n):
                 for k2 in range(n):
                     r, c = j1 * n + j2, k1 * n + k2
-                    H[r, c] = omega[r, c] * T[j1 + k1, j2 + k2,
-                                              (j1 - k1) % n, (j2 - k2) % n]
+                    H[r, c] = (omega[r, c] * fhat[(j1 - k1) % n, (j2 - k2) % n]
+                               * gmid[j1 + k1, j2 + k2])
     return H
 
 
@@ -60,25 +60,31 @@ def test_backend_is_numpy():
 def test_weyl_gather_1d_matches_loop():
     rng = np.random.default_rng(0)
     n = 12
-    T = complex_normal(rng, (2 * n - 1, n))
+    fhat = complex_normal(rng, n)
     omega = np.exp(1j * rng.standard_normal((n, n)))
-    got = _kernels.weyl_gather(T, omega, n, 1)
+    gmid = rng.standard_normal(2 * n - 1)
     # vectorized complex products may round differently from scalar ones
-    assert np.abs(got - loop_weyl_gather_1d(T, omega, n)).max() < 1e-14
+    got = _kernels.weyl_gather(fhat, omega, n, 1, gmid)
+    assert np.abs(got - loop_weyl_gather_1d(fhat, omega, n, gmid)).max() < 1e-14
+    got = _kernels.weyl_gather(fhat, omega, n, 1)
+    assert np.abs(got - loop_weyl_gather_1d(fhat, omega, n, np.ones(2 * n - 1))).max() < 1e-14
 
 
 def test_weyl_gather_2d_matches_loop():
     rng = np.random.default_rng(1)
     n = 4
-    T = complex_normal(rng, (2 * n - 1, 2 * n - 1, n, n))
+    fhat = complex_normal(rng, (n, n))
     omega = np.exp(1j * rng.standard_normal((n * n, n * n)))
-    got = _kernels.weyl_gather(T, omega, n, 2)
-    assert np.abs(got - loop_weyl_gather_2d(T, omega, n)).max() < 1e-14
+    gmid = rng.standard_normal((2 * n - 1, 2 * n - 1))
+    got = _kernels.weyl_gather(fhat, omega, n, 2, gmid)
+    assert np.abs(got - loop_weyl_gather_2d(fhat, omega, n, gmid)).max() < 1e-14
+    got = _kernels.weyl_gather(fhat, omega, n, 2)
+    assert np.abs(got - loop_weyl_gather_2d(fhat, omega, n, np.ones(gmid.shape))).max() < 1e-14
 
 
 def test_weyl_gather_rejects_dimension_three():
     with pytest.raises(ValueError):
-        _kernels.weyl_gather(np.zeros((7, 4)), np.ones((4, 4)), 4, 3)
+        _kernels.weyl_gather(np.zeros(4), np.ones((4, 4)), 4, 3)
 
 
 @pytest.mark.parametrize("d, n, j", [(1, 8, 5), (2, 4, 6)])

@@ -1,25 +1,29 @@
+import dataclasses
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import magpsido.quantize
 from magpsido.decay import amplitude_c_eps
 from magpsido.errors import AssemblyError, BudgetError, ConfigError, NotApplicableError
 from magpsido.gauge import (constant_field_2d, field_from_id, gauge_transform, phase_table,
                             transversal_gauge, zero_field)
-from magpsido.quantize import (REAL_TOL, Grid, GridFunction, OperatorMatrix, fourier_mode,
-                               hermitize, mag_derivative, op_amplitude, op_ps, op_weyl,
-                               op_weyl_unsym, sobolev_norm)
+from magpsido.quantize import (ASSEMBLY_WORDS, REAL_TOL, Grid, GridFunction, OperatorMatrix,
+                               fourier_mode, hermitize, mag_derivative, op_amplitude, op_ps,
+                               op_weyl, op_weyl_unsym, sobolev_norm)
 from magpsido.spectral import eig_hermitian
 from magpsido.symbols import HormanderSymbol, bracket, kinetic_symbol, p_s_symbol, symbol_from_id
 
 
 def mult_symbol(v, d):
-    return HormanderSymbol(order=0.0,
-                           eval=lambda x, e: v(x) + 0.0 * np.asarray(e).sum(-1),
-                           dimension=d, symbol_id="mult")
+    return HormanderSymbol(order=0.0, f=lambda e: np.zeros(np.shape(e)[:-1]),
+                           dimension=d, v=v, symbol_id="mult")
 
 
 @pytest.fixture(scope="module")
@@ -57,25 +61,28 @@ class TestGrid:
 
 
 def kernel_table(sym, grid):
-    """Midpoint kernel K(m, z) = (2L)^{-d} sum_eta e^{i<z,eta>} a(m, eta): the
-    table that op_weyl gathers its entries from, on the midpoint lattice
-    (spacing h/2) and the wrapped displacements z = r h, r in [0, n)."""
-    return magpsido.quantize._midpoint_transform(sym, grid) / grid.h**grid.dimension
+    """Kernel K(z) = (2L)^{-d} sum_eta e^{i<z,eta>} f(eta) of the frequency
+    factor at the wrapped displacements z = r h, r in [0, n)^d: fhat / h^d,
+    the table op_weyl gathers its entries from. Read off column 0 of the
+    zero-field operator, H[r, 0] = fhat[r], of a symbol without modulation
+    or potential."""
+    g0 = transversal_gauge(zero_field(grid.dimension))
+    H = op_weyl_unsym(sym, g0, grid)
+    return H[:, 0].reshape((grid.n,) * grid.dimension) / grid.h**grid.dimension
 
 
 class TestKernelTable:
     def test_constant_symbol(self, g1, grid64):
         K = kernel_table(p_s_symbol(0.0, 1), grid64)
         h = grid64.h
-        assert K[0, 0] == pytest.approx(1.0 / h, rel=1e-12)
-        assert np.abs(K[:, 1:]).max() < 1e-12 / h
+        assert K[0] == pytest.approx(1.0 / h, rel=1e-12)
+        assert np.abs(K[1:]).max() < 1e-12 / h
 
-    def test_multiplication_symbol(self, grid64):
+    def test_multiplication_symbol(self, g1, grid64):
+        # f = 0: the kernel vanishes and H is diag(v) exactly
         v = lambda x: np.cos(np.asarray(x)[..., 0])
-        K = kernel_table(mult_symbol(v, 1), grid64)
-        mids = grid64.midpoint_axis
-        assert np.abs(K[:, 0] - np.cos(mids) / grid64.h).max() < 1e-12 / grid64.h
-        assert np.abs(K[:, 1:]).max() < 1e-12 / grid64.h
+        H = op_weyl_unsym(mult_symbol(v, 1), g1, grid64)
+        assert np.array_equal(H, np.diag(np.cos(grid64.axis)).astype(complex))
 
     def test_quadratic_symbol_against_direct_dft(self, grid64):
         K = kernel_table(kinetic_symbol(1), grid64)
@@ -83,20 +90,85 @@ class TestKernelTable:
         # direct DFT oracle at a handful of displacements
         for r in (0, 1, 7, 32):
             want = (eta**2 * np.exp(2j * np.pi * r * np.fft.fftfreq(64) * 64 / 64)).sum() / (2 * grid64.L)
-            assert K[10, r] == pytest.approx(want, rel=1e-12)
+            assert K[r] == pytest.approx(want, rel=1e-12)
 
-    def test_x_independence(self, grid64):
-        K = kernel_table(kinetic_symbol(1), grid64)
-        assert np.abs(K - K[0][None, :]).max() < 1e-10 / grid64.h
+    def test_x_independence(self, g1, grid64):
+        # without g and v every entry is a kernel value: H[j, k] = fhat[(j - k) mod n]
+        H = op_weyl_unsym(kinetic_symbol(1), g1, grid64)
+        assert np.array_equal(H, scipy.linalg.circulant(H[:, 0]))
 
-    @pytest.mark.parametrize("sid, grid", [
-        ("relativistic+gauss_well:depth=2,width=1", Grid(1, 6.0, 48)),
-        ("relativistic+gauss_well:depth=2,width=1", Grid(2, 4.0, 12))])
-    def test_in_place_transform_is_the_plain_inverse_fft(self, sid, grid):
-        sym = symbol_from_id(sid, grid.dimension)
-        table = magpsido.quantize._eval_midpoint_table(sym, grid)
-        want = np.fft.ifftn(table, axes=tuple(range(grid.dimension, 2 * grid.dimension)))
-        assert np.array_equal(magpsido.quantize._midpoint_transform(sym, grid), want)
+    def test_2d_kernel_is_the_inverse_fft_of_f(self):
+        grid = Grid(2, 4.0, 8)
+        sym = symbol_from_id("relativistic", 2)
+        want = np.fft.ifftn(sym.f(grid.eta_nodes).reshape(8, 8)) / grid.h**2
+        assert np.array_equal(kernel_table(sym, grid), want)
+
+
+def weyl_oracle(sym, g, grid):
+    """Direct triple sum: H[j,k] = n^{-d} sum_q e^{i<x_j - x_k, eta_q>}
+    omega[j,k] a((x_j + x_k)/2, eta_q)."""
+    x = grid.nodes
+    etas = grid.eta_nodes
+    mid = 0.5 * (x[:, None, None, :] + x[None, :, None, :])
+    a = sym.eval(mid, etas[None, None, :, :])
+    phase = np.exp(1j * ((x[:, None, None, :] - x[None, :, None, :]) * etas).sum(-1))
+    return phase_table(g, x) * (phase * a).sum(-1) / grid.size
+
+
+SYMBOL_IDS = ["relativistic", "kinetic", "neg_order", "relativistic+gauss_well:depth=2,width=1",
+              "kinetic+bounded_bump:height=1.5,width=0.7",
+              "relativistic+coulomb_like:alpha=1,reg=0.3",
+              "neg_order+gauss_well:depth=1,width=1", "neg_order+bounded_bump:height=2,width=1"]
+
+
+class TestFactorAssembly:
+    """op_weyl's factor assembly against the direct frequency sum."""
+
+    @given(sid=st.one_of(st.sampled_from(SYMBOL_IDS),
+                         st.floats(-2.0, 2.0).map(lambda s: f"p_s:s={s!r}")),
+           d=st.sampled_from([1, 2]), half_n=st.integers(2, 8),
+           field=st.sampled_from(["zero", "constant2d:b=0.7", "cos2d:amp=1.3"]),
+           L=st.floats(1.0, 8.0))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_direct_triple_sum(self, sid, d, half_n, field, L):
+        n = 2 * half_n if d == 1 else 2 * min(half_n, 3)
+        grid = Grid(d, L, n)
+        g = transversal_gauge(field_from_id(field if d == 2 else "zero", d))
+        sym = symbol_from_id(sid, d)
+        H = op_weyl_unsym(sym, g, grid)
+        want = weyl_oracle(sym, g, grid)
+        assert np.abs(H - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("factor, where", [("f", "frequency [0.]"), ("g", "midpoint [0.]"),
+                                               ("v", "node [-1.]")])
+    def test_non_finite_factor_names_its_point(self, factor, where):
+        # h = 1: frequency 0, midpoint 0 and node -1 are lattice points; each
+        # factor is non-finite at exactly one of its sample points
+        grid = Grid(1, 4.0, 8)
+        bad = -1.0 if factor == "v" else 0.0
+
+        def poisoned(x):
+            x = np.asarray(x)[..., 0]
+            return np.where(x == bad, np.nan, 1.0 + 0.0 * x)
+
+        sym = dataclasses.replace(symbol_from_id("relativistic", 1), **{factor: poisoned})
+        with pytest.raises(AssemblyError) as exc:
+            op_weyl(sym, transversal_gauge(zero_field(1)), grid)
+        assert str(exc.value) == f"non-finite symbol factor {factor} at {where}"
+
+    def test_peak_memory_is_bounded_in_operator_words(self):
+        # cos2d at n = 24 (N = 576): the phase table, the operator and its
+        # symmetrization, at most ASSEMBLY_WORDS complex N x N matrices
+        grid = Grid(2, 6.0, 24)
+        g = transversal_gauge(field_from_id("cos2d", 2))
+        sym = symbol_from_id("relativistic", 2)
+        tracemalloc.start()
+        try:
+            op_weyl(sym, g, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ASSEMBLY_WORDS * 16 * grid.size**2
 
 
 class TestOpWeyl:
@@ -510,10 +582,7 @@ class TestRealStorage:
 
     def test_real_symbol_odd_in_eta_stays_complex(self, g1, grid64):
         # a = eta_1 quantizes to -i d/dx: Hermitian, purely imaginary entries
-        def eta1(x, e):
-            return np.asarray(e)[..., 0] + 0.0 * np.asarray(x)[..., 0]
-
-        sym = HormanderSymbol(order=1.0, eval=eta1, dimension=1, symbol_id="eta1")
+        sym = HormanderSymbol(order=1.0, f=lambda e: e[..., 0], dimension=1, symbol_id="eta1")
         H = op_weyl(sym, g1, grid64)
         assert H.entries.dtype == np.complex128
         assert np.abs(H.entries.imag).max() > 0.1 * np.abs(H.entries).max()

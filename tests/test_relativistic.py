@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -9,7 +11,7 @@ from magpsido.relativistic import (bessel_k, diamagnetic_check, displacement_lat
                                    kato_estimate, kato_scan, kernel_pt,
                                    pointwise_bound_check, semigroup_checks)
 from magpsido.spectral import eig_hermitian, matrix_exp_neg
-from magpsido.symbols import _with_potential, bracket, relativistic_symbol, symbol_from_id
+from magpsido.symbols import bracket, relativistic_symbol, symbol_from_id
 
 WELL_ID = "relativistic+gauss_well:depth=2,width=1"
 EULER_GAMMA = 0.5772156649015328606
@@ -233,9 +235,7 @@ class TestFormSum:
 
     def test_weyl_lower_bound_with_growing_potential(self, g0):
         grid = Grid(1, 15.0, 96)
-        growth = _with_potential(relativistic_symbol(1),
-                                 lambda x: bracket(np.asarray(x, dtype=float)) - 1.0,
-                                 {"id": "growth"}, 1)
+        growth = dataclasses.replace(relativistic_symbol(1), v=lambda x: bracket(x) - 1.0)
         H = op_weyl(growth, g0, grid)
         lam = np.linalg.eigvalsh(H.entries)
         assert lam[0] >= 1.0 - 1e-8  # min spec of the kinetic part plus min V

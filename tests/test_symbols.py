@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import magpsido.symbols
 from magpsido.errors import ConfigError, NotApplicableError, UnsupportedOrderError
 from magpsido.symbols import (CONTOUR_NODES, HormanderSymbol, SampleBox, bracket,
                               cauchy_derivative_bound_check, eta_derivative,
@@ -111,11 +113,33 @@ class TestCauchyBound:
         assert res.passed
 
     def test_requires_analytic_data(self):
-        bare = HormanderSymbol(order=0.0,
-                               eval=lambda x, e: np.ones(np.asarray(e).shape[:-1]),
+        bare = HormanderSymbol(order=0.0, f=lambda e: np.ones(np.shape(e)[:-1]),
                                dimension=1, symbol_id="bare")
         with pytest.raises(NotApplicableError):
             cauchy_derivative_bound_check(bare, 2, SampleBox(1.0, 1.0))
+        with pytest.raises(NotApplicableError):
+            bare.analytic_ext(np.zeros(1), np.zeros(1) + 0j)
+
+    @pytest.mark.parametrize("sid", ["relativistic", "neg_order+gauss_well:depth=1,width=1"])
+    def test_blocks_do_not_change_the_result(self, sid, monkeypatch):
+        sym = symbol_from_id(sid, 2)
+        box = SampleBox(1.0, 4.0)
+        blocked = cauchy_derivative_bound_check(sym, 3, box, grid_density=5)
+        monkeypatch.setattr(magpsido.symbols, "CAUCHY_BLOCK", 2**40)
+        whole = cauchy_derivative_bound_check(sym, 3, box, grid_density=5)
+        assert blocked == whole
+
+    def test_2d_peak_memory_is_bounded(self):
+        # 4096 sample pairs, a 32 x 32 polydisc each for the mixed indices:
+        # 134 MB when evaluated in one block
+        sym = relativistic_symbol(2)
+        tracemalloc.start()
+        try:
+            cauchy_derivative_bound_check(sym, 2, SampleBox(1.0, 4.0), grid_density=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
     def test_relativistic_2d(self):
         rel2 = relativistic_symbol(2)
@@ -211,7 +235,7 @@ class TestDerivativeEngine:
                                   polydisc_eta_derivative(sym, alpha, x, eta))
 
     def test_higher_order_needs_analytic_data(self):
-        bare = HormanderSymbol(order=2.0, eval=lambda x, e: (np.asarray(e) ** 2).sum(-1),
+        bare = HormanderSymbol(order=2.0, f=lambda e: (e**2).sum(-1),
                                dimension=1, symbol_id="bare")
         with pytest.raises(NotApplicableError):
             eta_derivative(bare, (2,), np.zeros((1, 1)), np.zeros((1, 1)))
