@@ -223,18 +223,22 @@ def phase_table(g, nodes, chunk=4096):
     The flux means are evaluated over keys, about `chunk` key pairs at a
     time: the distinct values of nodes[:, axis] for a field with an `axis`,
     the nodes themselves otherwise. Only the upper key triangle is computed;
-    the means are symmetric in (x, y). The exponent is taken from the upper
-    node triangle and the lower triangle is filled as its negative
-    transpose, so omega is exactly Hermitian. A zero field has exponent 0
-    before the chi term.
+    the means are symmetric in (x, y). The exponent is exactly antisymmetric
+    with no mirroring: the cross factor x_j y_k - x_k y_j and chi(y) - chi(x)
+    change sign exactly under x <-> y, and rounding to nearest is symmetric,
+    so omega is exactly Hermitian. The exponent is accumulated in one N x N
+    array with the two halves of omega's storage as scratch, and exp runs
+    in place: for a field with an `axis` the peak is three N x N words.
     """
     nodes = np.asarray(nodes, dtype=float)
     N = nodes.shape[0]
     if _is_trivial(g):
         return np.ones((N, N), dtype=complex)
-    if g.field.is_zero:
-        E = np.zeros((N, N))
-    else:
+    omega = np.empty((N, N), dtype=complex)
+    # two disjoint real N x N views, so no ufunc below sees overlapping operands
+    scratch, buf = omega.view(float).reshape(2, N, N)
+    E = np.zeros((N, N))
+    if not g.field.is_zero:
         axis = g.field.axis
         if axis is None:
             keys, inverse = nodes, np.arange(N)
@@ -253,16 +257,22 @@ def phase_table(g, nodes, chunk=4096):
                 means[jk][start:stop, start:] = mean
             start = stop
         lower = np.tril_indices(m, -1)
-        for mean in means.values():
+        x, y = nodes[:, None, :], nodes[None, :, :]
+        for (j, k), mean in means.items():
             mean[lower] = mean.T[lower]
-        E = np.triu(_cross_sum({jk: mean[inverse[:, None], inverse[None, :]]
-                                for jk, mean in means.items()},
-                               nodes[:, None, :], nodes[None, :, :]), 1)
-        E -= E.T
+            # E += (x_j y_k - x_k y_j) mean_jk, as in _cross_sum
+            np.multiply(x[..., j], y[..., k], out=scratch)
+            scratch -= np.multiply(x[..., k], y[..., j], out=buf)
+            # mode="clip" writes straight into `out` (mode="raise" buffers it)
+            scratch *= np.take(np.take(mean, inverse, axis=0), inverse, axis=1, out=buf,
+                               mode="clip")
+            E += scratch
     if g.chi is not None:
         c = g.chi(nodes)
-        E += c[None, :] - c[:, None]
-    return np.exp(-1j * E)
+        E += np.subtract(c[None, :], c[:, None], out=buf)
+    np.negative(E, out=omega.imag)
+    omega.real = 0.0
+    return np.exp(omega, out=omega)
 
 
 def potential_residual(g, radius=4.0, density=32, h=1e-4):

@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Optional
 
-import jsonschema
 import numpy as np
 
 from . import decay as dk
@@ -65,13 +64,81 @@ CONFIG_SCHEMA = {
         "gauge_chi": {"type": ["string", "null"], "enum": ["bilinear", "quadratic", None]},
         "essential_threshold": {"type": "number"},
         "margin": {"type": "number", "exclusiveMinimum": 0},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
     },
     "required": ["symbol", "grid"],
     "additionalProperties": False,
 }
-# Built once: `jsonschema.validate` checks the schema itself on every call.
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+_SCHEMA_KEYWORDS = frozenset({"type", "enum", "minimum", "exclusiveMinimum", "required",
+                              "properties", "additionalProperties", "items", "minItems",
+                              "maxItems"})
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "null": type(None)}
+
+
+def _is_type(value, name):
+    """JSON Schema's type rules: a bool is no number, and 1.0 is an integer."""
+    if name in ("number", "integer"):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        return name == "number" or isinstance(value, int) or value.is_integer()
+    return isinstance(value, _JSON_TYPES[name])
+
+
+def _schema_errors(schema, value, path=()):
+    """Yield (instance path, message) for each violation of `schema`, with
+    jsonschema's messages and in its order: keywords as the schema lists them.
+    Covers the keywords in _SCHEMA_KEYWORDS, `additionalProperties` as a
+    boolean only; any other keyword raises."""
+    for keyword, arg in schema.items():
+        if keyword not in _SCHEMA_KEYWORDS:
+            raise ValueError(f"schema keyword {keyword!r} is not implemented")
+        if keyword == "type":
+            types = arg if isinstance(arg, list) else [arg]
+            if not any(_is_type(value, t) for t in types):
+                yield path, f"{value!r} is not of type {', '.join(map(repr, types))}"
+        elif keyword == "enum":
+            if not any(value == e and isinstance(value, bool) == isinstance(e, bool)
+                       for e in arg):
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif keyword == "minimum":
+            if _is_type(value, "number") and value < arg:
+                yield path, f"{value!r} is less than the minimum of {arg!r}"
+        elif keyword == "exclusiveMinimum":
+            if _is_type(value, "number") and value <= arg:
+                yield path, f"{value!r} is less than or equal to the minimum of {arg!r}"
+        elif isinstance(value, dict) and keyword == "required":
+            for key in arg:
+                if key not in value:
+                    yield path, f"{key!r} is a required property"
+        elif isinstance(value, dict) and keyword == "properties":
+            for key, sub in arg.items():
+                if key in value:
+                    yield from _schema_errors(sub, value[key], path + (key,))
+        elif isinstance(value, dict) and keyword == "additionalProperties" and not arg:
+            extras = sorted(set(value) - set(schema.get("properties", {})), key=str)
+            if extras:
+                yield path, ("Additional properties are not allowed "
+                             f"({', '.join(map(repr, extras))} "
+                             f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+        elif isinstance(value, list) and keyword == "items":
+            for index, item in enumerate(value):
+                yield from _schema_errors(arg, item, path + (index,))
+        elif isinstance(value, list) and keyword == "minItems" and len(value) < arg:
+            yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif isinstance(value, list) and keyword == "maxItems" and len(value) > arg:
+            yield path, f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"
+
+
+def _integers_as_int(schema, value):
+    """`value` with each entry the schema types "integer" made an int: the
+    schema admits 1.0 there, and the code downstream needs an int."""
+    if schema.get("type") == "integer":
+        return int(value)
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        return {k: _integers_as_int(props.get(k, {}), v) for k, v in value.items()}
+    return value
+
 
 @dataclass
 class ScenarioConfig:
@@ -97,8 +164,7 @@ class ScenarioConfig:
             cfg = cls(**raw)
         except TypeError as exc:  # unknown or missing keys
             raise ConfigError(f"config keys: {exc}") from exc
-        validate_config(cfg.to_dict())
-        return cfg
+        return cls(**validate_config(cfg.to_dict()))
 
     @classmethod
     def from_json(cls, path):
@@ -128,14 +194,23 @@ class ScenarioConfig:
 
 
 def validate_config(raw):
-    """Schema validation plus the numeric lints the schema cannot express."""
-    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(raw))
-    if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}") from error
+    """Schema validation plus the numeric lints the schema cannot express.
+
+    Returns the config with its integer entries as ints. Of several schema
+    violations the message names the one jsonschema's `best_match` picks:
+    the shallowest, then among siblings the one with the greatest path, then
+    the first found.
+    """
+    errors = list(_schema_errors(CONFIG_SCHEMA, raw))
+    if errors:
+        _, message = max(errors, key=lambda e: (-len(e[0]), e[0]))
+        raise ConfigError(f"config schema violation: {message}")
+    raw = _integers_as_int(CONFIG_SCHEMA, raw)
     g = raw["grid"]
     if g["n"] % 2:
         raise ConfigError("grid n must be even")
     lint_config(raw)
+    return raw
 
 
 def _momentum_scale(raw):

@@ -251,7 +251,8 @@ def test_closed_pipe_process_exits_2_without_traceback():
 
 def test_start_up_and_a_no_suite_run_leave_scipy_linalg_unloaded(tmp_path):
     # importing scipy.linalg costs about 0.3 s per start; the eigenvalue-only
-    # solve and the relative bound stay in numpy
+    # solve and the relative bound stay in numpy. jsonschema costs about 0.1 s;
+    # configs are checked by harness's own schema interpreter
     import subprocess
     import sys
 
@@ -260,13 +261,55 @@ def test_start_up_and_a_no_suite_run_leave_scipy_linalg_unloaded(tmp_path):
                                "grid": {"d": 2, "L": 6.0, "n": 8}, "suites": []}))
     code = ("import json, sys\n"
             "import magpsido.cli as cli\n"
-            "seen = ['scipy.linalg' in sys.modules]\n"
+            "loaded = lambda: ['scipy.linalg' in sys.modules, 'jsonschema' in sys.modules]\n"
+            "seen = [loaded()]\n"
             "rc = cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-            "seen.append('scipy.linalg' in sys.modules)\n"
+            "seen.append(loaded())\n"
             "print(json.dumps([rc, seen]))\n")
     src = os.path.join(os.path.dirname(CONFIG_DIR), "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "r.json")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, [False, False]]
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, [[False, False]] * 2]
+
+
+def _shipped_with(tmp_path, name, edit):
+    with open(os.path.join(CONFIG_DIR, f"{name}.json")) as fh:
+        raw = json.load(fh)
+    edit(raw)
+    path = tmp_path / f"{name}-edited.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def _checks(report):
+    return {suite: [(c["name"], c["passed"], c["margin"]) for c in checks]
+            for suite, checks in report["suites"].items()}
+
+
+def test_integral_float_spellings_run_as_their_integers(tmp_path):
+    # JSON Schema counts 1.0 as an integer; lemmas-weights multiplies lists by
+    # d and seeds a generator from seed, both of which need an int
+    def as_floats(raw):
+        raw["grid"]["d"] = float(raw["grid"]["d"])
+        raw["grid"]["n"] = float(raw["grid"]["n"])
+        raw["weight"]["p"] = float(raw["weight"]["p"])
+        raw["seed"] = float(raw["seed"])
+
+    reports = []
+    for config in (os.path.join(CONFIG_DIR, "lemmas_weights.json"),
+                   _shipped_with(tmp_path, "lemmas_weights", as_floats)):
+        out = str(tmp_path / f"report{len(reports)}.json")
+        assert cli_main(["run", "--config", config, "--out", out]) == 0
+        reports.append(_load_report(out))
+    assert reports[1]["config_hash"] == reports[0]["config_hash"]
+    assert _checks(reports[1]) == _checks(reports[0])
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    config = _shipped_with(tmp_path, "lemmas_weights", lambda raw: raw.update(seed=-1))
+    out = tmp_path / "report.json"
+    assert cli_main(["run", "--config", config, "--out", str(out)]) == 2
+    assert "-1 is less than the minimum of 0" in capsys.readouterr().err
+    assert not out.exists()

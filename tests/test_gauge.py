@@ -177,6 +177,22 @@ class TestTriangleFluxTable:
             assert np.abs(phase_table(g, nodes, chunk=chunk)
                           - phase_table(ref, nodes, chunk=chunk)).max() <= 1e-14
 
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_peak_memory_is_three_table_words(self, g_cos, shifted):
+        # omega is two N x N words and the exponent one; scratch lives in omega
+        import tracemalloc
+
+        g = gauge_transform(g_cos, *_named_chi("bilinear", 2)) if shifted else g_cos
+        nodes = Grid(2, 6.0, 32).nodes
+        N = nodes.shape[0]
+        tracemalloc.start()
+        try:
+            phase_table(g, nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * N * N
+
     def test_keyed_table_runs_rule_per_coordinate_pair(self):
         # n^2 nodes, n distinct x_1 values: at most n^2 key pairs of 16 x 16 points
         n = 8

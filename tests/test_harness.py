@@ -15,9 +15,10 @@ import magpsido.decay as dk
 from magpsido.cli import main as cli_main
 from magpsido.errors import ConfigError, FormatError, NotApplicableError
 from magpsido.quantize import OperatorMatrix
-from magpsido.harness import (CONFIG_SCHEMA, Scenario, ScenarioConfig, merge_reports,
-                              run_scenario, validate_config, verify_suite, write_atomic,
-                              write_kato_csv, write_spectrum_csv, write_sweep_csv)
+from magpsido.harness import (_SCHEMA_KEYWORDS, CONFIG_SCHEMA, SUITE_NAMES, Scenario,
+                              ScenarioConfig, _schema_errors, merge_reports, run_scenario,
+                              validate_config, verify_suite, write_atomic, write_kato_csv,
+                              write_spectrum_csv, write_sweep_csv)
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "configs")
@@ -63,6 +64,50 @@ def fuzzed_config(draw):
         raw.pop(key, None)
     if draw(st.integers(0, 9)) == 0:
         return draw(JSON_VALUES)
+    return raw
+
+
+# the schema's own values, bools, integral floats and near misses, nested
+# two deep: enough for every wrong shape the schema can meet
+SCHEMA_SCALARS = (st.none() | st.booleans() | st.integers(-3, 130)
+                  | st.integers(-3, 130).map(float) | st.floats()
+                  | st.sampled_from(["polynomial", "exponential", "bilinear", "quadratic",
+                                     "relativistic", "zero", *SUITE_NAMES, ""]))
+
+
+def _nested(inner):
+    return (inner | st.lists(inner, max_size=3)
+            | st.dictionaries(st.sampled_from(["d", "L", "n", "kind", "p", "x"]), inner,
+                              max_size=3))
+
+
+# boundary values of the schema's minimum, exclusiveMinimum, enum and item counts
+NEAR_MISSES = st.sampled_from([-1, 0, 0.0, -0.0, 1, True, 1.0, 2.0, 3, 4, 3.0, 64.0, 2.5,
+                               [], [0.5], [0.1, 0.2], [0.1, 0.2, 0.3], [True], ["x"]])
+SCHEMA_VALUES = NEAR_MISSES | _nested(_nested(SCHEMA_SCALARS))
+SUB_KEYS = {"grid": ["d", "L", "n", "h"], "weight": ["kind", "p", "q"]}
+JSONSCHEMA_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
+@st.composite
+def schema_instance(draw):
+    """A config with every key set, then keys replaced, added or dropped at
+    the top level and in one of its objects; one time in ten, any value."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(SCHEMA_VALUES)
+    raw = {**copy.deepcopy(BASE_CFG), "window": [0.0, 1.0], "gauge_chi": None}
+    top = CONFIG_KEYS + ["frobnicate"]
+    for key in draw(st.lists(st.sampled_from(top), max_size=3)):
+        raw[key] = draw(SCHEMA_VALUES)
+    for key in draw(st.lists(st.sampled_from(top), max_size=2)):
+        raw.pop(key, None)
+    sub = draw(st.sampled_from(sorted(SUB_KEYS)))
+    if isinstance(raw.get(sub), dict):
+        for key in draw(st.lists(st.sampled_from(SUB_KEYS[sub]), max_size=2)):
+            if draw(st.booleans()):
+                raw[sub].pop(key, None)
+            else:
+                raw[sub][key] = draw(SCHEMA_VALUES)
     return raw
 
 
@@ -141,6 +186,55 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as got:
             validate_config(raw)
         assert str(got.value) == f"config schema violation: {want.value.message}"
+
+    @settings(max_examples=2000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(raw=schema_instance())
+    @example(raw={"symbol": "relativistic", "grid": {"d": True, "L": 0, "n": 2.5}, "a": 1,
+                  "b": None})
+    @example(raw={"symbol": None, "grid": [], "window": [1], "eps_list": []})
+    def test_schema_interpreter_agrees_with_jsonschema(self, raw):
+        want = [(tuple(e.path), e.message) for e in JSONSCHEMA_VALIDATOR.iter_errors(raw)]
+        assert list(_schema_errors(CONFIG_SCHEMA, raw)) == want
+        best = jsonschema.exceptions.best_match(JSONSCHEMA_VALIDATOR.iter_errors(raw))
+        if best is not None:
+            with pytest.raises(ConfigError) as got:
+                validate_config(raw)
+            assert str(got.value) == f"config schema violation: {best.message}"
+
+    def test_schema_uses_only_interpreted_keywords(self):
+        def keywords(schema):
+            for keyword, arg in schema.items():
+                yield keyword
+                if keyword == "properties":
+                    for sub in arg.values():
+                        yield from keywords(sub)
+                elif keyword == "items":
+                    yield from keywords(arg)
+                elif keyword == "additionalProperties":
+                    # a subschema here would go unchecked
+                    assert isinstance(arg, bool)
+
+        assert set(keywords(CONFIG_SCHEMA)) <= _SCHEMA_KEYWORDS
+
+    def test_unimplemented_keyword_is_refused(self):
+        with pytest.raises(ValueError, match="pattern"):
+            list(_schema_errors({"type": "string", "pattern": "^a"}, "b"))
+
+    @pytest.mark.parametrize("sub, key, value", [
+        ("grid", "d", 1.0), ("grid", "n", 96.0), ("weight", "p", 2.0), (None, "seed", 7.0)])
+    def test_integral_floats_in_integer_keys_become_ints(self, sub, key, value):
+        as_int, as_float = copy.deepcopy(BASE_CFG), copy.deepcopy(BASE_CFG)
+        for raw, v in ((as_int, int(value)), (as_float, value)):
+            (raw if sub is None else raw[sub])[key] = v
+        cfg = ScenarioConfig.from_dict(as_float)
+        got = cfg.seed if sub is None else getattr(cfg, sub)[key]
+        assert type(got) is int and got == value
+        assert cfg == ScenarioConfig.from_dict(as_int)
+        assert cfg.config_hash() == ScenarioConfig.from_dict(as_int).config_hash()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="-1 is less than the minimum of 0"):
+            ScenarioConfig.from_dict({**BASE_CFG, "seed": -1})
 
     def test_schema_lists_the_dataclass_fields(self):
         fields = dataclasses.fields(ScenarioConfig)
