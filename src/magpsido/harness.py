@@ -26,7 +26,7 @@ from .potentials import potential_from_id
 from .quantize import (ASSEMBLY_WORDS, Grid, GridFunction, fourier_mode, mag_derivative,
                        op_amplitude, op_ps, op_weyl, op_weyl_unsym, sobolev_norm)
 from .spectral import (SpectralWindow, discrete_spectrum_select, eig_hermitian,
-                       eigvals_hermitian, matrix_exp_neg, nearest_gaps)
+                       eigvals_hermitian, matrix_exp_neg, nearest_gaps, parity_blocks)
 from .symbols import (HormanderSymbol, SampleBox, bracket, cauchy_derivative_bound_check,
                       eta_derivative, relativistic_symbol, symbol_from_id)
 
@@ -306,15 +306,21 @@ class Scenario:
         return op_weyl(self.symbol, self.gauge, self.grid)
 
     @cached_property
+    def parity(self):
+        """H's even and odd blocks under the lattice reflection, or None
+        when H does not commute with it exactly."""
+        return parity_blocks(self.H)
+
+    @cached_property
     def dec(self):
-        return eig_hermitian(self.H)
+        return eig_hermitian(self.H, self.parity)
 
     @cached_property
     def eigenvalues(self):
         """Ascending eigenvalues of H: those of `dec` when it is already
         computed, else from an eigenvalue-only solve."""
         dec = self.__dict__.get("dec")
-        return eigvals_hermitian(self.H) if dec is None else dec.eigenvalues
+        return eigvals_hermitian(self.H, self.parity) if dec is None else dec.eigenvalues
 
     @property
     def residual(self):
@@ -838,6 +844,7 @@ def _spectra_summary(sc):
         "bound_state_gaps": [float(gap) for gap in nearest_gaps(lam)[below]],
         "hermiticity_defect": sc.H.hermiticity_defect,
         "real_arithmetic": bool(sc.H.entries.dtype == np.float64),
+        "parity_blocks": None if sc.parity is None else sc.parity.sizes,
     }
 
 

@@ -37,7 +37,11 @@ SYMMETRY_TOL = 1e-12        # max|amp(x,y) - amp(y,x)| / max|amp| above which op
 
 @dataclass(frozen=True)
 class Grid:
-    """Periodic tensor grid: nodes -L + j h, h = 2L/n, and its DFT dual."""
+    """Periodic tensor grid: nodes h (j - n/2), h = 2L/n, and its DFT dual.
+
+    The nodes are formed as h times an integer, so x_{n-j} = -x_j bit for bit
+    whatever h is; node -L (j = 0) is its own lattice image.
+    """
 
     dimension: int
     half_length: float
@@ -69,7 +73,7 @@ class Grid:
 
     @property
     def axis(self):
-        return -self.L + self.h * np.arange(self.n)
+        return self.h * (np.arange(self.n) - self.n // 2)
 
     @property
     def eta_axis(self):
@@ -94,7 +98,8 @@ class Grid:
 
     @property
     def midpoint_axis(self):
-        return -self.L + (self.h / 2.0) * np.arange(2 * self.n - 1)
+        """(x_j + x_k)/2 at index j + k; entry 2j is axis[j] bit for bit."""
+        return (self.h / 2.0) * (np.arange(2 * self.n - 1) - self.n)
 
     @property
     def midpoints(self):
@@ -103,6 +108,16 @@ class Grid:
             return ma[:, None]
         M1, M2 = np.meshgrid(ma, ma, indexing="ij")
         return np.stack([M1.ravel(), M2.ravel()], axis=-1)
+
+    @property
+    def reflection(self):
+        """Flat index of each node's mirror image x -> -x on the lattice,
+        j -> -j mod n per axis. On the dual frequencies in DFT order the same
+        map sends eta to -eta (the unpaired -n/2 to itself)."""
+        r = -np.arange(self.n) % self.n
+        if self.dimension == 1:
+            return r
+        return (r[:, None] * self.n + r[None, :]).ravel()
 
     @property
     def nyquist(self):
@@ -176,7 +191,16 @@ def op_weyl_unsym(sym, g, grid):
         raise ConfigError("dimension mismatch between symbol, gauge, and grid")
     n, d = grid.n, grid.dimension
     etas = grid.eta_nodes
-    fhat = np.fft.ifftn(_finite(sym.f(etas), etas, "f at frequency").reshape((n,) * d))
+    fvals = _finite(sym.f(etas), etas, "f at frequency")
+    fhat = np.fft.ifftn(fvals.reshape((n,) * d))
+    mirror = grid.reflection
+    if np.array_equal(fvals[mirror], fvals):
+        # f even on the lattice: make fhat even bit for bit (the FFT leaves
+        # roundoff asymmetry), so that even factors and phases give an H
+        # that commutes exactly with the reflection
+        flat = fhat.reshape(-1)
+        flat += flat[mirror]
+        flat *= 0.5
     gmid = None
     if sym.g is not None:
         mids = grid.midpoints

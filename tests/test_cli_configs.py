@@ -66,6 +66,48 @@ def test_build_every_shipped_config(config, tmp_path):
     assert _load_report(report)["operator_file"] == op
 
 
+def _recording(monkeypatch, module, solves):
+    """Wrap `module.eig_hermitian` so that each decomposition lands in `solves`."""
+    solve = module.eig_hermitian
+
+    def wrapper(*args, **kwargs):
+        dec = solve(*args, **kwargs)
+        solves.append(dec)
+        return dec
+
+    monkeypatch.setattr(module, "eig_hermitian", wrapper)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=_name)
+def test_zero_field_configs_take_the_parity_blocks(config, tmp_path, monkeypatch):
+    # a roundoff asymmetry in assembly would silently send these operators
+    # back to the full solve, at four times the flops
+    import magpsido.harness as hs
+    with open(config) as fh:
+        raw = json.load(fh)
+    n, zero = raw["grid"]["n"], raw["field"] == "zero"
+    assert zero == (_name(config) != "quantize_core_2d")
+    solves = []
+    _recording(monkeypatch, hs, solves)
+    out = str(tmp_path / "report.json")
+    assert cli_main(["run", "--config", config, "--out", out]) == 0
+    blocks = _load_report(out)["spectra_summary"]["parity_blocks"]
+    assert blocks == ([n // 2 + 1, n // 2 - 1] if zero else None)
+    for dec in solves:
+        assert (dec.parity is not None) == zero
+
+
+def test_spectrum_of_a_built_thm1_operator_takes_the_parity_blocks(tmp_path, monkeypatch):
+    import magpsido.cli as cli
+    op, out = str(tmp_path / "op.mpdo"), str(tmp_path / "spectrum.csv")
+    assert cli_main(["build", "--config", os.path.join(CONFIG_DIR, "thm1_rapid_decay.json"),
+                     "--out", op]) == 0
+    solves = []
+    _recording(monkeypatch, cli, solves)
+    assert cli_main(["spectrum", "--op", op, "--threshold", "0.0", "--out", out]) == 0
+    assert [dec.parity.sizes for dec in solves] == [[193, 191]]
+
+
 @pytest.mark.parametrize("config", CONFIGS, ids=_name)
 def test_decay_every_shipped_config(config, tmp_path, capsys):
     out = str(tmp_path / "decay.json")

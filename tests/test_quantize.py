@@ -46,6 +46,34 @@ class TestGrid:
                       + 1j 	* (-g.L) * g.eta_axis[k])
         assert phase[j, k] == pytest.approx(want, abs=1e-13)
 
+    @pytest.mark.parametrize("L, n", [(7.3, 100), (4.4, 16), (30.0, 224), (6.0, 10)])
+    def test_nodes_are_antisymmetric_bit_for_bit(self, L, n):
+        # h = 2L/n is no dyadic rational here, so -L + j h would round
+        # differently at j and n - j
+        g = Grid(1, L, n)
+        ax = g.axis
+        assert np.array_equal(ax[1:], -ax[:0:-1]) and ax[n // 2] == 0.0
+        assert np.array_equal(g.midpoint_axis[::2], ax)
+        paired = np.arange(n) != n // 2  # -n/2 pi/L has no partner in DFT order
+        assert np.array_equal(g.eta_axis[g.reflection][paired], -g.eta_axis[paired])
+
+    @pytest.mark.parametrize("L, n", [(30.0, 512), (30.0, 384), (20.0, 128), (6.0, 16),
+                                      (6.0, 32), (20.0, 160), (10.0, 64), (40.0, 2048)])
+    def test_dyadic_nodes_are_unchanged(self, L, n):
+        # the shipped and benchmark grids: x_j = -L + j h exactly
+        h = 2.0 * L / n
+        assert np.array_equal(Grid(1, L, n).axis, -L + h * np.arange(n))
+        assert np.array_equal(Grid(1, L, n).midpoint_axis, -L + (h / 2.0) * np.arange(2 * n - 1))
+
+    def test_reflection_maps_each_node_to_its_mirror_image(self):
+        g = Grid(2, 3.3, 6)
+        nodes = g.nodes
+        mirror = nodes[g.reflection]
+        fixed = np.isclose(np.abs(nodes), g.L).any(axis=1) | (nodes == 0).all(axis=1)
+        assert np.array_equal(mirror[~fixed], -nodes[~fixed])
+        # node -L is its own lattice image: that coordinate stays, the other flips
+        assert np.array_equal(np.abs(mirror), np.abs(nodes))
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             Grid(3, 1.0, 8)

@@ -1,13 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_riesz_projector, projector_rank
+from magpsido.decay import WeightFamily, remainder_operator
 from magpsido.errors import NotApplicableError
-from magpsido.gauge import constant_field_2d, transversal_gauge, zero_field
+from magpsido.gauge import (constant_field_2d, cos_field_2d, gauge_transform, transversal_gauge,
+                            zero_field)
+from magpsido.harness import Scenario, ScenarioConfig, _named_chi
 from magpsido.quantize import Grid, OperatorMatrix, op_weyl
-from magpsido.spectral import (SpectralWindow, discrete_spectrum_select,
-                               eig_hermitian, eigvals_hermitian, matrix_exp_neg,
-                               nearest_gaps, relative_bound)
+from magpsido.spectral import (EigenDecomposition, ParityBlocks, SpectralWindow,
+                               discrete_spectrum_select, eig_hermitian, eigvals_hermitian,
+                               matrix_exp_neg, nearest_gaps, parity_blocks, relative_bound)
 from magpsido.symbols import kinetic_symbol, symbol_from_id
 
 
@@ -210,6 +217,132 @@ class TestRelativeBound:
         A = np.triu(random_hermitian(32, 11))
         with pytest.raises(NotApplicableError):
             relative_bound(np.eye(32), OperatorMatrix(A, Grid(1, 1.0, 32)))
+
+
+POTENTIALS = ("", "+gauss_well:depth=2,width=1", "+bounded_bump:height=1,width=1.5",
+              "+coulomb_like:alpha=1,reg=0.5")
+
+
+@st.composite
+def even_operators(draw):
+    """A zero-field operator of even factors on a small grid whose spacing is
+    not a dyadic rational: a catalog symbol, a radial potential and an even
+    gauge shift."""
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(2, 20 if d == 1 else 4).map(lambda k: 2 * k))
+    L = draw(st.floats(2.0, 12.0).filter(lambda L: (2.0 * L / n) % 2.0 ** -20 != 0.0))
+    base = draw(st.sampled_from(["relativistic", "kinetic", "p_s:s=-1", "p_s:s=0.5",
+                                 "p_s:s=2", "neg_order"]))
+    # p_s takes no potential, and neg_order's <eta>^-1 (1 + v) modulates by v
+    # at the unwrapped midpoints, which breaks the reflection (see the fallbacks)
+    pot = draw(st.sampled_from(POTENTIALS)) if base in ("relativistic", "kinetic") else ""
+    # x_1 x_2 is odd under the reflection of node -L's row (see the fallbacks)
+    chi = draw(st.sampled_from([None, "quadratic"] + (["bilinear"] if d == 1 else [])))
+    gauge = transversal_gauge(zero_field(d))
+    if chi:
+        gauge = gauge_transform(gauge, *_named_chi(chi, d))
+    return op_weyl(symbol_from_id(base + pot, d), gauge, Grid(d, L, n))
+
+
+def full_decomposition(op):
+    """The reference solve: one eigh of the whole matrix."""
+    lam, V = np.linalg.eigh(op.entries)
+    return EigenDecomposition(lam, V, 0.0)
+
+
+class TestParityBlocks:
+    """Operators that commute with the lattice reflection are solved as an
+    even and an odd block; every result matches the full solve."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(H=even_operators(), eps=st.floats(0.01, 0.5), t=st.floats(0.05, 2.0),
+           kind=st.sampled_from(["exponential", "polynomial"]))
+    def test_block_path_matches_the_full_solve(self, H, eps, t, kind):
+        grid = H.grid
+        assert parity_blocks(H) is not None
+        dec = eig_hermitian(H)
+        assert dec.parity is not None
+        n_fixed = 2 ** grid.dimension
+        assert dec.parity.sizes == [(grid.size + n_fixed) // 2, (grid.size - n_fixed) // 2]
+        ref = full_decomposition(H)
+        scale = np.abs(ref.eigenvalues).max()
+        assert np.abs(dec.eigenvalues - ref.eigenvalues).max() <= 1e-12 * scale
+        assert np.abs(eigvals_hermitian(H) - ref.eigenvalues).max() <= 1e-12 * scale
+        assert dec.residual < 1e-12
+        R = remainder_operator(H, WeightFamily(kind, p=2), eps)
+        assert dec.parity.commutes(R)
+        want = relative_bound(R, ref, z=1j)
+        assert relative_bound(R, dec, z=1j) == pytest.approx(want, rel=1e-12)
+        E, E_ref = matrix_exp_neg(dec, t), matrix_exp_neg(ref, t)
+        assert np.abs(E - E_ref).max() <= 1e-12 * np.abs(E_ref).max()
+
+    def test_blocks_and_expand_are_inverse(self):
+        grid = Grid(2, 3.3, 6)
+        pb = ParityBlocks(grid)
+        rng = np.random.default_rng(40)
+        even = random_hermitian(pb.sizes[0], 41)
+        odd = rng.standard_normal((pb.sizes[1],) * 2)
+        A = pb.expand(even, odd)
+        assert pb.commutes(A)
+        back = pb.blocks(A)
+        assert np.abs(back[0] - even).max() < 1e-14 and np.abs(back[1] - odd).max() < 1e-14
+
+    def test_block_vectors_invert_vectors(self):
+        pb = ParityBlocks(Grid(1, 2.7, 10))
+        Y_e = random_hermitian(pb.sizes[0], 42)
+        Y_o = random_hermitian(pb.sizes[1], 43)
+        even_cols = np.isin(np.arange(10), [1, 4, 5, 8], invert=True)
+        assert even_cols.sum() == pb.sizes[0]
+        V = pb.vectors(Y_e, Y_o, even_cols)
+        assert np.array_equal(V[pb.reflection][:, even_cols], V[:, even_cols])
+        assert np.array_equal(V[pb.reflection][:, ~even_cols], -V[:, ~even_cols])
+        back = pb.block_vectors(V, even_cols)
+        assert np.abs(back[0] - Y_e).max() < 1e-15 and np.abs(back[1] - Y_o).max() < 1e-15
+
+    @pytest.mark.parametrize("field", [constant_field_2d(0.5), cos_field_2d(1.0)],
+                             ids=["constant2d", "cos2d"])
+    def test_magnetic_operators_take_the_full_path(self, field):
+        H = op_weyl(symbol_from_id("relativistic", 2), transversal_gauge(field), Grid(2, 4.0, 8))
+        assert parity_blocks(H) is None
+        dec = eig_hermitian(H)
+        assert dec.parity is None and dec.even_cols is None
+        assert np.abs(dec.eigenvalues - np.linalg.eigvalsh(H.entries)).max() < 1e-12
+
+    @pytest.mark.parametrize("raw", [
+        {"symbol": "relativistic", "gauge_chi": "bilinear", "grid": {"d": 2, "L": 4.0, "n": 8}},
+        {"symbol": "neg_order+gauss_well:depth=2,width=1", "grid": {"d": 1, "L": 6.0, "n": 16}}],
+        ids=["bilinear-2d", "neg_order-well"])
+    def test_phases_and_midpoints_across_node_minus_L_take_the_full_path(self, raw):
+        sc = Scenario(ScenarioConfig.from_dict({"field": "zero", "suites": [], **raw}))
+        assert sc.parity is None
+        assert sc.dec.parity is None
+
+    @pytest.mark.parametrize("row, col", [(0, 3), (3, 5)], ids=["row-0", "inner"])
+    def test_one_ulp_breaks_the_symmetry(self, row, col):
+        grid = Grid(1, 5.0, 16)
+        H = op_weyl(symbol_from_id("kinetic+gauss_well:depth=2,width=1", 1),
+                    transversal_gauge(zero_field(1)), grid)
+        assert parity_blocks(H) is not None
+        A = H.entries.copy()
+        A[row, col] = A[col, row] = np.nextafter(A[row, col], np.inf)
+        bumped = dataclasses.replace(H, entries=A)
+        assert parity_blocks(bumped) is None
+        assert eig_hermitian(bumped).parity is None
+
+    def test_remainder_that_breaks_the_symmetry_takes_the_full_bound(self):
+        grid = Grid(1, 5.0, 16)
+        H = op_weyl(symbol_from_id("relativistic+gauss_well:depth=2,width=1", 1),
+                    transversal_gauge(zero_field(1)), grid)
+        dec = eig_hermitian(H)
+        assert dec.parity is not None
+        R = np.random.default_rng(44).standard_normal((16, 16))
+        assert not dec.parity.commutes(R)
+        want = relative_bound(R, full_decomposition(H), z=1j)
+        assert relative_bound(R, dec, z=1j) == pytest.approx(want, rel=1e-12)
+
+    def test_bare_arrays_have_no_grid_and_take_the_full_path(self):
+        dec = eig_hermitian(np.eye(6))
+        assert dec.parity is None
 
 
 def filter_projector(H, center, radius, num_nodes=32):
