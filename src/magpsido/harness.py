@@ -306,21 +306,15 @@ class Scenario:
         return op_weyl(self.symbol, self.gauge, self.grid)
 
     @cached_property
-    def parity(self):
-        """H's even and odd blocks under the lattice reflection, or None
-        when H does not commute with it exactly."""
-        return parity_blocks(self.H)
-
-    @cached_property
     def dec(self):
-        return eig_hermitian(self.H, self.parity)
+        return eig_hermitian(self.H)
 
     @cached_property
     def eigenvalues(self):
         """Ascending eigenvalues of H: those of `dec` when it is already
         computed, else from an eigenvalue-only solve."""
         dec = self.__dict__.get("dec")
-        return eigvals_hermitian(self.H, self.parity) if dec is None else dec.eigenvalues
+        return eigvals_hermitian(self.H) if dec is None else dec.eigenvalues
 
     @property
     def residual(self):
@@ -836,6 +830,7 @@ class ScenarioReport:
 
 def _spectra_summary(sc):
     lam = sc.eigenvalues
+    parity = parity_blocks(sc.H)
     below = sc.window.below(lam)
     return {
         "lowest": [float(v) for v in lam[:8]],
@@ -844,7 +839,7 @@ def _spectra_summary(sc):
         "bound_state_gaps": [float(gap) for gap in nearest_gaps(lam)[below]],
         "hermiticity_defect": sc.H.hermiticity_defect,
         "real_arithmetic": bool(sc.H.entries.dtype == np.float64),
-        "parity_blocks": None if sc.parity is None else sc.parity.sizes,
+        "parity_blocks": None if parity is None else parity.sizes,
     }
 
 

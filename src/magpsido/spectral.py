@@ -12,7 +12,6 @@ shift x_1 x_2 and a midpoint modulation g break the symmetry in the rows of
 the nodes with a coordinate -L; such operators take the full solve. The
 choice is made by an exact test, `np.array_equal`, never by a tolerance.
 """
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -42,7 +41,6 @@ class ParityBlocks:
         reflection = grid.reflection
         idx = np.arange(len(reflection))
         self.reflection = reflection
-        self.lattice = (grid.n,) * grid.dimension
         self.fixed = np.flatnonzero(reflection == idx)
         self.pairs = np.flatnonzero(idx < reflection)
         self.partners = reflection[self.pairs]
@@ -55,18 +53,10 @@ class ParityBlocks:
         return [len(self.even_nodes), len(self.pairs)]
 
     def commutes(self, A):
-        """A P == P A exactly. Row 0 is compared first, so most matrices that
-        do not commute are refused in O(N); then A, seen as an array over
-        (row lattice, column lattice), is compared with its mirror image
-        piece by piece: per axis, index 0 with itself and 1..n-1 with
-        n-1..1, all through views."""
+        """A P == P A exactly: A[P][:, P] equals A. Row 0 is compared first,
+        so most matrices that do not commute are refused in O(N)."""
         P = self.reflection
-        if not np.array_equal(A[0, P], A[0]):
-            return False
-        A = A.reshape(self.lattice * 2)
-        ends = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
-        return all(np.array_equal(A[tuple(s for s, _ in pick)], A[tuple(m for _, m in pick)])
-                   for pick in itertools.product(ends, repeat=A.ndim))
+        return np.array_equal(A[0, P], A[0]) and np.array_equal(A[P][:, P], A)
 
     def blocks(self, A):
         """(even, odd) blocks of a matrix that commutes with P."""
@@ -80,22 +70,6 @@ class ParityBlocks:
         odd = rows.take(self.pairs, axis=1)
         odd -= rows.take(self.partners, axis=1)
         return even, odd
-
-    def expand(self, even, odd):
-        """The N x N matrix whose blocks are (even, odd): the inverse of `blocks`."""
-        S, T, nf = self.even_nodes, self.even_partners, len(self.fixed)
-        plus = even.copy()
-        plus[nf:] *= _ROOT_HALF
-        plus[:, nf:] *= _ROOT_HALF
-        minus = plus.copy()
-        plus[nf:, nf:] += 0.5 * odd
-        minus[nf:, nf:] -= 0.5 * odd
-        out = np.empty((len(self.reflection),) * 2, dtype=plus.dtype)
-        _put(out, S, S, plus)
-        _put(out, T, T, plus)
-        _put(out, S, T, minus)
-        _put(out, T, S, minus)
-        return out
 
     def vectors(self, even_vecs, odd_vecs, even_cols):
         """Full-length columns of block eigenvectors; `even_cols` marks which
@@ -178,19 +152,17 @@ def parity_blocks(op):
     return blocks if blocks.commutes(op.entries) else None
 
 
-def eig_hermitian(op, parity=None):
+def eig_hermitian(op):
     """Full LAPACK decomposition of a symmetrized operator.
 
-    When the operator commutes with its grid's reflection (`parity_blocks`;
-    `parity` passes the caller's result, else it is checked here), the even
-    and odd blocks are solved apart, each of size about N/2, for a quarter of
-    the flops, and their eigenvectors are expanded to full columns. The
-    residual max_i |H v_i - lam_i v_i| / max|lam| is always taken against the
-    full H, so it checks the reduction too.
+    When the operator commutes with its grid's reflection (`parity_blocks`),
+    the even and odd blocks are solved apart, each of size about N/2, for a
+    quarter of the flops, and their eigenvectors are expanded to full
+    columns. The residual max_i |H v_i - lam_i v_i| / max|lam| is always
+    taken against the full H, so it checks the reduction too.
     """
     H = _hermitian_entries(op)
-    if parity is None:
-        parity = parity_blocks(op)
+    parity = parity_blocks(op)
     even_cols = None
     if parity is None:
         lam, V = np.linalg.eigh(H)
@@ -211,13 +183,12 @@ def eig_hermitian(op, parity=None):
     return EigenDecomposition(lam, V, residual, parity, even_cols)
 
 
-def eigvals_hermitian(op, parity=None):
+def eigvals_hermitian(op):
     """Ascending eigenvalues of a symmetrized operator, with no eigenvectors
     (LAPACK's eigenvalue-only path, about a third of the time of `eigh`); by
     blocks under the same rule as `eig_hermitian`."""
     H = _hermitian_entries(op)
-    if parity is None:
-        parity = parity_blocks(op)
+    parity = parity_blocks(op)
     if parity is None:
         return np.linalg.eigvalsh(H)
     even, odd = parity.blocks(H)
@@ -258,19 +229,13 @@ def discrete_spectrum_select(dec, win):
 
 def matrix_exp_neg(H, t):
     """exp(-t H) = V e^{-t Lambda} V^* through the eigendecomposition
-    (t >= 0); H may also be given as its EigenDecomposition. A decomposition
-    solved by parity blocks forms the product per block, at a quarter of the
-    flops, and expands the result."""
+    (t >= 0); H may also be given as its EigenDecomposition. An operator that
+    `eig_hermitian` solves by parity blocks gives its expanded V here, so the
+    product is the same full one either way."""
     if t < 0:
         raise NotApplicableError("t must be nonnegative")
-    dec = H if isinstance(H, EigenDecomposition) else eig_hermitian(H)
-    lam, V = dec
-    if dec.parity is None:
-        return (V * np.exp(-t * lam)[None, :]) @ V.conj().T
-    Y_e, Y_o = dec.parity.block_vectors(V, dec.even_cols)
-    lam_e, lam_o = lam[dec.even_cols], lam[~dec.even_cols]
-    return dec.parity.expand((Y_e * np.exp(-t * lam_e)[None, :]) @ Y_e.conj().T,
-                             (Y_o * np.exp(-t * lam_o)[None, :]) @ Y_o.conj().T)
+    lam, V = H if isinstance(H, EigenDecomposition) else eig_hermitian(H)
+    return (V * np.exp(-t * lam)[None, :]) @ V.conj().T
 
 
 def _gram_top(Rm, V, lam, z):

@@ -276,16 +276,21 @@ class TestParityBlocks:
         E, E_ref = matrix_exp_neg(dec, t), matrix_exp_neg(ref, t)
         assert np.abs(E - E_ref).max() <= 1e-12 * np.abs(E_ref).max()
 
-    def test_blocks_and_expand_are_inverse(self):
+    def test_blocks_are_the_matrix_in_the_parity_basis(self):
         grid = Grid(2, 3.3, 6)
         pb = ParityBlocks(grid)
-        rng = np.random.default_rng(40)
-        even = random_hermitian(pb.sizes[0], 41)
-        odd = rng.standard_normal((pb.sizes[1],) * 2)
-        A = pb.expand(even, odd)
+        B = random_hermitian(grid.size, 41)
+        A = B + B[pb.reflection][:, pb.reflection]
         assert pb.commutes(A)
-        back = pb.blocks(A)
-        assert np.abs(back[0] - even).max() < 1e-14 and np.abs(back[1] - odd).max() < 1e-14
+        n_even, n_odd = pb.sizes
+        even_cols = np.arange(grid.size) < n_even
+        Q = pb.vectors(np.eye(n_even), np.eye(n_odd), even_cols)
+        assert np.abs(Q.T @ Q - np.eye(grid.size)).max() < 1e-15
+        in_basis = Q.T @ A @ Q
+        even, odd = pb.blocks(A)
+        assert np.abs(in_basis[:n_even, :n_even] - even).max() < 1e-13
+        assert np.abs(in_basis[n_even:, n_even:] - odd).max() < 1e-13
+        assert np.abs(in_basis[:n_even, n_even:]).max() < 1e-13
 
     def test_block_vectors_invert_vectors(self):
         pb = ParityBlocks(Grid(1, 2.7, 10))
@@ -314,7 +319,7 @@ class TestParityBlocks:
         ids=["bilinear-2d", "neg_order-well"])
     def test_phases_and_midpoints_across_node_minus_L_take_the_full_path(self, raw):
         sc = Scenario(ScenarioConfig.from_dict({"field": "zero", "suites": [], **raw}))
-        assert sc.parity is None
+        assert parity_blocks(sc.H) is None
         assert sc.dec.parity is None
 
     @pytest.mark.parametrize("row, col", [(0, 3), (3, 5)], ids=["row-0", "inner"])
