@@ -31,16 +31,15 @@ def weyl_gather(fhat, omega, n, d, gmid=None):
 
 
 # ---------------------------------------------------------------------------
-# amplitude pair contraction, pairs (j, k) with k = j + i:
+# amplitude pair contraction, pairs (j[i], k[i]):
 #   T[i, r] = n^{-d} sum_q M[i,q] e^{i 2pi r.q/n},
 #   forward[i] = T[i, wrap(j-k)] (entry j,k), backward[i] = T[i, wrap(k-j)] (entry k,j)
 # ---------------------------------------------------------------------------
 
-def amplitude_pairs(M, j, n, d):
-    """Contract the samples of the node pairs (j, j + i) against the lattice
-    phases of both entry orders; returns (forward, backward)."""
+def amplitude_pairs(M, j, k, n, d):
+    """Contract the samples M[i] of the node pairs (j[i], k[i]) against the
+    lattice phases of both entry orders; returns (forward, backward)."""
     i = np.arange(M.shape[0])
-    k = j + i
     if d == 1:
         T = np.fft.ifft(M, axis=1)
         r = (j - k) % n

@@ -1,5 +1,6 @@
 """Weight families, conjugated operators, remainder bounds, the analytic
 frequency-shift amplitude, and decay-rate fitting for eigenfunctions."""
+import math
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 from typing import Tuple
@@ -43,6 +44,14 @@ class WeightFamily:
     def __call__(self, eps, x):
         br = bracket(eps * np.asarray(x, dtype=float))
         if self.kind == "polynomial":
+            top = float(np.max(br))
+            if self.p * math.log(top) > 690.0:
+                # the eps at which the farthest node reaches <eps x> = e^{690/p}
+                t = 690.0 / self.p
+                raise OverflowGuardError(
+                    "polynomial weight overflows float64 on this grid",
+                    suggested_max_eps=eps * math.exp(t) * math.sqrt(-math.expm1(-2.0 * t))
+                    / math.sqrt((top - 1.0) * (top + 1.0)))
             return br**self.p
         if np.max(br) - 1.0 > 690.0:
             raise OverflowGuardError(
@@ -111,8 +120,8 @@ def uniform_bound_sweep(op, w, eps_list, dec=None):
         rb = relative_bound(R, dec, z=SWEEP_SHIFT)
         return eps, rb, eps * rb
 
-    # One worker: each bound is a product and an SVD that BLAS already
-    # spreads over the cores, so more threads only contend for them.
+    # One worker: each bound is a product and a Gram eigvalsh that BLAS and
+    # LAPACK already spread over the cores, so more threads only contend.
     with ThreadPoolExecutor(max_workers=1) as ex:
         computed = list(ex.map(one, eps_list))
     rows = []

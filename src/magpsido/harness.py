@@ -238,9 +238,13 @@ def lint_config(raw):
     for eps in eps_list:
         if not 0.0 < eps <= 1.0:
             raise ConfigError("eps values must lie in (0, 1]")
-        if raw.get("weight", {}).get("kind", "exponential") == "exponential":
-            if math.hypot(1.0, eps * g["L"]) - 1.0 > 690.0:
+        weight = raw.get("weight", {})
+        br = math.hypot(1.0, eps * g["L"])
+        if weight.get("kind", "exponential") == "exponential":
+            if br - 1.0 > 690.0:
                 raise ConfigError(f"eps={eps} overflows the exponential weight")
+        elif weight.get("p", 1) * math.log(br) > 690.0:
+            raise ConfigError(f"eps={eps} overflows the polynomial weight")
     # assembly holds ASSEMBLY_WORDS complex128 N x N matrices; Python
     # integers keep their size exact however large n is
     N = g["n"] ** g["d"]
@@ -618,11 +622,13 @@ def _transport_check(sc, w, eps_list):
     max(|lam|_max, 1)."""
     lam = np.array([lv for lv, _, _ in sc.bound_states])
     U = np.stack([u for _, u, _ in sc.bound_states], axis=1)
-    worst = 0.0
+    residuals = []
     for eps in eps_list:
         V = w(eps, sc.grid.nodes)[:, None] * U
         R = dk.conjugate_operator(sc.H, w, eps).entries @ V - V * lam[None, :]
-        worst = max(worst, float((np.linalg.norm(R, axis=0) / np.linalg.norm(V, axis=0)).max()))
+        residuals.append(np.linalg.norm(R, axis=0) / np.linalg.norm(V, axis=0))
+    # np.max propagates a NaN residual, so a non-finite weight fails the check
+    worst = float(np.max(residuals, initial=0.0))
     worst /= max(float(np.abs(sc.dec.eigenvalues).max()), 1.0)
     return Check("weighted-eigenvector", "decay/eigenvector-transport",
                  worst < 1e-8, 1e-8 - worst,

@@ -18,8 +18,6 @@ Displacements wrap with period 2L (the frequency sum is an exact DFT); the
 pair phase omega is evaluated on the true, unwrapped segment.
 """
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +28,7 @@ from .gauge import phase_table
 from .symbols import p_s_symbol
 
 AMPLITUDE_BUDGET = 10**10
+AMPLITUDE_BLOCK = 2**16     # complex amplitude samples op_amplitude takes per block
 ASSEMBLY_WORDS = 4          # complex N x N matrices op_weyl holds at its peak
 REAL_TOL = 1e-14            # max|Im H| / max|H| at or below which a symmetrized H is stored real
 SYMMETRY_TOL = 1e-12        # max|amp(x,y) - amp(y,x)| / max|amp| above which op_amplitude refuses
@@ -217,14 +216,6 @@ def op_weyl(sym, g, grid):
     return hermitize(OperatorMatrix(op_weyl_unsym(sym, g, grid), grid, symbol_id=sym.symbol_id))
 
 
-def _cpu_count():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def op_amplitude(amp, g, grid):
     """Quantize a three-argument amplitude amp(x, y, eta), symmetric in
     (x, y), by direct frequency summation per matrix entry (O(n^{3d});
@@ -234,17 +225,12 @@ def op_amplitude(amp, g, grid):
     x + y and <eps x> + <eps y>: the midpoint amplitude a((x + y)/2, eta)
     and the conjugation amplitude c_eps. So amp(x_j, x_k, .) and
     amp(x_k, x_j, .) are the same samples, bit for bit, and each unordered
-    node pair is evaluated once: row j samples amp(x_j, x_k, .) for k >= j,
-    runs one inverse DFT per pair, and reads H[j, k] at the lattice
-    displacement j - k and H[k, j] at k - j, each times its own omega.
-    Before assembly, amp(x_0, y, .) is compared with amp(y, x_0, .) on every
-    node y; a difference above SYMMETRY_TOL max|amp| raises AssemblyError.
-
-    Row j carries N - j pairs. The rows are split into one contiguous block
-    per CPU, of equal pair count: block 0 runs on the calling thread, the
-    others on a thread pool (numpy releases the GIL inside the elementwise
-    and FFT work). Every entry is computed by the same code whatever the
-    block count, so H is bit-identical to the serial loop over full rows.
+    node pair j <= k is evaluated once. One serial pass takes the pairs in
+    blocks of about AMPLITUDE_BLOCK samples: one amp call and one batched
+    inverse DFT per block, H[j, k] read at the lattice displacement j - k
+    and H[k, j] at k - j, each times its own omega. Before assembly,
+    amp(x_0, y, .) is compared with amp(y, x_0, .) on every node y; a
+    difference above SYMMETRY_TOL max|amp| raises AssemblyError.
     """
     n, d = grid.n, grid.dimension
     if grid.size**3 > AMPLITUDE_BUDGET:
@@ -254,31 +240,22 @@ def op_amplitude(amp, g, grid):
     N = grid.size
     nodes = grid.nodes
     etas = grid.eta_nodes[None, :, :]
-    first = amp(nodes[0], nodes[:, None, :], etas)  # row 0's pairs: every node
-    asym = float(np.abs(first - amp(nodes[:, None, :], nodes[0], etas)).max())
-    if asym > SYMMETRY_TOL * np.abs(first).max():
+    row = amp(nodes[0], nodes[:, None, :], etas)
+    asym = float(np.abs(row - amp(nodes[:, None, :], nodes[0], etas)).max())
+    if asym > SYMMETRY_TOL * np.abs(row).max():
         raise AssemblyError(
             f"amplitude is not symmetric in (x, y): amp(x, y) and amp(y, x) "
             f"differ by {asym:.3e} at x = {nodes[0]}")
     omega = phase_table(g, nodes)
     H = np.empty((N, N), dtype=complex)
-
-    def fill(rows):
-        for j in rows:
-            M = first if j == 0 else amp(nodes[j], nodes[j:, None, :], etas)
-            forward, backward = _kernels.amplitude_pairs(M, j, n, d)
-            H[j, j:] = omega[j, j:] * forward
-            H[j:, j] = omega[j:, j] * backward
-
-    blocks = min(_cpu_count(), N)
-    done = np.concatenate(([0], np.cumsum(np.arange(N, 0, -1))))  # pairs in rows < j
-    bounds = np.searchsorted(done, done[-1] * np.arange(blocks + 1) / blocks).tolist()
-    with ThreadPoolExecutor(max_workers=max(1, blocks - 1)) as ex:
-        futures = [ex.submit(fill, range(bounds[b], bounds[b + 1]))
-                   for b in range(1, blocks)]
-        fill(range(bounds[0], bounds[1]))
-        for fut in futures:
-            fut.result()
+    rows, cols = np.triu_indices(N)
+    step = max(1, AMPLITUDE_BLOCK // N)
+    for s in range(0, rows.size, step):
+        j, k = rows[s:s + step], cols[s:s + step]
+        M = amp(nodes[j, None], nodes[k, None], etas)
+        forward, backward = _kernels.amplitude_pairs(M, j, k, n, d)
+        H[j, k] = omega[j, k] * forward
+        H[k, j] = omega[k, j] * backward
     if not np.all(np.isfinite(H)):
         raise AssemblyError("amplitude produced non-finite operator entries")
     return OperatorMatrix(H, grid, symbol_id="amplitude")

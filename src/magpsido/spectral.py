@@ -238,11 +238,16 @@ def matrix_exp_neg(H, t):
     return (V * np.exp(-t * lam)[None, :]) @ V.conj().T
 
 
-def _gram_top(Rm, V, lam, z):
+def _gram_norm(Rm, V, lam, z):
     """Largest singular value of M = R V diag(1/|lam - z|), from the Gram
-    matrix M^* M."""
+    matrix M^* M. M is first scaled by the power of two 2^-e that brings
+    max|M| into [1/2, 1): exact, and M^* M then cannot overflow however
+    large the weight ratios in R are."""
     M = (Rm @ V) / np.abs(lam - z)[None, :]
-    return float(np.linalg.eigvalsh(M.conj().T @ M)[-1])
+    e = int(np.frexp(np.abs(M).max())[1])
+    M *= 2.0 ** -e
+    top = float(np.linalg.eigvalsh(M.conj().T @ M)[-1])
+    return math.ldexp(math.sqrt(max(top, 0.0)), e)
 
 
 def relative_bound(R, H, z=1j):
@@ -270,10 +275,8 @@ def relative_bound(R, H, z=1j):
     dec = H if isinstance(H, EigenDecomposition) else eig_hermitian(H)
     lam, V = dec
     if dec.parity is None or not dec.parity.commutes(Rm):
-        top = _gram_top(Rm, V, lam, z)
-    else:
-        R_e, R_o = dec.parity.blocks(Rm)
-        Y_e, Y_o = dec.parity.block_vectors(V, dec.even_cols)
-        top = max(_gram_top(R_e, Y_e, lam[dec.even_cols], z),
-                  _gram_top(R_o, Y_o, lam[~dec.even_cols], z))
-    return math.sqrt(max(top, 0.0))
+        return _gram_norm(Rm, V, lam, z)
+    R_e, R_o = dec.parity.blocks(Rm)
+    Y_e, Y_o = dec.parity.block_vectors(V, dec.even_cols)
+    return max(_gram_norm(R_e, Y_e, lam[dec.even_cols], z),
+               _gram_norm(R_o, Y_o, lam[~dec.even_cols], z))

@@ -77,6 +77,19 @@ class TestWeightFamilies:
             w(1.0, np.array([[1e5]]))
         assert exc.value.suggested_max_eps is not None
 
+    def test_polynomial_overflow_guard(self):
+        # <0.1 x>^1000 at |x| = 30 is 10^500
+        w = WeightFamily("polynomial", p=1000)
+        x = np.array([[-30.0], [0.0], [12.0]])
+        with pytest.raises(OverflowGuardError) as exc:
+            w(0.1, x)
+        eps = exc.value.suggested_max_eps
+        assert 0.0 < eps < 0.1
+        # the suggestion is the largest eps whose weight stays at or below e^690
+        assert float(w(eps * (1 - 1e-12), x).max()) == pytest.approx(np.exp(690.0), rel=1e-9)
+        with pytest.raises(OverflowGuardError):
+            w(eps * (1 + 1e-9), x)
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             WeightFamily("gaussian")

@@ -151,6 +151,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(raw)
 
+    def test_polynomial_weight_overflow_lint(self, tmp_path, capsys):
+        # <0.1 x>^1000 reaches 10^500 at |x| = 30
+        raw = copy.deepcopy(BASE_CFG)
+        raw["grid"] = {"d": 1, "L": 30.0, "n": 128}
+        raw["weight"] = {"kind": "polynomial", "p": 1000}
+        raw["eps_list"] = [0.1]
+        with pytest.raises(ConfigError, match="overflows the polynomial weight"):
+            validate_config(raw)
+        path = tmp_path / "p1000.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["conjugate", "--config", str(path)]) == 2
+        assert "overflows the polynomial weight" in capsys.readouterr().err
+
     def test_unsorted_eps_rejected(self):
         raw = copy.deepcopy(BASE_CFG)
         raw["eps_list"] = [0.1, 0.05]
@@ -650,6 +663,20 @@ class TestCheckFixtures:
         sc = fixture(Scenario(_shipped(SUITE_REGISTRY[suite].configs[suite])), monkeypatch)
         result = {c.name: c for c in verify_suite(suite, sc)}
         assert not result[check].passed, result[check].details
+
+    def test_nan_weight_fails_transport(self, monkeypatch):
+        # a NaN residual must fail the check, not read as a zero one
+        weight = dk.WeightFamily.__call__
+
+        def nan_at_the_origin(self, eps, x):
+            f = weight(self, eps, x).copy()
+            f[len(f) // 2] = np.nan
+            return f
+
+        monkeypatch.setattr(dk.WeightFamily, "__call__", nan_at_the_origin)
+        sc = Scenario(_shipped(DECAY_CONFIGS["thm1-rapid-decay"]))
+        check = {c.name: c for c in verify_suite("thm1-rapid-decay", sc)}["weighted-eigenvector"]
+        assert not check.passed, check.details
 
     @pytest.mark.parametrize("suite", DECAY_CONFIGS)
     def test_transport_covers_every_bound_state_and_eps(self, suite):

@@ -36,14 +36,14 @@ def loop_lattice_sum(m, r_multi, n, d):
     return acc / N
 
 
-def loop_amplitude_pairs(M, j, n, d):
-    """Entries (j, k) and (k, j) of the pairs k = j + i: the lattice sums of
-    pair i's samples at displacements j - k and k - j."""
+def loop_amplitude_pairs(M, j, k, n, d):
+    """Entries (j, k) and (k, j) of the pairs (j[i], k[i]): the lattice sums
+    of pair i's samples at displacements j - k and k - j."""
     multi = (lambda f: (f,)) if d == 1 else (lambda f: (f // n, f % n))
     forward = np.empty(M.shape[0], dtype=complex)
     backward = np.empty(M.shape[0], dtype=complex)
     for i in range(M.shape[0]):
-        r = tuple(a - b for a, b in zip(multi(j), multi(j + i)))
+        r = tuple(a - b for a, b in zip(multi(j[i]), multi(k[i])))
         forward[i] = loop_lattice_sum(M[i], r, n, d)
         backward[i] = loop_lattice_sum(M[i], tuple(-x for x in r), n, d)
     return forward, backward
@@ -87,16 +87,18 @@ def test_weyl_gather_rejects_dimension_three():
         _kernels.weyl_gather(np.zeros(4), np.ones((4, 4)), 4, 3)
 
 
-@pytest.mark.parametrize("d, n, j", [(1, 8, 5), (2, 4, 6)])
-def test_amplitude_pairs_matches_loop(d, n, j):
+@pytest.mark.parametrize("d, n, start", [(1, 8, 5), (2, 4, 6)])
+def test_amplitude_pairs_matches_loop(d, n, start):
+    """The pairs j <= k in row-major order from pair `start` on."""
     rng = np.random.default_rng(2)
-    M = complex_normal(rng, (n**d - j, n**d))
-    got = _kernels.amplitude_pairs(M, j, n, d)
-    want = loop_amplitude_pairs(M, j, n, d)
+    j, k = (r[start:] for r in np.triu_indices(n**d))
+    M = complex_normal(rng, (j.size, n**d))
+    got = _kernels.amplitude_pairs(M, j, k, n, d)
+    want = loop_amplitude_pairs(M, j, k, n, d)
     for g, w in zip(got, want):
         assert np.abs(g - w).max() < 1e-13
 
 
 def test_amplitude_pairs_rejects_dimension_three():
     with pytest.raises(ValueError):
-        _kernels.amplitude_pairs(np.zeros((2, 4)), 2, 4, 3)
+        _kernels.amplitude_pairs(np.zeros((2, 4)), np.zeros(2, int), np.ones(2, int), 4, 3)

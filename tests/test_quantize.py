@@ -1,7 +1,6 @@
 import dataclasses
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -362,9 +361,16 @@ def remainder_amplitude(sym, eps):
     return lambda x, y, e: (c_eps(x, y, e) - a(x, y, e)) / eps
 
 
-def one_row(x):
-    """True on a row call amp(x_j, nodes, .), false on the guard's swapped call."""
-    return np.ndim(x) == 1
+def pair_block(x, y):
+    """True on a block call amp(x_j, x_k, .) over node pairs, false on the
+    symmetry guard's two calls, which pass one node as a single point."""
+    return np.ndim(x) == np.ndim(y) == 3
+
+
+def last_pair(x, y, grid):
+    """True on the 1-D block that holds the last pair (N - 1, N - 1): the
+    only pair whose row node is the last node."""
+    return pair_block(x, y) and x[-1, 0, 0] == grid.nodes[-1, 0]
 
 
 # amplitude, gauge and grid of each case; built on use, each case in its own test
@@ -381,22 +387,21 @@ AMPLITUDE_CASES = {
 }
 
 
-def _set_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(magpsido.quantize.os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)))
+def _set_pairs_per_block(monkeypatch, pairs, grid):
+    monkeypatch.setattr(magpsido.quantize, "AMPLITUDE_BLOCK", pairs * grid.size)
 
 
 class TestParallelRows:
-    """op_amplitude samples each unordered node pair once and splits the rows
-    into one block of equal pair count per CPU; every block count gives the
-    serial full-row loop's matrix bit for bit."""
+    """op_amplitude samples each unordered node pair once, in one serial pass
+    over blocks of pairs; every block size gives the serial full-row loop's
+    matrix bit for bit."""
 
-    @pytest.mark.parametrize("cpus", [None, 1, 3, 7])
+    @pytest.mark.parametrize("pairs", [None, 1, 3, 7])  # pairs per block; None: AMPLITUDE_BLOCK
     @pytest.mark.parametrize("case", AMPLITUDE_CASES)
-    def test_bit_identical_to_serial_rows(self, case, cpus, monkeypatch):
+    def test_bit_identical_to_serial_rows(self, case, pairs, monkeypatch):
         amp, g, grid = AMPLITUDE_CASES[case]()
-        if cpus is not None:
-            _set_cpus(monkeypatch, cpus)
+        if pairs is not None:
+            _set_pairs_per_block(monkeypatch, pairs, grid)
         H = op_amplitude(amp, g, grid).entries
         assert np.array_equal(H, serial_op_amplitude(amp, g, grid))
 
@@ -406,66 +411,56 @@ class TestParallelRows:
 
     @pytest.mark.parametrize("case", ["sin", "constant_field_2d"])
     def test_samples_each_unordered_pair_once(self, case, monkeypatch):
-        _set_cpus(monkeypatch, 2)
         amp, g, grid = AMPLITUDE_CASES[case]()
-        rows = []
+        _set_pairs_per_block(monkeypatch, 5, grid)
+        index = {tuple(x): i for i, x in enumerate(grid.nodes)}
+        pairs, guard_calls = [], []
 
         def counting(x, y, e):
-            M = amp(x, y, e)
-            rows.append(M.shape[0])
-            return M
+            if pair_block(x, y):
+                pairs.extend((index[tuple(a)], index[tuple(b)])
+                             for a, b in zip(x[:, 0], y[:, 0]))
+            else:
+                guard_calls.append(x)
+            return amp(x, y, e)
 
         op_amplitude(counting, g, grid)
-        N = grid.size
-        assert len(rows) == N + 1  # one call per row, plus the guard's swapped row
-        assert sum(rows) == N * (N + 1) // 2 + N
-
-    def test_cpu_count_fallback_without_affinity(self, monkeypatch):
-        amp, g, grid = AMPLITUDE_CASES["sin"]()
-        monkeypatch.delattr(magpsido.quantize.os, "sched_getaffinity")
-        monkeypatch.setattr(magpsido.quantize.os, "cpu_count", lambda: 3)
-        submitted = []
-
-        class Recording(ThreadPoolExecutor):
-            def submit(self, fn, /, *args, **kwargs):
-                submitted.append(args)
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(magpsido.quantize, "ThreadPoolExecutor", Recording)
-        H = op_amplitude(amp, g, grid).entries
-        assert np.array_equal(H, serial_op_amplitude(amp, g, grid))
-        # 528 pairs in rows of 32, 31, ..., 1: blocks of 177, 180 and 171 pairs
-        assert submitted == [(range(6, 14),), (range(14, 32),)]
+        assert pairs == list(zip(*(r.tolist() for r in np.triu_indices(grid.size))))
+        assert len(guard_calls) == 2
 
     def test_error_on_the_last_block_surfaces(self, monkeypatch):
-        _set_cpus(monkeypatch, 3)
-        grid = Grid(1, 8.0, 16)  # blocks of equal pair count: rows 0-3, 4-6, 7-15
-        first_of_last = grid.nodes[7, 0]
+        grid = Grid(1, 8.0, 16)
+        _set_pairs_per_block(monkeypatch, 10, grid)  # 136 pairs: 14 blocks
+        blocks = []
 
         def amp(x, y, e):
-            if one_row(x) and x[0] >= first_of_last:
-                raise ConfigError("last block")
+            if pair_block(x, y):
+                blocks.append(x.shape[0])
+                if last_pair(x, y, grid):
+                    raise ConfigError("last block")
             return symmetric_sin_amplitude(x, y, e)
 
         with pytest.raises(ConfigError, match="last block"):
             op_amplitude(amp, transversal_gauge(zero_field(1)), grid)
+        assert blocks == [10] * 13 + [6]
 
-    def test_nan_on_a_worker_row_raises_assembly_error(self, monkeypatch):
-        _set_cpus(monkeypatch, 3)
+    def test_nan_in_the_last_block_raises_assembly_error(self, monkeypatch):
         grid = Grid(1, 8.0, 16)
-        worker_row = grid.nodes[5, 0]  # block 1, rows 4-6
+        _set_pairs_per_block(monkeypatch, 10, grid)
 
         def amp(x, y, e):
             M = symmetric_sin_amplitude(x, y, e)
-            return M * np.nan if one_row(x) and x[0] == worker_row else M
+            if last_pair(x, y, grid):
+                M[-1] = np.nan
+            return M
 
         with pytest.raises(AssemblyError, match="non-finite"):
             op_amplitude(amp, transversal_gauge(zero_field(1)), grid)
 
-    @pytest.mark.parametrize("cpus", [1, 3])
-    def test_at_most_one_thread_per_extra_block(self, cpus, monkeypatch):
-        _set_cpus(monkeypatch, cpus)
+    @pytest.mark.parametrize("pairs", [1, 3])
+    def test_starts_no_thread(self, pairs, monkeypatch):
         grid = Grid(1, 8.0, 32)
+        _set_pairs_per_block(monkeypatch, pairs, grid)
         before = threading.active_count()
         alive = []
 
@@ -474,8 +469,8 @@ class TestParallelRows:
             return symmetric_sin_amplitude(x, y, e)
 
         op_amplitude(amp, transversal_gauge(zero_field(1)), grid)
-        assert len(alive) == grid.size + 1  # one call per row, plus the guard's
-        assert max(alive) <= before + cpus - 1
+        assert len(alive) == -(-528 // pairs) + 2  # one call per block, plus the guard's two
+        assert set(alive) == {before}
 
 
 class TestPsOperators:

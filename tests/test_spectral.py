@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_riesz_projector, projector_rank
-from magpsido.decay import WeightFamily, remainder_operator
+from magpsido.decay import WeightFamily, remainder_operator, uniform_bound_sweep
 from magpsido.errors import NotApplicableError
 from magpsido.gauge import (constant_field_2d, cos_field_2d, gauge_transform, transversal_gauge,
                             zero_field)
@@ -217,6 +217,27 @@ class TestRelativeBound:
         A = np.triu(random_hermitian(32, 11))
         with pytest.raises(NotApplicableError):
             relative_bound(np.eye(32), OperatorMatrix(A, Grid(1, 1.0, 32)))
+
+    @pytest.mark.parametrize("power", [0, 200, 600, -600])
+    def test_power_of_two_scaling_is_exact(self, power):
+        # the Gram matrix of 2^600 R overflows unless M is scaled first
+        H = as_op(random_hermitian(32, 18))
+        R = np.random.default_rng(19).standard_normal((32, 32))
+        dec = eig_hermitian(H)
+        base = relative_bound(R, dec, z=1j)
+        assert relative_bound(np.ldexp(R, power), dec, z=1j) == np.ldexp(base, power)
+        if abs(power) <= 200:
+            M = (np.ldexp(R, power) @ dec.eigenvectors) / np.abs(dec.eigenvalues - 1j)[None, :]
+            assert np.ldexp(base, power) == pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
+
+    def test_sweep_with_weight_ratios_past_e354_is_finite(self):
+        # eps L = 400: R's weight ratios reach e^400, whose square overflows
+        cfg = ScenarioConfig.from_dict({"symbol": "relativistic", "suites": [],
+                                        "grid": {"d": 1, "L": 400.0, "n": 512},
+                                        "eps_list": [0.5, 1.0]})
+        sc = Scenario(cfg)
+        rows, _ = uniform_bound_sweep(sc.H, cfg.make_weight(), cfg.eps_list, dec=sc.dec)
+        assert all(np.isfinite(rb) and rb > 1e80 for _, rb, _, _ in rows)
 
 
 POTENTIALS = ("", "+gauss_well:depth=2,width=1", "+bounded_bump:height=1,width=1.5",
