@@ -14,7 +14,7 @@ import numpy as np
 from . import decay as dk
 from . import relativistic as rel
 from .errors import BudgetError, ConfigError, MagpsidoError
-from .harness import (SUITE_NAMES, Scenario, ScenarioConfig, ScenarioReport,
+from .harness import (SUITE_NAMES, Scenario, ScenarioConfig, ScenarioReport, _strict_json,
                       merge_reports, run_scenario, verify_suite, write_atomic,
                       write_kato_csv, write_spectrum_csv, write_sweep_csv)
 from .mpdo import LOAD_BUDGET_BYTES, file_hash, load_operator, save_operator
@@ -59,12 +59,11 @@ def cmd_build(args):
     print(f"wrote {out} ({grid.size}x{grid.size}, defect {H.hermiticity_defect:.3e})")
     print(f"sha256 {digest}")
     if args.report:
-        write_atomic(args.report, json.dumps(
+        write_atomic(args.report, _strict_json(
             {"config": cfg.to_dict(), "config_hash": cfg.config_hash(),
              "operator_file": out, "operator_sha256": digest,
              "hermiticity_defect": H.hermiticity_defect,
-             "real_arithmetic": bool(H.entries.dtype == np.float64)},
-            sort_keys=True, indent=2))
+             "real_arithmetic": bool(H.entries.dtype == np.float64)}))
     return 0
 
 
@@ -104,7 +103,7 @@ def cmd_decay(args):
     payload = {"eigenvalue": lam0, "gap": gap, "fits": fits,
                "config_hash": cfg.config_hash()}
     if args.out:
-        write_atomic(args.out, json.dumps(payload, sort_keys=True, indent=2))
+        write_atomic(args.out, _strict_json(payload))
         print(f"wrote {args.out}")
     return 0
 
@@ -135,7 +134,7 @@ def cmd_semigroup(args):
     for key, val in res.items():
         print(f"{key}: {val:.6e}")
     if args.out:
-        write_atomic(args.out, json.dumps(res, sort_keys=True, indent=2))
+        write_atomic(args.out, _strict_json(res))
     return 0
 
 

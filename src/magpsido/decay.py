@@ -114,19 +114,34 @@ def uniform_bound_sweep(op, w, eps_list, dec=None):
 
     if dec is None:
         dec = eig_hermitian(op)
+    weights = [w(eps, op.grid.nodes) for eps in eps_list]
+    parity = dec.parity
+    if parity is not None and all(np.array_equal(f[parity.reflection], f) for f in weights):
+        # R_eps[j, k] = H[j, k] (f_j / f_k - 1) / eps, so with H and every f_eps
+        # even R_eps commutes with P, and its blocks are H's blocks times the
+        # same ratios on the block nodes: H's blocks and the block eigenpairs
+        # are gathered once for the sweep, and no full R is formed.
+        H_blocks = parity.blocks(op.entries)
+        pairs = dec.block_pairs()
+        block_nodes = (parity.even_nodes, parity.pairs)
 
-    def one(eps):
-        R = remainder_operator(op, w, eps)
-        rb = relative_bound(R, dec, z=SWEEP_SHIFT)
-        return eps, rb, eps * rb
+        def bound(eps, f):
+            R = tuple(Hb * ((f[s, None] / f[None, s] - 1.0) / eps)
+                      for Hb, s in zip(H_blocks, block_nodes))
+            return relative_bound(R, pairs, z=SWEEP_SHIFT)
+    else:
+        def bound(eps, f):
+            return relative_bound(remainder_operator(op, w, eps), dec, z=SWEEP_SHIFT)
 
-    # One worker: each bound is a product and a Gram eigvalsh that BLAS and
-    # LAPACK already spread over the cores, so more threads only contend.
+    # One worker: each bound is two products and a Lanczos run whose
+    # matrix-vector products BLAS already spreads over the cores, so more
+    # threads only contend.
     with ThreadPoolExecutor(max_workers=1) as ex:
-        computed = list(ex.map(one, eps_list))
+        bounds = list(ex.map(bound, eps_list, weights))
     rows = []
     eps0 = None
-    for eps, rb, erb in computed:
+    for eps, rb in zip(eps_list, bounds):
+        erb = eps * rb
         ok = erb < EPS0_THRESHOLD
         rows.append((eps, rb, erb, ok))
         if ok:

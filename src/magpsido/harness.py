@@ -783,7 +783,7 @@ def suite_thm3_relativistic(sc):
         growth = replace(relativistic_symbol(1), v=lambda x: bracket(x) - 1.0,
                          symbol_id="relativistic+linear-growth")
         Hp = op_weyl(growth, transversal_gauge(zero_field(1)), grid)
-        lam_min = float(np.linalg.eigvalsh(Hp.entries)[0])
+        lam_min = float(eigvals_hermitian(Hp)[0])
         base_min = 1.0
         checks.append(Check("weyl-lower-bound", "relativistic/weyl-shift",
                             lam_min >= base_min - 1e-8, lam_min - base_min + 1e-8,
@@ -831,7 +831,24 @@ class ScenarioReport:
         return out
 
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return _strict_json(self.to_dict())
+
+
+def _finite_or_null(obj):
+    """A copy of a JSON-ready value with every non-finite float set to None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
+def _strict_json(obj):
+    """Report text that strict JSON parsers accept: a non-finite float (a NaN
+    margin, say) is written as null, never as a bare NaN or Infinity."""
+    return json.dumps(_finite_or_null(obj), sort_keys=True, indent=2, allow_nan=False)
 
 
 def _spectra_summary(sc):
@@ -931,5 +948,5 @@ def merge_reports(in_dir, out_path):
             raise FormatError(f"report {path} is not a JSON object")
         merged["reports"].append(report)
     merged["all_passed"] = all(r.get("all_passed", False) for r in merged["reports"])
-    write_atomic(out_path, json.dumps(merged, sort_keys=True, indent=2))
+    write_atomic(out_path, _strict_json(merged))
     return out_path

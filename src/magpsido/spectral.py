@@ -22,6 +22,8 @@ from .errors import ConfigError, NotApplicableError
 from .quantize import OperatorMatrix
 
 HERMITIAN_TOL = 1e-12       # relative Hermiticity defect below which a matrix counts as Hermitian
+LANCZOS_TOL = 2.0 ** -46    # Ritz residual, relative to the top Ritz value, at which Lanczos stops
+LANCZOS_CHECK = 4           # Lanczos steps between two solves of the tridiagonal matrix
 _ROOT_HALF = math.sqrt(0.5)
 
 
@@ -112,6 +114,13 @@ class EigenDecomposition:
 
     def __iter__(self):
         return iter((self.eigenvalues, self.eigenvectors))
+
+    def block_pairs(self):
+        """((lam_even, Y_even), (lam_odd, Y_odd)): the eigenpairs of the even
+        and odd blocks of a decomposition solved by parity blocks."""
+        Y_e, Y_o = self.parity.block_vectors(self.eigenvectors, self.even_cols)
+        lam = self.eigenvalues
+        return (lam[self.even_cols], Y_e), (lam[~self.even_cols], Y_o)
 
 
 def hermiticity_defect(mat):
@@ -238,16 +247,60 @@ def matrix_exp_neg(H, t):
     return (V * np.exp(-t * lam)[None, :]) @ V.conj().T
 
 
+def _top_eigenvalue(A):
+    """Largest eigenvalue of a Hermitian positive semidefinite matrix, by
+    Lanczos with full reorthogonalization.
+
+    The start vector is a fixed-seed Gaussian, so two calls give the same
+    bits; a constant start is avoided, since a symmetric vector can be
+    orthogonal to the top eigenvector. Every LANCZOS_CHECK steps the k x k
+    tridiagonal T is solved, and the run stops once the top Ritz pair's
+    residual beta_k |s_k| is at most LANCZOS_TOL times its Ritz value, or the
+    Krylov space is invariant. At k = n the space is all of C^n and T's top
+    eigenvalue is A's own, so no unconverged value is ever returned. A is
+    first scaled by the power of two that brings its largest diagonal entry
+    (in a PSD matrix, the largest modulus) into [1/2, 1): exact, so the
+    result scales exactly with A.
+    """
+    n = A.shape[0]
+    top = float(A.diagonal().real.max())
+    if not math.isfinite(top):
+        return math.nan     # a non-finite entry shows on a PSD matrix's diagonal
+    if top <= 0.0:
+        return 0.0
+    e = int(np.frexp(top)[1])
+    A = A * 2.0 ** -e
+    Q = np.empty((n, n), dtype=A.dtype)
+    q = np.random.default_rng(0).standard_normal(n)
+    Q[0] = q / math.sqrt(q @ q)
+    alpha, beta = np.zeros(n), np.zeros(n)
+    for k in range(n):
+        w = A @ Q[k]
+        basis = Q[:k + 1]
+        for _ in range(2):   # classical Gram-Schmidt, twice
+            h = (basis @ w.conj()).conj()
+            w -= h @ basis
+            alpha[k] += h[k].real
+        b = math.sqrt(np.vdot(w, w).real)
+        if k == n - 1 or b == 0.0 or (k + 1) % LANCZOS_CHECK == 0:
+            T = np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+            theta, S = np.linalg.eigh(T)
+            if k == n - 1 or b * abs(S[-1, -1]) <= LANCZOS_TOL * theta[-1]:
+                return math.ldexp(float(theta[-1]), e)
+        beta[k] = b
+        Q[k + 1] = w / b
+
+
 def _gram_norm(Rm, V, lam, z):
-    """Largest singular value of M = R V diag(1/|lam - z|), from the Gram
-    matrix M^* M. M is first scaled by the power of two 2^-e that brings
-    max|M| into [1/2, 1): exact, and M^* M then cannot overflow however
-    large the weight ratios in R are."""
+    """Largest singular value of M = R V diag(1/|lam - z|): the square root of
+    the top eigenvalue of the Gram matrix M^* M, by `_top_eigenvalue`. M is
+    first scaled by the power of two 2^-e that brings max|M| into [1/2, 1):
+    exact, and M^* M then cannot overflow however large the weight ratios in
+    R are."""
     M = (Rm @ V) / np.abs(lam - z)[None, :]
     e = int(np.frexp(np.abs(M).max())[1])
     M *= 2.0 ** -e
-    top = float(np.linalg.eigvalsh(M.conj().T @ M)[-1])
-    return math.ldexp(math.sqrt(max(top, 0.0)), e)
+    return math.ldexp(math.sqrt(max(_top_eigenvalue(M.conj().T @ M), 0.0)), e)
 
 
 def relative_bound(R, H, z=1j):
@@ -258,25 +311,27 @@ def relative_bound(R, H, z=1j):
     unitary right factor diag(|lam - z| / (lam - z)), which leaves singular
     values unchanged, so the norm is the same and M = R V diag(1/|lam - z|)
     stays real for real R and V. The norm is the square root of the largest
-    eigenvalue of the Gram matrix M^* M, which an eigenvalue-only solve gives
-    in under half the time of the SVD behind `np.linalg.norm(M, 2)`.
+    eigenvalue of the Gram matrix M^* M, which a Lanczos run
+    (`_top_eigenvalue`) gives in a few dozen matrix-vector products.
 
     When H was solved by parity blocks and R commutes exactly with the same
     reflection (a radial weight conjugation does), R (H - z)^{-1} is block
     diagonal too: the norm is the larger of the two block norms, each from a
-    Gram solve of about N/2, for a quarter of the flops.
+    Gram matrix of about N/2, for a quarter of the flops.
 
     H may also be given as its EigenDecomposition, so that a sweep over many
-    R decomposes it once.
+    R decomposes it once. R may also be given as its parity blocks
+    (R_even, R_odd), with H as the block eigenpairs of
+    `EigenDecomposition.block_pairs`, so that a sweep gathers those once too
+    and never forms the full R.
     """
+    if isinstance(R, tuple):
+        return max(_gram_norm(Rb, Y, lam, z) for Rb, (lam, Y) in zip(R, H))
     Rm = R.entries if isinstance(R, OperatorMatrix) else np.asarray(R)
     if not Rm.any():
         return 0.0
     dec = H if isinstance(H, EigenDecomposition) else eig_hermitian(H)
-    lam, V = dec
     if dec.parity is None or not dec.parity.commutes(Rm):
-        return _gram_norm(Rm, V, lam, z)
-    R_e, R_o = dec.parity.blocks(Rm)
-    Y_e, Y_o = dec.parity.block_vectors(V, dec.even_cols)
-    return max(_gram_norm(R_e, Y_e, lam[dec.even_cols], z),
-               _gram_norm(R_o, Y_o, lam[~dec.even_cols], z))
+        return _gram_norm(Rm, dec.eigenvectors, dec.eigenvalues, z)
+    return max(_gram_norm(Rb, Y, lam, z)
+               for Rb, (lam, Y) in zip(dec.parity.blocks(Rm), dec.block_pairs()))

@@ -664,8 +664,8 @@ class TestCheckFixtures:
         result = {c.name: c for c in verify_suite(suite, sc)}
         assert not result[check].passed, result[check].details
 
-    def test_nan_weight_fails_transport(self, monkeypatch):
-        # a NaN residual must fail the check, not read as a zero one
+    @staticmethod
+    def _nan_at_the_origin(monkeypatch):
         weight = dk.WeightFamily.__call__
 
         def nan_at_the_origin(self, eps, x):
@@ -674,9 +674,21 @@ class TestCheckFixtures:
             return f
 
         monkeypatch.setattr(dk.WeightFamily, "__call__", nan_at_the_origin)
+
+    def test_nan_weight_fails_transport(self, monkeypatch):
+        # a NaN residual must fail the check, not read as a zero one
+        self._nan_at_the_origin(monkeypatch)
         sc = Scenario(_shipped(DECAY_CONFIGS["thm1-rapid-decay"]))
         check = {c.name: c for c in verify_suite("thm1-rapid-decay", sc)}["weighted-eigenvector"]
         assert not check.passed, check.details
+
+    def test_nan_weight_report_is_strict_json(self, monkeypatch):
+        self._nan_at_the_origin(monkeypatch)
+        text = run_scenario(_shipped(DECAY_CONFIGS["thm1-rapid-decay"])).to_json()
+        report = json.loads(text, parse_constant=_refuse_constant)
+        check = {c["name"]: c for c in report["suites"]["thm1-rapid-decay"]}
+        assert check["weighted-eigenvector"]["margin"] is None
+        assert not report["all_passed"]
 
     @pytest.mark.parametrize("suite", DECAY_CONFIGS)
     def test_transport_covers_every_bound_state_and_eps(self, suite):
@@ -692,6 +704,10 @@ class TestCheckFixtures:
         summary = run_scenario(cfg).spectra_summary
         assert summary["discrete_count"] == 2
         assert [round(lam, 3) for lam in summary["lowest"][:2]] == [-1.188, -0.075]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
 
 
 class TestReports:
@@ -752,6 +768,16 @@ class TestReports:
         assert merged["all_passed"]
         assert len(merged["reports"]) == 2
 
+
+    def test_merge_reports_writes_non_finite_floats_as_null(self, tmp_path):
+        (tmp_path / "in").mkdir()
+        # a report written before non-finite floats became null
+        (tmp_path / "in" / "r.json").write_text(
+            '{"all_passed": false, "margins": [NaN, Infinity, -Infinity, 0.5]}')
+        out = tmp_path / "merged.json"
+        merge_reports(str(tmp_path / "in"), str(out))
+        merged = json.loads(out.read_text(), parse_constant=_refuse_constant)
+        assert merged["reports"][0]["margins"] == [None, None, None, 0.5]
 
     def test_merge_reports_missing_directory(self, tmp_path):
         with pytest.raises(ConfigError, match="missing"):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_riesz_projector, projector_rank
+import magpsido.decay as dk
 from magpsido.decay import WeightFamily, remainder_operator, uniform_bound_sweep
 from magpsido.errors import NotApplicableError
 from magpsido.gauge import (constant_field_2d, cos_field_2d, gauge_transform, transversal_gauge,
@@ -14,8 +15,9 @@ from magpsido.harness import Scenario, ScenarioConfig, _named_chi
 from magpsido.quantize import Grid, OperatorMatrix, op_weyl
 from magpsido.spectral import (EigenDecomposition, ParityBlocks, SpectralWindow,
                                discrete_spectrum_select, eig_hermitian, eigvals_hermitian,
-                               matrix_exp_neg, nearest_gaps, parity_blocks, relative_bound)
-from magpsido.symbols import kinetic_symbol, symbol_from_id
+                               _top_eigenvalue, matrix_exp_neg, nearest_gaps, parity_blocks,
+                               relative_bound)
+from magpsido.symbols import bracket, kinetic_symbol, symbol_from_id
 
 
 def as_op(mat, grid=None):
@@ -369,6 +371,128 @@ class TestParityBlocks:
     def test_bare_arrays_have_no_grid_and_take_the_full_path(self):
         dec = eig_hermitian(np.eye(6))
         assert dec.parity is None
+
+
+def _counting_remainders(monkeypatch):
+    """Count the full remainder matrices a sweep forms."""
+    calls = []
+    full = dk.remainder_operator
+
+    def counted(op, w, eps):
+        calls.append(eps)
+        return full(op, w, eps)
+
+    monkeypatch.setattr(dk, "remainder_operator", counted)
+    return calls
+
+
+class OffCentreWeight:
+    """exp(<eps (x - 0.3)> - 1): centred off the origin, so not reflection-even."""
+
+    def __call__(self, eps, x):
+        return np.exp(bracket(eps * (np.asarray(x, dtype=float) - 0.3)) - 1.0)
+
+    def weight_id(self):
+        return "off-centre"
+
+
+class TestSweepInBlockSpace:
+    """With H and every weight even, the sweep forms each R_eps's parity
+    blocks from H's blocks and never the full R_eps."""
+
+    EPS = [0.0125, 0.05, 0.2, 0.5]
+
+    @pytest.fixture
+    def H(self):
+        return op_weyl(symbol_from_id("relativistic+gauss_well:depth=2,width=1", 1),
+                       transversal_gauge(zero_field(1)), Grid(1, 8.0, 48))
+
+    @pytest.mark.parametrize("kind", ["exponential", "polynomial"])
+    def test_block_sweep_matches_the_full_remainder_path(self, H, kind, monkeypatch):
+        w = WeightFamily(kind, p=2)
+        dec = eig_hermitian(H)
+        assert dec.parity is not None
+        no_parity = EigenDecomposition(dec.eigenvalues, dec.eigenvectors, dec.residual)
+        calls = _counting_remainders(monkeypatch)
+        rows, eps0 = uniform_bound_sweep(H, w, self.EPS, dec=dec)
+        assert calls == []
+        want, want_eps0 = uniform_bound_sweep(H, w, self.EPS, dec=no_parity)
+        assert calls == self.EPS
+        assert eps0 == want_eps0
+        for got, ref in zip(rows, want):
+            assert got[0] == ref[0] and got[3] == ref[3]
+            assert got[1] == pytest.approx(ref[1], rel=1e-12)
+            assert got[2] == pytest.approx(ref[2], rel=1e-12)
+
+    def test_weight_that_is_not_even_takes_the_full_path(self, H, monkeypatch):
+        w = OffCentreWeight()
+        dec = eig_hermitian(H)
+        assert dec.parity is not None
+        calls = _counting_remainders(monkeypatch)
+        rows, _ = uniform_bound_sweep(H, w, self.EPS, dec=dec)
+        assert calls == self.EPS
+        ref = full_decomposition(H)
+        for eps, rb, _, _ in rows:
+            R = remainder_operator(H, w, eps)
+            assert not dec.parity.commutes(R)
+            assert rb == pytest.approx(relative_bound(R, ref, z=1j), rel=1e-12)
+
+
+@st.composite
+def psd_matrices(draw):
+    """Hermitian PSD matrices with a spectrum of a chosen shape: real or
+    complex, n = 1..64."""
+    n = draw(st.integers(1, 64))
+    complex_entries = draw(st.booleans())
+    kind = draw(st.sampled_from(["dense", "repeated-top", "rank-one", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + (1j * rng.standard_normal(shape)
+                                             if complex_entries else 0.0)
+
+    if kind == "zero":
+        return np.zeros((n, n), dtype=complex if complex_entries else float)
+    if kind == "rank-one":
+        v = gaussian(n)
+        return np.outer(v, v.conj())
+    if kind == "dense":
+        B = gaussian(n, draw(st.integers(1, 2 * n)))
+        return B @ B.conj().T
+    U, _ = np.linalg.qr(gaussian(n, n))
+    lam = rng.uniform(0.0, 0.9, n)
+    lam[: min(n, draw(st.integers(2, 4)))] = 1.0
+    A = (U * lam) @ U.conj().T
+    return (A + A.conj().T) / 2
+
+
+class TestTopEigenvalue:
+    @settings(max_examples=200, deadline=None)
+    @given(A=psd_matrices(), power=st.integers(-600, 600))
+    def test_matches_eigvalsh_and_scales_exactly(self, A, power):
+        want = np.linalg.eigvalsh(A)[-1]
+        got = _top_eigenvalue(A)
+        assert abs(got - want) <= 1e-13 * abs(want)
+        assert _top_eigenvalue(A * 2.0 ** power) == got * 2.0 ** power
+
+    def test_zero_matrix(self):
+        assert _top_eigenvalue(np.zeros((5, 5))) == 0.0
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_give_nan(self, bad):
+        A = np.eye(6)
+        A[2, 2] = bad
+        assert np.isnan(_top_eigenvalue(A))
+        R = np.eye(6)
+        R[3, 1] = bad
+        assert np.isnan(relative_bound(R, as_op(random_hermitian(6, 46))))
+
+    def test_two_calls_give_the_same_bits(self):
+        rng = np.random.default_rng(45)
+        B = rng.standard_normal((200, 260)) + 1j * rng.standard_normal((200, 260))
+        A = B @ B.conj().T
+        assert _top_eigenvalue(A) == _top_eigenvalue(A.copy())
 
 
 def filter_projector(H, center, radius, num_nodes=32):
