@@ -133,9 +133,9 @@ def uniform_bound_sweep(op, w, eps_list, dec=None):
         def bound(eps, f):
             return relative_bound(remainder_operator(op, w, eps), dec, z=SWEEP_SHIFT)
 
-    # One worker: each bound is two products and a Lanczos run whose
-    # matrix-vector products BLAS already spreads over the cores, so more
-    # threads only contend.
+    # One worker: each bound is a product R V and a top singular value whose
+    # BLAS and LAPACK calls already spread over the cores, so more threads
+    # only contend.
     with ThreadPoolExecutor(max_workers=1) as ex:
         bounds = list(ex.map(bound, eps_list, weights))
     rows = []

@@ -24,6 +24,7 @@ from .quantize import OperatorMatrix
 HERMITIAN_TOL = 1e-12       # relative Hermiticity defect below which a matrix counts as Hermitian
 LANCZOS_TOL = 2.0 ** -46    # Ritz residual, relative to the top Ritz value, at which Lanczos stops
 LANCZOS_CHECK = 4           # Lanczos steps between two solves of the tridiagonal matrix
+LANCZOS_MIN_ORDER = 128     # fewer columns than this: a dense eigvalsh of M^* M is faster
 _ROOT_HALF = math.sqrt(0.5)
 
 
@@ -247,9 +248,10 @@ def matrix_exp_neg(H, t):
     return (V * np.exp(-t * lam)[None, :]) @ V.conj().T
 
 
-def _top_eigenvalue(A):
-    """Largest eigenvalue of a Hermitian positive semidefinite matrix, by
-    Lanczos with full reorthogonalization.
+def _lanczos_top(M):
+    """Largest eigenvalue of M^* M for a matrix M with max|M| <= 1, by Lanczos
+    with full reorthogonalization on the products M^* (M q): the Gram matrix
+    itself is never formed.
 
     The start vector is a fixed-seed Gaussian, so two calls give the same
     bits; a constant start is avoided, since a symmetric vector can be
@@ -257,25 +259,19 @@ def _top_eigenvalue(A):
     tridiagonal T is solved, and the run stops once the top Ritz pair's
     residual beta_k |s_k| is at most LANCZOS_TOL times its Ritz value, or the
     Krylov space is invariant. At k = n the space is all of C^n and T's top
-    eigenvalue is A's own, so no unconverged value is ever returned. A is
-    first scaled by the power of two that brings its largest diagonal entry
-    (in a PSD matrix, the largest modulus) into [1/2, 1): exact, so the
-    result scales exactly with A.
+    eigenvalue is M^* M's own. Before that the result is the top Ritz value:
+    never above the top eigenvalue, and within the residual of some
+    eigenvalue, but of the top one only if the start vector is not nearly
+    orthogonal to the top eigenspace, which a Gaussian start makes unlikely
+    but does not rule out.
     """
-    n = A.shape[0]
-    top = float(A.diagonal().real.max())
-    if not math.isfinite(top):
-        return math.nan     # a non-finite entry shows on a PSD matrix's diagonal
-    if top <= 0.0:
-        return 0.0
-    e = int(np.frexp(top)[1])
-    A = A * 2.0 ** -e
-    Q = np.empty((n, n), dtype=A.dtype)
+    n = M.shape[1]
+    Q = np.empty((n, n), dtype=M.dtype)
     q = np.random.default_rng(0).standard_normal(n)
     Q[0] = q / math.sqrt(q @ q)
     alpha, beta = np.zeros(n), np.zeros(n)
     for k in range(n):
-        w = A @ Q[k]
+        w = ((M @ Q[k]).conj() @ M).conj()
         basis = Q[:k + 1]
         for _ in range(2):   # classical Gram-Schmidt, twice
             h = (basis @ w.conj()).conj()
@@ -286,21 +282,35 @@ def _top_eigenvalue(A):
             T = np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
             theta, S = np.linalg.eigh(T)
             if k == n - 1 or b * abs(S[-1, -1]) <= LANCZOS_TOL * theta[-1]:
-                return math.ldexp(float(theta[-1]), e)
+                return float(theta[-1])
         beta[k] = b
         Q[k + 1] = w / b
 
 
+def _top_singular_value(M):
+    """Largest singular value of M: the square root of the top eigenvalue of
+    M^* M, from `_lanczos_top` when M has at least LANCZOS_MIN_ORDER columns
+    and from a dense `eigvalsh` of M^* M below that, where it is the faster.
+    M is first scaled by the power of two 2^-e that brings max|M| into
+    [1/2, 1): exact, so the result scales exactly with M, and M^* M cannot
+    overflow however large M is. A non-finite entry gives NaN."""
+    big = float(np.abs(M).max())
+    if not math.isfinite(big):
+        return math.nan
+    if big == 0.0:
+        return 0.0
+    e = int(np.frexp(big)[1])
+    M = M * 2.0 ** -e
+    if M.shape[1] >= LANCZOS_MIN_ORDER:
+        top = _lanczos_top(M)
+    else:
+        top = float(np.linalg.eigvalsh(M.conj().T @ M)[-1])
+    return math.ldexp(math.sqrt(max(top, 0.0)), e)
+
+
 def _gram_norm(Rm, V, lam, z):
-    """Largest singular value of M = R V diag(1/|lam - z|): the square root of
-    the top eigenvalue of the Gram matrix M^* M, by `_top_eigenvalue`. M is
-    first scaled by the power of two 2^-e that brings max|M| into [1/2, 1):
-    exact, and M^* M then cannot overflow however large the weight ratios in
-    R are."""
-    M = (Rm @ V) / np.abs(lam - z)[None, :]
-    e = int(np.frexp(np.abs(M).max())[1])
-    M *= 2.0 ** -e
-    return math.ldexp(math.sqrt(max(_top_eigenvalue(M.conj().T @ M), 0.0)), e)
+    """Largest singular value of M = R V diag(1/|lam - z|), by `_top_singular_value`."""
+    return _top_singular_value((Rm @ V) / np.abs(lam - z)[None, :])
 
 
 def relative_bound(R, H, z=1j):
@@ -311,27 +321,22 @@ def relative_bound(R, H, z=1j):
     unitary right factor diag(|lam - z| / (lam - z)), which leaves singular
     values unchanged, so the norm is the same and M = R V diag(1/|lam - z|)
     stays real for real R and V. The norm is the square root of the largest
-    eigenvalue of the Gram matrix M^* M, which a Lanczos run
-    (`_top_eigenvalue`) gives in a few dozen matrix-vector products.
-
-    When H was solved by parity blocks and R commutes exactly with the same
-    reflection (a radial weight conjugation does), R (H - z)^{-1} is block
-    diagonal too: the norm is the larger of the two block norms, each from a
-    Gram matrix of about N/2, for a quarter of the flops.
+    eigenvalue of the Gram matrix M^* M (`_top_singular_value`).
 
     H may also be given as its EigenDecomposition, so that a sweep over many
-    R decomposes it once. R may also be given as its parity blocks
-    (R_even, R_odd), with H as the block eigenpairs of
-    `EigenDecomposition.block_pairs`, so that a sweep gathers those once too
-    and never forms the full R.
+    R decomposes it once. When H was solved by parity blocks and R commutes
+    with the same reflection (a radial weight conjugation does), R (H - z)^{-1}
+    is block diagonal too, and its norm is the larger of the two block norms,
+    each of about N/2, for a quarter of the flops: a caller then gives R as
+    its parity blocks (R_even, R_odd) and H as the block eigenpairs of
+    `EigenDecomposition.block_pairs`, as `decay.uniform_bound_sweep` does.
+    The norm of a full R is taken whole.
     """
     if isinstance(R, tuple):
-        return max(_gram_norm(Rb, Y, lam, z) for Rb, (lam, Y) in zip(R, H))
+        # np.max, not max: a NaN block norm must not be dropped
+        return float(np.max([_gram_norm(Rb, Y, lam, z) for Rb, (lam, Y) in zip(R, H)]))
     Rm = R.entries if isinstance(R, OperatorMatrix) else np.asarray(R)
     if not Rm.any():
         return 0.0
     dec = H if isinstance(H, EigenDecomposition) else eig_hermitian(H)
-    if dec.parity is None or not dec.parity.commutes(Rm):
-        return _gram_norm(Rm, dec.eigenvectors, dec.eigenvalues, z)
-    return max(_gram_norm(Rb, Y, lam, z)
-               for Rb, (lam, Y) in zip(dec.parity.blocks(Rm), dec.block_pairs()))
+    return _gram_norm(Rm, dec.eigenvectors, dec.eigenvalues, z)

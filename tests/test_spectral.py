@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_riesz_projector, projector_rank
 import magpsido.decay as dk
+import magpsido.spectral as spectral
 from magpsido.decay import WeightFamily, remainder_operator, uniform_bound_sweep
 from magpsido.errors import NotApplicableError
 from magpsido.gauge import (constant_field_2d, cos_field_2d, gauge_transform, transversal_gauge,
@@ -15,8 +17,8 @@ from magpsido.harness import Scenario, ScenarioConfig, _named_chi
 from magpsido.quantize import Grid, OperatorMatrix, op_weyl
 from magpsido.spectral import (EigenDecomposition, ParityBlocks, SpectralWindow,
                                discrete_spectrum_select, eig_hermitian, eigvals_hermitian,
-                               _top_eigenvalue, matrix_exp_neg, nearest_gaps, parity_blocks,
-                               relative_bound)
+                               LANCZOS_MIN_ORDER, _lanczos_top, _top_singular_value,
+                               matrix_exp_neg, nearest_gaps, parity_blocks, relative_bound)
 from magpsido.symbols import bracket, kinetic_symbol, symbol_from_id
 
 
@@ -439,10 +441,10 @@ class TestSweepInBlockSpace:
 
 
 @st.composite
-def psd_matrices(draw):
-    """Hermitian PSD matrices with a spectrum of a chosen shape: real or
-    complex, n = 1..64."""
-    n = draw(st.integers(1, 64))
+def gram_factors(draw):
+    """Matrices M, scaled so that max|M| <= 1, whose Gram matrix M^* M has a
+    spectrum of a chosen shape: real or complex, 1..64 rows and columns."""
+    rows, n = draw(st.integers(1, 64)), draw(st.integers(1, 64))
     complex_entries = draw(st.booleans())
     kind = draw(st.sampled_from(["dense", "repeated-top", "rank-one", "zero"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -452,47 +454,76 @@ def psd_matrices(draw):
                                              if complex_entries else 0.0)
 
     if kind == "zero":
-        return np.zeros((n, n), dtype=complex if complex_entries else float)
+        return np.zeros((rows, n), dtype=complex if complex_entries else float)
     if kind == "rank-one":
-        v = gaussian(n)
-        return np.outer(v, v.conj())
-    if kind == "dense":
-        B = gaussian(n, draw(st.integers(1, 2 * n)))
-        return B @ B.conj().T
-    U, _ = np.linalg.qr(gaussian(n, n))
-    lam = rng.uniform(0.0, 0.9, n)
-    lam[: min(n, draw(st.integers(2, 4)))] = 1.0
-    A = (U * lam) @ U.conj().T
-    return (A + A.conj().T) / 2
+        M = np.outer(gaussian(rows), gaussian(n).conj())
+    elif kind == "dense":
+        M = gaussian(rows, n)
+    else:
+        U, _ = np.linalg.qr(gaussian(rows, rows))
+        W, _ = np.linalg.qr(gaussian(n, n))
+        sing = rng.uniform(0.0, 0.9, min(rows, n))
+        sing[: draw(st.integers(2, 4))] = 1.0
+        M = (U[:, :len(sing)] * sing) @ W[:, :len(sing)].conj().T
+    return M * 2.0 ** -int(np.frexp(np.abs(M).max())[1])
 
 
-class TestTopEigenvalue:
+class TestTopSingularValue:
     @settings(max_examples=200, deadline=None)
-    @given(A=psd_matrices(), power=st.integers(-600, 600))
-    def test_matches_eigvalsh_and_scales_exactly(self, A, power):
-        want = np.linalg.eigvalsh(A)[-1]
-        got = _top_eigenvalue(A)
-        assert abs(got - want) <= 1e-13 * abs(want)
-        assert _top_eigenvalue(A * 2.0 ** power) == got * 2.0 ** power
+    @given(M=gram_factors())
+    def test_lanczos_matches_eigvalsh(self, M):
+        want = np.linalg.eigvalsh(M.conj().T @ M)[-1]
+        assert abs(_lanczos_top(M) - want) <= 1e-13 * abs(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(M=gram_factors(), power=st.integers(-600, 600))
+    def test_scales_exactly(self, M, power):
+        got = _top_singular_value(M)
+        assert _top_singular_value(M * 2.0 ** power) == math.ldexp(got, power)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("n", [LANCZOS_MIN_ORDER - 1, LANCZOS_MIN_ORDER, 200])
+    def test_both_sides_of_the_lanczos_order(self, n, complex_entries, monkeypatch):
+        runs = []
+        lanczos = spectral._lanczos_top
+        monkeypatch.setattr(spectral, "_lanczos_top", lambda M: runs.append(1) or lanczos(M))
+        rng = np.random.default_rng(47)
+        M = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n))
+                                           if complex_entries else 0.0)
+        got = _top_singular_value(M)
+        assert len(runs) == (n >= LANCZOS_MIN_ORDER)
+        assert got == pytest.approx(np.linalg.norm(M, 2), rel=1e-13)
+        for power in (-600, 600):
+            assert _top_singular_value(M * 2.0 ** power) == math.ldexp(got, power)
 
     def test_zero_matrix(self):
-        assert _top_eigenvalue(np.zeros((5, 5))) == 0.0
+        assert _top_singular_value(np.zeros((5, 5))) == 0.0
+        assert _lanczos_top(np.zeros((5, 5))) == 0.0
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_give_nan(self, bad):
-        A = np.eye(6)
-        A[2, 2] = bad
-        assert np.isnan(_top_eigenvalue(A))
+        M = np.eye(6)
+        M[2, 2] = bad
+        assert np.isnan(_top_singular_value(M))
         R = np.eye(6)
         R[3, 1] = bad
         assert np.isnan(relative_bound(R, as_op(random_hermitian(6, 46))))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_in_the_odd_block_gives_nan(self):
+        H = op_weyl(symbol_from_id("relativistic+gauss_well:depth=2,width=1", 1),
+                    transversal_gauge(zero_field(1)), Grid(1, 5.0, 16))
+        dec = eig_hermitian(H)
+        R_e, R_o = dec.parity.blocks(remainder_operator(H, WeightFamily("exponential"), 0.1))
+        R_o[0, 0] = np.nan
+        assert math.isfinite(relative_bound((R_e,), dec.block_pairs()[:1]))
+        assert np.isnan(relative_bound((R_e, R_o), dec.block_pairs()))
+
     def test_two_calls_give_the_same_bits(self):
         rng = np.random.default_rng(45)
-        B = rng.standard_normal((200, 260)) + 1j * rng.standard_normal((200, 260))
-        A = B @ B.conj().T
-        assert _top_eigenvalue(A) == _top_eigenvalue(A.copy())
+        M = rng.standard_normal((200, 260)) + 1j * rng.standard_normal((200, 260))
+        assert _top_singular_value(M) == _top_singular_value(M.copy())
 
 
 def filter_projector(H, center, radius, num_nodes=32):
