@@ -93,18 +93,16 @@ def conjugate_operator(op, w, eps):
                           symmetrized=False)
 
 
-def remainder_operator(op, w, eps):
-    """R_eps = (F H F^{-1} - H) / eps."""
-    conj = conjugate_operator(op, w, eps)
-    return (conj.entries - op.entries) / eps
-
-
 def uniform_bound_sweep(op, w, eps_list, dec=None):
     """Relative bounds ||R_eps (H - z)^{-1}|| at z = SWEEP_SHIFT across an eps sweep.
 
     Returns (rows, empirical_eps0): rows of (eps, rel_bound, eps_rel_bound,
     flag) and the largest swept eps with eps * rel_bound below EPS0_THRESHOLD.
     `dec` may carry the EigenDecomposition of `op` when the caller has it.
+
+    R_eps[j, k] = H[j, k] (f_j / f_k - 1) / eps is formed as its blocks under
+    `dec.symmetry`: H's blocks, gathered once, times the same ratios on each
+    block's nodes. A weight that is not invariant takes the one-block view.
     """
     eps_list = list(eps_list)
     if any(not 0.0 < e <= 1.0 for e in eps_list):
@@ -115,23 +113,15 @@ def uniform_bound_sweep(op, w, eps_list, dec=None):
     if dec is None:
         dec = eig_hermitian(op)
     weights = [w(eps, op.grid.nodes) for eps in eps_list]
-    parity = dec.parity
-    if parity is not None and all(np.array_equal(f[parity.reflection], f) for f in weights):
-        # R_eps[j, k] = H[j, k] (f_j / f_k - 1) / eps, so with H and every f_eps
-        # even R_eps commutes with P, and its blocks are H's blocks times the
-        # same ratios on the block nodes: H's blocks and the block eigenpairs
-        # are gathered once for the sweep, and no full R is formed.
-        H_blocks = parity.blocks(op.entries)
-        pairs = dec.block_pairs()
-        block_nodes = (parity.even_nodes, parity.pairs)
+    if not all(dec.symmetry.invariant(f) for f in weights):
+        dec = dec.one_block()
+    sym = dec.symmetry
+    H_blocks = sym.blocks(op.entries)
 
-        def bound(eps, f):
-            R = tuple(Hb * ((f[s, None] / f[None, s] - 1.0) / eps)
-                      for Hb, s in zip(H_blocks, block_nodes))
-            return relative_bound(R, pairs, z=SWEEP_SHIFT)
-    else:
-        def bound(eps, f):
-            return relative_bound(remainder_operator(op, w, eps), dec, z=SWEEP_SHIFT)
+    def bound(eps, f):
+        R = tuple(Hb * ((f[s, None] / f[None, s] - 1.0) / eps)
+                  for Hb, s in zip(H_blocks, sym.node_sets))
+        return relative_bound(R, dec, z=SWEEP_SHIFT)
 
     # One worker: each bound is a product R V and a top singular value whose
     # BLAS and LAPACK calls already spread over the cores, so more threads

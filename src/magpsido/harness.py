@@ -25,8 +25,8 @@ from .mpdo import LOAD_BUDGET_BYTES, atomic_open
 from .potentials import potential_from_id
 from .quantize import (ASSEMBLY_WORDS, Grid, GridFunction, fourier_mode, mag_derivative,
                        op_amplitude, op_ps, op_weyl, op_weyl_unsym, sobolev_norm)
-from .spectral import (SpectralWindow, discrete_spectrum_select, eig_hermitian,
-                       eigvals_hermitian, matrix_exp_neg, nearest_gaps, parity_blocks)
+from .spectral import (SpectralWindow, Whole, block_symmetry, discrete_spectrum_select,
+                       eig_hermitian, eigvals_hermitian, matrix_exp_neg, nearest_gaps)
 from .symbols import (HormanderSymbol, SampleBox, bracket, cauchy_derivative_bound_check,
                       eta_derivative, relativistic_symbol, symbol_from_id)
 
@@ -853,7 +853,8 @@ def _strict_json(obj):
 
 def _spectra_summary(sc):
     lam = sc.eigenvalues
-    parity = parity_blocks(sc.H)
+    dec = sc.__dict__.get("dec")
+    sym = block_symmetry(sc.H) if dec is None else dec.symmetry
     below = sc.window.below(lam)
     return {
         "lowest": [float(v) for v in lam[:8]],
@@ -862,7 +863,7 @@ def _spectra_summary(sc):
         "bound_state_gaps": [float(gap) for gap in nearest_gaps(lam)[below]],
         "hermiticity_defect": sc.H.hermiticity_defect,
         "real_arithmetic": bool(sc.H.entries.dtype == np.float64),
-        "parity_blocks": None if parity is None else parity.sizes,
+        "parity_blocks": None if isinstance(sym, Whole) else sym.sizes,
     }
 
 

@@ -1,16 +1,17 @@
 """Dense Hermitian eigensolving, discrete-spectrum selection, semigroups and
 relative bounds.
 
-An operator that commutes exactly with the grid's lattice reflection P
-(x -> -x, j -> -j mod n per axis) is solved as two blocks of about N/2: its
-even and odd parts. A zero-field operator of even factors commutes with P: a
-symbol with a radial potential and no modulation, with or without an even
+Every solve runs over a list of symmetry blocks. An operator that commutes
+exactly with the grid's lattice reflection P (x -> -x, j -> -j mod n per
+axis) is two blocks of about N/2, its even and odd parts; any other operator
+is the one-block case. A zero-field operator of even factors commutes with P:
+a symbol with a radial potential and no modulation, with or without an even
 gauge shift such as `quadratic`, and its conjugations by a radial weight.
 Node -L is its own lattice image, but unwrapped segment phases and midpoints
 treat -L and +L as different points, so a magnetic field, the 2-D `bilinear`
 shift x_1 x_2 and a midpoint modulation g break the symmetry in the rows of
-the nodes with a coordinate -L; such operators take the full solve. The
-choice is made by an exact test, `np.array_equal`, never by a tolerance.
+the nodes with a coordinate -L. The choice is made by an exact test,
+`np.array_equal`, never by a tolerance.
 """
 import math
 from dataclasses import dataclass
@@ -26,6 +27,25 @@ LANCZOS_TOL = 2.0 ** -46    # Ritz residual, relative to the top Ritz value, at 
 LANCZOS_CHECK = 4           # Lanczos steps between two solves of the tridiagonal matrix
 LANCZOS_MIN_ORDER = 128     # fewer columns than this: a dense eigvalsh of M^* M is faster
 _ROOT_HALF = math.sqrt(0.5)
+
+
+class Whole:
+    """C^N as one block, the matrix itself, with no copy: the symmetry of an
+    operator that commutes with no reflection."""
+
+    def __init__(self, size):
+        self.node_sets = (np.arange(size),)
+        self.sizes = [size]
+
+    def invariant(self, f):
+        return True
+
+    def blocks(self, A):
+        return (A,)
+
+    def vectors(self, block_vecs, order):
+        """The block's eigenvectors, ascending already from `eigh`."""
+        return block_vecs[0]
 
 
 class ParityBlocks:
@@ -49,17 +69,18 @@ class ParityBlocks:
         self.partners = reflection[self.pairs]
         self.even_nodes = np.concatenate([self.fixed, self.pairs])
         self.even_partners = np.concatenate([self.fixed, self.partners])
-
-    @property
-    def sizes(self):
-        """[n_even, n_odd]."""
-        return [len(self.even_nodes), len(self.pairs)]
+        self.node_sets = (self.even_nodes, self.pairs)
+        self.sizes = [len(self.even_nodes), len(self.pairs)]
 
     def commutes(self, A):
         """A P == P A exactly: A[P][:, P] equals A. Row 0 is compared first,
         so most matrices that do not commute are refused in O(N)."""
         P = self.reflection
         return np.array_equal(A[0, P], A[0]) and np.array_equal(A[P][:, P], A)
+
+    def invariant(self, f):
+        """P f == f exactly for a grid function f."""
+        return np.array_equal(f[self.reflection], f)
 
     def blocks(self, A):
         """(even, odd) blocks of a matrix that commutes with P."""
@@ -74,12 +95,14 @@ class ParityBlocks:
         odd -= rows.take(self.partners, axis=1)
         return even, odd
 
-    def vectors(self, even_vecs, odd_vecs, even_cols):
-        """Full-length columns of block eigenvectors; `even_cols` marks which
-        columns of the result are even."""
+    def vectors(self, block_vecs, order):
+        """Full-length columns of the block eigenvectors (even_vecs, odd_vecs):
+        `order`, the argsort of the even then the odd eigenvalues, gives the
+        place of each column in the result."""
+        even_vecs, odd_vecs = block_vecs
         nf = len(self.fixed)
         V = np.zeros((len(self.reflection),) * 2, dtype=np.result_type(even_vecs, odd_vecs))
-        ce, co = np.flatnonzero(even_cols), np.flatnonzero(~even_cols)
+        ce, co = np.split(np.argsort(order), [even_vecs.shape[1]])
         _put(V, self.fixed, ce, even_vecs[:nf])
         half = _ROOT_HALF * even_vecs[nf:]
         _put(V, self.pairs, ce, half)
@@ -88,15 +111,6 @@ class ParityBlocks:
         _put(V, self.pairs, co, half)
         _put(V, self.partners, co, np.negative(half, out=half))
         return V
-
-    def block_vectors(self, V, even_cols):
-        """The block eigenvectors inside full columns V: the inverse of `vectors`."""
-        nf = len(self.fixed)
-        even = V[np.ix_(self.even_nodes, even_cols)]
-        even[nf:] *= math.sqrt(2.0)
-        odd = V[np.ix_(self.pairs, ~even_cols)]
-        odd *= math.sqrt(2.0)
-        return even, odd
 
 
 def _put(out, rows, cols, values):
@@ -107,21 +121,26 @@ def _put(out, rows, cols, values):
 
 @dataclass
 class EigenDecomposition:
+    """Eigenpairs, the symmetry blocks the solve ran on and each block's own
+    eigenpairs; one built from the first three fields alone is one block."""
+
     eigenvalues: np.ndarray      # ascending
     eigenvectors: np.ndarray     # unitary columns
     residual: float
-    parity: Optional[ParityBlocks] = None   # set when solved as even and odd blocks
-    even_cols: Optional[np.ndarray] = None  # then: which columns are even
+    symmetry: Optional[object] = None      # Whole or ParityBlocks
+    block_pairs: Optional[tuple] = None    # ((lam_b, Y_b), ...), one per block of `symmetry`
+
+    def __post_init__(self):
+        if self.symmetry is None:
+            self.symmetry = Whole(len(self.eigenvalues))
+            self.block_pairs = ((self.eigenvalues, self.eigenvectors),)
 
     def __iter__(self):
         return iter((self.eigenvalues, self.eigenvectors))
 
-    def block_pairs(self):
-        """((lam_even, Y_even), (lam_odd, Y_odd)): the eigenpairs of the even
-        and odd blocks of a decomposition solved by parity blocks."""
-        Y_e, Y_o = self.parity.block_vectors(self.eigenvectors, self.even_cols)
-        lam = self.eigenvalues
-        return (lam[self.even_cols], Y_e), (lam[~self.even_cols], Y_o)
+    def one_block(self):
+        """The same eigenpairs as one block, for an R that breaks `symmetry`."""
+        return EigenDecomposition(self.eigenvalues, self.eigenvectors, self.residual)
 
 
 def hermiticity_defect(mat):
@@ -152,57 +171,45 @@ def _hermitian_entries(op):
     return op.entries
 
 
-def parity_blocks(op):
+def block_symmetry(op):
     """The ParityBlocks of an operator on a grid when its matrix commutes
-    exactly with the grid's reflection; None otherwise (and for a bare array,
-    which has no grid)."""
-    if not isinstance(op, OperatorMatrix):
-        return None
-    blocks = ParityBlocks(op.grid)
-    return blocks if blocks.commutes(op.entries) else None
+    exactly with the grid's reflection; else the one block Whole(N), as for a
+    bare array, which has no grid."""
+    if isinstance(op, OperatorMatrix):
+        blocks = ParityBlocks(op.grid)
+        if blocks.commutes(op.entries):
+            return blocks
+        op = op.entries
+    return Whole(len(op))
 
 
 def eig_hermitian(op):
-    """Full LAPACK decomposition of a symmetrized operator.
+    """Full LAPACK decomposition of a symmetrized operator, one `eigh` per
+    block of its `block_symmetry`.
 
-    When the operator commutes with its grid's reflection (`parity_blocks`),
-    the even and odd blocks are solved apart, each of size about N/2, for a
-    quarter of the flops, and their eigenvectors are expanded to full
-    columns. The residual max_i |H v_i - lam_i v_i| / max|lam| is always
-    taken against the full H, so it checks the reduction too.
+    Parity blocks are each of size about N/2, for a quarter of the flops;
+    their eigenvectors are expanded to full columns, and the block eigenpairs
+    are kept as `block_pairs`. The residual max_i |H v_i - lam_i v_i| / max|lam|
+    is always taken against the full H, so it checks the reduction too.
     """
     H = _hermitian_entries(op)
-    parity = parity_blocks(op)
-    even_cols = None
-    if parity is None:
-        lam, V = np.linalg.eigh(H)
-    else:
-        even, odd = parity.blocks(H)
-        lam_e, Y_e = np.linalg.eigh(even)
-        del even
-        lam_o, Y_o = np.linalg.eigh(odd)
-        del odd
-        lam = np.concatenate([lam_e, lam_o])
-        order = np.argsort(lam, kind="stable")
-        lam = lam[order]
-        even_cols = order < len(lam_e)
-        V = parity.vectors(Y_e, Y_o, even_cols)
-        del Y_e, Y_o
+    sym = block_symmetry(op)
+    pairs = tuple(np.linalg.eigh(B) for B in sym.blocks(H))
+    lam = np.concatenate([lam_b for lam_b, _ in pairs])
+    order = np.argsort(lam, kind="stable")
+    lam = lam[order]
+    V = sym.vectors([Y for _, Y in pairs], order)
     scale = max(float(np.abs(lam).max()), 1e-300)
     residual = float(np.linalg.norm(H @ V - V * lam[None, :], axis=0).max() / scale)
-    return EigenDecomposition(lam, V, residual, parity, even_cols)
+    return EigenDecomposition(lam, V, residual, sym, pairs)
 
 
 def eigvals_hermitian(op):
     """Ascending eigenvalues of a symmetrized operator, with no eigenvectors
-    (LAPACK's eigenvalue-only path, about a third of the time of `eigh`); by
-    blocks under the same rule as `eig_hermitian`."""
+    (LAPACK's eigenvalue-only path, about a third of the time of `eigh`), one
+    solve per block as in `eig_hermitian`."""
     H = _hermitian_entries(op)
-    parity = parity_blocks(op)
-    if parity is None:
-        return np.linalg.eigvalsh(H)
-    even, odd = parity.blocks(H)
-    return np.sort(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
+    return np.sort(np.concatenate([np.linalg.eigvalsh(B) for B in block_symmetry(op).blocks(H)]))
 
 
 @dataclass(frozen=True)
@@ -239,9 +246,8 @@ def discrete_spectrum_select(dec, win):
 
 def matrix_exp_neg(H, t):
     """exp(-t H) = V e^{-t Lambda} V^* through the eigendecomposition
-    (t >= 0); H may also be given as its EigenDecomposition. An operator that
-    `eig_hermitian` solves by parity blocks gives its expanded V here, so the
-    product is the same full one either way."""
+    (t >= 0); H may also be given as its EigenDecomposition, whose V holds
+    full columns whatever blocks it was solved by."""
     if t < 0:
         raise NotApplicableError("t must be nonnegative")
     lam, V = H if isinstance(H, EigenDecomposition) else eig_hermitian(H)
@@ -324,19 +330,16 @@ def relative_bound(R, H, z=1j):
     eigenvalue of the Gram matrix M^* M (`_top_singular_value`).
 
     H may also be given as its EigenDecomposition, so that a sweep over many
-    R decomposes it once. When H was solved by parity blocks and R commutes
-    with the same reflection (a radial weight conjugation does), R (H - z)^{-1}
-    is block diagonal too, and its norm is the larger of the two block norms,
-    each of about N/2, for a quarter of the flops: a caller then gives R as
-    its parity blocks (R_even, R_odd) and H as the block eigenpairs of
-    `EigenDecomposition.block_pairs`, as `decay.uniform_bound_sweep` does.
-    The norm of a full R is taken whole.
+    R decomposes it once. R is given as its blocks under the decomposition's
+    `symmetry`, one per entry of `block_pairs`: R (H - z)^{-1} is then block
+    diagonal, and its norm is the largest block norm, each block taken with
+    its own eigenpairs. A full R is the one-block case, with the
+    decomposition's one-block view.
     """
-    if isinstance(R, tuple):
-        # np.max, not max: a NaN block norm must not be dropped
-        return float(np.max([_gram_norm(Rb, Y, lam, z) for Rb, (lam, Y) in zip(R, H)]))
-    Rm = R.entries if isinstance(R, OperatorMatrix) else np.asarray(R)
-    if not Rm.any():
-        return 0.0
     dec = H if isinstance(H, EigenDecomposition) else eig_hermitian(H)
-    return _gram_norm(Rm, dec.eigenvectors, dec.eigenvalues, z)
+    if not isinstance(R, tuple):
+        R = (R.entries if isinstance(R, OperatorMatrix) else np.asarray(R),)
+        dec = dec.one_block()
+    # np.max, not max: a NaN block norm must not be dropped
+    return float(np.max([_gram_norm(Rb, Y, lam, z)
+                         for Rb, (lam, Y) in zip(R, dec.block_pairs, strict=True)]))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 
+from magpsido.decay import conjugate_operator
 from magpsido.spectral import HERMITIAN_TOL, hermiticity_defect
 
 ACCEPTANCE_LINES = []
@@ -17,6 +18,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("=", "acceptance criteria")
         for _, line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+def remainder(op, w, eps):
+    """Test oracle: R_eps = (F H F^{-1} - H) / eps, formed whole from the
+    conjugated operator."""
+    return (conjugate_operator(op, w, eps).entries - op.entries) / eps
 
 
 def dense_riesz_projector(mat, center, radius, num_nodes=32):

@@ -94,7 +94,7 @@ def test_zero_field_configs_take_the_parity_blocks(config, tmp_path, monkeypatch
     blocks = _load_report(out)["spectra_summary"]["parity_blocks"]
     assert blocks == ([n // 2 + 1, n // 2 - 1] if zero else None)
     for dec in solves:
-        assert (dec.parity is not None) == zero
+        assert dec.symmetry.sizes == (blocks if zero else [n * n])
 
 
 def test_spectrum_of_a_built_thm1_operator_takes_the_parity_blocks(tmp_path, monkeypatch):
@@ -105,7 +105,7 @@ def test_spectrum_of_a_built_thm1_operator_takes_the_parity_blocks(tmp_path, mon
     solves = []
     _recording(monkeypatch, cli, solves)
     assert cli_main(["spectrum", "--op", op, "--threshold", "0.0", "--out", out]) == 0
-    assert [dec.parity.sizes for dec in solves] == [[193, 191]]
+    assert [dec.symmetry.sizes for dec in solves] == [[193, 191]]
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=_name)

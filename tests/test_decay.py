@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import remainder
 from magpsido.decay import (WeightFamily, amplitude_c_eps, analytic_eps_cap,
                             b_shift, conjugate_operator,
                             decay_fit, default_window, epsilon0_estimate,
-                            remainder_operator, uniform_bound_sweep,
+                            uniform_bound_sweep,
                             weight_taylor_identity_check)
 from magpsido.errors import (ConfigError, InsufficientWindowError,
                              NotApplicableError, OverflowGuardError,
@@ -125,7 +126,7 @@ class TestConjugation:
         for w in (WeightFamily("polynomial", p=2), WeightFamily("exponential")):
             He = conjugate_operator(H, w, 0.3)
             assert np.abs(He.entries - H.entries).max() < 1e-14
-            assert np.abs(remainder_operator(H, w, 0.3)).max() < 1e-14
+            assert np.abs(remainder(H, w, 0.3)).max() < 1e-14
 
     def test_entrywise_ratio_formula(self, well_op):
         H, sym, grid = well_op

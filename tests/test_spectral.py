@@ -6,19 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_riesz_projector, projector_rank
+from conftest import dense_riesz_projector, projector_rank, remainder
 import magpsido.decay as dk
 import magpsido.spectral as spectral
-from magpsido.decay import WeightFamily, remainder_operator, uniform_bound_sweep
+from magpsido.decay import WeightFamily, uniform_bound_sweep
 from magpsido.errors import NotApplicableError
 from magpsido.gauge import (constant_field_2d, cos_field_2d, gauge_transform, transversal_gauge,
                             zero_field)
 from magpsido.harness import Scenario, ScenarioConfig, _named_chi
 from magpsido.quantize import Grid, OperatorMatrix, op_weyl
-from magpsido.spectral import (EigenDecomposition, ParityBlocks, SpectralWindow,
-                               discrete_spectrum_select, eig_hermitian, eigvals_hermitian,
-                               LANCZOS_MIN_ORDER, _lanczos_top, _top_singular_value,
-                               matrix_exp_neg, nearest_gaps, parity_blocks, relative_bound)
+from magpsido.spectral import (EigenDecomposition, ParityBlocks, SpectralWindow, Whole,
+                               block_symmetry, discrete_spectrum_select, eig_hermitian,
+                               eigvals_hermitian, LANCZOS_MIN_ORDER, _gram_norm, _lanczos_top,
+                               _top_singular_value, matrix_exp_neg, nearest_gaps,
+                               relative_bound)
 from magpsido.symbols import bracket, kinetic_symbol, symbol_from_id
 
 
@@ -284,20 +285,20 @@ class TestParityBlocks:
            kind=st.sampled_from(["exponential", "polynomial"]))
     def test_block_path_matches_the_full_solve(self, H, eps, t, kind):
         grid = H.grid
-        assert parity_blocks(H) is not None
+        assert isinstance(block_symmetry(H), ParityBlocks)
         dec = eig_hermitian(H)
-        assert dec.parity is not None
         n_fixed = 2 ** grid.dimension
-        assert dec.parity.sizes == [(grid.size + n_fixed) // 2, (grid.size - n_fixed) // 2]
+        assert dec.symmetry.sizes == [(grid.size + n_fixed) // 2, (grid.size - n_fixed) // 2]
         ref = full_decomposition(H)
         scale = np.abs(ref.eigenvalues).max()
         assert np.abs(dec.eigenvalues - ref.eigenvalues).max() <= 1e-12 * scale
         assert np.abs(eigvals_hermitian(H) - ref.eigenvalues).max() <= 1e-12 * scale
         assert dec.residual < 1e-12
-        R = remainder_operator(H, WeightFamily(kind, p=2), eps)
-        assert dec.parity.commutes(R)
+        R = remainder(H, WeightFamily(kind, p=2), eps)
+        assert dec.symmetry.commutes(R)
         want = relative_bound(R, ref, z=1j)
         assert relative_bound(R, dec, z=1j) == pytest.approx(want, rel=1e-12)
+        assert relative_bound(dec.symmetry.blocks(R), dec, z=1j) == pytest.approx(want, rel=1e-12)
         E, E_ref = matrix_exp_neg(dec, t), matrix_exp_neg(ref, t)
         assert np.abs(E - E_ref).max() <= 1e-12 * np.abs(E_ref).max()
 
@@ -308,8 +309,7 @@ class TestParityBlocks:
         A = B + B[pb.reflection][:, pb.reflection]
         assert pb.commutes(A)
         n_even, n_odd = pb.sizes
-        even_cols = np.arange(grid.size) < n_even
-        Q = pb.vectors(np.eye(n_even), np.eye(n_odd), even_cols)
+        Q = pb.vectors((np.eye(n_even), np.eye(n_odd)), np.arange(grid.size))
         assert np.abs(Q.T @ Q - np.eye(grid.size)).max() < 1e-15
         in_basis = Q.T @ A @ Q
         even, odd = pb.blocks(A)
@@ -317,25 +317,13 @@ class TestParityBlocks:
         assert np.abs(in_basis[n_even:, n_even:] - odd).max() < 1e-13
         assert np.abs(in_basis[:n_even, n_even:]).max() < 1e-13
 
-    def test_block_vectors_invert_vectors(self):
-        pb = ParityBlocks(Grid(1, 2.7, 10))
-        Y_e = random_hermitian(pb.sizes[0], 42)
-        Y_o = random_hermitian(pb.sizes[1], 43)
-        even_cols = np.isin(np.arange(10), [1, 4, 5, 8], invert=True)
-        assert even_cols.sum() == pb.sizes[0]
-        V = pb.vectors(Y_e, Y_o, even_cols)
-        assert np.array_equal(V[pb.reflection][:, even_cols], V[:, even_cols])
-        assert np.array_equal(V[pb.reflection][:, ~even_cols], -V[:, ~even_cols])
-        back = pb.block_vectors(V, even_cols)
-        assert np.abs(back[0] - Y_e).max() < 1e-15 and np.abs(back[1] - Y_o).max() < 1e-15
-
     @pytest.mark.parametrize("field", [constant_field_2d(0.5), cos_field_2d(1.0)],
                              ids=["constant2d", "cos2d"])
     def test_magnetic_operators_take_the_full_path(self, field):
         H = op_weyl(symbol_from_id("relativistic", 2), transversal_gauge(field), Grid(2, 4.0, 8))
-        assert parity_blocks(H) is None
+        assert isinstance(block_symmetry(H), Whole)
         dec = eig_hermitian(H)
-        assert dec.parity is None and dec.even_cols is None
+        assert dec.symmetry.sizes == [64]
         assert np.abs(dec.eigenvalues - np.linalg.eigvalsh(H.entries)).max() < 1e-12
 
     @pytest.mark.parametrize("raw", [
@@ -344,48 +332,56 @@ class TestParityBlocks:
         ids=["bilinear-2d", "neg_order-well"])
     def test_phases_and_midpoints_across_node_minus_L_take_the_full_path(self, raw):
         sc = Scenario(ScenarioConfig.from_dict({"field": "zero", "suites": [], **raw}))
-        assert parity_blocks(sc.H) is None
-        assert sc.dec.parity is None
+        assert isinstance(block_symmetry(sc.H), Whole)
+        assert isinstance(sc.dec.symmetry, Whole)
 
     @pytest.mark.parametrize("row, col", [(0, 3), (3, 5)], ids=["row-0", "inner"])
     def test_one_ulp_breaks_the_symmetry(self, row, col):
         grid = Grid(1, 5.0, 16)
         H = op_weyl(symbol_from_id("kinetic+gauss_well:depth=2,width=1", 1),
                     transversal_gauge(zero_field(1)), grid)
-        assert parity_blocks(H) is not None
+        assert isinstance(block_symmetry(H), ParityBlocks)
         A = H.entries.copy()
         A[row, col] = A[col, row] = np.nextafter(A[row, col], np.inf)
         bumped = dataclasses.replace(H, entries=A)
-        assert parity_blocks(bumped) is None
-        assert eig_hermitian(bumped).parity is None
+        assert isinstance(block_symmetry(bumped), Whole)
+        assert isinstance(eig_hermitian(bumped).symmetry, Whole)
 
     def test_remainder_that_breaks_the_symmetry_takes_the_full_bound(self):
         grid = Grid(1, 5.0, 16)
         H = op_weyl(symbol_from_id("relativistic+gauss_well:depth=2,width=1", 1),
                     transversal_gauge(zero_field(1)), grid)
         dec = eig_hermitian(H)
-        assert dec.parity is not None
+        assert isinstance(dec.symmetry, ParityBlocks)
         R = np.random.default_rng(44).standard_normal((16, 16))
-        assert not dec.parity.commutes(R)
+        assert not dec.symmetry.commutes(R)
         want = relative_bound(R, full_decomposition(H), z=1j)
         assert relative_bound(R, dec, z=1j) == pytest.approx(want, rel=1e-12)
 
     def test_bare_arrays_have_no_grid_and_take_the_full_path(self):
         dec = eig_hermitian(np.eye(6))
-        assert dec.parity is None
+        assert isinstance(dec.symmetry, Whole)
 
 
-def _counting_remainders(monkeypatch):
-    """Count the full remainder matrices a sweep forms."""
-    calls = []
-    full = dk.remainder_operator
+class TestOneBlock:
+    """An operator with no reflection symmetry is the one-block case: its
+    block is the matrix and its block eigenvectors are the eigenvectors."""
 
-    def counted(op, w, eps):
-        calls.append(eps)
-        return full(op, w, eps)
-
-    monkeypatch.setattr(dk, "remainder_operator", counted)
-    return calls
+    def test_one_block_solve_keeps_eighs_vectors_without_a_copy(self, monkeypatch):
+        # at N = 1024 a copy of V is 16 MB
+        H = op_weyl(symbol_from_id("relativistic", 2), transversal_gauge(constant_field_2d(0.5)),
+                    Grid(2, 4.0, 8))
+        solved = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: solved.append(eigh(A)) or solved[-1])
+        dec = eig_hermitian(H)
+        assert len(solved) == 1 and dec.eigenvectors is solved[0][1]
+        assert dec.block_pairs[0][1] is dec.eigenvectors
+        assert dec.symmetry.blocks(H.entries)[0] is H.entries
+        by_hand = full_decomposition(H)
+        assert isinstance(by_hand.symmetry, Whole) and by_hand.symmetry.sizes == [64]
+        (lam_b, Y_b), = by_hand.block_pairs
+        assert lam_b is by_hand.eigenvalues and Y_b is by_hand.eigenvectors
 
 
 class OffCentreWeight:
@@ -400,44 +396,43 @@ class OffCentreWeight:
 
 class TestSweepInBlockSpace:
     """With H and every weight even, the sweep forms each R_eps's parity
-    blocks from H's blocks and never the full R_eps."""
+    blocks from H's blocks; any other weight takes the one-block view."""
 
     EPS = [0.0125, 0.05, 0.2, 0.5]
 
-    @pytest.fixture
-    def H(self):
-        return op_weyl(symbol_from_id("relativistic+gauss_well:depth=2,width=1", 1),
-                       transversal_gauge(zero_field(1)), Grid(1, 8.0, 48))
-
     @pytest.mark.parametrize("kind", ["exponential", "polynomial"])
-    def test_block_sweep_matches_the_full_remainder_path(self, H, kind, monkeypatch):
+    @settings(max_examples=40, deadline=None)
+    @given(H=even_operators())
+    def test_parity_rows_match_the_one_block_rows(self, H, kind):
         w = WeightFamily(kind, p=2)
         dec = eig_hermitian(H)
-        assert dec.parity is not None
-        no_parity = EigenDecomposition(dec.eigenvalues, dec.eigenvectors, dec.residual)
-        calls = _counting_remainders(monkeypatch)
+        assert isinstance(dec.symmetry, ParityBlocks)
         rows, eps0 = uniform_bound_sweep(H, w, self.EPS, dec=dec)
-        assert calls == []
-        want, want_eps0 = uniform_bound_sweep(H, w, self.EPS, dec=no_parity)
-        assert calls == self.EPS
+        want, want_eps0 = uniform_bound_sweep(H, w, self.EPS, dec=full_decomposition(H))
         assert eps0 == want_eps0
-        for got, ref in zip(rows, want):
+        for got, ref in zip(rows, want, strict=True):
             assert got[0] == ref[0] and got[3] == ref[3]
             assert got[1] == pytest.approx(ref[1], rel=1e-12)
             assert got[2] == pytest.approx(ref[2], rel=1e-12)
 
-    def test_weight_that_is_not_even_takes_the_full_path(self, H, monkeypatch):
+    def test_weight_that_is_not_even_takes_the_one_block_view(self, monkeypatch):
+        H = op_weyl(symbol_from_id("relativistic+gauss_well:depth=2,width=1", 1),
+                    transversal_gauge(zero_field(1)), Grid(1, 8.0, 48))
         w = OffCentreWeight()
         dec = eig_hermitian(H)
-        assert dec.parity is not None
-        calls = _counting_remainders(monkeypatch)
+        assert isinstance(dec.symmetry, ParityBlocks)
+        views = []
+        bound = dk.relative_bound
+        monkeypatch.setattr(dk, "relative_bound",
+                            lambda R, D, z: views.append((len(R), D.symmetry)) or bound(R, D, z))
         rows, _ = uniform_bound_sweep(H, w, self.EPS, dec=dec)
-        assert calls == self.EPS
-        ref = full_decomposition(H)
+        assert [(n, type(sym)) for n, sym in views] == [(1, Whole)] * len(self.EPS)
+        eye = np.eye(H.grid.size)
         for eps, rb, _, _ in rows:
-            R = remainder_operator(H, w, eps)
-            assert not dec.parity.commutes(R)
-            assert rb == pytest.approx(relative_bound(R, ref, z=1j), rel=1e-12)
+            R = remainder(H, w, eps)
+            assert not dec.symmetry.commutes(R)
+            M = R @ np.linalg.inv(H.entries - 1j * eye)
+            assert rb == pytest.approx(np.linalg.svd(M, compute_uv=False)[0], rel=1e-10)
 
 
 @st.composite
@@ -515,10 +510,11 @@ class TestTopSingularValue:
         H = op_weyl(symbol_from_id("relativistic+gauss_well:depth=2,width=1", 1),
                     transversal_gauge(zero_field(1)), Grid(1, 5.0, 16))
         dec = eig_hermitian(H)
-        R_e, R_o = dec.parity.blocks(remainder_operator(H, WeightFamily("exponential"), 0.1))
+        R_e, R_o = dec.symmetry.blocks(remainder(H, WeightFamily("exponential"), 0.1))
         R_o[0, 0] = np.nan
-        assert math.isfinite(relative_bound((R_e,), dec.block_pairs()[:1]))
-        assert np.isnan(relative_bound((R_e, R_o), dec.block_pairs()))
+        lam_e, Y_e = dec.block_pairs[0]
+        assert math.isfinite(_gram_norm(R_e, Y_e, lam_e, 1j))
+        assert np.isnan(relative_bound((R_e, R_o), dec))
 
     def test_two_calls_give_the_same_bits(self):
         rng = np.random.default_rng(45)
