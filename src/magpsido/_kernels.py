@@ -3,30 +3,58 @@ in numpy."""
 import numpy as np
 
 
+GATHER_BLOCK = 2**15  # operator entries weyl_gather forms per slab
+
 # ---------------------------------------------------------------------------
-# factor gather: H[j,k] = omega[j,k] * gmid[j + k] * fhat[wrap(j - k)], the
-# lattice index j + k of the midpoint (x_j + x_k)/2 and the wrapped lattice
-# displacement j - k taken per axis
+# factor gather: H[j,k] = omega[j,k] * fhat[wrap(j - k)] * gmid[j + k], the
+# wrapped lattice displacement j - k and the lattice index j + k of the
+# midpoint (x_j + x_k)/2 taken per axis
 # ---------------------------------------------------------------------------
 
-def weyl_gather(fhat, omega, n, d, gmid=None):
+def weyl_gather(fhat, phase, n, d, gmid=None):
     """Assemble the dense operator from the transformed frequency factor
-    fhat (n^d), the pair phases omega, and the modulation gmid on the
-    (2n-1)^d midpoint lattice when the symbol has one."""
-    r = np.arange(n)
-    wrap = (r[:, None] - r) % n
-    mid = r[:, None] + r
-    if d == 2:
-        # node flat order is C order on (j1, j2): pair axes (j1, j2) x (k1, k2);
-        # the n x n tables broadcast, so no N x N index array is formed
-        wrap = (wrap[:, None, :, None], wrap[None, :, None, :])
-        mid = (mid[:, None, :, None], mid[None, :, None, :])
-    elif d != 1:
+    fhat (shape (n,) * d), the pair phases, and the modulation gmid on the
+    (2n-1)^d midpoint lattice when the symbol has one.
+
+    `phase` is None (every phase 1), the N x N phase matrix, or a
+    `gauge.AxisPhase`. H is written once, in slabs of about GATHER_BLOCK
+    entries over the leading index a of the layout (a, j', b, k'), which is
+    the node order (j1, j2, k1, k2) for a phase on axis 0 and its transpose
+    for axis 1; each slab's phases come from `AxisPhase.rows`. H has fhat's
+    dtype, so a real fhat with no phase gives a float64 H.
+    """
+    if d not in (1, 2):
         raise ValueError("dimension must be 1 or 2")
-    H = fhat[wrap].reshape(omega.shape)
-    np.multiply(omega, H, out=H)  # omega first: fused complex products round by operand order
+    m = n if d == 2 else 1
+    axis = getattr(phase, "axis", 0)
+    fv = fhat.reshape(n, m) if axis == 0 else fhat.T
+    r = np.arange(n)
+    wrap, mid = (r[:, None] - r) % n, r[:, None] + r
+    # per-axis index tables in the slab layout; the n x n tables broadcast,
+    # so no N x N index array is formed
+    wa, ma = wrap[:, None, :, None], mid[:, None, :, None]
+    wj, mj = (wrap, mid) if d == 2 else (np.zeros((1, 1), dtype=int),) * 2
+    wj, mj = wj[None, :, None, :], mj[None, :, None, :]
     if gmid is not None:
-        H *= gmid[mid].reshape(omega.shape)
+        gv = gmid.reshape(2 * n - 1, -1) if axis == 0 else gmid.T
+    N = n**d
+    H = np.empty((N, N), dtype=fhat.dtype)
+    Hv = H.reshape(n, m, n, m)
+    if axis == 1:
+        Hv = Hv.transpose(1, 0, 3, 2)
+    flat = isinstance(phase, np.ndarray)
+    if flat:
+        phase = phase.reshape(n, m, n, m)
+    step = max(1, GATHER_BLOCK // (m * n * m))
+    for a0 in range(0, n, step):
+        a1 = min(n, a0 + step)
+        blk = fv[wa[a0:a1], wj]
+        if phase is not None:
+            # omega first: fused complex products round by operand order
+            np.multiply(phase[a0:a1] if flat else phase.rows(a0, a1), blk, out=blk)
+        if gmid is not None:
+            blk *= gv[ma[a0:a1], mj]
+        Hv[a0:a1] = blk
     return H
 
 

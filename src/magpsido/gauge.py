@@ -16,7 +16,11 @@ mean) is symmetric in x and y, and for a field with an `axis` (a coordinate
 such that no component depends on any other one; a constant component
 depends on none) it is a function of (x_axis, y_axis): the phase table then
 runs the rule once per pair of distinct coordinate values and multiplies by
-the cross factor x_j y_k - x_k y_j per node pair.
+the cross factor x_j y_k - x_k y_j per node pair. On a tensor grid the
+phases of such a field also factor (`AxisPhase`): the exponent splits into a
+part of (x_axis, y_axis, y_other) and one of (y_axis, x_axis, x_other), so
+n^3 exponentials give all N^2 = n^4 phases, and `grid_phase` serves them to
+the operator assembly without an N x N table.
 
 A gauge shifted by grad(chi) keeps this evaluator and records chi; its
 segment integral is I(x,y) + chi(y) - chi(x) exactly, so no quadrature over
@@ -217,18 +221,39 @@ def gauge_transform(g, chi, grad_chi):
     return GaugeData(g.field, A, chi=total_chi)
 
 
-def phase_table(g, nodes, chunk=4096):
-    """Pair phase matrix omega[j,k] over flat node lists (hot path).
+def _key_means(field, keys, chunk=4096):
+    """Flux means of every component over all key pairs, about `chunk` key
+    pairs at a time: the upper key triangle is computed and mirrored, since
+    the means are symmetric in (x, y), so each m x m table is exactly
+    symmetric."""
+    m = keys.shape[0]
+    means = {jk: np.zeros((m, m)) for jk in field.components}
+    start = 0
+    while start < m:
+        stop = min(m, start + max(1, chunk // (m - start)))
+        block = _flux_means(field, keys[start:stop, None, :], keys[None, start:, :],
+                            PHASE_QUAD_ORDER)
+        for jk, mean in block.items():
+            means[jk][start:stop, start:] = mean
+        start = stop
+    lower = np.tril_indices(m, -1)
+    for mean in means.values():
+        mean[lower] = mean.T[lower]
+    return means
 
-    The flux means are evaluated over keys, about `chunk` key pairs at a
-    time: the distinct values of nodes[:, axis] for a field with an `axis`,
-    the nodes themselves otherwise. Only the upper key triangle is computed;
-    the means are symmetric in (x, y). The exponent is exactly antisymmetric
-    with no mirroring: the cross factor x_j y_k - x_k y_j and chi(y) - chi(x)
+
+def phase_table(g, nodes, chunk=4096):
+    """Pair phase matrix omega[j,k] over flat node lists.
+
+    The flux means are evaluated over keys (`_key_means`): the distinct
+    values of nodes[:, axis] for a field with an `axis`, the nodes
+    themselves otherwise. The exponent is exactly antisymmetric with no
+    mirroring: the cross factor x_j y_k - x_k y_j and chi(y) - chi(x)
     change sign exactly under x <-> y, and rounding to nearest is symmetric,
     so omega is exactly Hermitian. The exponent is accumulated in one N x N
     array with the two halves of omega's storage as scratch, and exp runs
     in place: for a field with an `axis` the peak is three N x N words.
+    A tensor grid's operator takes its phases from `grid_phase` instead.
     """
     nodes = np.asarray(nodes, dtype=float)
     N = nodes.shape[0]
@@ -246,20 +271,8 @@ def phase_table(g, nodes, chunk=4096):
             _, first, inverse = np.unique(nodes[:, axis], return_index=True,
                                           return_inverse=True)
             keys = nodes[first]
-        m = keys.shape[0]
-        means = {jk: np.zeros((m, m)) for jk in g.field.components}
-        start = 0
-        while start < m:
-            stop = min(m, start + max(1, chunk // (m - start)))
-            block = _flux_means(g.field, keys[start:stop, None, :], keys[None, start:, :],
-                                PHASE_QUAD_ORDER)
-            for jk, mean in block.items():
-                means[jk][start:stop, start:] = mean
-            start = stop
-        lower = np.tril_indices(m, -1)
         x, y = nodes[:, None, :], nodes[None, :, :]
-        for (j, k), mean in means.items():
-            mean[lower] = mean.T[lower]
+        for (j, k), mean in _key_means(g.field, keys, chunk).items():
             # E += (x_j y_k - x_k y_j) mean_jk, as in _cross_sum
             np.multiply(x[..., j], y[..., k], out=scratch)
             scratch -= np.multiply(x[..., k], y[..., j], out=buf)
@@ -273,6 +286,81 @@ def phase_table(g, nodes, chunk=4096):
     np.negative(E, out=omega.imag)
     omega.real = 0.0
     return np.exp(omega, out=omega)
+
+
+@dataclass(frozen=True)
+class AxisPhase:
+    """The pair phases of a tensor grid in factored form.
+
+    A node is (a, j'): a indexes its coordinate on `axis`, j' the other one
+    (j' = 0 in 1-D). For a field with an axis the flux mean M[a, b] depends
+    on the axis coordinates alone, so the exponent of the pair
+    ((a, j'), (b, k')) is s M[a, b] (X_a X_k' - X_j' X_b) + chi(b, k') -
+    chi(a, j'), s = +1 for axis 0 and -1 for axis 1 (M is exactly
+    symmetric). With table[a, b, k'] = exp(-i (s M[a, b] X_a X_k' + chi(b, k')))
+
+        omega[(a, j'), (b, k')] = conj(table[b, a, j']) table[a, b, k']:
+
+    at most n^2 m exponentials in place of N^2.
+    """
+
+    axis: int
+    table: np.ndarray  # (n, n, m), m = n in 2-D and 1 in 1-D
+
+    def rows(self, a0, a1):
+        """omega[(a, j'), (b, k')] for a0 <= a < a1, shape (a1 - a0, m, n, m).
+
+        The conjugate product is formed in real arithmetic, re = pr qr + pi qi
+        and im = pr qi - pi qr, which is exactly symmetric under swapping
+        the pair: numpy's complex multiply is not bitwise commutative (it may
+        fuse a product into an add), so it would leave omega Hermitian only
+        to roundoff. The diagonal, |table|^2 up to roundoff, is set to 1.
+        """
+        W = self.table
+        p = W[:, a0:a1].transpose(1, 2, 0)[..., None]  # p[a, j', b] = table[b, a, j']
+        q = W[a0:a1, None]                             # q[a, b, k'] = table[a, b, k']
+        n, _, m = W.shape
+        w = np.empty((a1 - a0, m, n, m), dtype=complex)
+        re, im = w.real, w.imag
+        np.multiply(p.real, q.real, out=re)
+        re += p.imag * q.imag
+        np.multiply(p.real, q.imag, out=im)
+        im -= p.imag * q.real
+        a = np.arange(a1 - a0)[:, None]
+        j = np.arange(m)
+        w[a, j, a0 + a, j] = 1.0
+        return w
+
+
+def grid_phase(g, grid):
+    """The pair phases of a tensor grid (`quantize.Grid`): None when every
+    phase is 1 (zero field, no shift), the flat `phase_table` for a field
+    without an axis, an `AxisPhase` otherwise."""
+    if _is_trivial(g):
+        return None
+    X, dimension = grid.axis, grid.dimension
+    n = X.size
+    m = n if dimension == 2 else 1
+    axis = 0 if g.field.is_zero else g.field.axis
+    if axis is None:
+        return phase_table(g, grid.nodes)
+    E = np.zeros((1, n, m))  # exponent of table[a, b, k']; a shift alone is constant in a
+    if not g.field.is_zero:
+        # a 2-D field has the one component (0, 1); its mean depends on the
+        # axis coordinate only, so keys with the other coordinate 0 serve
+        keys = np.zeros((n, dimension))
+        keys[:, axis] = X
+        (mean,) = _key_means(g.field, keys).values()
+        sign = 1.0 if axis == 0 else -1.0
+        E = (sign * mean * X[:, None])[:, :, None] * X
+    if g.chi is not None:
+        nodes = np.empty((n, m, dimension))  # node (b, k')
+        nodes[..., axis] = X[:, None]
+        if dimension == 2:
+            nodes[..., 1 - axis] = X
+        E = E + g.chi(nodes)
+    table = np.broadcast_to(np.exp(-1j * E), (n, n, m))
+    return AxisPhase(axis, table)
 
 
 def potential_residual(g, radius=4.0, density=32, h=1e-4):

@@ -24,7 +24,7 @@ from .gauge import (constant_field_2d, field_from_id, gauge_transform, potential
 from .mpdo import LOAD_BUDGET_BYTES, atomic_open
 from .potentials import potential_from_id
 from .quantize import (ASSEMBLY_WORDS, Grid, GridFunction, fourier_mode, mag_derivative,
-                       op_amplitude, op_ps, op_weyl, op_weyl_unsym, sobolev_norm)
+                       op_amplitude, op_ps, op_weyl, sobolev_norm)
 from .spectral import (SpectralWindow, Whole, block_symmetry, discrete_spectrum_select,
                        eig_hermitian, eigvals_hermitian, matrix_exp_neg, nearest_gaps)
 from .symbols import (HormanderSymbol, SampleBox, bracket, cauchy_derivative_bound_check,
@@ -246,9 +246,10 @@ def lint_config(raw):
         elif weight.get("p", 1) * math.log(br) > 690.0:
             raise ConfigError(f"eps={eps} overflows the polynomial weight")
     # assembly holds ASSEMBLY_WORDS complex128 N x N matrices; Python
-    # integers keep their size exact however large n is
+    # integers keep their size exact however large n is, and compare with a
+    # float exactly
     N = g["n"] ** g["d"]
-    if 16 * ASSEMBLY_WORDS * N**2 > LOAD_BUDGET_BYTES:
+    if N**2 > LOAD_BUDGET_BYTES / (16 * ASSEMBLY_WORDS):
         raise ConfigError(
             f"grid n too large: assembling the N x N operator (N = n^d = {N}) holds "
             f"{ASSEMBLY_WORDS} complex N x N matrices, over the "
@@ -439,8 +440,8 @@ def suite_quantize_core(sc):
         return sym.eval(0.5 * (np.asarray(x, dtype=float) + np.asarray(y, dtype=float)), e)
 
     Ha = op_amplitude(mid_amp, gauge, ga).entries
-    Hw_raw = op_weyl_unsym(sym, gauge, ga)
-    amp_dev = float(np.abs(Ha - Hw_raw).max() / max(np.abs(Hw_raw).max(), 1e-300))
+    Hw = op_weyl(sym, gauge, ga).entries
+    amp_dev = float(np.abs(Ha - Hw).max() / max(np.abs(Hw).max(), 1e-300))
     checks.append(Check("amplitude-midpoint-coincidence", "quantize/amplitude",
                         amp_dev < 1e-12, 1e-12 - amp_dev,
                         f"max deviation {amp_dev:.3e}"))
@@ -539,11 +540,11 @@ def suite_lemmas_weights(sc):
 
     cap = dk.analytic_eps_cap(sym)
     eps = min(0.05, cap) if cap else 0.05
-    Hraw = op_weyl_unsym(sym, gauge, grid)
+    H = sc.H.entries
     f = dk.WeightFamily("exponential")(eps, grid.nodes)
-    lhs = (f[:, None] / f[None, :]) * Hraw
+    lhs = (f[:, None] / f[None, :]) * H
     Ec = op_amplitude(dk.amplitude_c_eps(sym, eps), gauge, grid).entries
-    scale = np.linalg.norm(Hraw)
+    scale = np.linalg.norm(H)
     ratio = float(np.linalg.norm(lhs - Ec) / scale)
     checks.append(Check("conjugation-amplitude-match", "decay/shift-conjugation",
                         ratio < 1e-3, 1e-3 - ratio, f"eps={eps}, ratio {ratio:.3e}"))

@@ -11,11 +11,20 @@ splits: the f term is one inverse n^d DFT fhat of f on the dual lattice, read
 at the wrapped lattice displacement j - k, and the v term sums to delta_jk,
 where omega is 1. So
 
-    H[j,k] = omega[j,k] g((x_j + x_k)/2) fhat[wrap(j - k)] + delta_jk v(x_j),
+    H[j,k] = omega[j,k] g((x_j + x_k)/2) fhat[wrap(j - k)] + delta_jk v(x_j).
 
-and assembly holds a few N x N matrices (N = n^d) and nothing larger.
 Displacements wrap with period 2L (the frequency sum is an exact DFT); the
 pair phase omega is evaluated on the true, unwrapped segment.
+
+For a real symbol H is self-adjoint, and `op_weyl` builds it so bit for bit
+in one gather: fhat is replaced by its Hermitian part, fhat[-m] =
+conj fhat[m] exactly, and omega[k,j] = conj omega[j,k] exactly
+(`gauge.grid_phase`), so H[k,j] = conj H[j,k] with no symmetrization pass.
+At zero field with no gauge shift there is no phase at all; for a field
+with an axis the phases come factored from n^3 exponentials. Assembly holds
+the N x N operator (N = n^d) and slabs of about `_kernels.GATHER_BLOCK`
+entries, nothing larger. `hermitize` symmetrizes operators from elsewhere,
+such as an operator file written without the flag.
 """
 import math
 from dataclasses import dataclass
@@ -24,13 +33,13 @@ import numpy as np
 
 from . import _kernels
 from .errors import AssemblyError, BudgetError, ConfigError, NotApplicableError, UnsupportedOrderError
-from .gauge import phase_table
+from .gauge import grid_phase, phase_table
 from .symbols import p_s_symbol
 
 AMPLITUDE_BUDGET = 10**10
 AMPLITUDE_BLOCK = 2**16     # complex amplitude samples op_amplitude takes per block
-ASSEMBLY_WORDS = 4          # complex N x N matrices op_weyl holds at its peak
-REAL_TOL = 1e-14            # max|Im H| / max|H| at or below which a symmetrized H is stored real
+ASSEMBLY_WORDS = 1.5        # complex N x N matrices op_weyl holds at its peak (1.29 at N = 576)
+REAL_TOL = 1e-14            # max|Im| / max|.| at or below which fhat or a symmetrized H is stored real
 SYMMETRY_TOL = 1e-12        # max|amp(x,y) - amp(y,x)| / max|amp| above which op_amplitude refuses
 
 
@@ -183,37 +192,48 @@ def hermitize(op):
                           hermiticity_defect=defect, symmetrized=True)
 
 
-def op_weyl_unsym(sym, g, grid):
-    """Raw Weyl assembly from the symbol's factors: the dense entries before
-    any symmetrization."""
+def op_weyl(sym, g, grid):
+    """Quantize a real symbol against a gauge: an exactly Hermitian H from
+    one gather.
+
+    fhat is replaced by its Hermitian part (fhat + conj fhat o P)/2, P the
+    lattice mirror; `hermiticity_defect` records |fhat - conj fhat o P| /
+    |fhat|, the part removed (roundoff for a real f). With zero field and
+    no shift there is no phase, and a fhat whose imaginary part is at most
+    REAL_TOL max|fhat| is gathered real, so H is float64.
+    """
     if sym.dimension != grid.dimension or g.dimension != grid.dimension:
         raise ConfigError("dimension mismatch between symbol, gauge, and grid")
     n, d = grid.n, grid.dimension
     etas = grid.eta_nodes
     fvals = _finite(sym.f(etas), etas, "f at frequency")
-    fhat = np.fft.ifftn(fvals.reshape((n,) * d))
+    fhat = np.fft.ifftn(fvals.reshape((n,) * d)).reshape(-1)
     mirror = grid.reflection
     if np.array_equal(fvals[mirror], fvals):
         # f even on the lattice: make fhat even bit for bit (the FFT leaves
         # roundoff asymmetry), so that even factors and phases give an H
         # that commutes exactly with the reflection
-        flat = fhat.reshape(-1)
-        flat += flat[mirror]
-        flat *= 0.5
+        fhat += fhat[mirror]
+        fhat *= 0.5
+    mirrored = fhat[mirror].conj()
+    scale = np.linalg.norm(fhat)
+    defect = float(np.linalg.norm(fhat - mirrored) / scale) if scale > 0 else 0.0
+    # fhat[P m] == conj fhat[m] bit for bit: complex addition commutes
+    fhat += mirrored
+    fhat *= 0.5
+    phase = grid_phase(g, grid)
+    if phase is None and np.abs(fhat.imag).max() <= REAL_TOL * np.abs(fhat).max():
+        fhat = fhat.real
     gmid = None
     if sym.g is not None:
         mids = grid.midpoints
         gmid = _finite(sym.g(mids), mids, "g at midpoint").reshape((2 * n - 1,) * d)
-    H = _kernels.weyl_gather(fhat, phase_table(g, grid.nodes), n, d, gmid)
+    H = _kernels.weyl_gather(fhat.reshape((n,) * d), phase, n, d, gmid)
     if sym.v is not None:
         nodes = grid.nodes
         H.flat[::grid.size + 1] += _finite(sym.v(nodes), nodes, "v at node")
-    return H
-
-
-def op_weyl(sym, g, grid):
-    """Quantize a real symbol against a gauge and symmetrize the result."""
-    return hermitize(OperatorMatrix(op_weyl_unsym(sym, g, grid), grid, symbol_id=sym.symbol_id))
+    return OperatorMatrix(H, grid, sym.symbol_id, hermiticity_defect=defect,
+                          symmetrized=True)
 
 
 def op_amplitude(amp, g, grid):
@@ -262,7 +282,7 @@ def op_amplitude(amp, g, grid):
 
 
 def op_ps(s, g, grid):
-    """Quantization of the weight symbol <eta>^s; Hermitian by symmetrization."""
+    """Quantization of the weight symbol <eta>^s; Hermitian by construction."""
     return op_weyl(p_s_symbol(s, grid.dimension), g, grid)
 
 

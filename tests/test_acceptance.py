@@ -16,7 +16,7 @@ from magpsido.decay import (WeightFamily, amplitude_c_eps, b_shift,
 from magpsido.gauge import (constant_field_2d, gauge_transform,
                             transversal_gauge, zero_field)
 from magpsido.harness import ScenarioConfig, verify_suite
-from magpsido.quantize import Grid, GridFunction, op_amplitude, op_weyl, op_weyl_unsym
+from magpsido.quantize import Grid, GridFunction, op_amplitude, op_weyl
 from magpsido.relativistic import (bessel_k, diamagnetic_check, displacement_lattice,
                                    kato_estimate, kato_scan, kernel_pt,
                                    pointwise_bound_check, semigroup_checks)
@@ -136,11 +136,11 @@ def test_criterion_04_weight_ratio_identity():
 def _conjugation_ratio(n, L, eps, g1):
     grid = Grid(1, L, n)
     sym = relativistic_symbol(1)
-    Hraw = op_weyl_unsym(sym, g1, grid)
+    H = op_weyl(sym, g1, grid).entries
     f = WeightFamily("exponential")(eps, grid.nodes)
-    lhs = (f[:, None] / f[None, :]) * Hraw
+    lhs = (f[:, None] / f[None, :]) * H
     Ec = op_amplitude(amplitude_c_eps(sym, eps), g1, grid).entries
-    return float(np.linalg.norm(lhs - Ec) / np.linalg.norm(Hraw))
+    return float(np.linalg.norm(lhs - Ec) / np.linalg.norm(H))
 
 
 def test_criterion_05_conjugation_amplitude_match(g1):

@@ -19,6 +19,7 @@ from magpsido.harness import (_SCHEMA_KEYWORDS, CONFIG_SCHEMA, SUITE_NAMES, Scen
                               ScenarioConfig, _schema_errors, merge_reports, run_scenario,
                               validate_config, verify_suite, write_atomic, write_kato_csv,
                               write_spectrum_csv, write_sweep_csv)
+from magpsido.symbols import bracket
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "configs")
@@ -351,6 +352,18 @@ class TestSuites:
         assert checks
         failed = [c for c in checks if not c.passed]
         assert not failed, [f"{c.name}: {c.details}" for c in failed]
+
+    def test_imaginary_part_of_f_fails_the_hermiticity_defect(self):
+        """f + 1e-6 i <eta> is no real symbol. op_weyl removes the
+        anti-Hermitian part of fhat, so H stays Hermitian, and the reported
+        defect measures that removed part, |fhat - conj fhat o P| / |fhat|:
+        about 2e-6 against the 1e-8 tolerance."""
+        sc = Scenario(cfg_with())
+        f = sc.symbol.f
+        sc.__dict__["symbol"] = dataclasses.replace(
+            sc.symbol, f=lambda e: f(e) + 1e-6j * bracket(e))
+        check = {c.name: c for c in verify_suite("quantize-core", sc)}["hermiticity-defect"]
+        assert not check.passed, check.details
 
     def test_lemmas_weights_passes(self):
         cfg = cfg_with(grid={"d": 1, "L": 20.0, "n": 128})

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 import magpsido.quantize
 from magpsido.decay import amplitude_c_eps
 from magpsido.errors import AssemblyError, BudgetError, ConfigError, NotApplicableError
-from magpsido.gauge import (constant_field_2d, field_from_id, gauge_transform, phase_table,
-                            transversal_gauge, zero_field)
+from magpsido import _kernels, gauge
+from magpsido.gauge import (constant_field_2d, field_from_id, gauge_transform, grid_phase,
+                            phase_table, transversal_gauge, zero_field)
+from magpsido.harness import _named_chi
 from magpsido.quantize import (ASSEMBLY_WORDS, REAL_TOL, Grid, GridFunction, OperatorMatrix,
                                fourier_mode, hermitize, mag_derivative, op_amplitude, op_ps,
-                               op_weyl, op_weyl_unsym, sobolev_norm)
+                               op_weyl, sobolev_norm)
 from magpsido.spectral import eig_hermitian
 from magpsido.symbols import HormanderSymbol, bracket, kinetic_symbol, p_s_symbol, symbol_from_id
 
@@ -94,7 +96,7 @@ def kernel_table(sym, grid):
     zero-field operator, H[r, 0] = fhat[r], of a symbol without modulation
     or potential."""
     g0 = transversal_gauge(zero_field(grid.dimension))
-    H = op_weyl_unsym(sym, g0, grid)
+    H = op_weyl(sym, g0, grid).entries
     return H[:, 0].reshape((grid.n,) * grid.dimension) / grid.h**grid.dimension
 
 
@@ -108,8 +110,8 @@ class TestKernelTable:
     def test_multiplication_symbol(self, g1, grid64):
         # f = 0: the kernel vanishes and H is diag(v) exactly
         v = lambda x: np.cos(np.asarray(x)[..., 0])
-        H = op_weyl_unsym(mult_symbol(v, 1), g1, grid64)
-        assert np.array_equal(H, np.diag(np.cos(grid64.axis)).astype(complex))
+        H = op_weyl(mult_symbol(v, 1), g1, grid64).entries
+        assert np.array_equal(H, np.diag(np.cos(grid64.axis)))
 
     def test_quadratic_symbol_against_direct_dft(self, grid64):
         K = kernel_table(kinetic_symbol(1), grid64)
@@ -121,14 +123,15 @@ class TestKernelTable:
 
     def test_x_independence(self, g1, grid64):
         # without g and v every entry is a kernel value: H[j, k] = fhat[(j - k) mod n]
-        H = op_weyl_unsym(kinetic_symbol(1), g1, grid64)
+        H = op_weyl(kinetic_symbol(1), g1, grid64).entries
         assert np.array_equal(H, scipy.linalg.circulant(H[:, 0]))
 
     def test_2d_kernel_is_the_inverse_fft_of_f(self):
         grid = Grid(2, 4.0, 8)
         sym = symbol_from_id("relativistic", 2)
         want = np.fft.ifftn(sym.f(grid.eta_nodes).reshape(8, 8)) / grid.h**2
-        assert np.array_equal(kernel_table(sym, grid), want)
+        # the kernel is fhat's Hermitian part, real for this even f
+        assert np.abs(kernel_table(sym, grid) - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def weyl_oracle(sym, g, grid):
@@ -162,7 +165,7 @@ class TestFactorAssembly:
         grid = Grid(d, L, n)
         g = transversal_gauge(field_from_id(field if d == 2 else "zero", d))
         sym = symbol_from_id(sid, d)
-        H = op_weyl_unsym(sym, g, grid)
+        H = op_weyl(sym, g, grid).entries
         want = weyl_oracle(sym, g, grid)
         assert np.abs(H - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -184,8 +187,8 @@ class TestFactorAssembly:
         assert str(exc.value) == f"non-finite symbol factor {factor} at {where}"
 
     def test_peak_memory_is_bounded_in_operator_words(self):
-        # cos2d at n = 24 (N = 576): the phase table, the operator and its
-        # symmetrization, at most ASSEMBLY_WORDS complex N x N matrices
+        # cos2d at n = 24 (N = 576): the operator and the gather's slabs, at
+        # most ASSEMBLY_WORDS complex N x N matrices
         grid = Grid(2, 6.0, 24)
         g = transversal_gauge(field_from_id("cos2d", 2))
         sym = symbol_from_id("relativistic", 2)
@@ -196,6 +199,120 @@ class TestFactorAssembly:
         finally:
             tracemalloc.stop()
         assert peak <= ASSEMBLY_WORDS * 16 * grid.size**2
+
+
+def symmetrized_raw_weyl(sym, g, grid):
+    """Reference: the assembly before H was built Hermitian. The raw gather
+    against the full phase table, then (raw + raw^*)/2, stored real when its
+    imaginary part is at most REAL_TOL of its largest entry."""
+    n, d, N = grid.n, grid.dimension, grid.size
+    fvals = sym.f(grid.eta_nodes)
+    fhat = np.fft.ifftn(fvals.reshape((n,) * d)).reshape(-1)
+    mirror = grid.reflection
+    if np.array_equal(fvals[mirror], fvals):
+        fhat += fhat[mirror]
+        fhat *= 0.5
+    r = np.arange(n)
+    wrap, mid = (r[:, None] - r) % n, r[:, None] + r
+    if d == 2:
+        wrap = (wrap[:, None, :, None], wrap[None, :, None, :])
+        mid = (mid[:, None, :, None], mid[None, :, None, :])
+    raw = phase_table(g, grid.nodes) * fhat.reshape((n,) * d)[wrap].reshape(N, N)
+    if sym.g is not None:
+        raw *= sym.g(grid.midpoints).reshape((2 * n - 1,) * d)[mid].reshape(N, N)
+    if sym.v is not None:
+        raw.flat[::N + 1] += sym.v(grid.nodes)
+    H = 0.5 * (raw + raw.conj().T)
+    if np.abs(H.imag).max() <= REAL_TOL * np.abs(H).max():
+        H = np.ascontiguousarray(H.real)
+    return H
+
+
+def shifted_gauge(field, chi, d):
+    """The transversal gauge of a field id, shifted by a named chi (or not)."""
+    g = transversal_gauge(field_from_id(field, d))
+    return g if chi is None else gauge_transform(g, *_named_chi(chi, d))
+
+
+def assembled_phases(g, grid):
+    """omega as op_weyl's gather applies it: the gather of an all-ones
+    factor, since omega * 1 is omega bit for bit."""
+    n, d = grid.n, grid.dimension
+    return _kernels.weyl_gather(np.ones((n,) * d, dtype=complex),
+                                grid_phase(g, grid), n, d)
+
+
+class TestExactHermitian:
+    """op_weyl builds H Hermitian bit for bit, with no symmetrization pass."""
+
+    @given(sid=st.one_of(st.sampled_from(SYMBOL_IDS),
+                         st.floats(-2.0, 2.0).map(lambda s: f"p_s:s={s!r}")),
+           d=st.sampled_from([1, 2]), half_n=st.integers(2, 8),
+           field=st.sampled_from(["zero", "constant2d:b=0.7", "cos2d:amp=1.3"]),
+           chi=st.sampled_from([None, "quadratic", "bilinear"]),
+           tenths=st.integers(11, 79).filter(lambda k: k % 5 != 0))
+    @settings(max_examples=80, deadline=None)
+    def test_hermitian_with_unit_diagonal_phases(self, sid, d, half_n, field, chi, tenths):
+        # L = 1.1 ... 7.9, never a multiple of 1/2: h = 2L/n is no dyadic rational
+        n = 2 * half_n if d == 1 else 2 * min(half_n, 4)
+        grid = Grid(d, tenths / 10, n)
+        g = shifted_gauge(field if d == 2 else "zero", chi, d)
+        sym = symbol_from_id(sid, d)
+        H = op_weyl(sym, g, grid).entries
+        assert np.array_equal(H, H.conj().T)
+        omega = assembled_phases(g, grid)
+        assert np.all(np.diag(omega) == 1.0)
+        assert np.abs(omega - phase_table(g, grid.nodes)).max() <= 1e-13
+        if g.field.is_zero and chi is None:
+            # every catalog f is even: today's H is the old real path bit for bit
+            assert np.array_equal(H, symmetrized_raw_weyl(sym, g, grid))
+
+    @pytest.mark.parametrize("axis", [0, 1, None])
+    @pytest.mark.parametrize("chi", [None, "bilinear"])
+    def test_field_on_either_axis_matches_the_phase_table(self, axis, chi):
+        comps = {(0, 1): lambda x: np.cos(np.asarray(x)[..., 1 if axis == 1 else 0])}
+        g = transversal_gauge(gauge.MagneticField(2, comps, axis=axis))
+        if chi is not None:
+            g = gauge_transform(g, *_named_chi(chi, 2))
+        grid = Grid(2, 4.4, 8)
+        omega = assembled_phases(g, grid)
+        assert np.array_equal(omega, omega.conj().T)
+        assert np.abs(omega - phase_table(g, grid.nodes)).max() <= 1e-13
+        H = op_weyl(symbol_from_id("relativistic", 2), g, grid).entries
+        assert np.array_equal(H, H.conj().T)
+
+    @pytest.mark.parametrize("chi", [None, "bilinear"])
+    def test_field_with_an_axis_takes_n_cubed_exponentials(self, chi, monkeypatch):
+        # the phase table would take N^2 = n^4
+        sizes = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, x, *args, **kwargs):
+                if np.iscomplexobj(x):
+                    sizes.append(np.size(x))
+                return np.exp(x, *args, **kwargs)
+
+        for module in (gauge, magpsido.quantize, _kernels):
+            monkeypatch.setattr(module, "np", CountingNumpy())
+        n = 12
+        op_weyl(symbol_from_id("relativistic", 2), shifted_gauge("cos2d", chi, 2),
+                Grid(2, 4.4, n))
+        assert 0 < sum(sizes) <= n**3
+
+    def test_defect_is_the_anti_hermitian_part_of_fhat(self, g1, grid64):
+        # f + i c <eta>: fhat's anti-Hermitian part is i c fhat(<eta>), and
+        # it is what op_weyl removes
+        rel = symbol_from_id("relativistic", 1)
+        c = 1e-6
+        sym = dataclasses.replace(rel, f=lambda e: rel.f(e) + 1j * c * bracket(e))
+        H = op_weyl(sym, g1, grid64)
+        assert H.hermiticity_defect == pytest.approx(2 * c / np.sqrt(1 + c**2), rel=1e-9)
+        want = op_weyl(rel, g1, grid64).entries
+        assert H.entries.dtype == np.float64
+        assert np.abs(H.entries - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestOpWeyl:
@@ -274,7 +391,7 @@ class TestOpAmplitude:
                                    + np.asarray(y, dtype=float)), e)
 
         Ha = op_amplitude(amp, g1, grid)
-        Hw = op_weyl_unsym(sym, g1, grid)
+        Hw = op_weyl(sym, g1, grid).entries
         assert np.abs(Ha.entries - Hw).max() < 1e-12 * np.abs(Hw).max()
 
     def test_constant_amplitude_gives_identity(self, g1):
@@ -302,7 +419,7 @@ class TestOpAmplitude:
                                    + np.asarray(y, dtype=float)), e)
 
         Ha = op_amplitude(amp, g, grid)
-        Hw = op_weyl_unsym(sym, g, grid)
+        Hw = op_weyl(sym, g, grid).entries
         assert np.abs(Ha.entries - Hw).max() < 1e-12 * np.abs(Hw).max()
 
 
@@ -591,17 +708,17 @@ class TestRealStorage:
         H = op_weyl(sym, g, grid)
         assert H.entries.dtype == np.float64
         assert H.entries.flags["C_CONTIGUOUS"]
-        raw = op_weyl_unsym(sym, g, grid)
-        assert np.array_equal(H.entries, (0.5 * (raw + raw.conj().T)).real)
+        assert np.array_equal(H.entries, symmetrized_raw_weyl(sym, g, grid))
 
     @pytest.mark.parametrize("field", ["constant2d:b=0.5", "cos2d"])
     def test_magnetic_operator_stays_complex(self, field):
         grid = Grid(2, 4.0, 8)
         g = transversal_gauge(field_from_id(field, 2))
-        H = op_weyl(symbol_from_id(self.WELL, 2), g, grid)
+        sym = symbol_from_id(self.WELL, 2)
+        H = op_weyl(sym, g, grid)
         assert H.entries.dtype == np.complex128
-        raw = op_weyl_unsym(symbol_from_id(self.WELL, 2), g, grid)
-        assert np.array_equal(H.entries, 0.5 * (raw + raw.conj().T))
+        old = symmetrized_raw_weyl(sym, g, grid)
+        assert np.abs(H.entries - old).max() <= 1e-14 * np.abs(old).max()
 
     def test_real_symbol_odd_in_eta_stays_complex(self, g1, grid64):
         # a = eta_1 quantizes to -i d/dx: Hermitian, purely imaginary entries
