@@ -21,7 +21,8 @@ def weyl_gather(fhat, phase, n, d, gmid=None):
     entries over the leading index a of the layout (a, j', b, k'), which is
     the node order (j1, j2, k1, k2) for a phase on axis 0 and its transpose
     for axis 1; each slab's phases come from `AxisPhase.rows`. H has fhat's
-    dtype, so a real fhat with no phase gives a float64 H.
+    dtype, so a real fhat with no phase gives a float64 H; a phase needs a
+    complex fhat.
     """
     if d not in (1, 2):
         raise ValueError("dimension must be 1 or 2")

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import magpsido.quantize
+from magpsido import _kernels, gauge
 from magpsido.decay import amplitude_c_eps
 from magpsido.errors import AssemblyError, BudgetError, ConfigError, NotApplicableError
-from magpsido import _kernels, gauge
 from magpsido.gauge import (constant_field_2d, field_from_id, gauge_transform, grid_phase,
                             phase_table, transversal_gauge, zero_field)
 from magpsido.harness import _named_chi
@@ -264,7 +264,7 @@ class TestExactHermitian:
         assert np.all(np.diag(omega) == 1.0)
         assert np.abs(omega - phase_table(g, grid.nodes)).max() <= 1e-13
         if g.field.is_zero and chi is None:
-            # every catalog f is even: today's H is the old real path bit for bit
+            # every catalog f is even: H is the old real path bit for bit
             assert np.array_equal(H, symmetrized_raw_weyl(sym, g, grid))
 
     @pytest.mark.parametrize("axis", [0, 1, None])
