@@ -23,7 +23,7 @@ conj fhat[m] exactly, and omega[k,j] = conj omega[j,k] exactly
 At zero field with no gauge shift there is no phase at all; for a field
 with an axis the phases come factored from n^3 exponentials. Assembly holds
 the N x N operator (N = n^d) and slabs of about `_kernels.GATHER_BLOCK`
-entries, nothing larger. `hermitize` symmetrizes operators from elsewhere,
+entries; only a field without an axis adds its N x N phase table. `hermitize` symmetrizes operators from elsewhere,
 such as an operator file written without the flag.
 """
 import math

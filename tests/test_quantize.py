@@ -726,6 +726,7 @@ class TestRealStorage:
         H = op_weyl(sym, g1, grid64)
         assert H.entries.dtype == np.complex128
         assert np.abs(H.entries.imag).max() > 0.1 * np.abs(H.entries).max()
+        assert np.array_equal(H.entries, H.entries.conj().T)
 
     @pytest.mark.parametrize("c, real", [(0.5 * REAL_TOL, True), (10 * REAL_TOL, False)])
     def test_decision_threshold(self, c, real):
