@@ -18,17 +18,15 @@ def weyl_gather(fhat, phase, n, d, gmid=None):
 
     `phase` is None (every phase 1), the N x N phase matrix, or a
     `gauge.AxisPhase`. H is written once, in slabs of about GATHER_BLOCK
-    entries over the leading index a of the layout (a, j', b, k'), which is
-    the node order (j1, j2, k1, k2) for a phase on axis 0 and its transpose
-    for axis 1; each slab's phases come from `AxisPhase.rows`. H has fhat's
+    entries over the leading index a of the node order (a, j', b, k') =
+    (j1, j2, k1, k2); each slab's phases come from `AxisPhase.rows`. H has fhat's
     dtype, so a real fhat with no phase gives a float64 H; a phase needs a
     complex fhat.
     """
     if d not in (1, 2):
         raise ValueError("dimension must be 1 or 2")
     m = n if d == 2 else 1
-    axis = getattr(phase, "axis", 0)
-    fv = fhat.reshape(n, m) if axis == 0 else fhat.T
+    fv = fhat.reshape(n, m)
     r = np.arange(n)
     wrap, mid = (r[:, None] - r) % n, r[:, None] + r
     # per-axis index tables in the slab layout; the n x n tables broadcast,
@@ -37,12 +35,10 @@ def weyl_gather(fhat, phase, n, d, gmid=None):
     wj, mj = (wrap, mid) if d == 2 else (np.zeros((1, 1), dtype=int),) * 2
     wj, mj = wj[None, :, None, :], mj[None, :, None, :]
     if gmid is not None:
-        gv = gmid.reshape(2 * n - 1, -1) if axis == 0 else gmid.T
+        gv = gmid.reshape(2 * n - 1, -1)
     N = n**d
     H = np.empty((N, N), dtype=fhat.dtype)
     Hv = H.reshape(n, m, n, m)
-    if axis == 1:
-        Hv = Hv.transpose(1, 0, 3, 2)
     flat = isinstance(phase, np.ndarray)
     if flat:
         phase = phase.reshape(n, m, n, m)

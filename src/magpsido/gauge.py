@@ -17,8 +17,8 @@ such that no component depends on any other one; a constant component
 depends on none) it is a function of (x_axis, y_axis): the phase table then
 runs the rule once per pair of distinct coordinate values and multiplies by
 the cross factor x_j y_k - x_k y_j per node pair. On a tensor grid the
-phases of such a field also factor (`AxisPhase`): the exponent splits into a
-part of (x_axis, y_axis, y_other) and one of (y_axis, x_axis, x_other), so
+phases of a field on axis 0 also factor (`AxisPhase`): the exponent splits
+into a part of (x_1, y_1, y_2) and one of (y_1, x_1, x_2), so
 n^3 exponentials give all N^2 = n^4 phases, and `grid_phase` serves them to
 the operator assembly without an N x N table.
 
@@ -290,21 +290,21 @@ def phase_table(g, nodes, chunk=4096):
 
 @dataclass(frozen=True)
 class AxisPhase:
-    """The pair phases of a tensor grid in factored form.
+    """The pair phases of a tensor grid in factored form, for a field on
+    axis 0 (or a gauge shift alone).
 
-    A node is (a, j'): a indexes its coordinate on `axis`, j' the other one
-    (j' = 0 in 1-D). For a field with an axis the flux mean M[a, b] depends
-    on the axis coordinates alone, so the exponent of the pair
-    ((a, j'), (b, k')) is s M[a, b] (X_a X_k' - X_j' X_b) + chi(b, k') -
-    chi(a, j'), s = +1 for axis 0 and -1 for axis 1 (M is exactly
-    symmetric). With table[a, b, k'] = exp(-i (s M[a, b] X_a X_k' + chi(b, k')))
+    A node is (a, j'): a indexes its first coordinate, j' the other one
+    (j' = 0 in 1-D). The flux mean M[a, b] of a field on axis 0 depends on
+    the first coordinates alone, so the exponent of the pair
+    ((a, j'), (b, k')) is M[a, b] (X_a X_k' - X_j' X_b) + chi(b, k') -
+    chi(a, j') (M is exactly symmetric). With
+    table[a, b, k'] = exp(-i (M[a, b] X_a X_k' + chi(b, k')))
 
         omega[(a, j'), (b, k')] = conj(table[b, a, j']) table[a, b, k']:
 
     at most n^2 m exponentials in place of N^2.
     """
 
-    axis: int
     table: np.ndarray  # (n, n, m), m = n in 2-D and 1 in 1-D
 
     def rows(self, a0, a1):
@@ -334,33 +334,30 @@ class AxisPhase:
 
 def grid_phase(g, grid):
     """The pair phases of a tensor grid (`quantize.Grid`): None when every
-    phase is 1 (zero field, no shift), the flat `phase_table` for a field
-    without an axis, an `AxisPhase` otherwise."""
+    phase is 1 (zero field, no shift), an `AxisPhase` for a zero field with
+    a shift or a field on axis 0, the flat `phase_table` otherwise."""
     if _is_trivial(g):
         return None
+    if not (g.field.is_zero or g.field.axis == 0):
+        return phase_table(g, grid.nodes)
     X, dimension = grid.axis, grid.dimension
     n = X.size
     m = n if dimension == 2 else 1
-    axis = 0 if g.field.is_zero else g.field.axis
-    if axis is None:
-        return phase_table(g, grid.nodes)
     E = np.zeros((1, n, m))  # exponent of table[a, b, k']; a shift alone is constant in a
     if not g.field.is_zero:
         # a 2-D field has the one component (0, 1); its mean depends on the
-        # axis coordinate only, so keys with the other coordinate 0 serve
+        # first coordinate only, so keys with the second one 0 serve
         keys = np.zeros((n, dimension))
-        keys[:, axis] = X
+        keys[:, 0] = X
         (mean,) = _key_means(g.field, keys).values()
-        sign = 1.0 if axis == 0 else -1.0
-        E = (sign * mean * X[:, None])[:, :, None] * X
+        E = (mean * X[:, None])[:, :, None] * X
     if g.chi is not None:
         nodes = np.empty((n, m, dimension))  # node (b, k')
-        nodes[..., axis] = X[:, None]
+        nodes[..., 0] = X[:, None]
         if dimension == 2:
-            nodes[..., 1 - axis] = X
+            nodes[..., 1] = X
         E = E + g.chi(nodes)
-    table = np.broadcast_to(np.exp(-1j * E), (n, n, m))
-    return AxisPhase(axis, table)
+    return AxisPhase(np.broadcast_to(np.exp(-1j * E), (n, n, m)))
 
 
 def potential_residual(g, radius=4.0, density=32, h=1e-4):

@@ -23,13 +23,17 @@ from .gauge import (constant_field_2d, field_from_id, gauge_transform, potential
                     transversal_gauge, zero_field)
 from .mpdo import LOAD_BUDGET_BYTES, atomic_open
 from .potentials import potential_from_id
-from .quantize import (ASSEMBLY_WORDS, Grid, GridFunction, fourier_mode, mag_derivative,
+from .quantize import (Grid, GridFunction, fourier_mode, mag_derivative,
                        op_amplitude, op_ps, op_weyl, sobolev_norm)
 from .spectral import (SpectralWindow, Whole, block_symmetry, discrete_spectrum_select,
                        eig_hermitian, eigvals_hermitian, matrix_exp_neg, nearest_gaps)
 from .symbols import (HormanderSymbol, SampleBox, bracket, cauchy_derivative_bound_check,
                       eta_derivative, relativistic_symbol, symbol_from_id)
 
+# complex N x N matrices a run holds at its peak, its eigensolves included:
+# peak RSS grew by 9.2 of them for quantize-core on a 2-D grid at N = 1024,
+# 4.8 for lemmas-weights at N = 1024, 2.0 for a run with no suites
+RUN_WORDS = 10
 SUITE_NAMES = ("quantize-core", "lemmas-weights", "thm1-rapid-decay",
                "thm2-exp-decay", "thm3-relativistic")
 
@@ -245,14 +249,13 @@ def lint_config(raw):
                 raise ConfigError(f"eps={eps} overflows the exponential weight")
         elif weight.get("p", 1) * math.log(br) > 690.0:
             raise ConfigError(f"eps={eps} overflows the polynomial weight")
-    # assembly holds ASSEMBLY_WORDS complex128 N x N matrices; Python
-    # integers keep their size exact however large n is, and compare with a
-    # float exactly
+    # a run holds RUN_WORDS complex128 N x N matrices; Python integers keep
+    # their size exact however large n is
     N = g["n"] ** g["d"]
-    if N**2 > LOAD_BUDGET_BYTES / (16 * ASSEMBLY_WORDS):
+    if 16 * RUN_WORDS * N**2 > LOAD_BUDGET_BYTES:
         raise ConfigError(
-            f"grid n too large: assembling the N x N operator (N = n^d = {N}) holds "
-            f"{ASSEMBLY_WORDS} complex N x N matrices, over the "
+            f"grid n too large: a run on the N x N operator (N = n^d = {N}) holds "
+            f"{RUN_WORDS} complex N x N matrices, over the "
             f"{LOAD_BUDGET_BYTES / 1e9:.2f} GB budget; shrink n")
     nyquist = math.pi * g["n"] / (2.0 * g["L"])
     scale = _momentum_scale(raw)

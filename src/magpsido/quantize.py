@@ -21,10 +21,11 @@ in one gather: fhat is replaced by its Hermitian part, fhat[-m] =
 conj fhat[m] exactly, and omega[k,j] = conj omega[j,k] exactly
 (`gauge.grid_phase`), so H[k,j] = conj H[j,k] with no symmetrization pass.
 At zero field with no gauge shift there is no phase at all; for a field
-with an axis the phases come factored from n^3 exponentials. Assembly holds
-the N x N operator (N = n^d) and slabs of about `_kernels.GATHER_BLOCK`
-entries; only a field without an axis adds its N x N phase table. `hermitize` symmetrizes operators from elsewhere,
-such as an operator file written without the flag.
+on axis 0, as every catalog field is, the phases come factored from n^3
+exponentials. Assembly then holds the N x N operator (N = n^d) and slabs of
+about `_kernels.GATHER_BLOCK` entries; any other field adds its N x N phase
+table. `hermitize` symmetrizes operators from elsewhere, such as an
+operator file written without the flag.
 """
 import math
 from dataclasses import dataclass
@@ -38,7 +39,8 @@ from .symbols import p_s_symbol
 
 AMPLITUDE_BUDGET = 10**10
 AMPLITUDE_BLOCK = 2**16     # complex amplitude samples op_amplitude takes per block
-ASSEMBLY_WORDS = 1.5        # complex N x N matrices op_weyl holds at its peak (1.29 at N = 576)
+ASSEMBLY_WORDS = 1.5        # complex N x N matrices op_weyl holds at its peak at zero field or for a
+                            # field on axis 0 and n >= 24 (1.29 at N = 576); a flat phase table adds 3
 REAL_TOL = 1e-14            # max|Im| / max|.| at or below which fhat or a symmetrized H is stored real
 SYMMETRY_TOL = 1e-12        # max|amp(x,y) - amp(y,x)| / max|amp| above which op_amplitude refuses
 

@@ -258,10 +258,18 @@ class TestConfigValidation:
             if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING}
 
     def test_midpoint_table_over_budget_rejected(self):
-        # N = 256^2: four complex128 N x N matrices, about 275 GB
+        # N = 256^2: ten complex128 N x N matrices, about 690 GB
         with pytest.raises(ConfigError, match="N x N operator"):
             ScenarioConfig.from_dict({"symbol": "relativistic",
                                       "grid": {"d": 2, "L": 6, "n": 256}})
+
+    def test_budget_is_the_run_not_the_assembly(self):
+        # ten words of N = 60^2 are 2.07e9 bytes, of N = 62^2 2.36e9, around
+        # the 2 GiB budget; assembly alone would hold 1.5 words of either
+        ScenarioConfig.from_dict({"symbol": "relativistic", "grid": {"d": 2, "L": 6, "n": 60}})
+        with pytest.raises(ConfigError, match="N x N operator"):
+            ScenarioConfig.from_dict({"symbol": "relativistic",
+                                      "grid": {"d": 2, "L": 6, "n": 62}})
 
     def test_defaulted_eps_list_is_linted(self):
         # default eps 0.1 on L = 7000 overflows the default exponential weight

@@ -242,6 +242,14 @@ def assembled_phases(g, grid):
                                 grid_phase(g, grid), n, d)
 
 
+def one_row_slabs(grid):
+    """A GATHER_BLOCK under which weyl_gather writes one value of the
+    leading index per slab, so every slab but the first starts at a0 > 0."""
+    n = grid.n
+    m = n if grid.dimension == 2 else 1
+    return m * n * m
+
+
 class TestExactHermitian:
     """op_weyl builds H Hermitian bit for bit, with no symmetrization pass."""
 
@@ -259,8 +267,13 @@ class TestExactHermitian:
         g = shifted_gauge(field if d == 2 else "zero", chi, d)
         sym = symbol_from_id(sid, d)
         H = op_weyl(sym, g, grid).entries
-        assert np.array_equal(H, H.conj().T)
         omega = assembled_phases(g, grid)
+        with pytest.MonkeyPatch.context() as mp:
+            # these grids fit one slab; one row per slab checks every later slab
+            mp.setattr(_kernels, "GATHER_BLOCK", one_row_slabs(grid))
+            assert np.array_equal(op_weyl(sym, g, grid).entries, H)
+            assert np.array_equal(assembled_phases(g, grid), omega)
+        assert np.array_equal(H, H.conj().T)
         assert np.all(np.diag(omega) == 1.0)
         assert np.abs(omega - phase_table(g, grid.nodes)).max() <= 1e-13
         if g.field.is_zero and chi is None:
@@ -269,21 +282,25 @@ class TestExactHermitian:
 
     @pytest.mark.parametrize("axis", [0, 1, None])
     @pytest.mark.parametrize("chi", [None, "bilinear"])
-    def test_field_on_either_axis_matches_the_phase_table(self, axis, chi):
+    def test_field_on_any_axis_matches_the_phase_table(self, axis, chi, monkeypatch):
+        # axis 0 takes the factored phases, axis 1 and None the flat table
         comps = {(0, 1): lambda x: np.cos(np.asarray(x)[..., 1 if axis == 1 else 0])}
         g = transversal_gauge(gauge.MagneticField(2, comps, axis=axis))
         if chi is not None:
             g = gauge_transform(g, *_named_chi(chi, 2))
         grid = Grid(2, 4.4, 8)
+        assert isinstance(grid_phase(g, grid), gauge.AxisPhase) == (axis == 0)
+        monkeypatch.setattr(_kernels, "GATHER_BLOCK", one_row_slabs(grid))
         omega = assembled_phases(g, grid)
         assert np.array_equal(omega, omega.conj().T)
+        assert np.all(np.diag(omega) == 1.0)
         assert np.abs(omega - phase_table(g, grid.nodes)).max() <= 1e-13
         H = op_weyl(symbol_from_id("relativistic", 2), g, grid).entries
         assert np.array_equal(H, H.conj().T)
 
     @pytest.mark.parametrize("chi", [None, "bilinear"])
-    def test_field_with_an_axis_takes_n_cubed_exponentials(self, chi, monkeypatch):
-        # the phase table would take N^2 = n^4
+    def test_field_on_axis_0_takes_n_cubed_exponentials(self, chi, monkeypatch):
+        # cos2d is on axis 0; the phase table would take N^2 = n^4
         sizes = []
 
         class CountingNumpy:

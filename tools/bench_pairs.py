@@ -2,7 +2,8 @@
 """Alternating parent/change pairs of the benchmark, summarized per metric.
 
 Runs `perfbench/run.py` in two checkouts of the repository, one pair per
-seed, and alternates which side runs first. Writes BENCH_<workload>.json
+seed, and alternates which side runs first; each run lasts BENCHMARK.json's
+`run_seconds`. Writes BENCH_<workload>.json
 with the machine line, the commit of each side, every run's end-to-end
 metrics, each side's median and quartiles per metric, and how many pairs
 the change won (ties count for neither side):
@@ -68,7 +69,6 @@ def main(argv=None):
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="one seed or a range, e.g. 101-110")
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--out", help="output file (default BENCH_<workload>.json)")
     args = parser.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
@@ -80,13 +80,13 @@ def main(argv=None):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         run = {"seed": seed, "first": order[0]}
         for side in order:
-            machine, run[side] = _run(sides[side], args.workload, seed, args.seconds)
+            machine, run[side] = _run(sides[side], args.workload, seed, spec["run_seconds"])
         runs.append(run)
         print(json.dumps({k: run[k] if k in ("seed", "first") else
                           run[k]["metrics"]["wall_s"]["value"] for k in run}), flush=True)
 
     report = {
-        "workload": args.workload, "seconds": args.seconds, "machine": machine,
+        "workload": args.workload, "seconds": spec["run_seconds"], "machine": machine,
         "commits": {side: _commit(root) for side, root in sides.items()},
         "correct": all(r[s]["correct"] for r in runs for s in sides),
         "metrics": summarize(runs, spec), "runs": runs,
