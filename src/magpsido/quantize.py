@@ -39,8 +39,6 @@ from .symbols import p_s_symbol
 
 AMPLITUDE_BUDGET = 10**10
 AMPLITUDE_BLOCK = 2**16     # complex amplitude samples op_amplitude takes per block
-ASSEMBLY_WORDS = 1.5        # complex N x N matrices op_weyl holds at its peak at zero field or for a
-                            # field on axis 0 and n >= 24 (1.29 at N = 576); a flat phase table adds 3
 REAL_TOL = 1e-14            # max|Im| / max|.| at or below which fhat or a symmetrized H is stored real
 SYMMETRY_TOL = 1e-12        # max|amp(x,y) - amp(y,x)| / max|amp| above which op_amplitude refuses
 

@@ -3,7 +3,10 @@ import math
 import numpy as np
 
 from magpsido.decay import conjugate_operator
-from magpsido.spectral import HERMITIAN_TOL, hermiticity_defect
+from magpsido.gauge import transversal_gauge, zero_field
+from magpsido.quantize import op_weyl
+from magpsido.spectral import HERMITIAN_TOL, hermiticity_defect, matrix_exp_neg
+from magpsido.symbols import relativistic_symbol
 
 ACCEPTANCE_LINES = []
 
@@ -50,3 +53,26 @@ def dense_riesz_projector(mat, center, radius, num_nodes=32):
 def projector_rank(P):
     """Singular values above 1/2: the rank of a near-orthogonal projector."""
     return int((np.linalg.svd(P, compute_uv=False) > 0.5).sum())
+
+
+def diamagnetic_check(g, t, trials, grid, seed=0):
+    """Test helper: pointwise comparison |exp(-tH_A) u| <= exp(-tH_0) |u| for
+    the free operator H_A = op_weyl(<eta>, g) and its zero-field version H_0.
+
+    Returns the worst signed excess over random complex trials plus one
+    nonnegative trial; `violation` clips at zero.
+    """
+    sym = relativistic_symbol(grid.dimension)
+    E = matrix_exp_neg(op_weyl(sym, g, grid), t)
+    g0 = transversal_gauge(zero_field(grid.dimension))
+    E0 = matrix_exp_neg(op_weyl(sym, g0, grid), t).real
+    rng = np.random.default_rng(seed)
+    signed = -np.inf
+    for k in range(trials + 1):
+        if k == 0:
+            u = np.abs(rng.standard_normal(grid.size))  # nonnegative trial
+        else:
+            u = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+        excess = np.abs(E @ u) - E0 @ np.abs(u)
+        signed = max(signed, float(excess.max()))
+    return {"signed_max": signed, "violation": max(0.0, signed)}

@@ -8,7 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import dense_riesz_projector, projector_rank, record_acceptance
+from conftest import (diamagnetic_check, dense_riesz_projector, projector_rank,
+                      record_acceptance)
 from magpsido.decay import (WeightFamily, amplitude_c_eps, b_shift,
                             conjugate_operator, decay_fit,
                             default_window, uniform_bound_sweep,
@@ -17,9 +18,8 @@ from magpsido.gauge import (constant_field_2d, gauge_transform,
                             transversal_gauge, zero_field)
 from magpsido.harness import ScenarioConfig, verify_suite
 from magpsido.quantize import Grid, GridFunction, op_amplitude, op_weyl
-from magpsido.relativistic import (bessel_k, diamagnetic_check, displacement_lattice,
-                                   kato_estimate, kato_scan, kernel_pt,
-                                   pointwise_bound_check, semigroup_checks)
+from magpsido.relativistic import (bessel_k, displacement_lattice, kato_estimate, kato_scan,
+                                   kernel_pt, pointwise_bound_check, semigroup_checks)
 from magpsido.spectral import SpectralWindow, discrete_spectrum_select, eig_hermitian
 from magpsido.symbols import kinetic_symbol, relativistic_symbol, symbol_from_id
 

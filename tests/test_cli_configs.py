@@ -291,29 +291,45 @@ def test_closed_pipe_process_exits_2_without_traceback():
     assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
 
 
-def test_start_up_and_a_no_suite_run_leave_scipy_linalg_unloaded(tmp_path):
-    # importing scipy.linalg costs about 0.3 s per start; the eigenvalue-only
-    # solve and the relative bound stay in numpy. jsonschema costs about 0.1 s;
-    # configs are checked by harness's own schema interpreter
+def _loaded_before_and_after_run(config, out, modules):
+    """In a fresh interpreter: which of `modules` are in sys.modules after
+    importing magpsido.cli, and after `run` on `config`; with run's exit code."""
     import subprocess
     import sys
 
-    cfg = tmp_path / "cos2d.json"
-    cfg.write_text(json.dumps({"symbol": "relativistic", "field": "cos2d:amp=1",
-                               "grid": {"d": 2, "L": 6.0, "n": 8}, "suites": []}))
     code = ("import json, sys\n"
             "import magpsido.cli as cli\n"
-            "loaded = lambda: ['scipy.linalg' in sys.modules, 'jsonschema' in sys.modules]\n"
+            f"loaded = lambda: [m in sys.modules for m in {list(modules)!r}]\n"
             "seen = [loaded()]\n"
             "rc = cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
             "seen.append(loaded())\n"
             "print(json.dumps([rc, seen]))\n")
     src = os.path.join(os.path.dirname(CONFIG_DIR), "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "r.json")],
+    proc = subprocess.run([sys.executable, "-c", code, str(config), str(out)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, [[False, False]] * 2]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_start_up_and_a_no_suite_run_leave_scipy_linalg_unloaded(tmp_path):
+    # importing scipy.linalg costs about 0.3 s per start; the eigenvalue-only
+    # solve and the relative bound stay in numpy. jsonschema costs about 0.1 s;
+    # configs are checked by harness's own schema interpreter
+    cfg = tmp_path / "cos2d.json"
+    cfg.write_text(json.dumps({"symbol": "relativistic", "field": "cos2d:amp=1",
+                               "grid": {"d": 2, "L": 6.0, "n": 8}, "suites": []}))
+    seen = _loaded_before_and_after_run(cfg, tmp_path / "r.json",
+                                        ["scipy.linalg", "jsonschema"])
+    assert seen == [0, [[False, False]] * 2]
+
+
+def test_thm3_run_leaves_scipy_special_unloaded(tmp_path):
+    # thm3 checks the config's operator; only the kernel commands (semigroup,
+    # kato) evaluate Bessel K and pay for the scipy.special import
+    cfg = os.path.join(CONFIG_DIR, "thm3_relativistic.json")
+    seen = _loaded_before_and_after_run(cfg, tmp_path / "r.json", ["scipy.special"])
+    assert seen == [0, [[False]] * 2]
 
 
 def _shipped_with(tmp_path, name, edit):

@@ -404,10 +404,11 @@ class TestSuites:
     @pytest.mark.parametrize("overrides, missing", [
         ({"symbol": "kinetic+gauss_well:depth=2,width=1"}, "symbol relativistic"),
         ({"symbol": "relativistic+bounded_bump:height=1,width=1"}, "v <= 0"),
-        ({"gauge_chi": "bilinear"}, "gauge_chi unset")],
-        ids=["kinetic-symbol", "repulsive-potential", "gauge-chi"])
+        ({"gauge_chi": "bilinear"}, "gauge_chi unset"),
+        ({"field": "constant2d:b=0.5", "grid": {"d": 2, "L": 6.0, "n": 16}}, "d = 1")],
+        ids=["kinetic-symbol", "repulsive-potential", "gauge-chi", "two-dimensional"])
     def test_thm3_outside_its_contract_not_applicable(self, overrides, missing):
-        cfg = cfg_with(grid={"d": 1, "L": 30.0, "n": 64}, **overrides)
+        cfg = cfg_with(**{"grid": {"d": 1, "L": 30.0, "n": 64}, **overrides})
         with pytest.raises(NotApplicableError, match=missing):
             verify_suite("thm3-relativistic", cfg)
 
@@ -461,7 +462,6 @@ class TestSharedScenario:
 
         import magpsido.decay as dk
         import magpsido.harness as hs
-        import magpsido.relativistic as rel
         import magpsido.spectral as sp
 
         calls = []
@@ -474,8 +474,7 @@ class TestSharedScenario:
                 return out
             return wrapper
 
-        for mod in (hs, rel):
-            monkeypatch.setattr(mod, "op_weyl", counted("op_weyl", hs.op_weyl))
+        monkeypatch.setattr(hs, "op_weyl", counted("op_weyl", hs.op_weyl))
         eig = counted("eig_hermitian", hs.eig_hermitian)
         for mod in (hs, dk, sp):
             monkeypatch.setattr(mod, "eig_hermitian", eig)

@@ -15,9 +15,9 @@ from magpsido.errors import AssemblyError, BudgetError, ConfigError, NotApplicab
 from magpsido.gauge import (constant_field_2d, field_from_id, gauge_transform, grid_phase,
                             phase_table, transversal_gauge, zero_field)
 from magpsido.harness import _named_chi
-from magpsido.quantize import (ASSEMBLY_WORDS, REAL_TOL, Grid, GridFunction, OperatorMatrix,
-                               fourier_mode, hermitize, mag_derivative, op_amplitude, op_ps,
-                               op_weyl, sobolev_norm)
+from magpsido.quantize import (REAL_TOL, Grid, GridFunction, OperatorMatrix, fourier_mode,
+                               hermitize, mag_derivative, op_amplitude, op_ps, op_weyl,
+                               sobolev_norm)
 from magpsido.spectral import eig_hermitian
 from magpsido.symbols import HormanderSymbol, bracket, kinetic_symbol, p_s_symbol, symbol_from_id
 
@@ -186,6 +186,10 @@ class TestFactorAssembly:
             op_weyl(sym, transversal_gauge(zero_field(1)), grid)
         assert str(exc.value) == f"non-finite symbol factor {factor} at {where}"
 
+    # complex N x N matrices op_weyl holds at its peak at zero field or for a
+    # field on axis 0 and n >= 24 (1.29 at N = 576); a flat phase table adds 3
+    ASSEMBLY_WORDS = 1.5
+
     def test_peak_memory_is_bounded_in_operator_words(self):
         # cos2d at n = 24 (N = 576): the operator and the gather's slabs, at
         # most ASSEMBLY_WORDS complex N x N matrices
@@ -198,7 +202,7 @@ class TestFactorAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= ASSEMBLY_WORDS * 16 * grid.size**2
+        assert peak <= self.ASSEMBLY_WORDS * 16 * grid.size**2
 
 
 def symmetrized_raw_weyl(sym, g, grid):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from conftest import diamagnetic_check
 from magpsido.errors import ConfigError, NotApplicableError
 from magpsido.gauge import constant_field_2d, transversal_gauge, zero_field
 from magpsido.quantize import Grid, op_weyl
-from magpsido.relativistic import (bessel_k, diamagnetic_check, displacement_lattice,
-                                   kato_estimate, kato_scan, kernel_pt,
-                                   pointwise_bound_check, semigroup_checks)
+from magpsido.relativistic import (bessel_k, displacement_lattice, kato_estimate, kato_scan,
+                                   kernel_pt, pointwise_bound_check, semigroup_checks)
 from magpsido.spectral import eig_hermitian, matrix_exp_neg
 from magpsido.symbols import bracket, relativistic_symbol, symbol_from_id
 
@@ -94,7 +94,7 @@ class TestBesselK:
 
     def test_recurrence_residual(self):
         z = np.linspace(0.1, 20.0, 128)
-        for nu in (1.0, 2.0, 1.5):
+        for nu in (1.0, 2.0, 3.0, 1.5, 2.5):
             lhs = bessel_k(nu + 1.0, z)
             rhs = bessel_k(nu - 1.0, z) + (2 * nu / z) * bessel_k(nu, z)
             assert (np.abs(lhs - rhs) / np.abs(lhs)).max() < 1e-12
@@ -179,6 +179,7 @@ class TestSemigroupChecks:
         vals = [semigroup_checks(0.5, 0.5, Grid(1, 10.0, n))["conv"]
                 for n in (64, 128, 256)]
         assert vals[0] > vals[1] > vals[2]
+        assert vals[2] < 1e-4
 
     def test_zero_frequency_matches_mass(self):
         grid = Grid(1, 20.0, 256)
