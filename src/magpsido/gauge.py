@@ -2,12 +2,12 @@
 
 The phase attached to an ordered pair (x, y) is exp(-i I(x,y)) with
 I(x,y) = int_[x,y] A, the integral of the vector potential along the
-straight segment. In the transversal gauge, x . A(x) = 0, Stokes' theorem
-turns that segment integral into the flux of B through the triangle
-(0, x, y):
+straight segment. In the transversal gauge about an origin o,
+(x - o) . A(x) = 0, Stokes' theorem turns that segment integral into the
+flux of B through the triangle (o, x, y); with x, y measured from o,
 
     I(x,y) = sum_{j<k} (x_j y_k - x_k y_j)
-             int_0^1 int_0^1 s B_jk(s (x + t (y - x))) ds dt,
+             int_0^1 int_0^1 s B_jk(o + s (x + t (y - x))) ds dt,
 
 evaluated with the tensor Gauss-Legendre rule of order PHASE_QUAD_ORDER
 for every field; the potential itself comes from the radial rule of the same
@@ -21,6 +21,13 @@ phases of a field on axis 0 also factor (`AxisPhase`): the exponent splits
 into a part of (x_1, y_1, y_2) and one of (y_1, x_1, x_2), so
 n^3 exponentials give all N^2 = n^4 phases, and `grid_phase` serves them to
 the operator assembly without an N x N table.
+
+Moving the origin is a gauge change: it multiplies every phase by
+exp(-i (chi(y) - chi(x))) for some chi, so operators built on two origins
+are unitarily equivalent. The origin defaults to 0; a scenario centres it
+on its lattice (`quantize.Grid.centre`), where a field on axis 0 makes the
+operator symmetric under conjugation times the x_2 reflection
+(`spectral.ConjugateReflection`).
 
 A gauge shifted by grad(chi) keeps this evaluator and records chi; its
 segment integral is I(x,y) + chi(y) - chi(x) exactly, so no quadrature over
@@ -117,19 +124,26 @@ class GaugeData:
     field: MagneticField
     potential: Callable  # X (...,d) -> (...,d)
     chi: Optional[Callable] = None  # X (...,d) -> (...); accumulated gauge shift
+    origin: Optional[np.ndarray] = None  # (d,) origin of the transversal gauge; None is 0
+
+    def __post_init__(self):
+        origin = np.zeros(self.dimension) if self.origin is None else self.origin
+        self.origin = np.asarray(origin, dtype=float).reshape(self.dimension)
 
     @property
     def dimension(self):
         return self.field.dimension
 
 
-def transversal_gauge(B):
-    """Radial-integration potential A_j(x) = -sum_k x_k int_0^1 s B_jk(s x) ds."""
+def transversal_gauge(B, origin=None):
+    """Radial-integration potential about `origin` o (default 0):
+    A_j(x) = -sum_k (x - o)_k int_0^1 s B_jk(o + s (x - o)) ds."""
     d = B.dimension
     s_nodes, s_weights = gauss_legendre_01(PHASE_QUAD_ORDER)
+    o = np.zeros(d) if origin is None else np.asarray(origin, dtype=float)
 
     def A(X):
-        X = np.asarray(X, dtype=float)
+        X = np.asarray(X, dtype=float) - o
         out = np.zeros(X.shape)
         for j in range(d):
             acc = np.zeros(X.shape[:-1])
@@ -138,12 +152,12 @@ def transversal_gauge(B):
                     continue
                 radial = np.zeros(X.shape[:-1])
                 for s, w in zip(s_nodes, s_weights):
-                    radial = radial + w * s * B.component(j, k, s * X)
+                    radial = radial + w * s * B.component(j, k, o + s * X)
                 acc += X[..., k] * radial
             out[..., j] = -acc
         return out
 
-    return GaugeData(B, A)
+    return GaugeData(B, A, origin=o)
 
 
 def _is_trivial(g):
@@ -151,8 +165,9 @@ def _is_trivial(g):
     return g.field.is_zero and g.chi is None
 
 
-def _flux_means(B, x, y, order):
-    """Per component, int_0^1 int_0^1 s B_jk(s(x + t(y-x))) ds dt."""
+def _flux_means(B, x, y, order, origin=0.0):
+    """Per component, int_0^1 int_0^1 s B_jk(o + s(x + t(y-x))) ds dt, with
+    x and y measured from the origin o."""
     nodes, weights = gauss_legendre_01(order)
     # one s node at a time, every t node along a leading axis; coordinate
     # axis next, so the broadcast sums run over long rows
@@ -164,6 +179,7 @@ def _flux_means(B, x, y, order):
     for s, ws in zip(nodes, weights):
         # s (x + t (y - x)) = s (1 - t) x + s t y
         pts = np.moveaxis((s * (1.0 - t)) * xT + (s * t) * yT, 1, -1)
+        pts += origin
         for jk, fun in B.components.items():
             # a running sum adds the points in rule order whatever the block shape
             terms = (ws * wt * s) * fun(pts)
@@ -182,10 +198,11 @@ def _cross_sum(means, x, y):
 
 def line_integral_A(g, x, y):
     """int_[x,y] A along the straight segment: the transversal flux through
-    the triangle (0, x, y) plus chi(y) - chi(x)."""
+    the triangle (origin, x, y) plus chi(y) - chi(x)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    acc = _cross_sum(_flux_means(g.field, x, y, PHASE_QUAD_ORDER), x, y)
+    xo, yo = x - g.origin, y - g.origin
+    acc = _cross_sum(_flux_means(g.field, xo, yo, PHASE_QUAD_ORDER, g.origin), xo, yo)
     if g.chi is not None:
         acc = acc + (g.chi(y) - g.chi(x))
     return acc
@@ -218,21 +235,21 @@ def gauge_transform(g, chi, grad_chi):
         def total_chi(X):
             return base_chi(X) + chi(X)
 
-    return GaugeData(g.field, A, chi=total_chi)
+    return GaugeData(g.field, A, chi=total_chi, origin=g.origin)
 
 
-def _key_means(field, keys, chunk=4096):
-    """Flux means of every component over all key pairs, about `chunk` key
-    pairs at a time: the upper key triangle is computed and mirrored, since
-    the means are symmetric in (x, y), so each m x m table is exactly
-    symmetric."""
+def _key_means(field, keys, origin, chunk=4096):
+    """Flux means of every component over all key pairs (measured from
+    `origin`), about `chunk` key pairs at a time: the upper key triangle is
+    computed and mirrored, since the means are symmetric in (x, y), so each
+    m x m table is exactly symmetric."""
     m = keys.shape[0]
     means = {jk: np.zeros((m, m)) for jk in field.components}
     start = 0
     while start < m:
         stop = min(m, start + max(1, chunk // (m - start)))
         block = _flux_means(field, keys[start:stop, None, :], keys[None, start:, :],
-                            PHASE_QUAD_ORDER)
+                            PHASE_QUAD_ORDER, origin)
         for jk, mean in block.items():
             means[jk][start:stop, start:] = mean
         start = stop
@@ -245,9 +262,10 @@ def _key_means(field, keys, chunk=4096):
 def phase_table(g, nodes, chunk=4096):
     """Pair phase matrix omega[j,k] over flat node lists.
 
-    The flux means are evaluated over keys (`_key_means`): the distinct
-    values of nodes[:, axis] for a field with an `axis`, the nodes
-    themselves otherwise. The exponent is exactly antisymmetric with no
+    Nodes are measured from the gauge's origin. The flux means are
+    evaluated over keys (`_key_means`): the distinct values of
+    nodes[:, axis] for a field with an `axis`, the nodes themselves
+    otherwise. The exponent is exactly antisymmetric with no
     mirroring: the cross factor x_j y_k - x_k y_j and chi(y) - chi(x)
     change sign exactly under x <-> y, and rounding to nearest is symmetric,
     so omega is exactly Hermitian. The exponent is accumulated in one N x N
@@ -264,15 +282,16 @@ def phase_table(g, nodes, chunk=4096):
     scratch, buf = omega.view(float).reshape(2, N, N)
     E = np.zeros((N, N))
     if not g.field.is_zero:
+        centred = nodes - g.origin
         axis = g.field.axis
         if axis is None:
-            keys, inverse = nodes, np.arange(N)
+            keys, inverse = centred, np.arange(N)
         else:
-            _, first, inverse = np.unique(nodes[:, axis], return_index=True,
+            _, first, inverse = np.unique(centred[:, axis], return_index=True,
                                           return_inverse=True)
-            keys = nodes[first]
-        x, y = nodes[:, None, :], nodes[None, :, :]
-        for (j, k), mean in _key_means(g.field, keys, chunk).items():
+            keys = centred[first]
+        x, y = centred[:, None, :], centred[None, :, :]
+        for (j, k), mean in _key_means(g.field, keys, g.origin, chunk).items():
             # E += (x_j y_k - x_k y_j) mean_jk, as in _cross_sum
             np.multiply(x[..., j], y[..., k], out=scratch)
             scratch -= np.multiply(x[..., k], y[..., j], out=buf)
@@ -294,11 +313,12 @@ class AxisPhase:
     axis 0 (or a gauge shift alone).
 
     A node is (a, j'): a indexes its first coordinate, j' the other one
-    (j' = 0 in 1-D). The flux mean M[a, b] of a field on axis 0 depends on
+    (j' = 0 in 1-D); X_a and Y_j' are the coordinates measured from the
+    gauge's origin. The flux mean M[a, b] of a field on axis 0 depends on
     the first coordinates alone, so the exponent of the pair
-    ((a, j'), (b, k')) is M[a, b] (X_a X_k' - X_j' X_b) + chi(b, k') -
+    ((a, j'), (b, k')) is M[a, b] (X_a Y_k' - Y_j' X_b) + chi(b, k') -
     chi(a, j') (M is exactly symmetric). With
-    table[a, b, k'] = exp(-i (M[a, b] X_a X_k' + chi(b, k')))
+    table[a, b, k'] = exp(-i (M[a, b] X_a Y_k' + chi(b, k')))
 
         omega[(a, j'), (b, k')] = conj(table[b, a, j']) table[a, b, k']:
 
@@ -335,23 +355,29 @@ class AxisPhase:
 def grid_phase(g, grid):
     """The pair phases of a tensor grid (`quantize.Grid`): None when every
     phase is 1 (zero field, no shift), an `AxisPhase` for a zero field with
-    a shift or a field on axis 0, the flat `phase_table` otherwise."""
+    a shift or a field on axis 0, the flat `phase_table` otherwise.
+
+    Coordinates are measured from the gauge's origin, through
+    `Grid.axis_from`: from the lattice centre they are exactly antisymmetric
+    under j -> n - 1 - j, so the exponent changes sign bit for bit under the
+    reflection of the second coordinate."""
     if _is_trivial(g):
         return None
     if not (g.field.is_zero or g.field.axis == 0):
         return phase_table(g, grid.nodes)
-    X, dimension = grid.axis, grid.dimension
-    n = X.size
+    dimension, n = grid.dimension, grid.n
     m = n if dimension == 2 else 1
     E = np.zeros((1, n, m))  # exponent of table[a, b, k']; a shift alone is constant in a
     if not g.field.is_zero:
         # a 2-D field has the one component (0, 1); its mean depends on the
         # first coordinate only, so keys with the second one 0 serve
+        X, Y = (grid.axis_from(o) for o in g.origin)
         keys = np.zeros((n, dimension))
         keys[:, 0] = X
-        (mean,) = _key_means(g.field, keys).values()
-        E = (mean * X[:, None])[:, :, None] * X
+        (mean,) = _key_means(g.field, keys, g.origin).values()
+        E = (mean * X[:, None])[:, :, None] * Y
     if g.chi is not None:
+        X = grid.axis
         nodes = np.empty((n, m, dimension))  # node (b, k')
         nodes[..., 0] = X[:, None]
         if dimension == 2:

@@ -48,7 +48,9 @@ class Grid:
     """Periodic tensor grid: nodes h (j - n/2), h = 2L/n, and its DFT dual.
 
     The nodes are formed as h times an integer, so x_{n-j} = -x_j bit for bit
-    whatever h is; node -L (j = 0) is its own lattice image.
+    whatever h is; node -L (j = 0) is its own lattice image. The node set
+    itself is symmetric about its centre -h/2: x_{n-1-j} = -h - x_j, with no
+    fixed node.
     """
 
     dimension: int
@@ -82,6 +84,19 @@ class Grid:
     @property
     def axis(self):
         return self.h * (np.arange(self.n) - self.n // 2)
+
+    @property
+    def centre(self):
+        """The lattice's centre of symmetry, -h/2 on every axis."""
+        return np.full(self.dimension, -self.h / 2.0)
+
+    def axis_from(self, origin):
+        """Node coordinates of one axis measured from `origin`. From the
+        centre -h/2 they are formed as (h/2)(2j - n + 1), odd multiples of
+        h/2, so entry n - 1 - j is minus entry j bit for bit."""
+        if origin == -self.h / 2.0:
+            return (self.h / 2.0) * (2 * np.arange(self.n) - (self.n - 1))
+        return self.axis - origin
 
     @property
     def eta_axis(self):
@@ -196,11 +211,16 @@ def op_weyl(sym, g, grid):
     """Quantize a real symbol against a gauge: an exactly Hermitian H from
     one gather.
 
-    fhat is replaced by its Hermitian part (fhat + conj fhat o P)/2, P the
-    lattice mirror; `hermiticity_defect` records |fhat - conj fhat o P| /
-    |fhat|, the part removed (roundoff for a real f). With zero field and
-    no shift there is no phase, and a fhat whose imaginary part is at most
-    REAL_TOL max|fhat| is gathered real, so H is float64.
+    On each axis where f is even on the lattice, fhat is made even on that
+    axis bit for bit (the FFT leaves roundoff asymmetry); even factors and
+    phases then give an H that commutes exactly with the reflection, and a
+    field on axis 0 in a gauge centred on the lattice an H that conjugation
+    maps to its x_2 reflection exactly. fhat is then replaced by its Hermitian part
+    (fhat + conj fhat o P)/2; `hermiticity_defect` records
+    |fhat - conj fhat o P| / |fhat|, the part removed (roundoff for a real
+    f). With zero field and no shift there is no phase, and a fhat whose
+    imaginary part is at most REAL_TOL max|fhat| is gathered real, so H is
+    float64.
     """
     if sym.dimension != grid.dimension or g.dimension != grid.dimension:
         raise ConfigError("dimension mismatch between symbol, gauge, and grid")
@@ -208,14 +228,13 @@ def op_weyl(sym, g, grid):
     etas = grid.eta_nodes
     fvals = _finite(sym.f(etas), etas, "f at frequency")
     fhat = np.fft.ifftn(fvals.reshape((n,) * d)).reshape(-1)
-    mirror = grid.reflection
-    if np.array_equal(fvals[mirror], fvals):
-        # f even on the lattice: make fhat even bit for bit (the FFT leaves
-        # roundoff asymmetry), so that even factors and phases give an H
-        # that commutes exactly with the reflection
-        fhat += fhat[mirror]
-        fhat *= 0.5
-    mirrored = fhat[mirror].conj()
+    flip = -np.arange(n) % n
+    F, Fh = fvals.reshape((n,) * d), fhat.reshape((n,) * d)
+    for ax in range(d):
+        if np.array_equal(np.take(F, flip, axis=ax), F):
+            Fh += np.take(Fh, flip, axis=ax)
+            Fh *= 0.5
+    mirrored = fhat[grid.reflection].conj()
     scale = np.linalg.norm(fhat)
     defect = float(np.linalg.norm(fhat - mirrored) / scale) if scale > 0 else 0.0
     # fhat[P m] == conj fhat[m] bit for bit: complex addition commutes

@@ -3,15 +3,26 @@ relative bounds.
 
 Every solve runs over a list of symmetry blocks. An operator that commutes
 exactly with the grid's lattice reflection P (x -> -x, j -> -j mod n per
-axis) is two blocks of about N/2, its even and odd parts; any other operator
-is the one-block case. A zero-field operator of even factors commutes with P:
-a symbol with a radial potential and no modulation, with or without an even
-gauge shift such as `quadratic`, and its conjugations by a radial weight.
-Node -L is its own lattice image, but unwrapped segment phases and midpoints
-treat -L and +L as different points, so a magnetic field, the 2-D `bilinear`
-shift x_1 x_2 and a midpoint modulation g break the symmetry in the rows of
-the nodes with a coordinate -L. The choice is made by an exact test,
-`np.array_equal`, never by a tolerance.
+axis) is two blocks of about N/2, its even and odd parts. A zero-field
+operator of even factors commutes with P: a symbol with a radial potential
+and no modulation, with or without an even gauge shift such as `quadratic`,
+and its conjugations by a radial weight. Node -L is its own lattice image,
+but unwrapped segment phases and midpoints treat -L and +L as different
+points, so a magnetic field, the 2-D `bilinear` shift x_1 x_2 and a
+midpoint modulation g break the symmetry in the rows of the nodes with a
+coordinate -L.
+
+A complex operator that fails that test may still satisfy
+H[R][:, R] == conj(H) for the reflection R of the last axis about the
+lattice centre, j' -> n - 1 - j' (x_2 -> -h - x_2). R moves every node and
+maps the lattice onto itself as a true mirror: the wrapped displacement of
+a pair goes to its negative and its unwrapped segment to the mirrored
+segment, so R has no seam. A field on axis 0 in a gauge centred on the
+lattice reverses its flux under R, and conjugation reverses it back, so its
+potential-free operators are real symmetric matrices in a basis of R-even
+and i times R-odd vectors (`ConjugateReflection`), solved in real
+arithmetic. Any other operator is the one-block case. Each choice is made by
+an exact test, `np.array_equal`, never by a tolerance.
 """
 import math
 from dataclasses import dataclass
@@ -26,12 +37,15 @@ HERMITIAN_TOL = 1e-12       # relative Hermiticity defect below which a matrix c
 LANCZOS_TOL = 2.0 ** -46    # Ritz residual, relative to the top Ritz value, at which Lanczos stops
 LANCZOS_CHECK = 4           # Lanczos steps between two solves of the tridiagonal matrix
 LANCZOS_MIN_ORDER = 128     # fewer columns than this: a dense eigvalsh of M^* M is faster
+SYMMETRY_SLAB = 2**16       # entries ConjugateReflection.holds compares per slab
 _ROOT_HALF = math.sqrt(0.5)
 
 
 class Whole:
     """C^N as one block, the matrix itself, with no copy: the symmetry of an
     operator that commutes with no reflection."""
+
+    name = "whole"
 
     def __init__(self, size):
         self.node_sets = (np.arange(size),)
@@ -59,6 +73,8 @@ class ParityBlocks:
         even = D (A[S, S] + A[S, P S]) D,  D = 1/sqrt(2) on the fixed nodes,
         odd  = A[pairs, pairs] - A[pairs, partners].
     """
+
+    name = "parity"
 
     def __init__(self, grid):
         reflection = grid.reflection
@@ -113,6 +129,93 @@ class ParityBlocks:
         return V
 
 
+class ConjugateReflection:
+    """C^N as one real space, for a complex operator with
+    H[R][:, R] == conj(H), R the reflection j' -> n - 1 - j' of the grid's
+    last axis about the lattice centre.
+
+    A node is (a, j'): a indexes the leading coordinate (none in 1-D), j'
+    the last one. R has no fixed node, so the pairs p = (a, j') with
+    j' < n/2 and their partners Rp split the nodes. In the orthonormal basis
+    u_p = (e_p + e_Rp)/sqrt(2), w_p = i (e_p - e_Rp)/sqrt(2), each vector
+    fixed by the antiunitary R o conj, such a matrix is real:
+
+        K = [[Re A + Re B, Im B - Im A],
+             [Im A + Im B, Re A - Re B]],  A = H[P, P], B = H[P, RP],
+
+    gathered in O(N^2) through reversed views. For a Hermitian H, K is real
+    symmetric and has H's eigenvalues.
+    """
+
+    name = "conjugate-reflection"
+
+    def __init__(self, grid):
+        n = grid.n
+        self.shape = (grid.size // n, n)
+        nodes = np.arange(grid.size).reshape(self.shape)
+        self.reflection = nodes[:, ::-1].ravel()
+        pairs = nodes[:, :n // 2].ravel()
+        self.node_sets = (np.concatenate([pairs, pairs]),)
+        self.sizes = [grid.size]
+
+    def holds(self, A):
+        """A[R][:, R] == conj(A) exactly, for a complex A. Row 0 is compared
+        first, so most matrices without the symmetry are refused in O(N);
+        then the rows of the pairs, slab by slab (the rows of the partners
+        follow by conjugating both sides)."""
+        if not np.iscomplexobj(A):
+            return False
+        m, n = self.shape
+        A4 = A.reshape(m, n, m, n)
+        mirror = A4[:, ::-1, :, ::-1]
+        if not _conj_equal(mirror[0, 0], A4[0, 0]):
+            return False
+        step = max(1, SYMMETRY_SLAB // A.shape[1])
+        for a in range(m):
+            for j0 in range(0, n // 2, step):
+                j1 = min(j0 + step, n // 2)
+                if not _conj_equal(mirror[a, j0:j1], A4[a, j0:j1]):
+                    return False
+        return True
+
+    def invariant(self, f):
+        """R f == f exactly for a real grid function f."""
+        return np.array_equal(f[self.reflection], f)
+
+    def blocks(self, A):
+        """The one real block K of a matrix with the symmetry."""
+        m, n = self.shape
+        h = n // 2
+        rows = A.reshape(m, n, m, n)[:, :h]
+        same, across = rows[..., :h], rows[..., ::-1][..., :h]
+        K = np.empty((2, m, h, 2, m, h))
+        np.add(same.real, across.real, out=K[0, :, :, 0])
+        np.subtract(across.imag, same.imag, out=K[0, :, :, 1])
+        np.add(same.imag, across.imag, out=K[1, :, :, 0])
+        np.subtract(same.real, across.real, out=K[1, :, :, 1])
+        return (K.reshape(m * n, m * n),)
+
+    def vectors(self, block_vecs, order):
+        """Complex columns of the real eigenvectors Y of K: (Y_u + i Y_w)/sqrt(2)
+        on the pairs, (Y_u - i Y_w)/sqrt(2) on the partners; ascending already
+        from `eigh`."""
+        (Y,) = block_vecs
+        m, n = self.shape
+        h, N = n // 2, m * n
+        V = np.empty((m, n, N), dtype=complex)
+        pairs, partners = V[:, :h], V[:, ::-1][:, :h]
+        np.multiply(Y[:N // 2].reshape(m, h, N), _ROOT_HALF, out=pairs.real)
+        np.multiply(Y[N // 2:].reshape(m, h, N), _ROOT_HALF, out=pairs.imag)
+        partners.real[...] = pairs.real
+        np.negative(pairs.imag, out=partners.imag)
+        return V.reshape(N, N)
+
+
+def _conj_equal(X, Y):
+    """X == conj(Y) exactly, entry by entry."""
+    return np.array_equal(X.real, Y.real) and np.array_equal(X.imag, -Y.imag)
+
+
 def _put(out, rows, cols, values):
     """out[np.ix_(rows, cols)] = values for a C-contiguous `out`, through flat
     indices (a third of the time of the two-index assignment)."""
@@ -127,7 +230,7 @@ class EigenDecomposition:
     eigenvalues: np.ndarray      # ascending
     eigenvectors: np.ndarray     # unitary columns
     residual: float
-    symmetry: Optional[object] = None      # Whole or ParityBlocks
+    symmetry: Optional[object] = None      # Whole, ParityBlocks or ConjugateReflection
     block_pairs: Optional[tuple] = None    # ((lam_b, Y_b), ...), one per block of `symmetry`
 
     def __post_init__(self):
@@ -172,28 +275,36 @@ def _hermitian_entries(op):
 
 
 def block_symmetry(op):
-    """The ParityBlocks of an operator on a grid when its matrix commutes
-    exactly with the grid's reflection; else the one block Whole(N), as for a
+    """The symmetry blocks of an operator on a grid, by exact tests in this
+    order: ParityBlocks when its matrix commutes with the grid's reflection,
+    ConjugateReflection when the matrix is complex and conjugation maps it to
+    its reflection on the last axis; else the one block Whole(N), as for a
     bare array, which has no grid."""
     if isinstance(op, OperatorMatrix):
         blocks = ParityBlocks(op.grid)
         if blocks.commutes(op.entries):
             return blocks
+        real = ConjugateReflection(op.grid)
+        if real.holds(op.entries):
+            return real
         op = op.entries
     return Whole(len(op))
 
 
-def eig_hermitian(op):
+def eig_hermitian(op, symmetry=None):
     """Full LAPACK decomposition of a symmetrized operator, one `eigh` per
-    block of its `block_symmetry`.
+    block of its `block_symmetry` (or of `symmetry`, when the caller has
+    already taken it).
 
-    Parity blocks are each of size about N/2, for a quarter of the flops;
-    their eigenvectors are expanded to full columns, and the block eigenpairs
-    are kept as `block_pairs`. The residual max_i |H v_i - lam_i v_i| / max|lam|
-    is always taken against the full H, so it checks the reduction too.
+    Parity blocks are each of size about N/2, for a quarter of the flops; a
+    conjugate reflection is one real block of size N, for about a third of
+    the time of the complex solve. Block eigenvectors are expanded to full
+    columns, and the block eigenpairs are kept as `block_pairs`. The residual
+    max_i |H v_i - lam_i v_i| / max|lam| is always taken against the full H,
+    so it checks the reduction too.
     """
     H = _hermitian_entries(op)
-    sym = block_symmetry(op)
+    sym = block_symmetry(op) if symmetry is None else symmetry
     pairs = tuple(np.linalg.eigh(B) for B in sym.blocks(H))
     lam = np.concatenate([lam_b for lam_b, _ in pairs])
     order = np.argsort(lam, kind="stable")
@@ -204,12 +315,13 @@ def eig_hermitian(op):
     return EigenDecomposition(lam, V, residual, sym, pairs)
 
 
-def eigvals_hermitian(op):
+def eigvals_hermitian(op, symmetry=None):
     """Ascending eigenvalues of a symmetrized operator, with no eigenvectors
     (LAPACK's eigenvalue-only path, about a third of the time of `eigh`), one
     solve per block as in `eig_hermitian`."""
     H = _hermitian_entries(op)
-    return np.sort(np.concatenate([np.linalg.eigvalsh(B) for B in block_symmetry(op).blocks(H)]))
+    sym = block_symmetry(op) if symmetry is None else symmetry
+    return np.sort(np.concatenate([np.linalg.eigvalsh(B) for B in sym.blocks(H)]))
 
 
 @dataclass(frozen=True)

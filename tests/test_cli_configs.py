@@ -91,9 +91,15 @@ def test_zero_field_configs_take_the_parity_blocks(config, tmp_path, monkeypatch
     _recording(monkeypatch, hs, solves)
     out = str(tmp_path / "report.json")
     assert cli_main(["run", "--config", config, "--out", out]) == 0
-    blocks = _load_report(out)["spectra_summary"]["parity_blocks"]
+    summary = _load_report(out)["spectra_summary"]
+    blocks = summary["parity_blocks"]
     assert blocks == ([n // 2 + 1, n // 2 - 1] if zero else None)
+    # quantize_core_2d's constant field, in the gauge centred on the
+    # lattice, is solved as one real block
+    name = "parity" if zero else "conjugate-reflection"
+    assert summary["symmetry"] == name
     for dec in solves:
+        assert dec.symmetry.name == name
         assert dec.symmetry.sizes == (blocks if zero else [n * n])
 
 

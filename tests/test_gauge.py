@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from magpsido import _kernels
 from magpsido.errors import ConfigError
 from magpsido.gauge import (_cross_sum, _flux_means, constant_field_2d,
-                            cos_field_2d, field_from_id, gauge_transform,
+                            cos_field_2d, field_from_id, gauge_transform, grid_phase,
                             line_integral_A, magnetic_phase, phase_table,
                             potential_residual, transversal_gauge, zero_field)
-from magpsido.harness import _named_chi
+from magpsido.harness import Scenario, ScenarioConfig, _named_chi
 from magpsido.quadrature import gauss_legendre_01
-from magpsido.quantize import Grid
+from magpsido.quantize import Grid, op_weyl
+from magpsido.symbols import symbol_from_id
 
 
 def line_quadrature_table(g, nodes, order=16):
@@ -278,6 +280,59 @@ class TestGaugeTransform:
         lhs = magnetic_phase(g2, x, y)
         rhs = magnetic_phase(g_cos, x, y) * np.exp(-1j * (chi(y) - chi(x)))
         assert np.abs(lhs - rhs).max() < 1e-10
+
+
+class TestGaugeOrigin:
+    """The transversal gauge about any origin: the same field, phases that
+    differ by a gauge factor, and the same spectrum."""
+
+    ORIGIN = np.array([-0.3, 0.45])
+
+    def test_phases_match_line_quadrature_oracle(self):
+        g = transversal_gauge(cos_field_2d(1.0), origin=self.ORIGIN)
+        assert potential_residual(g, radius=4.0, density=16) < 1e-6
+        table = phase_table(g, NODES)
+        assert np.abs(table - line_quadrature_table(g, NODES)).max() <= 1e-12
+        assert np.abs(table - magnetic_phase(g, NODES[:, None], NODES[None])).max() <= 1e-13
+
+    def test_moving_the_origin_is_a_gauge_change(self, g_const):
+        # constant b = 1: A_o = A_0 + grad chi with chi(x) = (o_2 x_1 - o_1 x_2) / 2
+        g = transversal_gauge(constant_field_2d(1.0), origin=self.ORIGIN)
+        chi = 0.5 * (self.ORIGIN[1] * NODES[:, 0] - self.ORIGIN[0] * NODES[:, 1])
+        want = phase_table(g_const, NODES) * np.exp(-1j * (chi[None, :] - chi[:, None]))
+        assert np.abs(phase_table(g, NODES) - want).max() <= 1e-12
+
+    def test_shift_keeps_the_origin(self, g_cos):
+        g = transversal_gauge(cos_field_2d(1.0), origin=self.ORIGIN)
+        assert np.array_equal(gauge_transform(g, *sin_chi(0.8, 1.3, -0.2)).origin, self.ORIGIN)
+        assert np.array_equal(g_cos.origin, [0.0, 0.0])
+
+    @pytest.mark.parametrize("field", ["constant2d:b=0.7", "cos2d:amp=1.3"])
+    def test_spectra_agree_at_origin_0_and_the_centre(self, field):
+        grid = Grid(2, 4.4, 12)
+        sym = symbol_from_id("relativistic", 2)
+        lam = [np.linalg.eigvalsh(op_weyl(sym, transversal_gauge(field_from_id(field, 2),
+                                                                  origin=o), grid).entries)
+               for o in (None, grid.centre)]
+        assert np.abs(lam[0] - lam[1]).max() <= 1e-12 * np.abs(lam[0]).max()
+        centred = Scenario(ScenarioConfig.from_dict(
+            {"symbol": "relativistic", "field": field, "suites": [],
+             "grid": {"d": 2, "L": 4.4, "n": 12}})).gauge
+        assert np.array_equal(centred.origin, grid.centre)
+        assert potential_residual(centred, radius=2.2, density=16) < 1e-6
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_grid_phase_at_the_centre_matches_the_phase_table(self, n):
+        grid = Grid(2, 4.4, n)
+        X = grid.axis_from(grid.centre[0])
+        assert np.array_equal(X[::-1], -X)
+        assert np.abs(X - (grid.axis - grid.centre[0])).max() <= 1e-15 * grid.L
+        g = transversal_gauge(cos_field_2d(1.3), origin=grid.centre)
+        omega = _kernels.weyl_gather(np.ones((n, n), dtype=complex), grid_phase(g, grid), n, 2)
+        assert np.abs(omega - phase_table(g, grid.nodes)).max() <= 1e-13
+        # conjugation undoes the reflection of the second coordinate exactly
+        omega4 = omega.reshape(n, n, n, n)
+        assert np.array_equal(omega4[:, ::-1, :, ::-1], omega4.conj())
 
 
 class TestFieldCatalog:

@@ -524,6 +524,38 @@ class TestSharedScenario:
             residual = report["spectra_summary"]["residual"]
             assert (residual is not None) == vectors
 
+    QUANTIZE_2D = {"symbol": "relativistic", "field": "constant2d:b=0.5",
+                   "grid": {"d": 2, "L": 6.0, "n": 8}, "suites": ["quantize-core"]}
+
+    def test_each_operator_is_tested_for_its_symmetry_once(self, monkeypatch):
+        # quantize-core solves H (eigenpairs) and its bilinear-shifted copy
+        # (eigenvalues only); the spectra summary reuses H's symmetry
+        import magpsido.harness as hs
+        import magpsido.spectral as sp
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sp, "block_symmetry", counted("block_symmetry", sp.block_symmetry))
+        monkeypatch.setattr(hs, "block_symmetry", counted("block_symmetry", hs.block_symmetry))
+        monkeypatch.setattr(hs, "eig_hermitian", counted("eig_hermitian", hs.eig_hermitian))
+        monkeypatch.setattr(hs, "eigvals_hermitian",
+                            counted("eigvals_hermitian", hs.eigvals_hermitian))
+        for raw, want in (
+                (self.NO_SUITE_2D, {"block_symmetry": 1, "eigvals_hermitian": 1}),
+                (self.QUANTIZE_2D, {"block_symmetry": 2, "eig_hermitian": 1,
+                                    "eigvals_hermitian": 1})):
+            calls.clear()
+            report = run_scenario(ScenarioConfig.from_dict(raw))
+            assert report.all_passed
+            assert report.spectra_summary["symmetry"] == "conjugate-reflection"
+            assert collections.Counter(calls) == want
+
     @pytest.mark.parametrize("suites", [["thm2-exp-decay"],
                                         ["quantize-core", "lemmas-weights",
                                          "thm1-rapid-decay"]])
@@ -551,12 +583,20 @@ class TestRealArithmetic:
         conj = dk.conjugate_operator(H, cfg.make_weight(), cfg.eps_list[-1])
         assert conj.entries.dtype == np.float64
 
-    @pytest.mark.parametrize("field, grid, real", [
-        ("zero", {"d": 1, "L": 12.0, "n": 48}, True),
-        ("constant2d:b=0.5", {"d": 2, "L": 4.0, "n": 8}, False)])
-    def test_spectra_summary_names_the_arithmetic(self, field, grid, real):
-        report = run_scenario(cfg_with(field=field, grid=grid, suites=[]))
+    @pytest.mark.parametrize("symbol, field, grid, real, symmetry, blocks", [
+        (BASE_CFG["symbol"], "zero", {"d": 1, "L": 12.0, "n": 48}, True, "parity", [25, 23]),
+        (BASE_CFG["symbol"], "constant2d:b=0.5", {"d": 2, "L": 4.0, "n": 8}, False, "whole",
+         None),
+        ("relativistic", "cos2d:amp=1", {"d": 2, "L": 4.0, "n": 8}, False,
+         "conjugate-reflection", None)])
+    def test_spectra_summary_names_the_arithmetic(self, symbol, field, grid, real, symmetry,
+                                                  blocks):
+        # `real_arithmetic` names H's storage, which stays complex when the
+        # conjugate reflection solves it in real arithmetic
+        report = run_scenario(cfg_with(symbol=symbol, field=field, grid=grid, suites=[]))
         assert report.spectra_summary["real_arithmetic"] is real
+        assert report.spectra_summary["symmetry"] == symmetry
+        assert report.spectra_summary["parity_blocks"] == blocks
 
     def test_spectra_summary_gaps_are_the_bound_state_gaps(self):
         # the shipped thm2 box has exactly degenerate continuum pairs, so the

@@ -211,11 +211,14 @@ def symmetrized_raw_weyl(sym, g, grid):
     imaginary part is at most REAL_TOL of its largest entry."""
     n, d, N = grid.n, grid.dimension, grid.size
     fvals = sym.f(grid.eta_nodes)
-    fhat = np.fft.ifftn(fvals.reshape((n,) * d)).reshape(-1)
-    mirror = grid.reflection
-    if np.array_equal(fvals[mirror], fvals):
-        fhat += fhat[mirror]
-        fhat *= 0.5
+    fhat = np.fft.ifftn(fvals.reshape((n,) * d))
+    # evened on each axis where f is even, as op_weyl does
+    flip = -np.arange(n) % n
+    F = fvals.reshape((n,) * d)
+    for ax in range(d):
+        if np.array_equal(np.take(F, flip, axis=ax), F):
+            fhat = 0.5 * (fhat + np.take(fhat, flip, axis=ax))
+    fhat = fhat.reshape(-1)
     r = np.arange(n)
     wrap, mid = (r[:, None] - r) % n, r[:, None] + r
     if d == 2:
@@ -281,7 +284,7 @@ class TestExactHermitian:
         assert np.all(np.diag(omega) == 1.0)
         assert np.abs(omega - phase_table(g, grid.nodes)).max() <= 1e-13
         if g.field.is_zero and chi is None:
-            # every catalog f is even: H is the old real path bit for bit
+            # every catalog f is even on each axis: H is the old real path bit for bit
             assert np.array_equal(H, symmetrized_raw_weyl(sym, g, grid))
 
     @pytest.mark.parametrize("axis", [0, 1, None])

@@ -11,12 +11,12 @@ import magpsido.decay as dk
 import magpsido.spectral as spectral
 from magpsido.decay import WeightFamily, uniform_bound_sweep
 from magpsido.errors import NotApplicableError
-from magpsido.gauge import (constant_field_2d, cos_field_2d, gauge_transform, transversal_gauge,
-                            zero_field)
+from magpsido.gauge import (constant_field_2d, cos_field_2d, field_from_id, gauge_transform,
+                            transversal_gauge, zero_field)
 from magpsido.harness import Scenario, ScenarioConfig, _named_chi
 from magpsido.quantize import Grid, OperatorMatrix, op_weyl
-from magpsido.spectral import (EigenDecomposition, ParityBlocks, SpectralWindow, Whole,
-                               block_symmetry, discrete_spectrum_select, eig_hermitian,
+from magpsido.spectral import (ConjugateReflection, EigenDecomposition, ParityBlocks,
+                               SpectralWindow, Whole, block_symmetry, discrete_spectrum_select, eig_hermitian,
                                eigvals_hermitian, LANCZOS_MIN_ORDER, _gram_norm, _lanczos_top,
                                _top_singular_value, matrix_exp_neg, nearest_gaps,
                                relative_bound)
@@ -320,7 +320,10 @@ class TestParityBlocks:
     @pytest.mark.parametrize("field", [constant_field_2d(0.5), cos_field_2d(1.0)],
                              ids=["constant2d", "cos2d"])
     def test_magnetic_operators_take_the_full_path(self, field):
+        # on a gauge about 0, not about the lattice centre, the conjugate
+        # reflection fails too
         H = op_weyl(symbol_from_id("relativistic", 2), transversal_gauge(field), Grid(2, 4.0, 8))
+        assert not ConjugateReflection(H.grid).holds(H.entries)
         assert isinstance(block_symmetry(H), Whole)
         dec = eig_hermitian(H)
         assert dec.symmetry.sizes == [64]
@@ -382,6 +385,142 @@ class TestOneBlock:
         assert isinstance(by_hand.symmetry, Whole) and by_hand.symmetry.sizes == [64]
         (lam_b, Y_b), = by_hand.block_pairs
         assert lam_b is by_hand.eigenvalues and Y_b is by_hand.eigenvectors
+
+
+@st.composite
+def centred_magnetic_scenarios(draw):
+    """A potential-free catalog symbol in a constant or cos2d field, in the
+    scenario gauge (centred on the lattice), on a small 2-D grid that passes
+    the headroom lint and whose spacing is not a dyadic rational."""
+    n = draw(st.sampled_from([4, 6, 8, 10]))
+    L = draw(st.floats(0.3, 0.99).map(lambda r: r * math.pi * n / 4.0)
+             .filter(lambda L: (2.0 * L / n) % 2.0 ** -20 != 0.0))
+    symbol = draw(st.sampled_from(["relativistic", "kinetic", "p_s:s=-1", "p_s:s=0.5",
+                                   "p_s:s=2", "neg_order"]))
+    strength = draw(st.floats(0.1, 2.0))
+    field = draw(st.sampled_from([f"constant2d:b={strength!r}", f"cos2d:amp={strength!r}"]))
+    return Scenario(ScenarioConfig.from_dict({"symbol": symbol, "field": field, "suites": [],
+                                              "grid": {"d": 2, "L": L, "n": n}}))
+
+
+def t_symmetric(A, sym, seed):
+    """A matrix with sym's conjugate reflection symmetry, from a random one."""
+    rng = np.random.default_rng(seed)
+    B = A + 1j * rng.standard_normal(A.shape)
+    R = sym.reflection
+    return B + B[R][:, R].conj()
+
+
+class TestConjugateReflection:
+    """A complex operator that conjugation maps to its x_2 reflection is
+    solved as one real symmetric block; every result matches the complex
+    solve, and any operator without the exact symmetry takes the full path."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sc=centred_magnetic_scenarios())
+    def test_centred_gauge_makes_magnetic_operators_real(self, sc):
+        H, n = sc.H, sc.grid.n
+        assert isinstance(sc.symmetry, ConjugateReflection)
+        H4 = H.entries.reshape(n, n, n, n)
+        assert np.array_equal(H4[:, ::-1, :, ::-1], H4.conj())
+        (K,) = sc.symmetry.blocks(H.entries)
+        assert K.dtype == np.float64 and np.array_equal(K, K.T)
+        ref = np.linalg.eigvalsh(H.entries)
+        scale = np.abs(ref).max()
+        assert np.abs(sc.eigenvalues - ref).max() <= 1e-12 * scale
+        lam, V = np.linalg.eigh(H.entries)
+        ref_residual = np.linalg.norm(H.entries @ V - V * lam, axis=0).max() / scale
+        dec = sc.dec
+        assert isinstance(dec.symmetry, ConjugateReflection)
+        assert np.abs(dec.eigenvalues - ref).max() <= 1e-12 * scale
+        assert dec.residual <= 10.0 * max(ref_residual, 1e-15)
+        assert np.abs(dec.eigenvectors.conj().T @ dec.eigenvectors
+                      - np.eye(sc.grid.size)).max() < 1e-12
+
+    def test_blocks_are_the_matrix_in_the_conjugate_basis(self):
+        grid = Grid(2, 3.3, 6)
+        sym = ConjugateReflection(grid)
+        A = t_symmetric(random_hermitian(grid.size, 43), sym, 44)
+        assert sym.holds(A) and not ParityBlocks(grid).commutes(A)
+        Q = sym.vectors((np.eye(grid.size),), np.arange(grid.size))
+        assert np.abs(Q.conj().T @ Q - np.eye(grid.size)).max() < 1e-15
+        in_basis = Q.conj().T @ A @ Q
+        (K,) = sym.blocks(A)
+        assert np.abs(in_basis.imag).max() < 1e-13
+        assert np.abs(in_basis - K).max() < 1e-13
+
+    def test_bound_and_semigroup_in_block_space_match_the_full_solve(self):
+        grid = Grid(2, 3.7, 8)
+        H = op_weyl(symbol_from_id("relativistic", 2),
+                    transversal_gauge(cos_field_2d(1.0), origin=grid.centre), grid)
+        dec = eig_hermitian(H)
+        assert isinstance(dec.symmetry, ConjugateReflection)
+        assert dec.block_pairs[0][1].dtype == np.float64
+        ref = full_decomposition(H)
+        R = t_symmetric(np.zeros((grid.size,) * 2), dec.symmetry, 45)
+        assert dec.symmetry.holds(R)
+        want = relative_bound(R, ref, z=1j)
+        assert relative_bound(dec.symmetry.blocks(R), dec, z=1j) == pytest.approx(want, rel=1e-12)
+        assert relative_bound(R, dec, z=1j) == pytest.approx(want, rel=1e-12)
+        E, E_ref = matrix_exp_neg(dec, 0.7), matrix_exp_neg(ref, 0.7)
+        assert np.abs(E - E_ref).max() <= 1e-12 * np.abs(E_ref).max()
+
+    def test_sweep_with_an_invariant_weight_matches_the_one_block_rows(self):
+        grid = Grid(2, 3.7, 8)
+        H = op_weyl(symbol_from_id("kinetic", 2),
+                    transversal_gauge(constant_field_2d(0.8), origin=grid.centre), grid)
+        dec = eig_hermitian(H)
+        w = CentredWeight(grid.centre)
+        assert dec.symmetry.invariant(w(0.1, grid.nodes))
+        rows, eps0 = uniform_bound_sweep(H, w, [0.05, 0.2], dec=dec)
+        want, want_eps0 = uniform_bound_sweep(H, w, [0.05, 0.2], dec=full_decomposition(H))
+        assert eps0 == want_eps0
+        for got, ref in zip(rows, want, strict=True):
+            assert got[1] == pytest.approx(ref[1], rel=1e-12)
+
+    @pytest.mark.parametrize("raw", [
+        {"symbol": "relativistic+gauss_well:depth=2,width=1", "field": "constant2d:b=0.5"},
+        {"symbol": "relativistic", "field": "cos2d:amp=1", "gauge_chi": "bilinear"}],
+        ids=["gauss_well", "bilinear"])
+    def test_operators_without_the_symmetry_take_the_full_path(self, raw):
+        # the well is symmetric about 0, not about the lattice centre -h/2;
+        # x_1 x_2 is not odd under x_2 -> -h - x_2
+        sc = Scenario(ScenarioConfig.from_dict(
+            {"suites": [], "grid": {"d": 2, "L": 4.0, "n": 8}, **raw}))
+        assert np.iscomplexobj(sc.H.entries)
+        assert not ConjugateReflection(sc.grid).holds(sc.H.entries)
+        assert isinstance(sc.symmetry, Whole) and isinstance(sc.dec.symmetry, Whole)
+
+    @pytest.mark.parametrize("row, col", [(0, 3), (9, 20)], ids=["row-0", "inner"])
+    def test_one_ulp_breaks_the_symmetry(self, row, col):
+        grid = Grid(2, 4.0, 8)
+        H = op_weyl(symbol_from_id("relativistic", 2),
+                    transversal_gauge(constant_field_2d(0.5), origin=grid.centre), grid)
+        assert isinstance(block_symmetry(H), ConjugateReflection)
+        A = H.entries.copy()
+        A[row, col] = np.nextafter(A[row, col].real, np.inf) + 1j * A[row, col].imag
+        A[col, row] = A[row, col].conj()
+        assert isinstance(block_symmetry(dataclasses.replace(H, entries=A)), Whole)
+
+    def test_real_operators_are_never_tested(self):
+        grid = Grid(2, 4.0, 8)
+        H = op_weyl(symbol_from_id("relativistic", 2), transversal_gauge(zero_field(2)), grid)
+        assert H.entries.dtype == np.float64
+        assert not ConjugateReflection(grid).holds(H.entries)
+
+
+class CentredWeight:
+    """exp(<eps (x - c)> - 1) about the lattice centre c: invariant under the
+    x_2 reflection about c."""
+
+    def __init__(self, centre):
+        self.centre = centre
+
+    def __call__(self, eps, x):
+        return np.exp(bracket(eps * (np.asarray(x, dtype=float) - self.centre)) - 1.0)
+
+    def weight_id(self):
+        return "centred"
 
 
 class OffCentreWeight:
