@@ -583,20 +583,26 @@ class TestRealArithmetic:
         conj = dk.conjugate_operator(H, cfg.make_weight(), cfg.eps_list[-1])
         assert conj.entries.dtype == np.float64
 
-    @pytest.mark.parametrize("symbol, field, grid, real, symmetry, blocks", [
-        (BASE_CFG["symbol"], "zero", {"d": 1, "L": 12.0, "n": 48}, True, "parity", [25, 23]),
-        (BASE_CFG["symbol"], "constant2d:b=0.5", {"d": 2, "L": 4.0, "n": 8}, False, "whole",
-         None),
-        ("relativistic", "cos2d:amp=1", {"d": 2, "L": 4.0, "n": 8}, False,
-         "conjugate-reflection", None)])
-    def test_spectra_summary_names_the_arithmetic(self, symbol, field, grid, real, symmetry,
-                                                  blocks):
+    @pytest.mark.parametrize("field, grid, real", [
+        ("zero", {"d": 1, "L": 12.0, "n": 48}, True),
+        ("constant2d:b=0.5", {"d": 2, "L": 4.0, "n": 8}, False)])
+    def test_spectra_summary_names_the_arithmetic(self, field, grid, real):
+        report = run_scenario(cfg_with(field=field, grid=grid, suites=[]))
+        assert report.spectra_summary["real_arithmetic"] is real
+
+    @pytest.mark.parametrize("symbol, field, d, name, blocks", [
+        ("relativistic", "zero", 1, "parity", [5, 3]),
+        ("relativistic", "cos2d:amp=1", 2, "conjugate-reflection", None),
+        ("relativistic+gauss_well:depth=1,width=1", "constant2d:b=0.5", 2, "whole", None)])
+    def test_spectra_summary_names_the_symmetry(self, symbol, field, d, name, blocks):
         # `real_arithmetic` names H's storage, which stays complex when the
         # conjugate reflection solves it in real arithmetic
-        report = run_scenario(cfg_with(symbol=symbol, field=field, grid=grid, suites=[]))
-        assert report.spectra_summary["real_arithmetic"] is real
-        assert report.spectra_summary["symmetry"] == symmetry
-        assert report.spectra_summary["parity_blocks"] == blocks
+        raw = {"symbol": symbol, "field": field, "grid": {"d": d, "L": 4.0, "n": 8},
+               "suites": []}
+        summary = run_scenario(ScenarioConfig.from_dict(raw)).spectra_summary
+        assert summary["symmetry"] == name
+        assert summary["parity_blocks"] == blocks
+        assert summary["real_arithmetic"] is (d == 1)
 
     def test_spectra_summary_gaps_are_the_bound_state_gaps(self):
         # the shipped thm2 box has exactly degenerate continuum pairs, so the

@@ -11,14 +11,14 @@ import magpsido.decay as dk
 import magpsido.spectral as spectral
 from magpsido.decay import WeightFamily, uniform_bound_sweep
 from magpsido.errors import NotApplicableError
-from magpsido.gauge import (constant_field_2d, cos_field_2d, field_from_id, gauge_transform,
-                            transversal_gauge, zero_field)
+from magpsido.gauge import (constant_field_2d, cos_field_2d, gauge_transform, transversal_gauge,
+                            zero_field)
 from magpsido.harness import Scenario, ScenarioConfig, _named_chi
 from magpsido.quantize import Grid, OperatorMatrix, op_weyl
 from magpsido.spectral import (ConjugateReflection, EigenDecomposition, ParityBlocks,
-                               SpectralWindow, Whole, block_symmetry, discrete_spectrum_select, eig_hermitian,
-                               eigvals_hermitian, LANCZOS_MIN_ORDER, _gram_norm, _lanczos_top,
-                               _top_singular_value, matrix_exp_neg, nearest_gaps,
+                               SpectralWindow, Whole, block_symmetry, discrete_spectrum_select,
+                               eig_hermitian, eigvals_hermitian, LANCZOS_MIN_ORDER, _gram_norm,
+                               _lanczos_top, _top_singular_value, matrix_exp_neg, nearest_gaps,
                                relative_bound)
 from magpsido.symbols import bracket, kinetic_symbol, symbol_from_id
 
