@@ -140,9 +140,9 @@ def transversal_gauge(B, origin=None):
     A_j(x) = -sum_k (x - o)_k int_0^1 s B_jk(o + s (x - o)) ds."""
     d = B.dimension
     s_nodes, s_weights = gauss_legendre_01(PHASE_QUAD_ORDER)
-    o = np.zeros(d) if origin is None else np.asarray(origin, dtype=float)
 
     def A(X):
+        o = g.origin
         X = np.asarray(X, dtype=float) - o
         out = np.zeros(X.shape)
         for j in range(d):
@@ -157,7 +157,8 @@ def transversal_gauge(B, origin=None):
             out[..., j] = -acc
         return out
 
-    return GaugeData(B, A, origin=o)
+    g = GaugeData(B, A, origin=origin)
+    return g
 
 
 def _is_trivial(g):
@@ -165,7 +166,7 @@ def _is_trivial(g):
     return g.field.is_zero and g.chi is None
 
 
-def _flux_means(B, x, y, order, origin=0.0):
+def _flux_means(B, x, y, order, origin):
     """Per component, int_0^1 int_0^1 s B_jk(o + s(x + t(y-x))) ds dt, with
     x and y measured from the origin o."""
     nodes, weights = gauss_legendre_01(order)

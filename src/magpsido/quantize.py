@@ -91,12 +91,11 @@ class Grid:
         return np.full(self.dimension, -self.h / 2.0)
 
     def axis_from(self, origin):
-        """Node coordinates of one axis measured from `origin`. From the
-        centre -h/2 they are formed as (h/2)(2j - n + 1), odd multiples of
-        h/2, so entry n - 1 - j is minus entry j bit for bit."""
-        if origin == -self.h / 2.0:
-            return (self.h / 2.0) * (2 * np.arange(self.n) - (self.n - 1))
-        return self.axis - origin
+        """Node coordinates of one axis measured from `origin`, formed as
+        (h/2)(2j - n - 2 origin/h). From 0 this is `axis` bit for bit; from
+        the centre -h/2 it is (h/2)(2j - n + 1), odd multiples of h/2, so
+        entry n - 1 - j is minus entry j bit for bit."""
+        return (self.h / 2.0) * (2 * np.arange(self.n) - self.n - 2.0 * origin / self.h)
 
     @property
     def eta_axis(self):

@@ -100,7 +100,7 @@ class TestLineIntegral:
         x = np.array([2.0, -1.0])
         y = np.array([-1.5, 2.5])
         v16 = line_integral_A(g_cos, x, y)
-        v32 = _cross_sum(_flux_means(g_cos.field, x, y, 32), x, y)
+        v32 = _cross_sum(_flux_means(g_cos.field, x, y, 32, 0.0), x, y)
         assert v16 == pytest.approx(v32, abs=1e-13)
 
     def test_collinear_additivity(self, g_cos):
@@ -327,6 +327,7 @@ class TestGaugeOrigin:
         X = grid.axis_from(grid.centre[0])
         assert np.array_equal(X[::-1], -X)
         assert np.abs(X - (grid.axis - grid.centre[0])).max() <= 1e-15 * grid.L
+        assert np.array_equal(grid.axis_from(0.0), grid.axis)
         g = transversal_gauge(cos_field_2d(1.3), origin=grid.centre)
         omega = _kernels.weyl_gather(np.ones((n, n), dtype=complex), grid_phase(g, grid), n, 2)
         assert np.abs(omega - phase_table(g, grid.nodes)).max() <= 1e-13
