@@ -16,12 +16,11 @@ def weyl_gather(fhat, phase, n, d, gmid=None):
     fhat (shape (n,) * d), the pair phases, and the modulation gmid on the
     (2n-1)^d midpoint lattice when the symbol has one.
 
-    `phase` is None (every phase 1), the N x N phase matrix, or a
-    `gauge.AxisPhase`. H is written once, in slabs of about GATHER_BLOCK
-    entries over the leading index a of the node order (a, j', b, k') =
-    (j1, j2, k1, k2); each slab's phases come from `AxisPhase.rows`. H has fhat's
-    dtype, so a real fhat with no phase gives a float64 H; a phase needs a
-    complex fhat.
+    `phase` is None (every phase 1) or a `gauge.AxisPhase`. H is written
+    once, in slabs of about GATHER_BLOCK entries over the leading index a
+    of the node order (a, j', b, k') = (j1, j2, k1, k2); each slab's phases
+    come from `AxisPhase.rows`. H has fhat's dtype, so a real fhat with no
+    phase gives a float64 H; a phase needs a complex fhat.
     """
     if d not in (1, 2):
         raise ValueError("dimension must be 1 or 2")
@@ -39,16 +38,13 @@ def weyl_gather(fhat, phase, n, d, gmid=None):
     N = n**d
     H = np.empty((N, N), dtype=fhat.dtype)
     Hv = H.reshape(n, m, n, m)
-    flat = isinstance(phase, np.ndarray)
-    if flat:
-        phase = phase.reshape(n, m, n, m)
     step = max(1, GATHER_BLOCK // (m * n * m))
     for a0 in range(0, n, step):
         a1 = min(n, a0 + step)
         blk = fv[wa[a0:a1], wj]
         if phase is not None:
             # omega first: fused complex products round by operand order
-            np.multiply(phase[a0:a1] if flat else phase.rows(a0, a1), blk, out=blk)
+            np.multiply(phase.rows(a0, a1), blk, out=blk)
         if gmid is not None:
             blk *= gv[ma[a0:a1], mj]
         Hv[a0:a1] = blk

@@ -12,15 +12,16 @@ flux of B through the triangle (o, x, y); with x, y measured from o,
 evaluated with the tensor Gauss-Legendre rule of order PHASE_QUAD_ORDER
 for every field; the potential itself comes from the radial rule of the same
 order. Both rules are exact for a constant B. The double integral (the flux
-mean) is symmetric in x and y, and for a field with an `axis` (a coordinate
-such that no component depends on any other one; a constant component
-depends on none) it is a function of (x_axis, y_axis): the phase table then
-runs the rule once per pair of distinct coordinate values and multiplies by
-the cross factor x_j y_k - x_k y_j per node pair. On a tensor grid the
-phases of a field on axis 0 also factor (`AxisPhase`): the exponent splits
-into a part of (x_1, y_1, y_2) and one of (y_1, x_1, x_2), so
-n^3 exponentials give all N^2 = n^4 phases, and `grid_phase` serves them to
-the operator assembly without an N x N table.
+mean) is symmetric in x and y, and for a field on axis 0 (no component
+depends on any coordinate but the first; a constant component depends on
+none) it is a function of (x_1, y_1). On a tensor grid the rule then runs
+once per pair of first coordinates, and the phases factor (`AxisPhase`):
+the exponent splits into a part of (x_1, y_1, y_2) and one of
+(y_1, x_1, x_2), so n^3 exponentials give all N^2 = n^4 phases.
+`grid_phase` is the one source of pair phases for both operator
+assemblies: no phase at all for a zero field with no shift, the factored
+phases otherwise, and NotApplicableError for a field on no axis or on
+another one. `magnetic_phase` evaluates single pairs anywhere.
 
 Moving the origin is a gauge change: it multiplies every phase by
 exp(-i (chi(y) - chi(x))) for some chi, so operators built on two origins
@@ -39,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NotApplicableError
 from .potentials import parse_params
 from .quadrature import gauss_legendre_01
 
@@ -239,75 +240,6 @@ def gauge_transform(g, chi, grad_chi):
     return GaugeData(g.field, A, chi=total_chi, origin=g.origin)
 
 
-def _key_means(field, keys, origin, chunk=4096):
-    """Flux means of every component over all key pairs (measured from
-    `origin`), about `chunk` key pairs at a time: the upper key triangle is
-    computed and mirrored, since the means are symmetric in (x, y), so each
-    m x m table is exactly symmetric."""
-    m = keys.shape[0]
-    means = {jk: np.zeros((m, m)) for jk in field.components}
-    start = 0
-    while start < m:
-        stop = min(m, start + max(1, chunk // (m - start)))
-        block = _flux_means(field, keys[start:stop, None, :], keys[None, start:, :],
-                            PHASE_QUAD_ORDER, origin)
-        for jk, mean in block.items():
-            means[jk][start:stop, start:] = mean
-        start = stop
-    lower = np.tril_indices(m, -1)
-    for mean in means.values():
-        mean[lower] = mean.T[lower]
-    return means
-
-
-def phase_table(g, nodes, chunk=4096):
-    """Pair phase matrix omega[j,k] over flat node lists.
-
-    Nodes are measured from the gauge's origin. The flux means are
-    evaluated over keys (`_key_means`): the distinct values of
-    nodes[:, axis] for a field with an `axis`, the nodes themselves
-    otherwise. The exponent is exactly antisymmetric with no
-    mirroring: the cross factor x_j y_k - x_k y_j and chi(y) - chi(x)
-    change sign exactly under x <-> y, and rounding to nearest is symmetric,
-    so omega is exactly Hermitian. The exponent is accumulated in one N x N
-    array with the two halves of omega's storage as scratch, and exp runs
-    in place: for a field with an `axis` the peak is three N x N words.
-    A tensor grid's operator takes its phases from `grid_phase` instead.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    N = nodes.shape[0]
-    if _is_trivial(g):
-        return np.ones((N, N), dtype=complex)
-    omega = np.empty((N, N), dtype=complex)
-    # two disjoint real N x N views, so no ufunc below sees overlapping operands
-    scratch, buf = omega.view(float).reshape(2, N, N)
-    E = np.zeros((N, N))
-    if not g.field.is_zero:
-        centred = nodes - g.origin
-        axis = g.field.axis
-        if axis is None:
-            keys, inverse = centred, np.arange(N)
-        else:
-            _, first, inverse = np.unique(centred[:, axis], return_index=True,
-                                          return_inverse=True)
-            keys = centred[first]
-        x, y = centred[:, None, :], centred[None, :, :]
-        for (j, k), mean in _key_means(g.field, keys, g.origin, chunk).items():
-            # E += (x_j y_k - x_k y_j) mean_jk, as in _cross_sum
-            np.multiply(x[..., j], y[..., k], out=scratch)
-            scratch -= np.multiply(x[..., k], y[..., j], out=buf)
-            # mode="clip" writes straight into `out` (mode="raise" buffers it)
-            scratch *= np.take(np.take(mean, inverse, axis=0), inverse, axis=1, out=buf,
-                               mode="clip")
-            E += scratch
-    if g.chi is not None:
-        c = g.chi(nodes)
-        E += np.subtract(c[None, :], c[:, None], out=buf)
-    np.negative(E, out=omega.imag)
-    omega.real = 0.0
-    return np.exp(omega, out=omega)
-
-
 @dataclass(frozen=True)
 class AxisPhase:
     """The pair phases of a tensor grid in factored form, for a field on
@@ -356,7 +288,8 @@ class AxisPhase:
 def grid_phase(g, grid):
     """The pair phases of a tensor grid (`quantize.Grid`): None when every
     phase is 1 (zero field, no shift), an `AxisPhase` for a zero field with
-    a shift or a field on axis 0, the flat `phase_table` otherwise.
+    a shift or a field on axis 0. Any other field raises
+    NotApplicableError.
 
     Coordinates are measured from the gauge's origin, through
     `Grid.axis_from`: from the lattice centre they are exactly antisymmetric
@@ -365,17 +298,25 @@ def grid_phase(g, grid):
     if _is_trivial(g):
         return None
     if not (g.field.is_zero or g.field.axis == 0):
-        return phase_table(g, grid.nodes)
+        where = "no axis" if g.field.axis is None else f"axis {g.field.axis}"
+        raise NotApplicableError(
+            f"pair phases need a field on axis 0 (no component depending on "
+            f"another coordinate); this field has {where}")
     dimension, n = grid.dimension, grid.n
     m = n if dimension == 2 else 1
     E = np.zeros((1, n, m))  # exponent of table[a, b, k']; a shift alone is constant in a
     if not g.field.is_zero:
         # a 2-D field has the one component (0, 1); its mean depends on the
-        # first coordinate only, so keys with the second one 0 serve
+        # first coordinate only, so keys with the second one 0 serve. The
+        # means are symmetric in (x, y): the upper key triangle is mirrored,
+        # so M is exactly symmetric
         X, Y = (grid.axis_from(o) for o in g.origin)
         keys = np.zeros((n, dimension))
         keys[:, 0] = X
-        (mean,) = _key_means(g.field, keys, g.origin).values()
+        (mean,) = _flux_means(g.field, keys[:, None], keys[None], PHASE_QUAD_ORDER,
+                              g.origin).values()
+        lower = np.tril_indices(n, -1)
+        mean[lower] = mean.T[lower]
         E = (mean * X[:, None])[:, :, None] * Y
     if g.chi is not None:
         X = grid.axis

@@ -20,12 +20,14 @@ For a real symbol H is self-adjoint, and `op_weyl` builds it so bit for bit
 in one gather: fhat is replaced by its Hermitian part, fhat[-m] =
 conj fhat[m] exactly, and omega[k,j] = conj omega[j,k] exactly
 (`gauge.grid_phase`), so H[k,j] = conj H[j,k] with no symmetrization pass.
-At zero field with no gauge shift there is no phase at all; for a field
-on axis 0, as every catalog field is, the phases come factored from n^3
-exponentials. Assembly then holds the N x N operator (N = n^d) and slabs of
-about `_kernels.GATHER_BLOCK` entries; any other field adds its N x N phase
-table. `hermitize` symmetrizes operators from elsewhere, such as an
-operator file written without the flag.
+Both assemblies, `op_weyl` and `op_amplitude`, take their phases from
+`gauge.grid_phase`: none at all at zero field with no gauge shift, and
+otherwise the factored phases of a field on axis 0, as every catalog field
+is, from n^3 exponentials; any other field is refused with
+NotApplicableError. `op_weyl` then holds the N x N operator (N = n^d) and
+slabs of about `_kernels.GATHER_BLOCK` entries. `hermitize` symmetrizes
+operators from elsewhere, such as an operator file written without the
+flag.
 """
 import math
 from dataclasses import dataclass
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import AssemblyError, BudgetError, ConfigError, NotApplicableError, UnsupportedOrderError
-from .gauge import grid_phase, phase_table
+from .gauge import grid_phase
 from .symbols import p_s_symbol
 
 AMPLITUDE_BUDGET = 10**10
@@ -266,7 +268,9 @@ def op_amplitude(amp, g, grid):
     node pair j <= k is evaluated once. One serial pass takes the pairs in
     blocks of about AMPLITUDE_BLOCK samples: one amp call and one batched
     inverse DFT per block, H[j, k] read at the lattice displacement j - k
-    and H[k, j] at k - j, each times its own omega. Before assembly,
+    and H[k, j] at k - j, each times its own omega when the gauge has
+    phases. omega is `op_weyl`'s, gathered whole from `gauge.grid_phase`:
+    one N x N matrix, N <= 2154 under the budget. Before assembly,
     amp(x_0, y, .) is compared with amp(y, x_0, .) on every node y; a
     difference above SYMMETRY_TOL max|amp| raises AssemblyError.
     """
@@ -275,6 +279,9 @@ def op_amplitude(amp, g, grid):
         raise BudgetError(
             f"n^(3d) = {grid.size ** 3:.3g} exceeds the amplitude budget "
             f"{AMPLITUDE_BUDGET:.3g}; use a coarser grid")
+    phase = grid_phase(g, grid)  # refuses before any sample is taken
+    if phase is not None:
+        omega = _kernels.weyl_gather(np.ones((n,) * d, dtype=complex), phase, n, d)
     N = grid.size
     nodes = grid.nodes
     etas = grid.eta_nodes[None, :, :]
@@ -284,7 +291,6 @@ def op_amplitude(amp, g, grid):
         raise AssemblyError(
             f"amplitude is not symmetric in (x, y): amp(x, y) and amp(y, x) "
             f"differ by {asym:.3e} at x = {nodes[0]}")
-    omega = phase_table(g, nodes)
     H = np.empty((N, N), dtype=complex)
     rows, cols = np.triu_indices(N)
     step = max(1, AMPLITUDE_BLOCK // N)
@@ -292,8 +298,11 @@ def op_amplitude(amp, g, grid):
         j, k = rows[s:s + step], cols[s:s + step]
         M = amp(nodes[j, None], nodes[k, None], etas)
         forward, backward = _kernels.amplitude_pairs(M, j, k, n, d)
-        H[j, k] = omega[j, k] * forward
-        H[k, j] = omega[k, j] * backward
+        if phase is not None:
+            forward = omega[j, k] * forward
+            backward = omega[k, j] * backward
+        H[j, k] = forward
+        H[k, j] = backward
     if not np.all(np.isfinite(H)):
         raise AssemblyError("amplitude produced non-finite operator entries")
     return OperatorMatrix(H, grid, symbol_id="amplitude")

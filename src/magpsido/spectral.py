@@ -360,8 +360,8 @@ def matrix_exp_neg(H, t):
     """exp(-t H) = V e^{-t Lambda} V^* through the eigendecomposition
     (t >= 0); H may also be given as its EigenDecomposition, whose V holds
     full columns whatever blocks it was solved by."""
-    if t < 0:
-        raise NotApplicableError("t must be nonnegative")
+    if not (t >= 0 and math.isfinite(t)):  # also rejects NaN
+        raise NotApplicableError(f"t must be finite and nonnegative, got {t}")
     lam, V = H if isinstance(H, EigenDecomposition) else eig_hermitian(H)
     return (V * np.exp(-t * lam)[None, :]) @ V.conj().T
 

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 
+from magpsido import _kernels
 from magpsido.decay import conjugate_operator
-from magpsido.gauge import transversal_gauge, zero_field
+from magpsido.gauge import grid_phase, transversal_gauge, zero_field
 from magpsido.quantize import op_weyl
 from magpsido.spectral import HERMITIAN_TOL, hermiticity_defect, matrix_exp_neg
 from magpsido.symbols import relativistic_symbol
@@ -21,6 +22,14 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("=", "acceptance criteria")
         for _, line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+def assembled_phases(g, grid):
+    """omega as both assemblies apply it: the gather of an all-ones factor
+    against `grid_phase`, since omega * 1 is omega bit for bit."""
+    n, d = grid.n, grid.dimension
+    return _kernels.weyl_gather(np.ones((n,) * d, dtype=complex),
+                                grid_phase(g, grid), n, d)
 
 
 def remainder(op, w, eps):

@@ -1,16 +1,14 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
+from conftest import assembled_phases
 from magpsido import _kernels
 from magpsido.errors import ConfigError
 from magpsido.gauge import (_cross_sum, _flux_means, constant_field_2d,
                             cos_field_2d, field_from_id, gauge_transform, grid_phase,
-                            line_integral_A, magnetic_phase, phase_table,
+                            line_integral_A, magnetic_phase,
                             potential_residual, transversal_gauge, zero_field)
 from magpsido.harness import Scenario, ScenarioConfig, _named_chi
 from magpsido.quadrature import gauss_legendre_01
@@ -29,6 +27,11 @@ def line_quadrature_table(g, nodes, order=16):
     return np.exp(-1j * acc)
 
 
+def pair_phases(g, nodes):
+    """Reference phase table: magnetic_phase on every node pair."""
+    return magnetic_phase(g, nodes[:, None, :], nodes[None, :, :])
+
+
 def sin_chi(a, b, c):
     """chi(x) = a sin(b x0) x1 + c x0^2 and its gradient."""
     def chi(X):
@@ -45,7 +48,8 @@ def sin_chi(a, b, c):
 
 G_COS = transversal_gauge(cos_field_2d(1.0))
 G_CONST = transversal_gauge(constant_field_2d(1.0))
-NODES = np.random.default_rng(11).uniform(-6, 6, size=(40, 2))
+GRID = Grid(2, 6.0, 8)
+NODES = GRID.nodes
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +67,8 @@ class TestTransversalGauge:
         g = transversal_gauge(zero_field(2))
         X = np.random.default_rng(0).uniform(-3, 3, size=(20, 2))
         assert np.abs(g.potential(X)).max() == 0.0
-        assert np.abs(phase_table(g, X) - 1.0).max() == 0.0
+        assert np.abs(pair_phases(g, X) - 1.0).max() == 0.0
+        assert grid_phase(g, GRID) is None
 
     def test_constant_field_closed_form(self, g_const):
         # A(x) = (-b x2 / 2, b x1 / 2) for B_12 = b = 1
@@ -130,30 +135,34 @@ class TestMagneticPhase:
         assert complex(ph) == pytest.approx(np.exp(-0.5j), abs=1e-14)
 
     def test_phase_table_matches_pointwise(self, g_cos, g_const):
-        nodes = np.random.default_rng(4).uniform(-2, 2, size=(12, 2))
+        grid = Grid(2, 2.0, 6)
         for g in (g_cos, g_const):
-            table = phase_table(g, nodes)
-            direct = magnetic_phase(g, nodes[:, None, :], nodes[None, :, :])
-            assert np.abs(table - direct).max() < 1e-12
+            table = assembled_phases(g, grid)
+            assert np.abs(table - pair_phases(g, grid.nodes)).max() < 1e-12
 
 
 class TestTriangleFluxTable:
-    @pytest.mark.parametrize("chunk", [65536, 97])
-    def test_matches_line_quadrature_oracle(self, g_cos, chunk):
-        table = phase_table(g_cos, NODES, chunk=chunk)
+    """The phases `grid_phase` gives the assemblies, gathered on grid nodes."""
+
+    @pytest.mark.parametrize("block", [65536, 97])
+    def test_matches_line_quadrature_oracle(self, g_cos, block, monkeypatch):
+        # the gather forms the phases in slabs of about `block` entries
+        monkeypatch.setattr(_kernels, "GATHER_BLOCK", block)
+        table = assembled_phases(g_cos, GRID)
         assert np.abs(table - line_quadrature_table(g_cos, NODES)).max() <= 1e-12
 
     def test_shifted_gauge_matches_line_quadrature_oracle(self, g_cos):
         chi, grad = sin_chi(0.8, 1.3, -0.2)
         g2 = gauge_transform(g_cos, chi, grad)
-        assert np.abs(phase_table(g2, NODES)
+        assert np.abs(assembled_phases(g2, GRID)
                       - line_quadrature_table(g2, NODES)).max() <= 1e-12
 
-    def test_bit_exact_hermitian(self, g_cos, g_const):
+    def test_bit_exact_hermitian(self, g_cos, g_const, monkeypatch):
+        monkeypatch.setattr(_kernels, "GATHER_BLOCK", 97)
         chi, grad = sin_chi(0.5, 2.0, 0.3)
         for g in (g_cos, g_const, gauge_transform(g_cos, chi, grad),
                   gauge_transform(transversal_gauge(zero_field(2)), chi, grad)):
-            omega = phase_table(g, NODES, chunk=97)
+            omega = assembled_phases(g, GRID)
             assert np.array_equal(omega, omega.conj().T)
 
     @settings(max_examples=30, deadline=None)
@@ -161,39 +170,22 @@ class TestTriangleFluxTable:
            g=st.sampled_from([G_COS, G_CONST]))
     def test_gauge_shift_is_exact_phase_factor(self, a, b, c, g):
         chi, grad = sin_chi(a, b, c)
-        shifted = phase_table(gauge_transform(g, chi, grad), NODES)
+        shifted = assembled_phases(gauge_transform(g, chi, grad), GRID)
         vals = chi(NODES)
-        want = phase_table(g, NODES) * np.exp(-1j * (vals[None, :] - vals[:, None]))
+        want = assembled_phases(g, GRID) * np.exp(-1j * (vals[None, :] - vals[:, None]))
         assert np.abs(shifted - want).max() <= 1e-12
 
-
     @pytest.mark.parametrize("n", [8, 16])
-    @pytest.mark.parametrize("chunk", [65536, 97])
-    def test_keyed_table_matches_node_pairs(self, g_cos, n, chunk):
-        # the same field without `axis` runs the rule on every node pair
-        unkeyed = transversal_gauge(dataclasses.replace(g_cos.field, axis=None))
+    @pytest.mark.parametrize("block", [65536, 97])
+    def test_keyed_table_matches_node_pairs(self, g_cos, n, block, monkeypatch):
+        # grid_phase runs the rule once per pair of first coordinates, the
+        # reference on every node pair
+        monkeypatch.setattr(_kernels, "GATHER_BLOCK", block)
         chi, grad = sin_chi(0.8, 1.3, -0.2)
-        nodes = Grid(2, 6.0, n).nodes
-        for g, ref in ((g_cos, unkeyed),
-                       (gauge_transform(g_cos, chi, grad), gauge_transform(unkeyed, chi, grad))):
-            assert np.abs(phase_table(g, nodes, chunk=chunk)
-                          - phase_table(ref, nodes, chunk=chunk)).max() <= 1e-14
-
-    @pytest.mark.parametrize("shifted", [False, True])
-    def test_peak_memory_is_three_table_words(self, g_cos, shifted):
-        # omega is two N x N words and the exponent one; scratch lives in omega
-        import tracemalloc
-
-        g = gauge_transform(g_cos, *_named_chi("bilinear", 2)) if shifted else g_cos
-        nodes = Grid(2, 6.0, 32).nodes
-        N = nodes.shape[0]
-        tracemalloc.start()
-        try:
-            phase_table(g, nodes)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.5 * 8 * N * N
+        grid = Grid(2, 6.0, n)
+        for g in (g_cos, gauge_transform(g_cos, chi, grad)):
+            assert np.abs(assembled_phases(g, grid)
+                          - pair_phases(g, grid.nodes)).max() <= 1e-14
 
     def test_keyed_table_runs_rule_per_coordinate_pair(self):
         # n^2 nodes, n distinct x_1 values: at most n^2 key pairs of 16 x 16 points
@@ -207,26 +199,16 @@ class TestTriangleFluxTable:
                 return fun(x)
 
             B.components[(0, 1)] = counted
-            phase_table(transversal_gauge(B), Grid(2, 6.0, n).nodes)
+            grid_phase(transversal_gauge(B), Grid(2, 6.0, n))
             assert 0 < sum(points) <= 256 * n**2
 
-    @settings(max_examples=25, deadline=None)
-    @given(data=st.data(), count=st.integers(2, 24))
-    def test_repeated_coordinates_match_line_quadrature(self, g_cos, data, count):
-        firsts = data.draw(st.lists(st.floats(-5, 5), min_size=1, max_size=4))
-        x1 = data.draw(st.lists(st.sampled_from(firsts), min_size=count, max_size=count))
-        x2 = data.draw(st.lists(st.floats(-5, 5), min_size=count, max_size=count))
-        nodes = np.stack([np.array(x1), np.array(x2)], axis=-1)
-        omega = phase_table(g_cos, nodes, chunk=7)
-        assert np.abs(omega - line_quadrature_table(g_cos, nodes)).max() <= 1e-12
-        assert np.array_equal(omega, omega.conj().T)
-
     @settings(max_examples=40, deadline=None)
-    @given(b=st.floats(-2, 2), shifted=st.booleans(),
-           nodes=arrays(np.float64, st.tuples(st.integers(1, 24), st.just(2)),
-                        elements=st.floats(-6, 6)))
-    def test_constant_field_table_matches_closed_form(self, b, shifted, nodes):
+    @given(b=st.floats(-2, 2), shifted=st.booleans(), half_n=st.integers(2, 8),
+           L=st.floats(1.0, 6.0))
+    def test_constant_field_table_matches_closed_form(self, b, shifted, half_n, L):
         # exp(-i (b/2)(x_j1 x_k2 - x_j2 x_k1)), times exp(-i (chi_k - chi_j)) when shifted
+        grid = Grid(2, L, 2 * half_n)
+        nodes = grid.nodes
         g = transversal_gauge(constant_field_2d(b))
         x = nodes[:, None, :]
         y = nodes[None, :, :]
@@ -236,7 +218,7 @@ class TestTriangleFluxTable:
             g = gauge_transform(g, chi, grad)
             c = chi(nodes)
             E = E + (c[None, :] - c[:, None])
-        assert np.abs(phase_table(g, nodes) - np.exp(-1j * E)).max() <= 1e-12
+        assert np.abs(assembled_phases(g, grid) - np.exp(-1j * E)).max() <= 1e-12
 
 
 class TestGaugeTransform:
@@ -291,16 +273,16 @@ class TestGaugeOrigin:
     def test_phases_match_line_quadrature_oracle(self):
         g = transversal_gauge(cos_field_2d(1.0), origin=self.ORIGIN)
         assert potential_residual(g, radius=4.0, density=16) < 1e-6
-        table = phase_table(g, NODES)
+        table = assembled_phases(g, GRID)
         assert np.abs(table - line_quadrature_table(g, NODES)).max() <= 1e-12
-        assert np.abs(table - magnetic_phase(g, NODES[:, None], NODES[None])).max() <= 1e-13
+        assert np.abs(table - pair_phases(g, NODES)).max() <= 1e-13
 
     def test_moving_the_origin_is_a_gauge_change(self, g_const):
         # constant b = 1: A_o = A_0 + grad chi with chi(x) = (o_2 x_1 - o_1 x_2) / 2
         g = transversal_gauge(constant_field_2d(1.0), origin=self.ORIGIN)
         chi = 0.5 * (self.ORIGIN[1] * NODES[:, 0] - self.ORIGIN[0] * NODES[:, 1])
-        want = phase_table(g_const, NODES) * np.exp(-1j * (chi[None, :] - chi[:, None]))
-        assert np.abs(phase_table(g, NODES) - want).max() <= 1e-12
+        want = assembled_phases(g_const, GRID) * np.exp(-1j * (chi[None, :] - chi[:, None]))
+        assert np.abs(assembled_phases(g, GRID) - want).max() <= 1e-12
 
     def test_shift_keeps_the_origin(self, g_cos):
         g = transversal_gauge(cos_field_2d(1.0), origin=self.ORIGIN)
@@ -329,8 +311,8 @@ class TestGaugeOrigin:
         assert np.abs(X - (grid.axis - grid.centre[0])).max() <= 1e-15 * grid.L
         assert np.array_equal(grid.axis_from(0.0), grid.axis)
         g = transversal_gauge(cos_field_2d(1.3), origin=grid.centre)
-        omega = _kernels.weyl_gather(np.ones((n, n), dtype=complex), grid_phase(g, grid), n, 2)
-        assert np.abs(omega - phase_table(g, grid.nodes)).max() <= 1e-13
+        omega = assembled_phases(g, grid)
+        assert np.abs(omega - pair_phases(g, grid.nodes)).max() <= 1e-13
         # conjugation undoes the reflection of the second coordinate exactly
         omega4 = omega.reshape(n, n, n, n)
         assert np.array_equal(omega4[:, ::-1, :, ::-1], omega4.conj())

@@ -4,6 +4,7 @@ import pytest
 
 import magpsido
 from magpsido import _kernels
+from magpsido.gauge import AxisPhase
 
 
 def loop_weyl_gather_1d(fhat, omega, n, gmid):
@@ -24,6 +25,20 @@ def loop_weyl_gather_2d(fhat, omega, n, gmid):
                     H[r, c] = (omega[r, c] * fhat[(j1 - k1) % n, (j2 - k2) % n]
                                * gmid[j1 + k1, j2 + k2])
     return H
+
+
+def loop_axis_phase(table):
+    """The phases an `AxisPhase` stands for: omega[(a, j'), (b, k')] =
+    conj(table[b, a, j']) table[a, b, k'], and 1 on the diagonal."""
+    n, _, m = table.shape
+    omega = np.empty((n * m, n * m), dtype=complex)
+    for a in range(n):
+        for j in range(m):
+            for b in range(n):
+                for k in range(m):
+                    omega[a * m + j, b * m + k] = (
+                        1.0 if (a, j) == (b, k) else np.conj(table[b, a, j]) * table[a, b, k])
+    return omega
 
 
 def loop_lattice_sum(m, r_multi, n, d):
@@ -61,12 +76,13 @@ def test_weyl_gather_1d_matches_loop():
     rng = np.random.default_rng(0)
     n = 12
     fhat = complex_normal(rng, n)
-    omega = np.exp(1j * rng.standard_normal((n, n)))
+    phase = AxisPhase(np.exp(1j * rng.standard_normal((n, n, 1))))
+    omega = loop_axis_phase(phase.table)
     gmid = rng.standard_normal(2 * n - 1)
     # vectorized complex products may round differently from scalar ones
-    got = _kernels.weyl_gather(fhat, omega, n, 1, gmid)
+    got = _kernels.weyl_gather(fhat, phase, n, 1, gmid)
     assert np.abs(got - loop_weyl_gather_1d(fhat, omega, n, gmid)).max() < 1e-14
-    got = _kernels.weyl_gather(fhat, omega, n, 1)
+    got = _kernels.weyl_gather(fhat, phase, n, 1)
     assert np.abs(got - loop_weyl_gather_1d(fhat, omega, n, np.ones(2 * n - 1))).max() < 1e-14
 
 
@@ -74,17 +90,18 @@ def test_weyl_gather_2d_matches_loop():
     rng = np.random.default_rng(1)
     n = 4
     fhat = complex_normal(rng, (n, n))
-    omega = np.exp(1j * rng.standard_normal((n * n, n * n)))
+    phase = AxisPhase(np.exp(1j * rng.standard_normal((n, n, n))))
+    omega = loop_axis_phase(phase.table)
     gmid = rng.standard_normal((2 * n - 1, 2 * n - 1))
-    got = _kernels.weyl_gather(fhat, omega, n, 2, gmid)
+    got = _kernels.weyl_gather(fhat, phase, n, 2, gmid)
     assert np.abs(got - loop_weyl_gather_2d(fhat, omega, n, gmid)).max() < 1e-14
-    got = _kernels.weyl_gather(fhat, omega, n, 2)
+    got = _kernels.weyl_gather(fhat, phase, n, 2)
     assert np.abs(got - loop_weyl_gather_2d(fhat, omega, n, np.ones(gmid.shape))).max() < 1e-14
 
 
 def test_weyl_gather_rejects_dimension_three():
     with pytest.raises(ValueError):
-        _kernels.weyl_gather(np.zeros(4), np.ones((4, 4)), 4, 3)
+        _kernels.weyl_gather(np.zeros(4), None, 4, 3)
 
 
 @pytest.mark.parametrize("d, n, start", [(1, 8, 5), (2, 4, 6)])

@@ -17,7 +17,7 @@ SRC = os.path.dirname(os.path.abspath(magpsido.__file__))
 ALLOWED = {
     "backend",           # benchmark entry point: records the array backend
     "scenario_context",  # benchmark entry point: builds a config's grid, symbol, gauge
-    "magnetic_phase",    # per-pair oracle that the phase_table tests compare against
+    "magnetic_phase",    # per-pair oracle for the phases grid_phase gives both assemblies
 }
 
 

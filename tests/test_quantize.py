@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import magpsido.quantize
+from conftest import assembled_phases
 from magpsido import _kernels, gauge
 from magpsido.decay import amplitude_c_eps
 from magpsido.errors import AssemblyError, BudgetError, ConfigError, NotApplicableError
 from magpsido.gauge import (constant_field_2d, field_from_id, gauge_transform, grid_phase,
-                            phase_table, transversal_gauge, zero_field)
+                            magnetic_phase, transversal_gauge, zero_field)
 from magpsido.harness import _named_chi
 from magpsido.quantize import (REAL_TOL, Grid, GridFunction, OperatorMatrix, fourier_mode,
                                hermitize, mag_derivative, op_amplitude, op_ps, op_weyl,
@@ -134,6 +135,11 @@ class TestKernelTable:
         assert np.abs(kernel_table(sym, grid) - want).max() <= 1e-15 * np.abs(want).max()
 
 
+def pair_phases(g, nodes):
+    """Oracle: omega[j, k] = magnetic_phase(g, x_j, x_k), pair by pair."""
+    return magnetic_phase(g, nodes[:, None, :], nodes[None, :, :])
+
+
 def weyl_oracle(sym, g, grid):
     """Direct triple sum: H[j,k] = n^{-d} sum_q e^{i<x_j - x_k, eta_q>}
     omega[j,k] a((x_j + x_k)/2, eta_q)."""
@@ -142,7 +148,7 @@ def weyl_oracle(sym, g, grid):
     mid = 0.5 * (x[:, None, None, :] + x[None, :, None, :])
     a = sym.eval(mid, etas[None, None, :, :])
     phase = np.exp(1j * ((x[:, None, None, :] - x[None, :, None, :]) * etas).sum(-1))
-    return phase_table(g, x) * (phase * a).sum(-1) / grid.size
+    return pair_phases(g, x) * (phase * a).sum(-1) / grid.size
 
 
 SYMBOL_IDS = ["relativistic", "kinetic", "neg_order", "relativistic+gauss_well:depth=2,width=1",
@@ -186,8 +192,9 @@ class TestFactorAssembly:
             op_weyl(sym, transversal_gauge(zero_field(1)), grid)
         assert str(exc.value) == f"non-finite symbol factor {factor} at {where}"
 
-    # complex N x N matrices op_weyl holds at its peak at zero field or for a
-    # field on axis 0 and n >= 24 (1.29 at N = 576); a flat phase table adds 3
+    # complex N x N matrices op_weyl holds at its peak for a field on axis 0
+    # and n >= 24 (1.29 at N = 576); every other field is refused, so no
+    # N x N phase table is ever formed
     ASSEMBLY_WORDS = 1.5
 
     def test_peak_memory_is_bounded_in_operator_words(self):
@@ -207,7 +214,7 @@ class TestFactorAssembly:
 
 def symmetrized_raw_weyl(sym, g, grid):
     """Reference: the assembly before H was built Hermitian. The raw gather
-    against the full phase table, then (raw + raw^*)/2, stored real when its
+    against the pair-by-pair phases, then (raw + raw^*)/2, stored real when its
     imaginary part is at most REAL_TOL of its largest entry."""
     n, d, N = grid.n, grid.dimension, grid.size
     fvals = sym.f(grid.eta_nodes)
@@ -224,7 +231,7 @@ def symmetrized_raw_weyl(sym, g, grid):
     if d == 2:
         wrap = (wrap[:, None, :, None], wrap[None, :, None, :])
         mid = (mid[:, None, :, None], mid[None, :, None, :])
-    raw = phase_table(g, grid.nodes) * fhat.reshape((n,) * d)[wrap].reshape(N, N)
+    raw = pair_phases(g, grid.nodes) * fhat.reshape((n,) * d)[wrap].reshape(N, N)
     if sym.g is not None:
         raw *= sym.g(grid.midpoints).reshape((2 * n - 1,) * d)[mid].reshape(N, N)
     if sym.v is not None:
@@ -239,14 +246,6 @@ def shifted_gauge(field, chi, d):
     """The transversal gauge of a field id, shifted by a named chi (or not)."""
     g = transversal_gauge(field_from_id(field, d))
     return g if chi is None else gauge_transform(g, *_named_chi(chi, d))
-
-
-def assembled_phases(g, grid):
-    """omega as op_weyl's gather applies it: the gather of an all-ones
-    factor, since omega * 1 is omega bit for bit."""
-    n, d = grid.n, grid.dimension
-    return _kernels.weyl_gather(np.ones((n,) * d, dtype=complex),
-                                grid_phase(g, grid), n, d)
 
 
 def one_row_slabs(grid):
@@ -282,28 +281,40 @@ class TestExactHermitian:
             assert np.array_equal(assembled_phases(g, grid), omega)
         assert np.array_equal(H, H.conj().T)
         assert np.all(np.diag(omega) == 1.0)
-        assert np.abs(omega - phase_table(g, grid.nodes)).max() <= 1e-13
+        assert np.abs(omega - pair_phases(g, grid.nodes)).max() <= 1e-13
         if g.field.is_zero and chi is None:
             # every catalog f is even on each axis: H is the old real path bit for bit
             assert np.array_equal(H, symmetrized_raw_weyl(sym, g, grid))
 
-    @pytest.mark.parametrize("axis", [0, 1, None])
     @pytest.mark.parametrize("chi", [None, "bilinear"])
-    def test_field_on_any_axis_matches_the_phase_table(self, axis, chi, monkeypatch):
-        # axis 0 takes the factored phases, axis 1 and None the flat table
+    def test_field_on_axis_0_matches_the_phase_table(self, chi, monkeypatch):
+        g = shifted_gauge("cos2d:amp=1.0", chi, 2)
+        grid = Grid(2, 4.4, 8)
+        assert isinstance(grid_phase(g, grid), gauge.AxisPhase)
+        monkeypatch.setattr(_kernels, "GATHER_BLOCK", one_row_slabs(grid))
+        omega = assembled_phases(g, grid)
+        assert np.array_equal(omega, omega.conj().T)
+        assert np.all(np.diag(omega) == 1.0)
+        assert np.abs(omega - pair_phases(g, grid.nodes)).max() <= 1e-13
+        H = op_weyl(symbol_from_id("relativistic", 2), g, grid).entries
+        assert np.array_equal(H, H.conj().T)
+
+    @pytest.mark.parametrize("axis", [1, None])
+    @pytest.mark.parametrize("chi", [None, "bilinear"])
+    def test_field_on_another_axis_is_refused(self, axis, chi):
+        # B_12 = cos(x_axis): on axis 1 the flux mean depends on x_2, and a
+        # field with no declared axis is not known to be on axis 0
         comps = {(0, 1): lambda x: np.cos(np.asarray(x)[..., 1 if axis == 1 else 0])}
         g = transversal_gauge(gauge.MagneticField(2, comps, axis=axis))
         if chi is not None:
             g = gauge_transform(g, *_named_chi(chi, 2))
         grid = Grid(2, 4.4, 8)
-        assert isinstance(grid_phase(g, grid), gauge.AxisPhase) == (axis == 0)
-        monkeypatch.setattr(_kernels, "GATHER_BLOCK", one_row_slabs(grid))
-        omega = assembled_phases(g, grid)
-        assert np.array_equal(omega, omega.conj().T)
-        assert np.all(np.diag(omega) == 1.0)
-        assert np.abs(omega - phase_table(g, grid.nodes)).max() <= 1e-13
-        H = op_weyl(symbol_from_id("relativistic", 2), g, grid).entries
-        assert np.array_equal(H, H.conj().T)
+        sym = symbol_from_id("relativistic", 2)
+        where = "has no axis" if axis is None else "has axis 1"
+        with pytest.raises(NotApplicableError, match=where):
+            op_weyl(sym, g, grid)
+        with pytest.raises(NotApplicableError, match=where):
+            op_amplitude(midpoint_amplitude(sym), g, grid)
 
     @pytest.mark.parametrize("chi", [None, "bilinear"])
     def test_field_on_axis_0_takes_n_cubed_exponentials(self, chi, monkeypatch):
@@ -447,6 +458,18 @@ class TestOpAmplitude:
         assert np.abs(Ha.entries - Hw).max() < 1e-12 * np.abs(Hw).max()
 
 
+    @pytest.mark.parametrize("field", ["constant2d:b=0.7", "cos2d:amp=1.3"])
+    @pytest.mark.parametrize("chi", [None, "bilinear"])
+    def test_magnetic_amplitude_is_the_phases_times_the_zero_field_one(self, field, chi):
+        # both assemblies read the same phase bits: H_A = omega * H_0 exactly
+        grid = Grid(2, 4.4, 8)
+        amp = midpoint_amplitude(symbol_from_id("relativistic", 2))
+        g = shifted_gauge(field, chi, 2)
+        H0 = op_amplitude(amp, transversal_gauge(zero_field(2)), grid).entries
+        H = op_amplitude(amp, g, grid).entries
+        assert np.array_equal(H, assembled_phases(g, grid) * H0)
+
+
 def row_contraction(M, j_multi, n, d):
     """out[k] = n^{-d} sum_q M[k,q] e^{i 2pi (j-k).q/n}: one full row of H."""
     N = M.shape[0]
@@ -464,7 +487,7 @@ def serial_op_amplitude(amp, g, grid):
     n, d = grid.n, grid.dimension
     nodes = grid.nodes
     etas = grid.eta_nodes
-    omega = phase_table(g, nodes)
+    omega = assembled_phases(g, grid)
     H = np.empty((grid.size, grid.size), dtype=complex)
     for jflat in range(grid.size):
         j_multi = (jflat,) if d == 1 else (jflat // n, jflat % n)

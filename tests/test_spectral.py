@@ -141,8 +141,10 @@ class TestMatrixExp:
         assert np.linalg.norm(Es @ Et - Est) < 1e-9 * np.linalg.norm(Est)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(NotApplicableError):
-            matrix_exp_neg(as_op(np.eye(4)), -1.0)
+        # NaN and +inf pass a bare t < 0 guard and would return an all-NaN matrix
+        for t in (-1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(NotApplicableError, match="finite and nonnegative"):
+                matrix_exp_neg(as_op(np.eye(4)), t)
 
 
 class TestRelativeBound:

@@ -23,8 +23,18 @@ import sys
 
 
 def _seeds(text):
+    """The seeds of "first" or "first-last". Fewer than two is refused before
+    any run: each side's quartiles need two runs."""
     first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
+    try:
+        seeds = list(range(int(first), int(last or first) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a seed or a seed range: {text!r}") from None
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} gives {len(seeds)} seed(s); the quartiles need at least two, "
+            f"e.g. 101-110")
+    return seeds
 
 
 def _commit(root):
@@ -68,7 +78,8 @@ def main(argv=None):
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, help="one seed or a range, e.g. 101-110")
+    parser.add_argument("--seeds", required=True, type=_seeds,
+                        help="a range of at least two seeds, e.g. 101-110")
     parser.add_argument("--out", help="output file (default BENCH_<workload>.json)")
     args = parser.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
@@ -76,7 +87,7 @@ def main(argv=None):
         spec = json.load(fh)
 
     runs, machine = [], None
-    for i, seed in enumerate(_seeds(args.seeds)):
+    for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         run = {"seed": seed, "first": order[0]}
         for side in order:
