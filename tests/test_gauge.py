@@ -202,6 +202,17 @@ class TestTriangleFluxTable:
             grid_phase(transversal_gauge(B), Grid(2, 6.0, n))
             assert 0 < sum(points) <= 256 * n**2
 
+    @settings(max_examples=25, deadline=None)
+    @given(half_n=st.integers(2, 6), L=st.floats(1.0, 6.0), amp=st.floats(-2, 2))
+    def test_repeated_coordinates_match_line_quadrature(self, half_n, L, amp):
+        # each first coordinate of a tensor grid is shared by n nodes, and
+        # the flux means are keyed by it
+        grid = Grid(2, L, 2 * half_n)
+        g = transversal_gauge(cos_field_2d(amp))
+        omega = assembled_phases(g, grid)
+        assert np.abs(omega - line_quadrature_table(g, grid.nodes)).max() <= 1e-12
+        assert np.array_equal(omega, omega.conj().T)
+
     @settings(max_examples=40, deadline=None)
     @given(b=st.floats(-2, 2), shifted=st.booleans(), half_n=st.integers(2, 8),
            L=st.floats(1.0, 6.0))

@@ -214,8 +214,8 @@ class TestFactorAssembly:
 
 def symmetrized_raw_weyl(sym, g, grid):
     """Reference: the assembly before H was built Hermitian. The raw gather
-    against the pair-by-pair phases, then (raw + raw^*)/2, stored real when its
-    imaginary part is at most REAL_TOL of its largest entry."""
+    against the pair-by-pair phases, then (raw + raw^*)/2, stored real when
+    its imaginary part is at most REAL_TOL of its largest entry."""
     n, d, N = grid.n, grid.dimension, grid.size
     fvals = sym.f(grid.eta_nodes)
     fhat = np.fft.ifftn(fvals.reshape((n,) * d))
@@ -318,7 +318,7 @@ class TestExactHermitian:
 
     @pytest.mark.parametrize("chi", [None, "bilinear"])
     def test_field_on_axis_0_takes_n_cubed_exponentials(self, chi, monkeypatch):
-        # cos2d is on axis 0; the phase table would take N^2 = n^4
+        # cos2d is on axis 0; phases formed pair by pair would take N^2 = n^4
         sizes = []
 
         class CountingNumpy:
@@ -456,7 +456,6 @@ class TestOpAmplitude:
         Ha = op_amplitude(amp, g, grid)
         Hw = op_weyl(sym, g, grid).entries
         assert np.abs(Ha.entries - Hw).max() < 1e-12 * np.abs(Hw).max()
-
 
     @pytest.mark.parametrize("field", ["constant2d:b=0.7", "cos2d:amp=1.3"])
     @pytest.mark.parametrize("chi", [None, "bilinear"])
