@@ -4,7 +4,7 @@ import numpy as np
 
 from magpsido import _kernels
 from magpsido.decay import conjugate_operator
-from magpsido.gauge import grid_phase, transversal_gauge, zero_field
+from magpsido.gauge import grid_phase, magnetic_phase, transversal_gauge, zero_field
 from magpsido.quantize import op_weyl
 from magpsido.spectral import HERMITIAN_TOL, hermiticity_defect, matrix_exp_neg
 from magpsido.symbols import relativistic_symbol
@@ -30,6 +30,11 @@ def assembled_phases(g, grid):
     n, d = grid.n, grid.dimension
     return _kernels.weyl_gather(np.ones((n,) * d, dtype=complex),
                                 grid_phase(g, grid), n, d)
+
+
+def pair_phases(g, nodes):
+    """Test oracle: omega[j, k] = magnetic_phase(g, x_j, x_k), pair by pair."""
+    return magnetic_phase(g, nodes[:, None, :], nodes[None, :, :])
 
 
 def remainder(op, w, eps):

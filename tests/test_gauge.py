@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assembled_phases
+from conftest import assembled_phases, pair_phases
 from magpsido import _kernels
 from magpsido.errors import ConfigError
 from magpsido.gauge import (_cross_sum, _flux_means, constant_field_2d,
@@ -25,11 +25,6 @@ def line_quadrature_table(g, nodes, order=16):
     for s, w in zip(s_nodes, s_weights):
         acc += w * (diff * g.potential(x + s * diff)).sum(axis=-1)
     return np.exp(-1j * acc)
-
-
-def pair_phases(g, nodes):
-    """Reference phase table: magnetic_phase on every node pair."""
-    return magnetic_phase(g, nodes[:, None, :], nodes[None, :, :])
 
 
 def sin_chi(a, b, c):

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import magpsido.quantize
-from conftest import assembled_phases
+from conftest import assembled_phases, pair_phases
 from magpsido import _kernels, gauge
 from magpsido.decay import amplitude_c_eps
 from magpsido.errors import AssemblyError, BudgetError, ConfigError, NotApplicableError
 from magpsido.gauge import (constant_field_2d, field_from_id, gauge_transform, grid_phase,
-                            magnetic_phase, transversal_gauge, zero_field)
+                            transversal_gauge, zero_field)
 from magpsido.harness import _named_chi
 from magpsido.quantize import (REAL_TOL, Grid, GridFunction, OperatorMatrix, fourier_mode,
                                hermitize, mag_derivative, op_amplitude, op_ps, op_weyl,
@@ -133,11 +133,6 @@ class TestKernelTable:
         want = np.fft.ifftn(sym.f(grid.eta_nodes).reshape(8, 8)) / grid.h**2
         # the kernel is fhat's Hermitian part, real for this even f
         assert np.abs(kernel_table(sym, grid) - want).max() <= 1e-15 * np.abs(want).max()
-
-
-def pair_phases(g, nodes):
-    """Oracle: omega[j, k] = magnetic_phase(g, x_j, x_k), pair by pair."""
-    return magnetic_phase(g, nodes[:, None, :], nodes[None, :, :])
 
 
 def weyl_oracle(sym, g, grid):
