@@ -3,7 +3,7 @@ in numpy."""
 import numpy as np
 
 
-GATHER_BLOCK = 2**15  # operator entries weyl_gather forms per slab
+GATHER_BLOCK = 2**15  # operator entries weyl_slabs forms per slab
 
 # ---------------------------------------------------------------------------
 # factor gather: H[j,k] = omega[j,k] * fhat[wrap(j - k)] * gmid[j + k], the
@@ -11,43 +11,45 @@ GATHER_BLOCK = 2**15  # operator entries weyl_gather forms per slab
 # midpoint (x_j + x_k)/2 taken per axis
 # ---------------------------------------------------------------------------
 
-def weyl_gather(fhat, phase, n, d, gmid=None):
-    """Assemble the dense operator from the transformed frequency factor
-    fhat (shape (n,) * d), the pair phases, and the modulation gmid on the
-    (2n-1)^d midpoint lattice when the symbol has one.
-
-    `phase` is None (every phase 1) or a `gauge.AxisPhase`. H is written
-    once, in slabs of about GATHER_BLOCK entries over the leading index a
-    of the node order (a, j', b, k') = (j1, j2, k1, k2); each slab's phases
-    come from `AxisPhase.rows`. H has fhat's dtype, so a real fhat with no
-    phase gives a float64 H; a phase needs a complex fhat.
+def weyl_slabs(fhat, phase, n, d, gmid=None, v=None):
+    """The dense operator from the transformed frequency factor fhat (shape
+    (n,) * d), the pair phases (None or a `gauge.AxisPhase`), the modulation
+    gmid on the (2n-1)^d midpoint lattice and the node values v added on the
+    diagonal, in row slabs of about GATHER_BLOCK entries over the leading
+    index a of the node order (a, j', b, k') = (j1, j2, k1, k2): yields
+    (a0, H.reshape(n, m, n, m)[a0:a1]). The slabs have fhat's dtype (a
+    phase needs a complex fhat), and no index table is N x N, in 1-D either.
     """
     if d not in (1, 2):
         raise ValueError("dimension must be 1 or 2")
     m = n if d == 2 else 1
     fv = fhat.reshape(n, m)
     r = np.arange(n)
-    wrap, mid = (r[:, None] - r) % n, r[:, None] + r
-    # per-axis index tables in the slab layout; the n x n tables broadcast,
-    # so no N x N index array is formed
-    wa, ma = wrap[:, None, :, None], mid[:, None, :, None]
-    wj, mj = (wrap, mid) if d == 2 else (np.zeros((1, 1), dtype=int),) * 2
-    wj, mj = wj[None, :, None, :], mj[None, :, None, :]
+    # the last axis' tables in the slab layout: n x n in 2-D, index 0 in 1-D
+    wj = ((r[:m, None] - r[:m]) % n)[None, :, None, :]
     if gmid is not None:
         gv = gmid.reshape(2 * n - 1, -1)
-    N = n**d
-    H = np.empty((N, N), dtype=fhat.dtype)
-    Hv = H.reshape(n, m, n, m)
+        mj = (r[:m, None] + r[:m])[None, :, None, :]
     step = max(1, GATHER_BLOCK // (m * n * m))
     for a0 in range(0, n, step):
         a1 = min(n, a0 + step)
-        blk = fv[wa[a0:a1], wj]
+        lead = r[a0:a1, None]
+        blk = fv[((lead - r) % n)[:, None, :, None], wj]
         if phase is not None:
             # omega first: fused complex products round by operand order
             np.multiply(phase.rows(a0, a1), blk, out=blk)
         if gmid is not None:
-            blk *= gv[ma[a0:a1], mj]
-        Hv[a0:a1] = blk
+            blk *= gv[(lead + r)[:, None, :, None], mj]
+        if v is not None:  # the diagonal: flat entry a0 m + i (N + 1) for row i
+            blk.reshape(-1)[a0 * m::n**d + 1] += v[a0 * m:a1 * m]
+        yield a0, blk
+
+
+def weyl_gather(fhat, phase, n, d, gmid=None, v=None):
+    """The dense N x N operator (N = n^d), written once from `weyl_slabs`."""
+    H = np.empty((n**d, n**d), dtype=fhat.dtype)
+    for a0, blk in weyl_slabs(fhat, phase, n, d, gmid, v):
+        H.reshape(n, -1)[a0:a0 + len(blk)] = blk.reshape(len(blk), -1)
     return H
 
 

@@ -20,7 +20,7 @@ from .harness import (SUITE_NAMES, Scenario, ScenarioConfig, ScenarioReport, _st
 from .mpdo import LOAD_BUDGET_BYTES, file_hash, load_operator, save_operator
 from .potentials import potential_from_id
 from .quantize import Grid, GridFunction, hermitize
-from .spectral import SpectralWindow, discrete_spectrum_select, eig_hermitian
+from .spectral import SpectralWindow, eigvals_hermitian, nearest_gaps
 
 
 def _add_grid_args(p):
@@ -71,14 +71,13 @@ def cmd_spectrum(args):
     op = load_operator(args.op)
     if not op.symmetrized:
         op = hermitize(op)
-    dec = eig_hermitian(op)
-    win = SpectralWindow(args.threshold, args.margin)
-    found = discrete_spectrum_select(dec, win)
+    lam = eigvals_hermitian(op)
+    below = SpectralWindow(args.threshold, args.margin).below(lam)
     out = args.out or "spectrum.csv"
-    write_spectrum_csv(dec.eigenvalues, dec.residual, out)
-    print(f"{len(found)} discrete eigenvalues below {args.threshold} - {args.margin}")
-    for lam, _, gap in found:
-        print(f"  lambda = {lam:.10f}  gap = {gap:.6f}")
+    write_spectrum_csv(lam, out)
+    print(f"{len(below)} discrete eigenvalues below {args.threshold} - {args.margin}")
+    for value, gap in zip(lam[below], nearest_gaps(lam)[below]):
+        print(f"  lambda = {value:.10f}  gap = {gap:.6f}")
     print(f"wrote {out}")
     return 0
 

@@ -24,9 +24,9 @@ from .gauge import (field_from_id, gauge_transform, potential_residual,
 from .mpdo import LOAD_BUDGET_BYTES, atomic_open
 from .potentials import potential_from_id
 from .quantize import (Grid, GridFunction, fourier_mode, mag_derivative,
-                       op_amplitude, op_ps, op_weyl, sobolev_norm)
+                       op_amplitude, op_ps, op_weyl, sobolev_norm, WeylFactors)
 from .spectral import (ParityBlocks, SpectralWindow, block_symmetry, discrete_spectrum_select,
-                       eig_hermitian, eigvals_hermitian, nearest_gaps)
+                       eig_hermitian, eigvals_hermitian, nearest_gaps, slab_blocks)
 from .symbols import (HormanderSymbol, SampleBox, bracket, cauchy_derivative_bound_check,
                       eta_derivative, relativistic_symbol, symbol_from_id)
 
@@ -283,8 +283,8 @@ class Check:
 
 class Scenario:
     """The objects one config defines, each built on first use and then kept:
-    grid, symbol, (possibly gauge-shifted) gauge, the operator H, its
-    eigenvalues and its Hermitian eigendecomposition. A run shares one
+    grid, symbol, (possibly gauge-shifted) gauge, H's factors, the operator
+    H, its eigenvalues and its Hermitian eigendecomposition. A run shares one
     Scenario across its suites and its spectra summary, so H is assembled
     once and decomposed at most once: eigenvectors are computed only when a
     suite reads them, and a run that reads none solves for eigenvalues only.
@@ -313,8 +313,13 @@ class Scenario:
         return gauge
 
     @cached_property
+    def factors(self):
+        """H's `WeylFactors`, computed once for H and for its slabs."""
+        return WeylFactors(self.symbol, self.gauge, self.grid)
+
+    @cached_property
     def H(self):
-        return op_weyl(self.symbol, self.gauge, self.grid)
+        return self.factors.operator()
 
     @cached_property
     def symmetry(self):
@@ -328,9 +333,17 @@ class Scenario:
     @cached_property
     def eigenvalues(self):
         """Ascending eigenvalues of H: those of `dec` when it is already
-        computed, else from an eigenvalue-only solve."""
+        computed, else from an eigenvalue-only solve: of the real block that
+        `slab_blocks` folds from the slabs of a complex H not yet formed, so H
+        never is, and else of H."""
         dec = self.__dict__.get("dec")
-        return eigvals_hermitian(self.H, self.symmetry) if dec is None else dec.eigenvalues
+        if dec is not None:
+            return dec.eigenvalues
+        folded = "H" not in self.__dict__ and slab_blocks(self.grid, self.factors.slabs())
+        if not folded:
+            return eigvals_hermitian(self.H, self.symmetry)
+        self.symmetry, K = folded
+        return eigvals_hermitian(K)  # a bare array: one block
 
     @property
     def residual(self):
@@ -805,8 +818,8 @@ def _spectra_summary(sc):
         "residual": sc.residual,
         "discrete_count": len(below),
         "bound_state_gaps": [float(gap) for gap in nearest_gaps(lam)[below]],
-        "hermiticity_defect": sc.H.hermiticity_defect,
-        "real_arithmetic": bool(sc.H.entries.dtype == np.float64),
+        "hermiticity_defect": sc.factors.defect,
+        "real_arithmetic": sc.factors.real,
         "parity_blocks": sym.sizes if isinstance(sym, ParityBlocks) else None,
         "symmetry": sym.name,
     }
@@ -859,12 +872,12 @@ def write_sweep_csv(rows, path):
                        for eps, rb, erb, flag in rows))
 
 
-def write_spectrum_csv(eigenvalues, residual, path):
+def write_spectrum_csv(eigenvalues, path):
     """One row per eigenvalue; `gap` is the distance to the nearest other one."""
     lam = np.asarray(eigenvalues, dtype=float)
-    rows = [(i, f"{v:.12g}", f"{gap:.12g}", f"{residual:.3e}")
+    rows = [(i, f"{v:.12g}", f"{gap:.12g}")
             for i, (v, gap) in enumerate(zip(lam, nearest_gaps(lam)))]
-    return _write_csv(path, ("index", "eigenvalue", "gap", "residual"), rows)
+    return _write_csv(path, ("index", "eigenvalue", "gap"), rows)
 
 
 def write_kato_csv(rows, path):

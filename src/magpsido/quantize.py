@@ -24,10 +24,11 @@ Both assemblies, `op_weyl` and `op_amplitude`, take their phases from
 `gauge.grid_phase`: none at all at zero field with no gauge shift, and
 otherwise the factored phases of a field on axis 0, as every catalog field
 is, from n^3 exponentials; any other field is refused with
-NotApplicableError. `op_weyl` then holds the N x N operator (N = n^d) and
-slabs of about `_kernels.GATHER_BLOCK` entries. `hermitize` symmetrizes
-operators from elsewhere, such as an operator file written without the
-flag.
+NotApplicableError. `op_weyl` is `WeylFactors` (fhat, phases, g, v) and
+one gather of the N x N operator (N = n^d) in row slabs of about
+`_kernels.GATHER_BLOCK` entries; `WeylFactors.slabs` gives those slabs
+alone, for a caller that never forms H. `hermitize` symmetrizes operators
+from elsewhere, such as an operator file written without the flag.
 """
 import math
 from dataclasses import dataclass
@@ -43,6 +44,11 @@ AMPLITUDE_BUDGET = 10**10
 AMPLITUDE_BLOCK = 2**16     # complex amplitude samples op_amplitude takes per block
 REAL_TOL = 1e-14            # max|Im| / max|.| at or below which fhat or a symmetrized H is stored real
 SYMMETRY_TOL = 1e-12        # max|amp(x,y) - amp(y,x)| / max|amp| above which op_amplitude refuses
+
+
+def _product(axis, d):
+    """The points of the d-fold product of an axis, last coordinate fastest."""
+    return np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
 
 
 @dataclass(frozen=True)
@@ -106,19 +112,11 @@ class Grid:
 
     @property
     def nodes(self):
-        ax = self.axis
-        if self.dimension == 1:
-            return ax[:, None]
-        X1, X2 = np.meshgrid(ax, ax, indexing="ij")
-        return np.stack([X1.ravel(), X2.ravel()], axis=-1)
+        return _product(self.axis, self.dimension)
 
     @property
     def eta_nodes(self):
-        ea = self.eta_axis
-        if self.dimension == 1:
-            return ea[:, None]
-        E1, E2 = np.meshgrid(ea, ea, indexing="ij")
-        return np.stack([E1.ravel(), E2.ravel()], axis=-1)
+        return _product(self.eta_axis, self.dimension)
 
     @property
     def midpoint_axis(self):
@@ -127,11 +125,7 @@ class Grid:
 
     @property
     def midpoints(self):
-        ma = self.midpoint_axis
-        if self.dimension == 1:
-            return ma[:, None]
-        M1, M2 = np.meshgrid(ma, ma, indexing="ij")
-        return np.stack([M1.ravel(), M2.ravel()], axis=-1)
+        return _product(self.midpoint_axis, self.dimension)
 
     @property
     def reflection(self):
@@ -208,52 +202,75 @@ def hermitize(op):
                           hermiticity_defect=defect, symmetrized=True)
 
 
-def op_weyl(sym, g, grid):
-    """Quantize a real symbol against a gauge: an exactly Hermitian H from
-    one gather.
+class WeylFactors:
+    """The factor stage of `op_weyl`: `_kernels.weyl_slabs`'s arguments and
+    the Hermiticity defect; `operator` gathers H from them, and `slabs`
+    gives H's row slabs with H never formed.
 
     On each axis where f is even on the lattice, fhat is made even on that
     axis bit for bit (the FFT leaves roundoff asymmetry); even factors and
     phases then give an H that commutes exactly with the reflection, and a
     field on axis 0 in a gauge centred on the lattice an H that conjugation
-    maps to its x_2 reflection exactly. fhat is then replaced by its Hermitian part
-    (fhat + conj fhat o P)/2; `hermiticity_defect` records
+    maps to its x_2 reflection exactly. fhat is then replaced by its
+    Hermitian part (fhat + conj fhat o P)/2; `defect` records
     |fhat - conj fhat o P| / |fhat|, the part removed (roundoff for a real
     f). With zero field and no shift there is no phase, and a fhat whose
-    imaginary part is at most REAL_TOL max|fhat| is gathered real, so H is
-    float64.
+    imaginary part is at most REAL_TOL max|fhat| is stored real: H is float64.
     """
-    if sym.dimension != grid.dimension or g.dimension != grid.dimension:
-        raise ConfigError("dimension mismatch between symbol, gauge, and grid")
-    n, d = grid.n, grid.dimension
-    etas = grid.eta_nodes
-    fvals = _finite(sym.f(etas), etas, "f at frequency")
-    fhat = np.fft.ifftn(fvals.reshape((n,) * d)).reshape(-1)
-    flip = -np.arange(n) % n
-    F, Fh = fvals.reshape((n,) * d), fhat.reshape((n,) * d)
-    for ax in range(d):
-        if np.array_equal(np.take(F, flip, axis=ax), F):
-            Fh += np.take(Fh, flip, axis=ax)
-            Fh *= 0.5
-    mirrored = fhat[grid.reflection].conj()
-    scale = np.linalg.norm(fhat)
-    defect = float(np.linalg.norm(fhat - mirrored) / scale) if scale > 0 else 0.0
-    # fhat[P m] == conj fhat[m] bit for bit: complex addition commutes
-    fhat += mirrored
-    fhat *= 0.5
-    phase = grid_phase(g, grid)
-    if phase is None and np.abs(fhat.imag).max() <= REAL_TOL * np.abs(fhat).max():
-        fhat = fhat.real
-    gmid = None
-    if sym.g is not None:
-        mids = grid.midpoints
-        gmid = _finite(sym.g(mids), mids, "g at midpoint").reshape((2 * n - 1,) * d)
-    H = _kernels.weyl_gather(fhat.reshape((n,) * d), phase, n, d, gmid)
-    if sym.v is not None:
-        nodes = grid.nodes
-        H.flat[::grid.size + 1] += _finite(sym.v(nodes), nodes, "v at node")
-    return OperatorMatrix(H, grid, sym.symbol_id, hermiticity_defect=defect,
-                          symmetrized=True)
+
+    def __init__(self, sym, g, grid):
+        if sym.dimension != grid.dimension or g.dimension != grid.dimension:
+            raise ConfigError("dimension mismatch between symbol, gauge, and grid")
+        n, d = grid.n, grid.dimension
+        etas = grid.eta_nodes
+        fvals = _finite(sym.f(etas), etas, "f at frequency")
+        fhat = np.fft.ifftn(fvals.reshape((n,) * d)).reshape(-1)
+        flip = -np.arange(n) % n
+        F, Fh = fvals.reshape((n,) * d), fhat.reshape((n,) * d)
+        for ax in range(d):
+            if np.array_equal(np.take(F, flip, axis=ax), F):
+                Fh += np.take(Fh, flip, axis=ax)
+                Fh *= 0.5
+        mirrored = fhat[grid.reflection].conj()
+        scale = np.linalg.norm(fhat)
+        self.defect = float(np.linalg.norm(fhat - mirrored) / scale) if scale > 0 else 0.0
+        # fhat[P m] == conj fhat[m] bit for bit: complex addition commutes
+        fhat += mirrored
+        fhat *= 0.5
+        self.phase = grid_phase(g, grid)
+        if self.phase is None and np.abs(fhat.imag).max() <= REAL_TOL * np.abs(fhat).max():
+            fhat = fhat.real
+        self.grid, self.symbol_id, self.fhat = grid, sym.symbol_id, fhat.reshape((n,) * d)
+        self.gmid = self.v = None
+        if sym.g is not None:
+            mids = grid.midpoints
+            self.gmid = _finite(sym.g(mids), mids, "g at midpoint").reshape((2 * n - 1,) * d)
+        if sym.v is not None:
+            nodes = grid.nodes
+            self.v = _finite(sym.v(nodes), nodes, "v at node")
+
+    @property
+    def real(self):
+        """H is float64: fhat was stored real."""
+        return not np.iscomplexobj(self.fhat)
+
+    def _args(self):
+        return self.fhat, self.phase, self.grid.n, self.grid.dimension, self.gmid, self.v
+
+    def slabs(self):
+        """H's row slabs over the leading index (`_kernels.weyl_slabs`)."""
+        return _kernels.weyl_slabs(*self._args())
+
+    def operator(self):
+        """H, written once from the same slabs (`_kernels.weyl_gather`)."""
+        return OperatorMatrix(_kernels.weyl_gather(*self._args()), self.grid, self.symbol_id,
+                              hermiticity_defect=self.defect, symmetrized=True)
+
+
+def op_weyl(sym, g, grid):
+    """Quantize a real symbol against a gauge: an exactly Hermitian H from
+    one gather of its `WeylFactors`."""
+    return WeylFactors(sym, g, grid).operator()
 
 
 def op_amplitude(amp, g, grid):
@@ -274,6 +291,8 @@ def op_amplitude(amp, g, grid):
     amp(x_0, y, .) is compared with amp(y, x_0, .) on every node y; a
     difference above SYMMETRY_TOL max|amp| raises AssemblyError.
     """
+    if g.dimension != grid.dimension:
+        raise ConfigError("dimension mismatch between gauge and grid")
     n, d = grid.n, grid.dimension
     if grid.size**3 > AMPLITUDE_BUDGET:
         raise BudgetError(

@@ -21,9 +21,12 @@ segment, so R has no seam. A field on axis 0 in a gauge centred on the
 lattice reverses its flux under R, and conjugation reverses it back, so its
 potential-free operators are real symmetric matrices in a basis of R-even
 and i times R-odd vectors (`ConjugateReflection`), solved in real
-arithmetic. Any other operator is the one-block case. Each choice is made by
-an exact test, `np.array_equal`, never by a tolerance.
+arithmetic; on a 2-D grid that block is folded straight from the gather's
+row slabs (`slab_blocks`), so an eigenvalue-only solve never forms H. Any
+other operator is the one-block case. Each choice is made by an exact test,
+`np.array_equal`, never by a tolerance.
 """
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -37,7 +40,7 @@ HERMITIAN_TOL = 1e-12       # relative Hermiticity defect below which a matrix c
 LANCZOS_TOL = 2.0 ** -46    # Ritz residual, relative to the top Ritz value, at which Lanczos stops
 LANCZOS_CHECK = 4           # Lanczos steps between two solves of the tridiagonal matrix
 LANCZOS_MIN_ORDER = 128     # fewer columns than this: a dense eigvalsh of M^* M is faster
-SYMMETRY_SLAB = 2**16       # entries ConjugateReflection.holds compares per slab
+SYMMETRY_SLAB = 2**16       # entries ConjugateReflection.fold compares at a time
 _ROOT_HALF = math.sqrt(0.5)
 
 
@@ -143,8 +146,8 @@ class ConjugateReflection:
         K = [[Re A + Re B, Im B - Im A],
              [Im A + Im B, Re A - Re B]],  A = H[P, P], B = H[P, RP],
 
-    gathered in O(N^2) through reversed views. For a Hermitian H, K is real
-    symmetric and has H's eigenvalues.
+    folded in O(N^2) through reversed views (`fold`). For a Hermitian H, K
+    is real symmetric and has H's eigenvalues.
     """
 
     name = "conjugate-reflection"
@@ -157,43 +160,47 @@ class ConjugateReflection:
         pairs = nodes[:, :n // 2].ravel()
         self.node_sets = (np.concatenate([pairs, pairs]),)
         self.sizes = [grid.size]
+        self.block_shape = (2, self.shape[0], n // 2) * 2  # K before its reshape to N x N
 
     def holds(self, A):
-        """A[R][:, R] == conj(A) exactly, for a complex A. Row 0 is compared
-        first, so most matrices without the symmetry are refused in O(N);
-        then the rows of the pairs, slab by slab (the rows of the partners
-        follow by conjugating both sides)."""
-        if not np.iscomplexobj(A):
-            return False
-        m, n = self.shape
-        A4 = A.reshape(m, n, m, n)
-        mirror = A4[:, ::-1, :, ::-1]
-        if not _conj_equal(mirror[0, 0], A4[0, 0]):
-            return False
-        step = max(1, SYMMETRY_SLAB // A.shape[1])
-        for a in range(m):
-            for j0 in range(0, n // 2, step):
-                j1 = min(j0 + step, n // 2)
-                if not _conj_equal(mirror[a, j0:j1], A4[a, j0:j1]):
-                    return False
-        return True
+        """A[R][:, R] == conj(A) exactly, for a complex A (`fold`)."""
+        return np.iscomplexobj(A) and self.fold(self._rows(A))
 
     def invariant(self, f):
         """R f == f exactly for a real grid function f."""
         return np.array_equal(f[self.reflection], f)
 
     def blocks(self, A):
-        """The one real block K of a matrix with the symmetry."""
+        """The one real block K of a matrix with the symmetry (`fold`)."""
+        K = np.empty(self.block_shape)
+        if not self.fold(self._rows(A), K):
+            raise NotApplicableError("matrix lacks the conjugate reflection symmetry")
+        return (K.reshape(self.sizes * 2),)
+
+    def _rows(self, A):
         m, n = self.shape
-        h = n // 2
-        rows = A.reshape(m, n, m, n)[:, :h]
-        same, across = rows[..., :h], rows[..., ::-1][..., :h]
-        K = np.empty((2, m, h, 2, m, h))
-        np.add(same.real, across.real, out=K[0, :, :, 0])
-        np.subtract(across.imag, same.imag, out=K[0, :, :, 1])
-        np.add(same.imag, across.imag, out=K[1, :, :, 0])
-        np.subtract(same.real, across.real, out=K[1, :, :, 1])
-        return (K.reshape(m * n, m * n),)
+        return ((a, A.reshape(m, 1, n, m, n)[a]) for a in range(m))
+
+    def fold(self, slabs, K=None):
+        """Whether every row slab (a0, H4[a0:a1]), H4 = H.reshape(m, n, m, n),
+        has the symmetry, each folded into K (`block_shape`) when given. The
+        pair rows (j' < n/2) are compared with their partners, SYMMETRY_SLAB
+        entries at a time; the first difference stops the pass."""
+        h = self.shape[1] // 2
+        for a0, rows in slabs:
+            a = np.s_[a0:a0 + len(rows)]
+            step = max(1, SYMMETRY_SLAB // (len(rows) * rows[0, 0].size))
+            for j0 in range(0, h, step):
+                j = np.s_[j0:min(j0 + step, h)]
+                if not _conj_equal(rows[:, ::-1][:, j][..., ::-1], rows[:, j]):
+                    return False
+                if K is not None:
+                    same, across = rows[:, j, ..., :h], rows[:, j, ..., ::-1][..., :h]
+                    np.add(same.real, across.real, out=K[0, a, j, 0])
+                    np.subtract(across.imag, same.imag, out=K[0, a, j, 1])
+                    np.add(same.imag, across.imag, out=K[1, a, j, 0])
+                    np.subtract(same.real, across.real, out=K[1, a, j, 1])
+        return True
 
     def vectors(self, block_vecs, order):
         """Complex columns of the real eigenvectors Y of K: (Y_u + i Y_w)/sqrt(2)
@@ -289,6 +296,23 @@ def block_symmetry(op):
             return real
         op = op.entries
     return Whole(len(op))
+
+
+def slab_blocks(grid, slabs):
+    """(ConjugateReflection, K) from the row slabs of an operator, as
+    `_kernels.weyl_slabs` yields them, when every slab passes `fold`: what
+    `block_symmetry` picks, the operator never formed. None when the slabs
+    do not decide: in 1-D (R moves the slab index), for a real operator,
+    when row 0 passes the parity prefilter, or when a slab fails."""
+    if grid.dimension != 2:
+        return None
+    first = next(slabs)
+    row = first[1][0, 0].ravel()
+    if not np.iscomplexobj(row) or np.array_equal(row[grid.reflection], row):
+        return None
+    sym = ConjugateReflection(grid)
+    K = np.empty(sym.block_shape)
+    return (sym, K.reshape(sym.sizes * 2)) if sym.fold(itertools.chain([first], slabs), K) else None
 
 
 def eig_hermitian(op, symmetry=None):

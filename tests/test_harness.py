@@ -455,9 +455,9 @@ class TestSharedScenario:
     GROWTH_ID = "relativistic+linear-growth"   # the weyl-lower-bound operator
 
     def test_run_does_no_work_twice(self, monkeypatch):
-        """Assemblies, decompositions and sweeps on the scenario's grid, by
-        the symbol id of the operator they take or return ("H" for the
-        scenario's own operator)."""
+        """Assemblies (the scenario's own by its factors), decompositions and
+        sweeps on the scenario's grid, by the symbol id of the operator they
+        take or return ("H" for the scenario's own operator)."""
         import collections
 
         import magpsido.decay as dk
@@ -469,21 +469,22 @@ class TestSharedScenario:
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 out = fn(*args, **kwargs)
-                op = out if name == "op_weyl" else args[0]
+                op = out if name in ("op_weyl", "WeylFactors") else args[0]
                 calls.append((name, getattr(op, "grid", None), getattr(op, "symbol_id", None)))
                 return out
             return wrapper
 
         monkeypatch.setattr(hs, "op_weyl", counted("op_weyl", hs.op_weyl))
+        monkeypatch.setattr(hs, "WeylFactors", counted("WeylFactors", hs.WeylFactors))
         eig = counted("eig_hermitian", hs.eig_hermitian)
         for mod in (hs, dk, sp):
             monkeypatch.setattr(mod, "eig_hermitian", eig)
         monkeypatch.setattr(dk, "uniform_bound_sweep",
                             counted("uniform_bound_sweep", dk.uniform_bound_sweep))
         for raw, want in (
-                (self.THM2, {("op_weyl", "H"): 1, ("eig_hermitian", "H"): 1,
+                (self.THM2, {("WeylFactors", "H"): 1, ("eig_hermitian", "H"): 1,
                              ("uniform_bound_sweep", "H"): 1}),
-                (self.THM3, {("op_weyl", "H"): 1, ("eig_hermitian", "H"): 1,
+                (self.THM3, {("WeylFactors", "H"): 1, ("eig_hermitian", "H"): 1,
                              ("op_weyl", self.GROWTH_ID): 1})):
             calls.clear()
             cfg = ScenarioConfig.from_dict(raw)
@@ -524,12 +525,39 @@ class TestSharedScenario:
             residual = report["spectra_summary"]["residual"]
             assert (residual is not None) == vectors
 
+    def test_an_eigenvalue_only_run_never_forms_the_complex_operator(self, monkeypatch):
+        # the cos2d benchmark operator (N = 1024): its real block folds from
+        # the gather's slabs, so the run peaks near K's 8 N^2 bytes, below
+        # the 16 N^2 of the complex H alone
+        import tracemalloc
+
+        from magpsido import _kernels
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the complex H was gathered")
+
+        monkeypatch.setattr(_kernels, "weyl_gather", refused)
+        cfg = ScenarioConfig.from_dict({**self.NO_SUITE_2D, "grid": {"d": 2, "L": 6.0, "n": 32}})
+        run_scenario(cfg)  # imports and first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            report = run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.spectra_summary["symmetry"] == "conjugate-reflection"
+        assert report.spectra_summary["real_arithmetic"] is False
+        assert peak < 0.75 * 16 * cfg.make_grid().size**2
+
     QUANTIZE_2D = {"symbol": "relativistic", "field": "constant2d:b=0.5",
                    "grid": {"d": 2, "L": 6.0, "n": 8}, "suites": ["quantize-core"]}
 
     def test_each_operator_is_tested_for_its_symmetry_once(self, monkeypatch):
         # quantize-core solves H (eigenpairs) and its bilinear-shifted copy
-        # (eigenvalues only); the spectra summary reuses H's symmetry
+        # (eigenvalues only); the spectra summary reuses H's symmetry. With no
+        # suite, H's slabs decide its symmetry, H is never formed, and its
+        # real block is solved as a bare array, which block_symmetry takes as
+        # one block without a test
         import magpsido.harness as hs
         import magpsido.spectral as sp
 
@@ -544,10 +572,11 @@ class TestSharedScenario:
         monkeypatch.setattr(sp, "block_symmetry", counted("block_symmetry", sp.block_symmetry))
         monkeypatch.setattr(hs, "block_symmetry", counted("block_symmetry", hs.block_symmetry))
         monkeypatch.setattr(hs, "eig_hermitian", counted("eig_hermitian", hs.eig_hermitian))
-        monkeypatch.setattr(hs, "eigvals_hermitian",
-                            counted("eigvals_hermitian", hs.eigvals_hermitian))
+        for name in ("eigvals_hermitian", "slab_blocks"):
+            monkeypatch.setattr(hs, name, counted(name, getattr(hs, name)))
         for raw, want in (
-                (self.NO_SUITE_2D, {"block_symmetry": 1, "eigvals_hermitian": 1}),
+                (self.NO_SUITE_2D, {"slab_blocks": 1, "block_symmetry": 1,
+                                    "eigvals_hermitian": 1}),
                 (self.QUANTIZE_2D, {"block_symmetry": 2, "eig_hermitian": 1,
                                     "eigvals_hermitian": 1})):
             calls.clear()
@@ -795,10 +824,10 @@ class TestReports:
 
     def test_csv_schemas(self, tmp_path):
         sweep = write_sweep_csv([(0.05, 0.1, 0.005, True)], str(tmp_path / "s.csv"))
-        spectrum = write_spectrum_csv([0.5, 2.0], 1e-15, str(tmp_path / "e.csv"))
+        spectrum = write_spectrum_csv([0.5, 2.0], str(tmp_path / "e.csv"))
         kato = write_kato_csv([(1.0, 0.25)], str(tmp_path / "k.csv"))
         for path, header, rows in ((sweep, "epsilon,rel_bound,eps_rel_bound,flag", 1),
-                                   (spectrum, "index,eigenvalue,gap,residual", 2),
+                                   (spectrum, "index,eigenvalue,gap", 2),
                                    (kato, "t,sup_value", 1)):
             with open(path, newline="") as fh:
                 lines = fh.read().split("\r\n")  # csv's own line ends, untranslated
@@ -806,7 +835,7 @@ class TestReports:
             assert len(lines) == rows + 2 and lines[-1] == ""
 
     def test_spectrum_csv_gap_is_nearest_neighbour_distance(self, tmp_path):
-        path = write_spectrum_csv([0.0, 1.0, 1.1, 3.0], 1e-15, str(tmp_path / "spectrum.csv"))
+        path = write_spectrum_csv([0.0, 1.0, 1.1, 3.0], str(tmp_path / "spectrum.csv"))
         with open(path, newline="") as fh:
             gaps = [float(row["gap"]) for row in csv.DictReader(fh)]
         assert gaps == pytest.approx([1.0, 0.1, 0.1, 1.9], abs=1e-12)
@@ -886,7 +915,7 @@ class TestCli:
                          "--out", out])
         assert code == 0
         lines = open(out).read().splitlines()
-        assert lines[0] == "index,eigenvalue,gap,residual"
+        assert lines[0] == "index,eigenvalue,gap"
         assert "discrete eigenvalues" in capsys.readouterr().out
 
     def test_build_report_names_the_arithmetic(self, tmp_path):

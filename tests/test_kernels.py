@@ -1,4 +1,6 @@
 """The numpy assembly kernels against their explicit-loop definitions."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,39 @@ def test_weyl_gather_2d_matches_loop():
     assert np.abs(got - loop_weyl_gather_2d(fhat, omega, n, gmid)).max() < 1e-14
     got = _kernels.weyl_gather(fhat, phase, n, 2)
     assert np.abs(got - loop_weyl_gather_2d(fhat, omega, n, np.ones(gmid.shape))).max() < 1e-14
+
+
+@pytest.mark.parametrize("d, n", [(1, 12), (2, 4)])
+@pytest.mark.parametrize("block", [1, 2**15])
+def test_slabs_are_the_gathered_rows_with_v_on_the_diagonal(d, n, block, monkeypatch):
+    """weyl_gather writes weyl_slabs' slabs as they come, and v is added on
+    the diagonal bit for bit as a pass over the gathered H would add it."""
+    monkeypatch.setattr(_kernels, "GATHER_BLOCK", block)
+    rng = np.random.default_rng(3)
+    fhat = complex_normal(rng, (n,) * d)
+    phase = AxisPhase(np.exp(1j * rng.standard_normal((n, n, n if d == 2 else 1))))
+    gmid, v = rng.standard_normal((2 * n - 1,) * d), rng.standard_normal(n**d)
+    H = _kernels.weyl_gather(fhat, phase, n, d, gmid)
+    H.flat[::n**d + 1] += v
+    assert np.array_equal(_kernels.weyl_gather(fhat, phase, n, d, gmid, v), H)
+    slabs = list(_kernels.weyl_slabs(fhat, phase, n, d, gmid, v))
+    assert [a0 for a0, _ in slabs] == list(range(0, n, max(1, block // n**(2 * d - 1))))
+    rows = np.concatenate([blk for _, blk in slabs])
+    assert np.array_equal(rows.reshape(H.shape), H)
+
+
+def test_1d_gather_forms_no_n_by_n_index_table():
+    # at N = 1024 one int64 N x N table is the size of the float64 H
+    n = 1024
+    rng = np.random.default_rng(4)
+    fhat, gmid, v = rng.standard_normal(n), rng.standard_normal(2 * n - 1), rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        H = _kernels.weyl_gather(fhat, None, n, 1, gmid, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * H.nbytes
 
 
 def test_weyl_gather_rejects_dimension_three():

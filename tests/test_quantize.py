@@ -432,6 +432,16 @@ class TestOpAmplitude:
         H = op_amplitude(amp, g1, grid)
         assert np.abs(H.entries - np.eye(16)).max() < 1e-13
 
+    def test_gauge_of_another_dimension_is_refused(self):
+        # as op_weyl refuses it, before any sample is taken
+        def amp(x, y, e):
+            raise AssertionError("sampled")
+
+        with pytest.raises(ConfigError, match="dimension mismatch"):
+            op_amplitude(amp, transversal_gauge(zero_field(1)), Grid(2, 4.0, 8))
+        with pytest.raises(ConfigError, match="dimension mismatch"):
+            op_amplitude(amp, transversal_gauge(constant_field_2d(0.5)), Grid(1, 4.0, 8))
+
     def test_budget_guard(self):
         grid = Grid(2, 4.0, 48)  # 48^6 > 1e10
         g = transversal_gauge(zero_field(2))

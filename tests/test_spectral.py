@@ -14,12 +14,13 @@ from magpsido.errors import NotApplicableError
 from magpsido.gauge import (constant_field_2d, cos_field_2d, gauge_transform, transversal_gauge,
                             zero_field)
 from magpsido.harness import Scenario, ScenarioConfig, _named_chi
+from magpsido import _kernels
 from magpsido.quantize import Grid, OperatorMatrix, op_weyl
 from magpsido.spectral import (ConjugateReflection, EigenDecomposition, ParityBlocks,
                                SpectralWindow, Whole, block_symmetry, discrete_spectrum_select,
                                eig_hermitian, eigvals_hermitian, LANCZOS_MIN_ORDER, _gram_norm,
                                _lanczos_top, _top_singular_value, matrix_exp_neg, nearest_gaps,
-                               relative_bound)
+                               relative_bound, slab_blocks)
 from magpsido.symbols import bracket, kinetic_symbol, symbol_from_id
 
 
@@ -405,6 +406,33 @@ def centred_magnetic_scenarios(draw):
                                               "grid": {"d": 2, "L": L, "n": n}}))
 
 
+@st.composite
+def slab_route_configs(draw):
+    """A suite-free 2-D config with n <= 12 that passes the headroom lint: a
+    zero, constant or cos2d field, with no shift, the bilinear one or the
+    quadratic one, and a symbol with or without a gauss well measured from 0
+    (which breaks R)."""
+    n = draw(st.sampled_from([4, 6, 8, 10, 12]))
+    L = draw(st.floats(0.3, 0.99).map(lambda r: r * math.pi * n / 4.0)
+             .filter(lambda L: (2.0 * L / n) % 2.0 ** -20 != 0.0))
+    symbol = draw(st.sampled_from(["relativistic", "kinetic", "neg_order"]))
+    # weighted towards the symmetric operators, which the route folds
+    well = draw(st.sampled_from(["", "", "+gauss_well:depth=1,width=1"]))
+    strength = draw(st.floats(0.1, 2.0))
+    field = draw(st.sampled_from(["zero", f"constant2d:b={strength!r}",
+                                  f"cos2d:amp={strength!r}"]))
+    return {"symbol": symbol + well, "field": field, "suites": [],
+            "gauge_chi": draw(st.sampled_from([None, None, "bilinear", "quadratic"])),
+            "grid": {"d": 2, "L": L, "n": n}}
+
+
+def row_slabs(A, n):
+    """The slabs of a 2-D grid's matrix over its leading index, one row each,
+    as `_kernels.weyl_slabs` yields them."""
+    A4 = A.reshape(n, n, n, n)
+    return ((a, A4[a:a + 1]) for a in range(n))
+
+
 def t_symmetric(A, sym, seed):
     """A matrix with sym's conjugate reflection symmetry, from a random one."""
     rng = np.random.default_rng(seed)
@@ -438,6 +466,32 @@ class TestConjugateReflection:
         assert dec.residual <= 10.0 * max(ref_residual, 1e-15)
         assert np.abs(dec.eigenvectors.conj().T @ dec.eigenvectors
                       - np.eye(sc.grid.size)).max() < 1e-12
+
+    @pytest.mark.parametrize("rows_per_slab", [None, 1])
+    @settings(max_examples=60, deadline=None)
+    @given(raw=slab_route_configs())
+    def test_slab_route_picks_the_blocks_of_the_formed_operator(self, rows_per_slab, raw):
+        # today's path: H formed first, then block_symmetry and its blocks
+        cfg = ScenarioConfig.from_dict(raw)
+        formed = Scenario(cfg)
+        H, want, lam = formed.H.entries, formed.symmetry, formed.eigenvalues
+        grid = formed.grid
+        with pytest.MonkeyPatch.context() as mp:
+            if rows_per_slab:
+                mp.setattr(_kernels, "GATHER_BLOCK", rows_per_slab * grid.n**3)
+            sc = Scenario(cfg)
+            folded = slab_blocks(grid, sc.factors.slabs())
+            got = sc.eigenvalues
+        assert sc.symmetry.name == want.name
+        assert np.array_equal(got, lam)
+        assert ("H" not in sc.__dict__) == (folded is not None)
+        if folded is not None:
+            sym, K = folded
+            assert isinstance(want, ConjugateReflection)
+            assert np.array_equal(K, want.blocks(H)[0])
+        elif isinstance(want, ConjugateReflection):
+            # declined only where row 0 leaves the parity blocks open
+            assert np.array_equal(H[0, grid.reflection], H[0])
 
     def test_blocks_are_the_matrix_in_the_conjugate_basis(self):
         grid = Grid(2, 3.3, 6)
@@ -503,6 +557,24 @@ class TestConjugateReflection:
         A[row, col] = np.nextafter(A[row, col].real, np.inf) + 1j * A[row, col].imag
         A[col, row] = A[row, col].conj()
         assert isinstance(block_symmetry(dataclasses.replace(H, entries=A)), Whole)
+        # one leading row per slab: the inner entry lies in a later slab
+        assert slab_blocks(grid, row_slabs(H.entries, grid.n)) is not None
+        assert slab_blocks(grid, row_slabs(A, grid.n)) is None
+
+    def test_slab_route_leaves_an_operator_with_both_symmetries_to_parity(self):
+        # a zero-field operator stored complex commutes with P and passes
+        # the conjugate-reflection test; block_symmetry picks the parity blocks
+        grid = Grid(2, 4.0, 8)
+        H = op_weyl(symbol_from_id("relativistic", 2), transversal_gauge(zero_field(2)), grid)
+        A = H.entries.astype(complex)
+        assert ConjugateReflection(grid).holds(A)
+        assert isinstance(block_symmetry(dataclasses.replace(H, entries=A)), ParityBlocks)
+        assert slab_blocks(grid, row_slabs(A, grid.n)) is None
+
+    def test_slab_route_declines_one_dimensional_grids(self):
+        # R moves the 1-D gather's own slab index
+        grid = Grid(1, 4.0, 8)
+        assert slab_blocks(grid, iter(())) is None
 
     def test_real_operators_are_never_tested(self):
         grid = Grid(2, 4.0, 8)

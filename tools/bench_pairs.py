@@ -5,8 +5,11 @@ Runs `perfbench/run.py` in two checkouts of the repository, one pair per
 seed, and alternates which side runs first; each run lasts BENCHMARK.json's
 `run_seconds`. Writes BENCH_<workload>.json
 with the machine line, the commit of each side, every run's end-to-end
-metrics, each side's median and quartiles per metric, and how many pairs
-the change won (ties count for neither side):
+metrics, and per metric each side's median and quartiles, how many pairs
+the change won (ties count for neither side), the median of the paired
+differences (change - parent, seed by seed), and whether the change is
+`resolved` as better: it won at least nine tenths of the pairs and its
+median beats the parent's by more than the parent's interquartile range:
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload cos2d-assembly --seeds 101-110 --out BENCH_cos2d-assembly.json
@@ -57,8 +60,8 @@ def _spread(values):
 
 
 def summarize(runs, spec):
-    """Per end-to-end metric: each side's median and quartiles, and the
-    change's wins over the pairs."""
+    """Per end-to-end metric: each side's median and quartiles, the change's
+    wins over the pairs, the median paired difference, and `resolved`."""
     out = {}
     for metric in spec["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -66,10 +69,14 @@ def summarize(runs, spec):
         change = [r["change"]["metrics"][name]["value"] for r in runs]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         ties = sum(c == p for p, c in zip(parent, change))
+        sides = {"parent": _spread(parent), "change": _spread(change)}
+        gain = sides["change"]["median"] - sides["parent"]["median"]
         out[name] = {"unit": metric["unit"], "better": metric["better"],
-                     "bound": metric["bound"], "parent": _spread(parent),
-                     "change": _spread(change), "change_wins": wins, "ties": ties,
-                     "pairs": len(runs)}
+                     "bound": metric["bound"], **sides, "change_wins": wins, "ties": ties,
+                     "pairs": len(runs),
+                     "median_diff": statistics.median(c - p for p, c in zip(parent, change)),
+                     "resolved": (10 * wins >= 9 * len(runs)
+                                  and (-gain if lower else gain) > sides["parent"]["iqr"])}
     return out
 
 
