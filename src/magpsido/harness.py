@@ -23,8 +23,8 @@ from .gauge import (field_from_id, gauge_transform, potential_residual,
                     transversal_gauge, zero_field)
 from .mpdo import LOAD_BUDGET_BYTES, atomic_open
 from .potentials import potential_from_id
-from .quantize import (Grid, GridFunction, fourier_mode, mag_derivative,
-                       op_amplitude, op_ps, op_weyl, sobolev_norm, WeylFactors)
+from .quantize import (Grid, GridFunction, WeylFactors, fourier_mode, mag_derivative,
+                       op_amplitude, op_ps, op_weyl, sobolev_norm)
 from .spectral import (ParityBlocks, SpectralWindow, block_symmetry, discrete_spectrum_select,
                        eig_hermitian, eigvals_hermitian, nearest_gaps, slab_blocks)
 from .symbols import (HormanderSymbol, SampleBox, bracket, cauchy_derivative_bound_check,

@@ -178,6 +178,7 @@ class ConjugateReflection:
         return (K.reshape(self.sizes * 2),)
 
     def _rows(self, A):
+        """A's rows as `fold`'s slabs, one leading index each."""
         m, n = self.shape
         return ((a, A.reshape(m, 1, n, m, n)[a]) for a in range(m))
 
@@ -307,12 +308,13 @@ def slab_blocks(grid, slabs):
     if grid.dimension != 2:
         return None
     first = next(slabs)
-    row = first[1][0, 0].ravel()
-    if not np.iscomplexobj(row) or np.array_equal(row[grid.reflection], row):
+    row0 = first[1][0, 0].ravel()
+    if not np.iscomplexobj(row0) or np.array_equal(row0[grid.reflection], row0):
         return None
     sym = ConjugateReflection(grid)
     K = np.empty(sym.block_shape)
-    return (sym, K.reshape(sym.sizes * 2)) if sym.fold(itertools.chain([first], slabs), K) else None
+    held = sym.fold(itertools.chain([first], slabs), K)
+    return (sym, K.reshape(sym.sizes * 2)) if held else None
 
 
 def eig_hermitian(op, symmetry=None):

@@ -471,7 +471,7 @@ class TestConjugateReflection:
     @settings(max_examples=60, deadline=None)
     @given(raw=slab_route_configs())
     def test_slab_route_picks_the_blocks_of_the_formed_operator(self, rows_per_slab, raw):
-        # today's path: H formed first, then block_symmetry and its blocks
+        # the formed path: H first, then block_symmetry and its blocks
         cfg = ScenarioConfig.from_dict(raw)
         formed = Scenario(cfg)
         H, want, lam = formed.H.entries, formed.symmetry, formed.eigenvalues
@@ -487,7 +487,7 @@ class TestConjugateReflection:
         assert ("H" not in sc.__dict__) == (folded is not None)
         if folded is not None:
             sym, K = folded
-            assert isinstance(want, ConjugateReflection)
+            assert isinstance(sym, ConjugateReflection) and isinstance(want, ConjugateReflection)
             assert np.array_equal(K, want.blocks(H)[0])
         elif isinstance(want, ConjugateReflection):
             # declined only where row 0 leaves the parity blocks open
